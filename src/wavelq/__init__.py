@@ -5,7 +5,8 @@ Library layout:
 * ``spectral``    -- modal vectors, energy coordinates, the weighted norm scale
 * ``models``      -- interval / star-network / rectangle / synthetic systems,
                      Gramians, weak-observability exponent fits
-* ``riccati``     -- differential and algebraic Riccati solvers, value, bounds
+* ``riccati``     -- the exact Hamiltonian step-map kernel, differential and
+                     algebraic Riccati solvers, value, bounds
 * ``closed_loop`` -- collocated / Riccati-feedback / backward-observer loops,
                      HUM steering, decay fits, the sequence-lemma roll-out
 * ``turnpike``    -- stationary problem, finite-horizon tracking, averaged
@@ -45,7 +46,6 @@ from .models import (  # noqa: F401
 )
 from .riccati import (  # noqa: F401
     BoundsReport,
-    IntegrationError,
     MethodError,
     RiccatiSolution,
     StabilizabilityError,

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import hashlib
 import json
 import os
@@ -60,6 +61,10 @@ def _check_keys(section: dict, field: str, allowed: set):
              "unknown key" if unknown else "")
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _number(section, field, key, *, positive=False, allow_inf=False, default=None):
     if key not in section:
         if default is not None:
@@ -68,8 +73,8 @@ def _number(section, field, key, *, positive=False, allow_inf=False, default=Non
     v = section[key]
     if allow_inf and v == "inf":
         return np.inf
-    _require(isinstance(v, (int, float)) and not isinstance(v, bool), f"{field}.{key}",
-             "must be a number")
+    _require(_is_number(v) and (np.isfinite(v) or (allow_inf and v == np.inf)),
+             f"{field}.{key}", "must be a finite number")
     v = float(v)
     if positive:
         _require(v > 0.0, f"{field}.{key}", "must be positive")
@@ -94,8 +99,9 @@ def _region(section, field, key):
         return "full_domain"
     if isinstance(v, dict) and set(v) == {"subinterval"}:
         ab = v["subinterval"]
-        _require(isinstance(ab, list) and len(ab) == 2, f"{field}.{key}.subinterval",
-                 "must be [a, b]")
+        _require(isinstance(ab, list) and len(ab) == 2 and all(map(_is_number, ab))
+                 and np.all(np.isfinite(ab)), f"{field}.{key}.subinterval",
+                 "must be [a, b] with finite numbers a, b")
         a, b = float(ab[0]), float(ab[1])
         _require(a < b, f"{field}.{key}.subinterval", "a < b required")
         return ("subinterval", a, b)
@@ -163,6 +169,8 @@ def validate_config(cfg: dict) -> dict:
         shells = exp.get("shells")
         _require(isinstance(shells, list) and len(shells) >= 3, "experiment.shells",
                  "must be a list of >= 3 shell edges")
+        _require(all(_is_number(v) and 0 < v < np.inf for v in shells), "experiment.shells",
+                 "entries must be positive finite numbers")
         _require(exp.get("side", "control") in ("control", "observation"),
                  "experiment.side", "must be 'control' or 'observation'")
     elif ekind == "bounds":
@@ -179,7 +187,8 @@ def validate_config(cfg: dict) -> dict:
                 _number(exp, "experiment", key, positive=True)
         if "window" in exp:
             w = exp["window"]
-            _require(isinstance(w, list) and len(w) == 2 and w[0] < w[1],
+            _require(isinstance(w, list) and len(w) == 2 and all(map(_is_number, w))
+                     and w[0] < w[1],
                      "experiment.window", "must be [t_start, t_end] with t_start < t_end")
         _require(exp.get("signs", "random") in ("random", "alternating"),
                  "experiment.signs", "must be 'random' or 'alternating'")
@@ -258,7 +267,7 @@ def _scale_payload(scale: NormScale) -> dict:
 # experiment runners (each returns a summary dict and writes CSVs)
 
 
-def _run_observability(system, exp, outdir, rng):
+def _run_observability(system, exp, outdir, rng, threads):
     side = exp.get("side", "control")
     report = md.fit_weak_observability(system, float(exp["horizon"]), exp["shells"],
                                        use_control=(side == "control"))
@@ -283,7 +292,7 @@ def _default_scales(system):
     return weak, strong
 
 
-def _run_bounds(system, exp, outdir, rng):
+def _run_bounds(system, exp, outdir, rng, threads):
     sol = rc.solve_are(system, method=exp.get("method", "newton_kleinman"))
     weak, strong = _default_scales(system)
     report = rc.bounds_report(sol, system, weak, strong,
@@ -302,7 +311,7 @@ def _run_bounds(system, exp, outdir, rng):
     }, ["riccati.json"]
 
 
-def _run_decay(system, exp, outdir, rng, riccati: bool):
+def _run_decay(system, exp, outdir, rng, threads, riccati: bool):
     x0 = _draw_state(system, exp, rng)
     horizon = float(exp["horizon"])
     dt = float(exp["dt"]) if "dt" in exp else None
@@ -333,7 +342,7 @@ def _run_decay(system, exp, outdir, rng, riccati: bool):
     return summary, ["trajectory.csv", "fit.json"]
 
 
-def _run_null_control(system, exp, outdir, rng):
+def _run_null_control(system, exp, outdir, rng, threads):
     t0 = float(exp["t0"])
     n_draws = exp.get("n_draws", 1)
     tail = float(exp.get("tail_exponent", 1.6))
@@ -414,6 +423,17 @@ def _run_turnpike(system, exp, outdir, rng, threads: int):
     }, ["turnpike.csv", "trajectory.csv"]
 
 
+# experiment kind -> runner(system, exp, outdir, rng, threads) -> (summary, files)
+_RUNNERS = {
+    "observability": _run_observability,
+    "bounds": _run_bounds,
+    "decay_collocated": functools.partial(_run_decay, riccati=False),
+    "decay_riccati": functools.partial(_run_decay, riccati=True),
+    "null_control": _run_null_control,
+    "turnpike": _run_turnpike,
+}
+
+
 def run_experiment(cfg: dict, outdir: str, seed: int, threads: int, quiet: bool) -> dict:
     """Execute the configured experiment; returns the summary dict."""
     t_start = time.time()
@@ -423,20 +443,7 @@ def run_experiment(cfg: dict, outdir: str, seed: int, threads: int, quiet: bool)
     rng = _rng(seed)
 
     kind = exp["kind"]
-    if kind == "observability":
-        summary, files = _run_observability(system, exp, outdir, rng)
-    elif kind == "bounds":
-        summary, files = _run_bounds(system, exp, outdir, rng)
-    elif kind == "decay_collocated":
-        summary, files = _run_decay(system, exp, outdir, rng, riccati=False)
-    elif kind == "decay_riccati":
-        summary, files = _run_decay(system, exp, outdir, rng, riccati=True)
-    elif kind == "null_control":
-        summary, files = _run_null_control(system, exp, outdir, rng)
-    elif kind == "turnpike":
-        summary, files = _run_turnpike(system, exp, outdir, rng, threads)
-    else:
-        raise ConfigError(f"experiment.kind: unhandled kind {kind!r}")
+    summary, files = _RUNNERS[kind](system, exp, outdir, rng, threads)
 
     summary["model_label"] = system.label
     summary["n_modes"] = system.n_modes
@@ -527,7 +534,12 @@ def main(argv=None) -> int:
     env_cap = os.environ.get("WAVELQ_MAX_THREADS")
     threads = args.threads if args.threads is not None else 1
     if env_cap is not None:
-        threads = min(threads, max(1, int(env_cap)))
+        try:
+            threads = min(threads, max(1, int(env_cap)))
+        except ValueError:
+            print(f"wavelq: config error: WAVELQ_MAX_THREADS: must be an integer, "
+                  f"got {env_cap!r}", file=sys.stderr)
+            return 2
 
     try:
         run_experiment(cfg, outdir, seed, threads, args.quiet)

@@ -2,9 +2,7 @@
 
 All closed loops here are linear time-invariant, so trajectories are advanced
 by the exact matrix exponential of the closed-loop generator over a fixed step
-(no secular drift over long horizons).  Strang splitting (exact rotation
-composed with the feedback propagator) and a monolithic adaptive RK are kept
-as cross-checking alternatives.
+(no secular drift over long horizons).
 
 Dissipation integrals like ``int ||B^T x||^2 dt`` are accumulated exactly via
 step Gramians ``int_0^h exp(A^T s) M exp(A s) ds`` (Van Loan block-exponential
@@ -17,12 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 import scipy.linalg
 
-from .models import SpectralSystem, apply_free_flow, controllability_gramian, free_flow
+from .models import SpectralSystem, apply_free_flow, controllability_gramian, fit_line
 from .riccati import RiccatiSolution, first_order_matrices
-from .spectral import DimensionError, DomainError, EnergyState, NormScale, energy_norm_squared
+from .spectral import (DimensionError, DomainError, EnergyState, NormScale, as_energy_vector,
+                       energy_norm_squared)
 
 
 @dataclass
@@ -69,25 +67,12 @@ def _step_gramian(A_cl: np.ndarray, M: np.ndarray, h: float) -> np.ndarray:
     return EZ[d:, d:].T @ EZ[:d, d:]
 
 
-def _propagator(A_cl: np.ndarray, lam: np.ndarray, h: float, method: str) -> np.ndarray:
-    if method == "expm":
-        return scipy.linalg.expm(A_cl * h)
-    if method == "strang":
-        A_rot = np.zeros_like(A_cl)
-        ix = np.arange(0, A_cl.shape[0], 2)
-        A_rot[ix, ix + 1] = lam
-        A_rot[ix + 1, ix] = -lam
-        half = free_flow(lam, h / 2.0)
-        return half @ scipy.linalg.expm((A_cl - A_rot) * h) @ half
-    raise DomainError(f"unknown propagation method {method!r}")
-
-
 def _simulate_lti(system: SpectralSystem, A_cl: np.ndarray, x0: np.ndarray, horizon: float,
-                  dt: float | None, method: str, kind: str,
+                  dt: float | None, kind: str,
                   control_gain: np.ndarray | None,
                   m_control: np.ndarray | None, m_obs: np.ndarray | None) -> Trajectory:
     lam = system.lambdas
-    x0 = x0.to_vector() if isinstance(x0, EnergyState) else np.asarray(x0, dtype=float)
+    x0 = as_energy_vector(x0)
     if x0.size != A_cl.shape[0]:
         raise DimensionError("initial state dimension mismatch")
     if horizon <= 0.0:
@@ -98,22 +83,11 @@ def _simulate_lti(system: SpectralSystem, A_cl: np.ndarray, x0: np.ndarray, hori
     h = horizon / steps
     times = np.linspace(0.0, horizon, steps + 1)
 
-    if method in ("expm", "strang"):
-        P = _propagator(A_cl, lam, h, method)
-        X = np.empty((steps + 1, x0.size))
-        X[0] = x0
-        for k in range(steps):
-            X[k + 1] = P @ X[k]
-    elif method == "rk":
-        sol = scipy.integrate.solve_ivp(lambda _t, x: A_cl @ x, (0.0, horizon), x0,
-                                        method="DOP853", t_eval=times,
-                                        rtol=1e-11, atol=1e-13,
-                                        max_step=np.pi / (8.0 * lam.max()))
-        if not sol.success:
-            raise RuntimeError(f"RK integration failed: {sol.message}")
-        X = sol.y.T.copy()
-    else:
-        raise DomainError(f"unknown propagation method {method!r}")
+    P = scipy.linalg.expm(A_cl * h)
+    X = np.empty((steps + 1, x0.size))
+    X[0] = x0
+    for k in range(steps):
+        X[k + 1] = P @ X[k]
 
     traj = Trajectory(times=times, states=X, energies=np.einsum("ij,ij->i", X, X),
                       lambdas=lam, kind=kind)
@@ -130,8 +104,8 @@ def _simulate_lti(system: SpectralSystem, A_cl: np.ndarray, x0: np.ndarray, hori
     return traj
 
 
-def simulate_collocated(system: SpectralSystem, x0, horizon: float, dt: float | None = None,
-                        method: str = "expm") -> Trajectory:
+def simulate_collocated(system: SpectralSystem, x0, horizon: float,
+                        dt: float | None = None) -> Trajectory:
     """Collocated velocity damping ``u = -B* w_t``: integrates x' = (A - B B^T) x.
 
     The energy is nonincreasing and the dissipation identity
@@ -140,14 +114,13 @@ def simulate_collocated(system: SpectralSystem, x0, horizon: float, dt: float | 
     """
     A, B, Q = first_order_matrices(system)
     BBT = B @ B.T
-    traj = _simulate_lti(system, A - BBT, x0, horizon, dt, method, "collocated",
+    traj = _simulate_lti(system, A - BBT, x0, horizon, dt, "collocated",
                          control_gain=-B.T, m_control=BBT, m_obs=Q)
     return traj
 
 
 def simulate_riccati_feedback(system: SpectralSystem, solution: RiccatiSolution, x0,
-                              horizon: float, dt: float | None = None,
-                              method: str = "expm") -> Trajectory:
+                              horizon: float, dt: float | None = None) -> Trajectory:
     """Riccati-optimal feedback ``u = -B^T E x``: integrates x' = (A - B B^T E) x.
 
     Records the Lyapunov values V = x^T E x; when E solves the algebraic
@@ -161,14 +134,14 @@ def simulate_riccati_feedback(system: SpectralSystem, solution: RiccatiSolution,
     gain = B.T @ E
     A_cl = A - B @ gain
     m_u = gain.T @ gain
-    traj = _simulate_lti(system, A_cl, x0, horizon, dt, method, "riccati_feedback",
+    traj = _simulate_lti(system, A_cl, x0, horizon, dt, "riccati_feedback",
                          control_gain=-gain, m_control=m_u, m_obs=Q)
     traj.values = np.einsum("ij,jk,ik->i", traj.states, E, traj.states)
     return traj
 
 
 def simulate_backward_observer(system: SpectralSystem, terminal_state, horizon: float,
-                               dt: float | None = None, method: str = "expm") -> Trajectory:
+                               dt: float | None = None) -> Trajectory:
     """Backward observer loop ``phi_tt + A phi = C*C phi_t`` from terminal data.
 
     Integrated in the reversed time tau = T - t, where it is the damped
@@ -179,8 +152,8 @@ def simulate_backward_observer(system: SpectralSystem, terminal_state, horizon: 
     n = system.n_modes
     D = np.zeros((2 * n, 2 * n))
     D[np.ix_(np.arange(1, 2 * n, 2), np.arange(1, 2 * n, 2))] = system.Q_obs
-    traj = _simulate_lti(system, A - D, terminal_state, horizon, dt, method,
-                         "backward_observer", control_gain=None, m_control=None, m_obs=D)
+    traj = _simulate_lti(system, A - D, terminal_state, horizon, dt, "backward_observer",
+                         control_gain=None, m_control=None, m_obs=D)
     return traj
 
 
@@ -238,7 +211,7 @@ def hum_null_control(system: SpectralSystem, x0, t0: float, n_samples: int = 257
     """
     if t0 <= 0.0:
         raise DomainError("steering time must be positive")
-    x0 = x0.to_vector() if isinstance(x0, EnergyState) else np.asarray(x0, dtype=float)
+    x0 = as_energy_vector(x0)
     lam = system.lambdas
     if x0.size != 2 * lam.size:
         raise DimensionError("state dimension mismatch")
@@ -306,12 +279,7 @@ def fit_decay(traj: Trajectory, norm: NormScale, window) -> DecayFit:
     pos = vals > 0.0
     if pos.sum() < 20:
         raise DomainError("fewer than 20 positive samples in the window")
-    x = np.log(ts[pos] + 1.0)
-    y = np.log(vals[pos])
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    ss_tot = np.sum((y - y.mean()) ** 2)
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - np.sum(resid**2) / ss_tot
+    slope, intercept, r2 = fit_line(np.log(ts[pos] + 1.0), np.log(vals[pos]))
     return DecayFit(exponent=float(-slope), prefactor=float(np.exp(intercept)),
                     window=(t_start, t_end), r2=float(max(min(r2, 1.0), 0.0)),
                     norm_used=norm, n_samples=int(pos.sum()))

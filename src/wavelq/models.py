@@ -511,6 +511,18 @@ def shell_constant(system: SpectralSystem, shell_lo: float, shell_hi: float,
     return float(max(lo_eig, 0.0) / (horizon / 2.0))
 
 
+def fit_line(x: np.ndarray, y: np.ndarray):
+    """Least-squares line y ~ slope * x + intercept; returns (slope, intercept, R^2).
+
+    R^2 is 1 for a constant y.
+    """
+    slope, intercept = np.polyfit(x, y, 1)
+    resid = y - (slope * x + intercept)
+    ss_tot = np.sum((y - y.mean()) ** 2)
+    r2 = 1.0 if ss_tot == 0.0 else 1.0 - np.sum(resid**2) / ss_tot
+    return slope, intercept, r2
+
+
 def fit_weak_observability(system: SpectralSystem, horizon: float, shells,
                            use_control: bool = True) -> ObservabilityReport:
     """Per-shell [Lambda, 2*Lambda) Gramian minima and a log-log exponent fit.
@@ -540,12 +552,7 @@ def fit_weak_observability(system: SpectralSystem, horizon: float, shells,
     mask = consts > 0.0
     if mask.sum() < 2:
         raise ConsistencyError("fewer than two positive shell constants; cannot fit")
-    x = np.log(edges[mask])
-    y = np.log(consts[mask])
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    ss_tot = np.sum((y - y.mean()) ** 2)
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - np.sum(resid**2) / ss_tot
+    slope, _, r2 = fit_line(np.log(edges[mask]), np.log(consts[mask]))
     return ObservabilityReport(shell_edges=edges, shell_constants=consts,
                                fitted_exponent=float(slope), fit_r2=float(r2),
                                horizon=float(horizon), use_control=use_control,

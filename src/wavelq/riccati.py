@@ -7,8 +7,15 @@ pairings are plain transposes, and the matrix Riccati equation
 
     E' = Q + E A + A^T E - E B B^T E,   E(0) = 0
 
-is integrated in the time-to-go variable.  The quadratic form of a solution at
+is solved in the time-to-go variable.  The quadratic form of a solution at
 an initial state is the optimal cost of ``int (||u||^2 + ||C w||^2) dt``.
+
+Every finite-horizon solver shares one exact kernel, ``step_map``: the step
+transition ``e^{M h}`` of the Hamiltonian matrix ``M = [[A, -B B^T], [-Q, -A^T]]``
+of the state/adjoint pair, with the Van Loan integrals of a quadratic cost and
+of the state over the step (Van Loan 1978).  The Riccati flow is swept step by
+step through the blocks of ``e^{M h}`` (Davison-Maki 1973), so no ODE
+integrator is involved and each step is exact up to rounding.
 """
 
 from __future__ import annotations
@@ -16,11 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 import scipy.linalg
 
 from .models import SpectralSystem
-from .spectral import DimensionError, DomainError, EnergyState
+from .spectral import DimensionError, DomainError, as_energy_vector
 
 
 class StabilizabilityError(RuntimeError):
@@ -29,14 +35,6 @@ class StabilizabilityError(RuntimeError):
 
 class MethodError(RuntimeError):
     """A solver failed to converge; try the alternative method."""
-
-
-class IntegrationError(RuntimeError):
-    """DRE integration failed; partial results attached."""
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
 
 
 @dataclass
@@ -104,62 +102,97 @@ def _riccati_rhs(E: np.ndarray, lam: np.ndarray, B: np.ndarray, Q: np.ndarray) -
     return Q + EA + EA.T - EB @ EB.T
 
 
-def _pack(E: np.ndarray, iu) -> np.ndarray:
-    return E[iu]
+def hamiltonian_matrix(A: np.ndarray, B: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """M = [[A, -B B^T], [-Q, -A^T]], the generator of the state/adjoint pair.
+
+    Along an optimal trajectory (x, q)' = M (x, q) with control u = -B^T q, and
+    q = E x + h with E the Riccati flow in the time-to-go.
+    """
+    d = A.shape[0]
+    M = np.empty((2 * d, 2 * d))
+    M[:d, :d] = A
+    M[:d, d:] = -B @ B.T
+    M[d:, :d] = -Q
+    M[d:, d:] = -A.T
+    return M
 
 
-def _unpack(v: np.ndarray, dim: int, iu) -> np.ndarray:
-    E = np.zeros((dim, dim))
-    E[iu] = v
-    E.T[iu] = v
+def step_map(M: np.ndarray, h: float, cost: np.ndarray | None = None):
+    """Exact step of y' = M y over a step h, from one block matrix exponential.
+
+    Returns ``(Phi, W, L)`` with ``Phi = e^{M h}``.  Given a symmetric cost
+    weight G, also ``W = int_0^h e^{M^T s} G e^{M s} ds`` and
+    ``L = int_0^h e^{M s} ds``, so a step from y costs ``y^T W y`` and its state
+    integral is ``L y``; without a weight both are None.
+    """
+    if cost is None:
+        return scipy.linalg.expm(M * h), None, None
+    n = M.shape[0]
+    Z = np.zeros((3 * n, 3 * n))
+    Z[:n, :n] = -M.T
+    Z[:n, n:2 * n] = cost
+    Z[n:2 * n, n:2 * n] = M
+    Z[n:2 * n, 2 * n:] = np.eye(n)
+    F = scipy.linalg.expm(Z * h)
+    Phi = F[n:2 * n, n:2 * n]
+    return Phi, Phi.T @ F[:n, n:2 * n], F[n:2 * n, 2 * n:]
+
+
+def riccati_step(E: np.ndarray, Phi: np.ndarray, h: np.ndarray | None = None):
+    """Carry ``q = E x + h`` one step back across the step map Phi.
+
+    With S = Phi22 - E Phi12: E <- S^{-1} (E Phi11 - Phi21) and h <- S^{-1} h.
+    Returns the new E (symmetrized), and the new h when one is given.
+    """
+    d = E.shape[0]
+    S = Phi[d:, d:] - E @ Phi[:d, d:]
+    rhs = E @ Phi[:d, :d] - Phi[d:, :d]
+    if h is None:
+        E = np.linalg.solve(S, rhs)
+        return 0.5 * (E + E.T)
+    sol = np.linalg.solve(S, np.column_stack([rhs, h]))
+    E = sol[:, :d]
+    return 0.5 * (E + E.T), sol[:, d]
+
+
+def _sweep(E: np.ndarray, M: np.ndarray, duration: float, max_step: float) -> np.ndarray:
+    """Advance the Riccati flow by ``duration`` in equal steps of at most max_step."""
+    steps = max(1, int(np.ceil(duration / max_step)))
+    Phi, _, _ = step_map(M, duration / steps)
+    for _ in range(steps):
+        E = riccati_step(E, Phi)
     return E
 
 
-def integrate_dre(system: SpectralSystem, horizon: float, snapshot_times=None,
-                  rtol: float = 1e-10, atol: float = 1e-12):
-    """Integrate the matrix Riccati equation forward from E(0) = 0.
+def integrate_dre(system: SpectralSystem, horizon: float, snapshot_times=None):
+    """Solve the matrix Riccati equation forward in time-to-go from E(0) = 0.
 
     Returns one RiccatiSolution per requested snapshot (default: the horizon
-    only).  The state is propagated as its packed upper triangle, so symmetry
-    is exact by construction; the quadratic form is monotone nondecreasing in
-    the time-to-go.
+    only).  The flow is swept with the exact Hamiltonian step map, in equal
+    steps of at most pi/(4 lambda_max) between consecutive snapshot times, so
+    every snapshot falls on the step grid.  The quadratic form is monotone
+    nondecreasing in the time-to-go.
     """
     if horizon <= 0.0:
         raise DomainError("horizon must be positive")
-    lam = system.lambdas
-    _, B, Q = first_order_matrices(system)
-    dim = 2 * lam.size
-    iu = np.triu_indices(dim)
-
     if snapshot_times is None:
         snapshot_times = [horizon]
     taus = np.atleast_1d(np.asarray(snapshot_times, dtype=float))
     if np.any(taus < 0.0) or np.any(taus > horizon + 1e-12):
         raise DomainError("snapshot times must lie in [0, horizon]")
-    order = np.argsort(taus)
 
-    def rhs(_t, y):
-        E = _unpack(y, dim, iu)
-        return _pack(_riccati_rhs(E, lam, B, Q), iu)
-
-    max_step = np.pi / (4.0 * lam.max())
-    eval_ts = np.unique(taus[taus > 0.0])
-    sol = scipy.integrate.solve_ivp(
-        rhs, (0.0, float(horizon)), np.zeros(iu[0].size), method="DOP853",
-        t_eval=eval_ts if eval_ts.size else None, rtol=rtol, atol=atol,
-        max_step=max_step, dense_output=False)
-    if not sol.success:
-        partial = [RiccatiSolution(_unpack(sol.y[:, k], dim, iu), float(sol.t[k]), 0.0, "dre")
-                   for k in range(sol.t.size)]
-        raise IntegrationError(f"DRE integration failed: {sol.message}", partial=partial)
-
-    by_tau = {float(t): _unpack(sol.y[:, k], dim, iu) for k, t in enumerate(sol.t)}
-    out = [None] * taus.size
-    for k in order:
-        tau = float(taus[k])
-        E = np.zeros((dim, dim)) if tau == 0.0 else by_tau[min(by_tau, key=lambda s: abs(s - tau))]
-        out[k] = RiccatiSolution(E=E, horizon=tau, residual=0.0, method="dre")
-    return out
+    A, B, Q = first_order_matrices(system)
+    M = hamiltonian_matrix(A, B, Q)
+    max_step = np.pi / (4.0 * system.lambdas.max())
+    E = np.zeros_like(A)
+    by_tau = {0.0: E}
+    t_now = 0.0
+    for tau in np.unique(taus[taus > 0.0]):
+        E = _sweep(E, M, tau - t_now, max_step)
+        by_tau[float(tau)] = E
+        t_now = tau
+    return [RiccatiSolution(E=by_tau[float(tau)], horizon=float(tau), residual=0.0, method="dre")
+            for tau in taus]
 
 
 def _check_stabilizable(system: SpectralSystem, gain_tol: float = 1e-10, cost_tol: float = 1e-10):
@@ -203,7 +236,7 @@ def solve_are(system: SpectralSystem, method: str = "newton_kleinman",
 
     ``newton_kleinman`` iterates Lyapunov solves from a stabilizing guess
     (identity if it stabilizes, else a DRE snapshot at tau = 10/lambda_min);
-    ``dre_limit`` integrates the DRE with geometrically doubled horizons until
+    ``dre_limit`` sweeps the DRE over geometrically doubled horizons until
     successive snapshots agree, realizing the minimal solution as the limit of
     the finite-horizon operators.
     """
@@ -212,7 +245,7 @@ def solve_are(system: SpectralSystem, method: str = "newton_kleinman",
     _check_stabilizable(system)
 
     if method == "dre_limit":
-        return _solve_are_dre_limit(system, lam, B, Q, dre_tol)
+        return _solve_are_dre_limit(lam, A, B, Q, dre_tol)
     if method != "newton_kleinman":
         raise DomainError(f"unknown ARE method {method!r}")
 
@@ -242,31 +275,19 @@ def solve_are(system: SpectralSystem, method: str = "newton_kleinman",
     raise MethodError("Newton-Kleinman did not converge; try method='dre_limit'")
 
 
-def _solve_are_dre_limit(system, lam, B, Q, dre_tol):
-    tau = max(1.0, 10.0 / lam.min())
-    dim = 2 * lam.size
-    iu = np.triu_indices(dim)
+def _solve_are_dre_limit(lam, A, B, Q, dre_tol):
+    M = hamiltonian_matrix(A, B, Q)
     max_step = np.pi / (4.0 * lam.max())
-
-    def rhs(_t, y):
-        E = _unpack(y, dim, iu)
-        return _pack(_riccati_rhs(E, lam, B, Q), iu)
-
-    y = np.zeros(iu[0].size)
-    prev = np.zeros((dim, dim))
+    tau = max(1.0, 10.0 / lam.min())
+    cur = np.zeros_like(A)
     t_now = 0.0
     for _ in range(14):
-        sol = scipy.integrate.solve_ivp(rhs, (t_now, tau), y, method="DOP853",
-                                        rtol=1e-10, atol=1e-12, max_step=max_step)
-        if not sol.success:
-            raise IntegrationError(f"DRE integration failed: {sol.message}")
-        y = sol.y[:, -1]
+        prev = cur
+        cur = _sweep(cur, M, tau - t_now, max_step)
         t_now = tau
-        cur = _unpack(y, dim, iu)
         if np.linalg.norm(cur - prev) <= dre_tol:
             res = _are_residual(cur, lam, B, Q)
             return RiccatiSolution(E=cur, horizon=np.inf, residual=res, method="dre_limit")
-        prev = cur
         tau *= 2.0
     raise MethodError("dre_limit did not converge within the horizon cap")
 
@@ -284,7 +305,7 @@ def closed_loop_matrix(system: SpectralSystem, solution: RiccatiSolution) -> np.
 def value(solution, x0) -> float:
     """Quadratic-form value x0^T E x0 (the optimal cost from x0)."""
     E = solution.E if isinstance(solution, RiccatiSolution) else np.asarray(solution, dtype=float)
-    x = x0.to_vector() if isinstance(x0, EnergyState) else np.asarray(x0, dtype=float)
+    x = as_energy_vector(x0)
     if x.size != E.shape[0]:
         raise DimensionError("state dimension does not match the Riccati matrix")
     return float(x @ E @ x)

@@ -109,6 +109,11 @@ class EnergyState:
         return cls(xi=x[0::2].copy(), zeta=x[1::2].copy())
 
 
+def as_energy_vector(x) -> np.ndarray:
+    """Flat energy-coordinate vector of an EnergyState or an array-like."""
+    return x.to_vector() if isinstance(x, EnergyState) else np.asarray(x, dtype=float)
+
+
 # Norm-scale kinds.  Each kind defines a per-mode weight applied to the
 # energy density lambda**2*a**2 + b**2, except sobolev_state which weights
 # a**2 alone (a position-only norm).

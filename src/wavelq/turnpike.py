@@ -9,8 +9,10 @@ The finite-horizon optimality system is solved in deviation variables
 (state minus stationary state) by Riccati feedback plus a backward
 feedforward: the deviation adjoint is ``q(t) = E(T-t) x(t) + h(t)`` with the
 matrix Riccati flow E and a linear feedforward h ending at the lift of the
-stationary adjoint.  A dense collocation solve of the same two-point boundary
-value problem is provided as an independent oracle.
+stationary adjoint.  Both are swept backward, and the state forward, with the
+exact Hamiltonian step map of ``riccati.step_map``; costs and mean positions
+are sums of its Van Loan integrals.  A dense collocation solve of the same
+two-point boundary value problem is provided as an independent oracle.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ import scipy.sparse.linalg
 
 from .closed_loop import Trajectory
 from .models import SpectralSystem
-from .riccati import _e_times_a, first_order_matrices
-from .spectral import DimensionError, DomainError, EnergyState, ModalVector
+from .riccati import first_order_matrices, hamiltonian_matrix, riccati_step, step_map
+from .spectral import DimensionError, DomainError, ModalVector, as_energy_vector
 
 
 def g_weight(T: float, k: float, exponent: float) -> float:
@@ -115,42 +117,41 @@ def _terminal_feedforward(system: SpectralSystem, stationary: StationarySolution
 class TrackingSolution:
     """Finite-horizon tracking optimum, recorded on a uniform grid.
 
-    ``deviation_states`` are x(t) = lift(w^T - w_bar, w_t^T) and
-    ``deviation_controls`` are v = u^T - u_bar.  ``trajectory`` holds the full
-    state/control pair for export.  Exact (solver-accumulated) integrals of
-    the deviation running cost and of the deviation position are kept for
-    cross-checking grid quadrature.
+    ``deviation_states`` are x(t) = lift(w^T - w_bar, w_t^T),
+    ``deviation_adjoints`` the deviation adjoints q(t), and
+    ``deviation_controls`` are v = u^T - u_bar = -B^T q.  ``trajectory`` holds
+    the full state/control pair for export and ``x0`` the initial state as
+    given.  Exact integrals of the deviation running cost and of the deviation
+    position are kept for cross-checking grid quadrature.
     """
 
     times: np.ndarray
     deviation_states: np.ndarray
+    deviation_adjoints: np.ndarray
     deviation_controls: np.ndarray
     trajectory: Trajectory
     stationary: StationarySolution
     z: np.ndarray
+    x0: np.ndarray
     horizon: float
     cost_quadrature: float        # int (||u||^2 + ||C w - z||^2) dt, exact
     deviation_cost_exact: float   # int (||v||^2 + ||C (w - w_bar)||^2) dt, exact
     mean_deviation_a: np.ndarray  # (1/T) int (a(t) - a_bar) dt, exact
     value_formula_cost: float     # Riccati + boundary-term expression of the cost
     system: SpectralSystem = None
-    _forward_sol: object = None
-    _backward_sol: object = None
-    _h0: np.ndarray = None
-    _E_T: np.ndarray = None
 
 
 def solve_tracking(system: SpectralSystem, z, x0, horizon: float,
                    stationary: StationarySolution | None = None,
-                   dt_record: float | None = None, rtol: float = 1e-10,
-                   atol: float = 1e-12) -> TrackingSolution:
+                   dt_record: float | None = None) -> TrackingSolution:
     """Solve the finite-horizon tracking problem via Riccati feedback + feedforward.
 
-    Backward pass: the matrix Riccati flow E(tau) from 0 and the feedforward
-    H(tau) = h(T - tau) from the lifted stationary adjoint, integrated
-    jointly.  Forward pass: x' = A x + B v with v = -B^T (E(T-t) x + H(T-t)),
-    with the running cost and the running position average accumulated as
-    extra quadrature states.
+    The record step is split into equal steps of at most pi/(4 lambda_max),
+    all sharing one exact Hamiltonian step map.  Backward sweep: from E = 0
+    and the lifted stationary adjoint h_T at t = T, ``riccati_step`` carries
+    (E, h) back one step at a time.  Forward recurrence: x_{k+1} = Phi11 x_k +
+    Phi12 q_k with q_k = E_k x_k + h_k.  The running costs and the position
+    average are exact sums of the step's Van Loan integrals.
     """
     if horizon <= 0.0:
         raise DomainError("horizon must be positive")
@@ -158,101 +159,63 @@ def solve_tracking(system: SpectralSystem, z, x0, horizon: float,
     if stationary is None:
         stationary = solve_stationary(system, z)
     lam = system.lambdas
-    n = lam.size
-    dim = 2 * n
+    dim = 2 * lam.size
     A, B, Q = first_order_matrices(system)
-    BBT = B @ B.T
-    iu = np.triu_indices(dim)
-    n_pack = iu[0].size
 
-    x0 = x0.to_vector() if isinstance(x0, EnergyState) else np.asarray(x0, dtype=float)
+    x0 = as_energy_vector(x0)
     if x0.size != dim:
         raise DimensionError("initial state dimension mismatch")
-    x0_dev = x0 - _lift_position(system, stationary.w_bar.a)
+    x_bar_lift = _lift_position(system, stationary.w_bar.a)
+    x0_dev = x0 - x_bar_lift
     h_T = _terminal_feedforward(system, stationary)
-
-    max_step = np.pi / (4.0 * lam.max())
-
-    def backward_rhs(_tau, y):
-        E = np.zeros((dim, dim))
-        E[iu] = y[:n_pack]
-        E.T[iu] = y[:n_pack]
-        H = y[n_pack:]
-        EA = _e_times_a(E, lam)
-        EB = E @ B
-        dE = Q + EA + EA.T - EB @ EB.T
-        dH = -(A @ H + EB @ (B.T @ H))
-        return np.concatenate([dE[iu], dH])
-
-    y0 = np.concatenate([np.zeros(n_pack), h_T])
-    back = scipy.integrate.solve_ivp(backward_rhs, (0.0, horizon), y0, method="DOP853",
-                                     rtol=rtol, atol=atol, max_step=max_step,
-                                     dense_output=True)
-    if not back.success:
-        raise RuntimeError(f"backward Riccati/feedforward pass failed: {back.message}")
-
-    def gain_terms(t):
-        y = back.sol(horizon - t)
-        E = np.zeros((dim, dim))
-        E[iu] = y[:n_pack]
-        E.T[iu] = y[:n_pack]
-        return E, y[n_pack:]
-
-    Cm = system.observation_factor()
-    obs_stationary_gap = Cm @ stationary.w_bar.a - z  # C w_bar - z
-    u_bar = stationary.u_bar
-
-    # forward state: [x_dev (dim), J_dev, J_full, int a_dev (n)]
-    def forward_rhs(t, y):
-        x = y[:dim]
-        E, H = gain_terms(t)
-        v = -(B.T @ (E @ x + H))
-        dx = A @ x + B @ v
-        a_dev = x[0::2] / lam
-        obs_dev = Cm @ a_dev
-        j_dev = float(v @ v + obs_dev @ obs_dev)
-        u_full = u_bar + v
-        obs_full = obs_dev + obs_stationary_gap
-        j_full = float(u_full @ u_full + obs_full @ obs_full)
-        return np.concatenate([dx, [j_dev, j_full], a_dev])
-
-    yf0 = np.concatenate([x0_dev, [0.0, 0.0], np.zeros(n)])
-    fwd = scipy.integrate.solve_ivp(forward_rhs, (0.0, horizon), yf0, method="DOP853",
-                                    rtol=rtol, atol=atol, max_step=max_step,
-                                    dense_output=True)
-    if not fwd.success:
-        raise RuntimeError(f"forward tracking pass failed: {fwd.message}")
 
     if dt_record is None:
         dt_record = min(0.02, np.pi / (8.0 * lam.max()))
     steps = max(2, int(np.ceil(horizon / dt_record)))
     times = np.linspace(0.0, horizon, steps + 1)
+    sub = int(np.ceil(horizon / steps / (np.pi / (4.0 * lam.max()))))
+    n_fine = steps * sub
+    Phi, W, L = step_map(hamiltonian_matrix(A, B, Q), horizon / n_fine,
+                         cost=scipy.linalg.block_diag(Q, B @ B.T))
 
-    X = np.empty((times.size, dim))
-    V = np.empty((times.size, system.n_controls))
-    values = np.empty(times.size)
-    for k, t in enumerate(times):
-        y = fwd.sol(t)
-        x = y[:dim]
-        E, H = gain_terms(t)
-        X[k] = x
-        V[k] = -(B.T @ (E @ x + H))
-        values[k] = float(x @ E @ x)
+    Es = np.empty((n_fine + 1, dim, dim))
+    hs = np.empty((n_fine + 1, dim))
+    Es[-1] = 0.0
+    hs[-1] = h_T
+    for j in range(n_fine - 1, -1, -1):
+        Es[j], hs[j] = riccati_step(Es[j + 1], Phi, hs[j + 1])
 
-    yT = fwd.sol(horizon)
-    j_dev_exact = float(yT[dim])
-    j_full_exact = float(yT[dim + 1])
-    mean_a = yT[dim + 2:] / horizon
+    Y = np.empty((n_fine + 1, 2 * dim))  # rows (x_k, q_k)
+    Y[0, :dim] = x0_dev
+    for j in range(n_fine):
+        Y[j, dim:] = Es[j] @ Y[j, :dim] + hs[j]
+        Y[j + 1, :dim] = Phi[:dim] @ Y[j]
+    Y[-1, dim:] = h_T
 
-    E_T, h0 = gain_terms(0.0)
+    Cm = system.observation_factor()
+    obs_stationary_gap = Cm @ stationary.w_bar.a - z  # C w_bar - z
+    u_bar = stationary.u_bar
+    j_dev_exact = float(np.einsum("ij,ij->", Y[:-1] @ W, Y[:-1]))
+    int_y = L @ Y[:-1].sum(axis=0)
+    int_a_dev = int_y[:dim][0::2] / lam
+    j_full_exact = (j_dev_exact - 2.0 * float(u_bar @ (B.T @ int_y[dim:]))
+                    + 2.0 * float(obs_stationary_gap @ (Cm @ int_a_dev))
+                    + horizon * (float(u_bar @ u_bar)
+                                 + float(obs_stationary_gap @ obs_stationary_gap)))
+    mean_a = int_a_dev / horizon
+
+    X = Y[::sub, :dim]
+    q = Y[::sub, dim:]
+    V = -(q @ B)
+    values = np.einsum("ij,ijk,ik->i", X, Es[::sub], X)
+
     zeta_dev_T = X[-1][1::2]
     zeta_dev_0 = x0_dev[1::2]
     p_bar = stationary.p_bar.a
-    value_cost = (float(x0_dev @ E_T @ x0_dev) + float(h0 @ x0_dev)
+    value_cost = (float(x0_dev @ Es[0] @ x0_dev) + float(hs[0] @ x0_dev)
                   - float(p_bar @ zeta_dev_T) + 2.0 * float(p_bar @ zeta_dev_0)
                   + horizon * (float(u_bar @ u_bar) + float(obs_stationary_gap @ obs_stationary_gap)))
 
-    x_bar_lift = _lift_position(system, stationary.w_bar.a)
     full = X + x_bar_lift
     obs_dev_series = (X[:, 0::2] / lam) @ Cm.T
     obs_full = obs_dev_series + obs_stationary_gap
@@ -262,51 +225,38 @@ def solve_tracking(system: SpectralSystem, z, x0, horizon: float,
                       control_power=np.einsum("ij,ij->i", V + u_bar, V + u_bar),
                       obs_power=np.einsum("ij,ij->i", obs_full, obs_full))
 
-    return TrackingSolution(times=times, deviation_states=X, deviation_controls=V,
-                            trajectory=traj, stationary=stationary, z=z,
-                            horizon=float(horizon), cost_quadrature=j_full_exact,
+    return TrackingSolution(times=times, deviation_states=X, deviation_adjoints=q,
+                            deviation_controls=V, trajectory=traj, stationary=stationary,
+                            z=z, x0=x0, horizon=float(horizon), cost_quadrature=j_full_exact,
                             deviation_cost_exact=j_dev_exact, mean_deviation_a=mean_a,
-                            value_formula_cost=value_cost, system=system,
-                            _forward_sol=fwd.sol, _backward_sol=back.sol,
-                            _h0=h0, _E_T=E_T)
+                            value_formula_cost=value_cost, system=system)
 
 
 def tracking_os_residual(sol: TrackingSolution) -> float:
-    """Verify the optimality system by an independent backward adjoint pass.
+    """Defect of the recorded grid against the exact optimality system.
 
-    The deviation adjoint is re-integrated backward from its terminal value
-    using the recorded state interpolant; the returned residual is the worst
-    grid mismatch of v = -B^T q plus the boundary-condition defects, relative
-    to the control scale.
+    An independent matrix exponential of the Hamiltonian matrix over the record
+    step checks (x_{k+1}, q_{k+1}) = e^{M dt} (x_k, q_k) on every grid step;
+    also checked are v_k = -B^T q_k at every grid point and the boundary
+    values x_0 = x0 - lift(w_bar) and q_N = h_T.  Each defect is relative to
+    1 plus the largest entry of the quantity it checks; the worst is returned.
     """
     system = sol.system
-    lam = system.lambdas
-    dim = 2 * system.n_modes
     A, B, Q = first_order_matrices(system)
+    dim = A.shape[0]
+    X, q, V = sol.deviation_states, sol.deviation_adjoints, sol.deviation_controls
+    dt = sol.horizon / (sol.times.size - 1)
+    Phi = scipy.linalg.expm(hamiltonian_matrix(A, B, Q) * dt)
+    Y = np.hstack([X, q])
+    D = Y[1:] - Y[:-1] @ Phi.T
+    x0_dev = sol.x0 - _lift_position(system, sol.stationary.w_bar.a)
     h_T = _terminal_feedforward(system, sol.stationary)
-    T = sol.horizon
 
-    def adj_rhs(tau, q):
-        x = sol._forward_sol(T - tau)[:dim]
-        return -(A @ q) + Q @ x  # dq/dtau for q(tau) = q_adj(T - tau)
+    def rel(defect, ref):
+        return float(np.abs(defect).max()) / (1.0 + np.abs(ref).max())
 
-    back = scipy.integrate.solve_ivp(adj_rhs, (0.0, T), h_T, method="DOP853",
-                                     rtol=1e-10, atol=1e-12,
-                                     max_step=np.pi / (4.0 * lam.max()),
-                                     dense_output=True)
-    if not back.success:
-        raise RuntimeError(f"adjoint verification pass failed: {back.message}")
-
-    scale = 1.0 + np.abs(sol.deviation_controls).max()
-    worst = 0.0
-    for k, t in enumerate(sol.times):
-        q = back.sol(T - t)
-        v_check = -(B.T @ q)
-        worst = max(worst, float(np.abs(v_check - sol.deviation_controls[k]).max()) / scale)
-    # boundary conditions: x(0), q(T)
-    ic = float(np.abs(sol.deviation_states[0] - sol._forward_sol(0.0)[:dim]).max())
-    tc = float(np.abs(back.sol(0.0) - h_T).max())
-    return max(worst, ic / (1.0 + np.abs(sol.deviation_states[0]).max()), tc / (1.0 + np.abs(h_T).max()))
+    return max(rel(D[:, :dim], X), rel(D[:, dim:], q), rel(V + q @ B, V),
+               rel(X[0] - x0_dev, x0_dev), rel(q[-1] - h_T, h_T))
 
 
 def solve_tracking_collocation(system: SpectralSystem, z, x0, horizon: float,
@@ -324,15 +274,9 @@ def solve_tracking_collocation(system: SpectralSystem, z, x0, horizon: float,
         stationary = solve_stationary(system, z)
     A, B, Q = first_order_matrices(system)
     dim = 2 * system.n_modes
-    x0 = x0.to_vector() if isinstance(x0, EnergyState) else np.asarray(x0, dtype=float)
-    x0_dev = x0 - _lift_position(system, stationary.w_bar.a)
+    x0_dev = as_energy_vector(x0) - _lift_position(system, stationary.w_bar.a)
     h_T = _terminal_feedforward(system, stationary)
-
-    M = np.zeros((2 * dim, 2 * dim))
-    M[:dim, :dim] = A
-    M[:dim, dim:] = -B @ B.T
-    M[dim:, :dim] = -Q
-    M[dim:, dim:] = A
+    M = hamiltonian_matrix(A, B, Q)
 
     h = horizon / n_steps
     I = np.eye(2 * dim)

@@ -55,6 +55,25 @@ class TestValidation:
         assert main(["run", "--config", str(path)]) == 2
         assert "line" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override, env, field", [
+        ({"model": {"kind": "interval", "n_modes": 4,
+                    "control": {"subinterval": ["x", 1.0]}}}, None, "model.control.subinterval"),
+        ({"experiment": {"kind": "observability", "horizon": 5.0,
+                         "shells": ["a", "b", "c"]}}, None, "experiment.shells"),
+        ({"model": {"kind": "synthetic_exponential", "alpha_control": float("nan"),
+                    "alpha_obs": 0.1, "n_modes": 4}}, None, "model.alpha_control"),
+        ({"experiment": {"kind": "decay_riccati", "horizon": 10.0,
+                         "window": ["a", 8.0]}}, None, "experiment.window"),
+        ({}, "abc", "WAVELQ_MAX_THREADS"),
+    ])
+    def test_bad_input_exits_2_naming_the_field(self, tmp_path, capsys, monkeypatch,
+                                                override, env, field):
+        cfg = dict(_tiny_decay_cfg(tmp_path / "o"), **override)
+        if env is not None:
+            monkeypatch.setenv("WAVELQ_MAX_THREADS", env)
+        assert main(["run", "--config", _write(tmp_path, cfg), "--quiet"]) == 2
+        assert field in capsys.readouterr().err
+
     def test_subcommand_kind_mismatch(self, tmp_path, capsys):
         cfg = _tiny_decay_cfg(tmp_path / "o")
         assert main(["turnpike", "--config", _write(tmp_path, cfg)]) == 2

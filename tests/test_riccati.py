@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.linalg
 
 from wavelq.models import (
@@ -59,7 +60,63 @@ class TestFirstOrderMatrices:
         assert np.allclose(B[1::2, :], sys_.B_mod)
 
 
+def rk_dre(system, taus):
+    """DOP853 oracle for the DRE at each time in taus: E(0) = 0, E packed as its upper triangle."""
+    A, B, Q = first_order_matrices(system)
+    dim = A.shape[0]
+    iu = np.triu_indices(dim)
+
+    def unpack(y):
+        E = np.zeros((dim, dim))
+        E[iu] = y
+        E.T[iu] = y
+        return E
+
+    def rhs(_t, y):
+        E = unpack(y)
+        EB = E @ B
+        return (Q + E @ A + A.T @ E - EB @ EB.T)[iu]
+
+    order = np.argsort(taus)
+    sol = scipy.integrate.solve_ivp(rhs, (0.0, max(taus)), np.zeros(iu[0].size),
+                                    method="DOP853", t_eval=np.asarray(taus)[order],
+                                    rtol=1e-10, atol=1e-12,
+                                    max_step=np.pi / (4.0 * system.lambdas.max()))
+    assert sol.success
+    out = [None] * len(taus)
+    for k, i in enumerate(order):
+        out[i] = unpack(sol.y[:, k])
+    return out
+
+
+def random_system(n=4, m=2, seed=0):
+    rng = np.random.default_rng(seed)
+    lam = np.sort(rng.uniform(0.5, 4.0, n))
+    C = rng.standard_normal((n, n))
+    return SpectralSystem(lam, rng.standard_normal((n, m)), C @ C.T / n)
+
+
+DRE_ORACLE_CASES = {
+    "random_synthetic": (lambda: random_system(), [6.0]),
+    "no_control": (lambda: dataclasses.replace(build_synthetic(2.0, 2.0, 3),
+                                               B_mod=np.zeros((3, 1)), _bbt=None), [4.0]),
+    "no_cost": (lambda: SpectralSystem([1.0, 2.0], np.eye(2), np.zeros((2, 2))), [5.0]),
+    "interval_subinterval": (lambda: build_interval_wave(6, control=("subinterval", 0.4, 2.0)),
+                             [3.0]),
+    "off_grid_snapshots": (lambda: build_synthetic(2.0, 2.0, 4), [0.37, 1.0, 2.9, np.e]),
+}
+
+
 class TestDre:
+    @pytest.mark.parametrize("case", sorted(DRE_ORACLE_CASES))
+    def test_matches_rk_oracle(self, case):
+        build, taus = DRE_ORACLE_CASES[case]
+        sys_ = build()
+        snaps = integrate_dre(sys_, max(taus), snapshot_times=taus)
+        for snap, tau, E_ref in zip(snaps, taus, rk_dre(sys_, taus), strict=True):
+            assert snap.horizon == tau
+            assert np.abs(snap.E - E_ref).max() <= 1e-8 * np.abs(E_ref).max()
+
     def test_starts_at_zero_exactly(self):
         sys_ = build_synthetic(2.0, 2.0, 3)
         snaps = integrate_dre(sys_, 1.0, snapshot_times=[0.0, 1.0])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -84,11 +86,11 @@ class TestTracking:
         sys_ = single_mode_system()
         z = np.array([0.7])
         x0 = np.array([1.0, -0.3])
-        sol = solve_tracking(sys_, z, x0, 2.0)
+        sol = solve_tracking(sys_, z, x0, 2.0, dt_record=2.0 / 2000)
         tt, xx, vv, cost = solve_tracking_collocation(sys_, z, x0, 2.0, n_steps=2000)
-        interp = np.array([sol._forward_sol(t)[:2] for t in tt])
+        assert np.array_equal(sol.times, tt)
         scale = np.abs(xx).max()
-        assert np.abs(interp - xx).max() <= 1e-6 * scale
+        assert np.abs(sol.deviation_states - xx).max() <= 1e-6 * scale
         assert sol.deviation_cost_exact == pytest.approx(cost, rel=1e-6)
 
     def test_matches_oracle_multimode(self):
@@ -96,10 +98,10 @@ class TestTracking:
         rng = np.random.default_rng(2)
         z = rng.standard_normal(4)
         x0 = rng.standard_normal(8)
-        sol = solve_tracking(sys_, z, x0, 5.0)
+        sol = solve_tracking(sys_, z, x0, 5.0, dt_record=5.0 / 4000)
         tt, xx, vv, cost = solve_tracking_collocation(sys_, z, x0, 5.0, n_steps=4000)
-        interp = np.array([sol._forward_sol(t)[:8] for t in tt])
-        assert np.abs(interp - xx).max() <= 1e-6 * np.abs(xx).max()
+        assert np.array_equal(sol.times, tt)
+        assert np.abs(sol.deviation_states - xx).max() <= 1e-6 * np.abs(xx).max()
         assert sol.deviation_cost_exact == pytest.approx(cost, rel=1e-6)
 
     def test_cost_identity_value_formula(self):
@@ -117,6 +119,19 @@ class TestTracking:
         x0 = rng.standard_normal(10)
         sol = solve_tracking(sys_, z, x0, 8.0)
         assert tracking_os_residual(sol) <= 1e-6
+
+    @pytest.mark.parametrize("field", ["deviation_states", "deviation_adjoints",
+                                       "deviation_controls"])
+    def test_os_residual_detects_mid_grid_perturbation(self, field):
+        sys_ = build_synthetic(2.0, 2.0, 4)
+        rng = np.random.default_rng(10)
+        sol = solve_tracking(sys_, rng.standard_normal(4), rng.standard_normal(8), 4.0,
+                             dt_record=0.05)
+        assert tracking_os_residual(sol) <= 1e-6
+        values = getattr(sol, field).copy()
+        mid = values.shape[0] // 2
+        values[mid, 0] += 1e-4 * np.abs(values).max()
+        assert tracking_os_residual(dataclasses.replace(sol, **{field: values})) > 1e-6
 
     def test_terminal_adjoint_matches_stationary_lift(self):
         sys_ = build_synthetic(2.0, 2.0, 4)
