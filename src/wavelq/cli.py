@@ -9,14 +9,19 @@ A run is described by a single JSON config file::
       "output_dir": "out"
     }
 
-Unknown keys are rejected; validation errors name the offending field.  Every
-experiment writes CSV results, a ``summary.json`` with the fitted constants
-and residuals, and a ``manifest.json`` with the config hash, library version,
-seed, wall time and checksums of the produced files.  One seed drives all
-random draws through a counter-based generator, so re-running a config with
-the same seed reproduces the CSV and summary bytes exactly.
+``MODEL_FIELDS`` and ``EXPERIMENT_FIELDS`` declare every key once per kind, as a
+parser that knows its type, range and default.  ``validate_config`` returns the
+resolved config (defaults filled in, numbers as floats), and resolving it again
+changes nothing; errors name the offending field.  Numbers must be finite JSON
+numbers, not booleans; the string ``"inf"`` is accepted only for ``rho``/``eta``.
+Every experiment writes CSV results, a ``summary.json`` with the fitted constants
+and residuals, and a ``manifest.json`` with the hash of the config as given,
+library version, seed, wall time and checksums of the produced files.  One seed
+drives all random draws through a counter-based generator, so re-running a config
+with the same seed reproduces the CSV and summary bytes exactly.
 
-Exit codes: 0 success, 2 config/validation error, 3 numeric failure.
+Exit codes: 0 success, 2 config/validation error (also ``--seed`` below 0 or
+``--threads`` below 1), 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ import json
 import os
 import sys
 import time
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -37,6 +43,7 @@ from . import closed_loop as cl
 from . import models as md
 from . import riccati as rc
 from . import serialize as io
+from . import spectral as sp
 from . import turnpike as tp
 from .spectral import DomainError, NormScale
 
@@ -45,218 +52,210 @@ class ConfigError(ValueError):
     """Invalid configuration; the message names the field."""
 
 
-EXPERIMENT_KINDS = ("observability", "bounds", "decay_collocated", "decay_riccati",
-                    "null_control", "turnpike")
-MODEL_KINDS = ("synthetic", "synthetic_exponential", "interval", "star", "rectangle")
-
-
 def _require(cond: bool, field: str, msg: str):
     if not cond:
         raise ConfigError(f"{field}: {msg}")
 
 
-def _check_keys(section: dict, field: str, allowed: set):
-    unknown = set(section) - allowed
-    _require(not unknown, f"{field}.{sorted(unknown)[0]}" if unknown else field,
-             "unknown key" if unknown else "")
+# ---------------------------------------------------------------------------
+# field parsers: each turns a raw JSON value into its resolved, JSON-shaped form
+
+_REQUIRED = object()
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+class _Field(NamedTuple):
+    parse: Callable  # (value, field name) -> resolved value; raises ConfigError
+    default: object = _REQUIRED  # None: left out of the resolved config when absent
 
 
-def _number(section, field, key, *, positive=False, allow_inf=False, default=None):
-    if key not in section:
-        if default is not None:
-            return default
-        raise ConfigError(f"{field}.{key}: required")
-    v = section[key]
-    if allow_inf and v == "inf":
-        return np.inf
-    _require(_is_number(v) and (np.isfinite(v) or (allow_inf and v == np.inf)),
-             f"{field}.{key}", "must be a finite number")
-    v = float(v)
-    if positive:
-        _require(v > 0.0, f"{field}.{key}", "must be positive")
-    return v
+def _number(lo=-np.inf, hi=np.inf, *, positive=False, inf=False, default=_REQUIRED) -> _Field:
+    """A finite number in [lo, hi] (or > 0), as a float; also "inf" when ``inf``."""
+    def parse(v, name):
+        if inf and v == "inf":
+            return v
+        _require(isinstance(v, (int, float)) and not isinstance(v, bool)
+                 and abs(v) <= sys.float_info.max, name,
+                 "must be a finite number" + (' or "inf"' if inf else ""))
+        v = float(v)
+        _require(v > 0.0 if positive else lo <= v <= hi, name,
+                 "must be positive" if positive else f"must lie in [{lo:g}, {hi:g}]")
+        return v
+    return _Field(parse, default)
 
 
-def _integer(section, field, key, *, minimum=1, default=None):
-    if key not in section:
-        if default is not None:
-            return default
-        raise ConfigError(f"{field}.{key}: required")
-    v = section[key]
-    _require(isinstance(v, int) and not isinstance(v, bool), f"{field}.{key}",
-             "must be an integer")
-    _require(v >= minimum, f"{field}.{key}", f"must be >= {minimum}")
-    return v
+def _numbers(min_len, max_len=None, *, increasing=False, default=_REQUIRED, **entry) -> _Field:
+    """A list of ``_number(**entry)`` values, optionally strictly increasing."""
+    item = _number(**entry).parse
+
+    def parse(v, name):
+        _require(isinstance(v, list) and min_len <= len(v) <= (max_len or len(v)), name,
+                 f"must be a list of {min_len if max_len else f'at least {min_len}'} numbers")
+        vs = [item(x, f"{name}[{i}]") for i, x in enumerate(v)]
+        _require(not increasing or all(a < b for a, b in zip(vs, vs[1:])), name,
+                 "must be strictly increasing")
+        return vs
+    return _Field(parse, default)
 
 
-def _region(section, field, key):
-    v = section.get(key, "full_domain")
+def _integer(lo: int, default=_REQUIRED) -> _Field:
+    def parse(v, name):
+        _require(isinstance(v, int) and not isinstance(v, bool), name, "must be an integer")
+        _require(v >= lo, name, f"must be >= {lo}")
+        return v
+    return _Field(parse, default)
+
+
+def _choice(*options) -> _Field:
+    """One of ``options``; the first is the default."""
+    def parse(v, name):
+        _require(isinstance(v, str) and v in options, name, f"must be one of {options}")
+        return v
+    return _Field(parse, options[0])
+
+
+def _parse_region(v, name):
     if v == "full_domain":
-        return "full_domain"
-    if isinstance(v, dict) and set(v) == {"subinterval"}:
-        ab = v["subinterval"]
-        _require(isinstance(ab, list) and len(ab) == 2 and all(map(_is_number, ab))
-                 and np.all(np.isfinite(ab)), f"{field}.{key}.subinterval",
-                 "must be [a, b] with finite numbers a, b")
-        a, b = float(ab[0]), float(ab[1])
-        _require(a < b, f"{field}.{key}.subinterval", "a < b required")
-        return ("subinterval", a, b)
-    raise ConfigError(f"{field}.{key}: expected 'full_domain' or {{'subinterval': [a, b]}}")
+        return v
+    _require(isinstance(v, dict) and set(v) == {"subinterval"}, name,
+             'expected "full_domain" or {"subinterval": [a, b]}')
+    ab = _numbers(2, 2, increasing=True, lo=0.0, hi=np.pi + 1e-12).parse
+    return {"subinterval": ab(v["subinterval"], f"{name}.subinterval")}
+
+
+def _parse_path(v, name):
+    _require(isinstance(v, str) and v, name, "must be a nonempty string")
+    return v
+
+
+_REGION = _Field(_parse_region, "full_domain")
+_POSITIVE = _number(positive=True)
+_MAYBE_POSITIVE = _number(positive=True, default=None)
+
+
+# model kind -> {key: field}; the keys are the keyword arguments of the builder
+MODEL_FIELDS = {
+    "synthetic": {"rho": _number(positive=True, inf=True),
+                  "eta": _number(positive=True, inf=True),
+                  "n_modes": _integer(1), "spectrum": _choice("linear")},
+    "synthetic_exponential": {"alpha_control": _number(0.0), "alpha_obs": _number(0.0),
+                              "n_modes": _integer(1)},
+    "interval": {"n_modes": _integer(1), "control": _REGION, "observation": _REGION},
+    "star": {"lengths": _numbers(2, positive=True), "controlled_edge": _integer(0),
+             "observed_edge": _integer(0), "lambda_max": _POSITIVE},
+    "rectangle": {"a": _number(0.0), "b": _number(hi=np.pi + 1e-12),
+                  "max_frequency": _POSITIVE},
+}
+# model kind -> name of its builder in ``models`` (looked up at call time)
+_BUILDERS = {"synthetic": "build_synthetic", "synthetic_exponential": "build_synthetic_exponential",
+             "interval": "build_interval_wave", "star": "build_star_network",
+             "rectangle": "build_rectangle"}
+
+_DECAY_FIELDS = {"horizon": _POSITIVE, "dt": _MAYBE_POSITIVE,
+                 "window": _numbers(2, 2, increasing=True, default=None),
+                 "tail_exponent": _MAYBE_POSITIVE, "smoothness_k": _MAYBE_POSITIVE,
+                 "s": _MAYBE_POSITIVE, "signs": _choice("random", "alternating")}
+EXPERIMENT_FIELDS = {
+    "observability": {"horizon": _POSITIVE, "shells": _numbers(3, positive=True),
+                      "side": _choice("control", "observation")},
+    "bounds": {"method": _choice("newton_kleinman", "dre_limit"),
+               "n_random": _integer(1, default=100)},
+    "decay_collocated": _DECAY_FIELDS,
+    "decay_riccati": _DECAY_FIELDS,
+    "null_control": {"t0": _POSITIVE, "n_draws": _integer(1, default=1),
+                     "tail_exponent": _number(positive=True, default=1.6)},
+    "turnpike": {"horizons": _numbers(2, increasing=True, positive=True),
+                 "tail_exponent": _number(positive=True, default=2.5),
+                 "z_tail": _number(positive=True, default=2.0),
+                 "k": _number(positive=True, default=1.0),
+                 "ktilde": _number(positive=True, default=1.0),
+                 "dt_record": _MAYBE_POSITIVE},
+}
+MODEL_KINDS = tuple(MODEL_FIELDS)
+EXPERIMENT_KINDS = tuple(EXPERIMENT_FIELDS)
+
+
+def _check_star(m):
+    for key in ("controlled_edge", "observed_edge"):
+        _require(m[key] < len(m["lengths"]), f"model.{key}", "must be < the number of edges")
+
+
+def _decay_tail(e):
+    # the initial data's tail exponent: given, else the planted-rate tail
+    # (s + 1)/2, else class-critical data smoothness_k + 0.6, else 1.6
+    if "tail_exponent" not in e:
+        e["tail_exponent"] = ((e["s"] + 1.0) / 2.0 if "s" in e
+                              else e["smoothness_k"] + 0.5 + 0.1 if "smoothness_k" in e
+                              else 1.6)
+
+
+# kind -> rule over several keys of a resolved section (checks, or fills in a value)
+_CROSS_FIELD = {"star": _check_star,
+                "rectangle": lambda m: _require(m["a"] < m["b"], "model.a",
+                                               "a < b required, see model.b"),
+                "decay_collocated": _decay_tail, "decay_riccati": _decay_tail}
+
+
+def _resolve(section: dict, prefix: str, fields: dict) -> dict:
+    for key in section:
+        _require(key in fields, f"{prefix}{key}", "unknown key")
+    out = {}
+    for key, field in fields.items():
+        if key in section:
+            out[key] = field.parse(section[key], prefix + key)
+        else:
+            _require(field.default is not _REQUIRED, prefix + key, "required")
+            if field.default is not None:
+                out[key] = field.default
+    return out
+
+
+def _kind_section(tables: dict) -> _Field:
+    """A section whose ``kind`` picks its table of fields."""
+    def parse(v, name):
+        _require(isinstance(v, dict), name, "must be an object")
+        kind = v.get("kind")
+        _require(isinstance(kind, str) and kind in tables, f"{name}.kind",
+                 f"must be one of {tuple(tables)}")
+        out = _resolve(v, f"{name}.", {"kind": _choice(kind), **tables[kind]})
+        if kind in _CROSS_FIELD:
+            _CROSS_FIELD[kind](out)
+        return out
+    return _Field(parse)
+
+
+_CONFIG_FIELDS = {"model": _kind_section(MODEL_FIELDS),
+                  "experiment": _kind_section(EXPERIMENT_FIELDS),
+                  "seed": _integer(0, default=0),
+                  "output_dir": _Field(_parse_path, "out")}
 
 
 def validate_config(cfg: dict) -> dict:
-    """Validate and normalize a raw config dict; raises ConfigError."""
+    """The resolved config: defaults filled in, numbers as floats; raises ConfigError.
+
+    The input is not modified, and a resolved config resolves to itself.
+    """
     _require(isinstance(cfg, dict), "config", "must be a JSON object")
-    _check_keys(cfg, "config", {"model", "experiment", "seed", "output_dir"})
-    _require("model" in cfg, "model", "required")
-    _require("experiment" in cfg, "experiment", "required")
+    return _resolve(cfg, "", _CONFIG_FIELDS)
 
-    model = cfg["model"]
-    _require(isinstance(model, dict), "model", "must be an object")
-    kind = model.get("kind")
-    _require(kind in MODEL_KINDS, "model.kind", f"must be one of {MODEL_KINDS}")
-    if kind == "synthetic":
-        _check_keys(model, "model", {"kind", "rho", "eta", "n_modes", "spectrum"})
-        _number(model, "model", "rho", positive=True, allow_inf=True)
-        _number(model, "model", "eta", positive=True, allow_inf=True)
-        _integer(model, "model", "n_modes")
-        _require(model.get("spectrum", "linear") == "linear", "model.spectrum",
-                 "only 'linear' is supported in configs")
-    elif kind == "synthetic_exponential":
-        _check_keys(model, "model", {"kind", "alpha_control", "alpha_obs", "n_modes"})
-        _number(model, "model", "alpha_control")
-        _number(model, "model", "alpha_obs")
-        _integer(model, "model", "n_modes")
-    elif kind == "interval":
-        _check_keys(model, "model", {"kind", "n_modes", "control", "observation"})
-        _integer(model, "model", "n_modes")
-        _region(model, "model", "control")
-        _region(model, "model", "observation")
-    elif kind == "star":
-        _check_keys(model, "model", {"kind", "lengths", "controlled_edge",
-                                     "observed_edge", "lambda_max"})
-        lengths = model.get("lengths")
-        _require(isinstance(lengths, list) and len(lengths) >= 2, "model.lengths",
-                 "must be a list of >= 2 positive lengths")
-        _require(all(isinstance(v, (int, float)) and v > 0 for v in lengths),
-                 "model.lengths", "entries must be positive numbers")
-        ne = len(lengths)
-        ce = _integer(model, "model", "controlled_edge", minimum=0)
-        oe = _integer(model, "model", "observed_edge", minimum=0)
-        _require(ce < ne, "model.controlled_edge", f"must be < {ne}")
-        _require(oe < ne, "model.observed_edge", f"must be < {ne}")
-        _number(model, "model", "lambda_max", positive=True)
-    elif kind == "rectangle":
-        _check_keys(model, "model", {"kind", "a", "b", "max_frequency"})
-        a = _number(model, "model", "a")
-        bb = _number(model, "model", "b")
-        _require(a < bb, "model.a", "a < b required")
-        _require(0.0 <= a and bb <= np.pi + 1e-12, "model.a", "strip must lie in [0, pi]")
-        _number(model, "model", "max_frequency", positive=True)
 
-    exp = cfg["experiment"]
-    _require(isinstance(exp, dict), "experiment", "must be an object")
-    ekind = exp.get("kind")
-    _require(ekind in EXPERIMENT_KINDS, "experiment.kind",
-             f"must be one of {EXPERIMENT_KINDS}")
-    if ekind == "observability":
-        _check_keys(exp, "experiment", {"kind", "horizon", "shells", "side"})
-        _number(exp, "experiment", "horizon", positive=True)
-        shells = exp.get("shells")
-        _require(isinstance(shells, list) and len(shells) >= 3, "experiment.shells",
-                 "must be a list of >= 3 shell edges")
-        _require(all(_is_number(v) and 0 < v < np.inf for v in shells), "experiment.shells",
-                 "entries must be positive finite numbers")
-        _require(exp.get("side", "control") in ("control", "observation"),
-                 "experiment.side", "must be 'control' or 'observation'")
-    elif ekind == "bounds":
-        _check_keys(exp, "experiment", {"kind", "method", "n_random"})
-        _require(exp.get("method", "newton_kleinman") in ("newton_kleinman", "dre_limit"),
-                 "experiment.method", "must be 'newton_kleinman' or 'dre_limit'")
-        _integer(exp, "experiment", "n_random", minimum=1, default=100)
-    elif ekind in ("decay_collocated", "decay_riccati"):
-        _check_keys(exp, "experiment", {"kind", "horizon", "dt", "window",
-                                        "tail_exponent", "smoothness_k", "s", "signs"})
-        _number(exp, "experiment", "horizon", positive=True)
-        for key in ("dt", "tail_exponent", "smoothness_k", "s"):
-            if key in exp:
-                _number(exp, "experiment", key, positive=True)
-        if "window" in exp:
-            w = exp["window"]
-            _require(isinstance(w, list) and len(w) == 2 and all(map(_is_number, w))
-                     and w[0] < w[1],
-                     "experiment.window", "must be [t_start, t_end] with t_start < t_end")
-        _require(exp.get("signs", "random") in ("random", "alternating"),
-                 "experiment.signs", "must be 'random' or 'alternating'")
-    elif ekind == "null_control":
-        _check_keys(exp, "experiment", {"kind", "t0", "n_draws", "tail_exponent"})
-        _number(exp, "experiment", "t0", positive=True)
-        _integer(exp, "experiment", "n_draws", minimum=1, default=1)
-        if "tail_exponent" in exp:
-            _number(exp, "experiment", "tail_exponent", positive=True)
-    elif ekind == "turnpike":
-        _check_keys(exp, "experiment", {"kind", "horizons", "tail_exponent", "z_tail",
-                                        "k", "ktilde", "dt_record"})
-        for key in ("tail_exponent", "z_tail", "k", "ktilde", "dt_record"):
-            if key in exp:
-                _number(exp, "experiment", key, positive=True)
-        hs = exp.get("horizons")
-        _require(isinstance(hs, list) and len(hs) >= 2, "experiment.horizons",
-                 "must be a list of >= 2 horizons")
-        _require(all(isinstance(v, (int, float)) and v > 0 for v in hs),
-                 "experiment.horizons", "entries must be positive")
-        _require(all(hs[i] < hs[i + 1] for i in range(len(hs) - 1)),
-                 "experiment.horizons", "must be strictly increasing")
-
-    seed = cfg.get("seed", 0)
-    _require(isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0,
-             "seed", "must be a nonnegative integer")
-    out = cfg.get("output_dir", "out")
-    _require(isinstance(out, str) and out, "output_dir", "must be a nonempty string")
-    return cfg
+def _builder_arg(v):
+    """A resolved model value as its builder takes it."""
+    if v == "inf":
+        return np.inf
+    if isinstance(v, dict):
+        return ("subinterval", *v["subinterval"])
+    return v
 
 
 def build_model(model: dict) -> md.SpectralSystem:
-    kind = model["kind"]
-    if kind == "synthetic":
-        rho = np.inf if model["rho"] == "inf" else float(model["rho"])
-        eta = np.inf if model["eta"] == "inf" else float(model["eta"])
-        return md.build_synthetic(rho, eta, model["n_modes"])
-    if kind == "synthetic_exponential":
-        return md.build_synthetic_exponential(float(model["alpha_control"]),
-                                              float(model["alpha_obs"]), model["n_modes"])
-    if kind == "interval":
-        return md.build_interval_wave(model["n_modes"],
-                                      control=_region(model, "model", "control"),
-                                      observation=_region(model, "model", "observation"))
-    if kind == "star":
-        return md.build_star_network(model["lengths"], model["controlled_edge"],
-                                     model["observed_edge"], float(model["lambda_max"]))
-    if kind == "rectangle":
-        return md.build_rectangle(float(model["a"]), float(model["b"]),
-                                  float(model["max_frequency"]))
-    raise ConfigError(f"model.kind: unhandled kind {kind!r}")
+    """Resolve a model section and build it with the ``models`` builder of its kind."""
+    fields = _CONFIG_FIELDS["model"].parse(model, "model")
+    builder = getattr(md, _BUILDERS[fields.pop("kind")])
+    return builder(**{key: _builder_arg(v) for key, v in fields.items()})
 
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
-
-
-def _draw_state(system, exp, rng) -> np.ndarray:
-    if "tail_exponent" in exp:
-        tail = float(exp["tail_exponent"])
-    elif "s" in exp:
-        tail = (float(exp["s"]) + 1.0) / 2.0
-    elif "smoothness_k" in exp:
-        tail = float(exp["smoothness_k"]) + 0.5 + 0.1
-    else:
-        tail = 1.6
-    return cl.smooth_initial_state(system.lambdas, tail, rng=rng,
-                                   signs=exp.get("signs", "random")).to_vector()
 
 
 def _scale_payload(scale: NormScale) -> dict:
@@ -264,12 +263,13 @@ def _scale_payload(scale: NormScale) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# experiment runners (each returns a summary dict and writes CSVs)
+# experiment runners (each takes a resolved experiment section, returns a
+# summary dict and writes CSVs)
 
 
 def _run_observability(system, exp, outdir, rng, threads):
-    side = exp.get("side", "control")
-    report = md.fit_weak_observability(system, float(exp["horizon"]), exp["shells"],
+    side = exp["side"]
+    report = md.fit_weak_observability(system, exp["horizon"], exp["shells"],
                                        use_control=(side == "control"))
     io.observability_to_csv(report, os.path.join(outdir, "observability.csv"))
     return {
@@ -293,10 +293,9 @@ def _default_scales(system):
 
 
 def _run_bounds(system, exp, outdir, rng, threads):
-    sol = rc.solve_are(system, method=exp.get("method", "newton_kleinman"))
+    sol = rc.solve_are(system, method=exp["method"])
     weak, strong = _default_scales(system)
-    report = rc.bounds_report(sol, system, weak, strong,
-                              n_random=exp.get("n_random", 100), rng=rng)
+    report = rc.bounds_report(sol, system, weak, strong, n_random=exp["n_random"], rng=rng)
     io.save_riccati(sol, os.path.join(outdir, "riccati.json"))
     return {
         "experiment": "bounds",
@@ -312,9 +311,10 @@ def _run_bounds(system, exp, outdir, rng, threads):
 
 
 def _run_decay(system, exp, outdir, rng, threads, riccati: bool):
-    x0 = _draw_state(system, exp, rng)
-    horizon = float(exp["horizon"])
-    dt = float(exp["dt"]) if "dt" in exp else None
+    x0 = cl.smooth_initial_state(system.lambdas, exp["tail_exponent"], rng=rng,
+                                 signs=exp["signs"]).to_vector()
+    horizon = exp["horizon"]
+    dt = exp.get("dt")  # None: the simulator's own step
     if riccati:
         sol = rc.solve_are(system)
         traj = cl.simulate_riccati_feedback(system, sol, x0, horizon, dt=dt)
@@ -336,30 +336,25 @@ def _run_decay(system, exp, outdir, rng, threads, riccati: bool):
         "energy_identity_defect": cl.energy_identity_defect(traj),
         "n_modes": system.n_modes,
     }
-    with open(os.path.join(outdir, "fit.json"), "w") as f:
-        json.dump(summary, f, sort_keys=True, indent=2)
-        f.write("\n")
+    _write_json(os.path.join(outdir, "fit.json"), summary)
     return summary, ["trajectory.csv", "fit.json"]
 
 
 def _run_null_control(system, exp, outdir, rng, threads):
-    t0 = float(exp["t0"])
-    n_draws = exp.get("n_draws", 1)
-    tail = float(exp.get("tail_exponent", 1.6))
+    t0, n_draws = exp["t0"], exp["n_draws"]
     costs, ratios_strong, ratios_h, residuals = [], [], [], []
     first = None
-    from .spectral import energy_norm_squared
-    strong = NormScale.graded(1.0 / system.rho) if system.rho not in (None, np.inf) \
-        else NormScale.energy()
+    strong = _default_scales(system)[1]
     for _ in range(n_draws):
-        x0 = cl.smooth_initial_state(system.lambdas, tail, rng=rng).to_vector()
+        x0 = cl.smooth_initial_state(system.lambdas, exp["tail_exponent"], rng=rng).to_vector()
         hum = cl.hum_null_control(system, x0, t0)
         if first is None:
             first = hum
         costs.append(hum.cost)
         residuals.append(hum.terminal_residual)
-        ratios_strong.append(hum.cost / energy_norm_squared(x0, system.lambdas, strong))
-        ratios_h.append(hum.cost / energy_norm_squared(x0, system.lambdas, NormScale.energy()))
+        ratios_strong.append(hum.cost / sp.energy_norm_squared(x0, system.lambdas, strong))
+        ratios_h.append(hum.cost / sp.energy_norm_squared(x0, system.lambdas,
+                                                          NormScale.energy()))
     io.controls_to_csv(first.times, first.controls, os.path.join(outdir, "control.csv"))
     return {
         "experiment": "null_control",
@@ -376,15 +371,11 @@ def _run_null_control(system, exp, outdir, rng, threads):
 
 
 def _run_turnpike(system, exp, outdir, rng, threads: int):
-    horizons = [float(h) for h in exp["horizons"]]
-    tail = float(exp.get("tail_exponent", 2.5))
-    z_tail = float(exp.get("z_tail", 2.0))
-    k = float(exp.get("k", 1.0))
-    ktilde = float(exp.get("ktilde", 1.0))
-    dt_record = float(exp["dt_record"]) if "dt_record" in exp else None
-    x0 = cl.smooth_initial_state(system.lambdas, tail, rng=rng).to_vector()
+    horizons, k, ktilde = exp["horizons"], exp["k"], exp["ktilde"]
+    dt_record = exp.get("dt_record")  # None: the tracking solver's own grid
+    x0 = cl.smooth_initial_state(system.lambdas, exp["tail_exponent"], rng=rng).to_vector()
     signs = rng.choice([-1.0, 1.0], size=system.n_modes)
-    z = system.lambdas ** (-z_tail) * signs
+    z = system.lambdas ** (-exp["z_tail"]) * signs
     stationary = tp.solve_stationary(system, z)
 
     def run_one(T):
@@ -435,11 +426,15 @@ _RUNNERS = {
 
 
 def run_experiment(cfg: dict, outdir: str, seed: int, threads: int, quiet: bool) -> dict:
-    """Execute the configured experiment; returns the summary dict."""
+    """Execute the configured experiment; returns the summary dict.
+
+    ``cfg`` may be raw or resolved; the manifest hashes it as given.
+    """
     t_start = time.time()
+    resolved = validate_config(cfg)
     os.makedirs(outdir, exist_ok=True)
-    system = build_model(cfg["model"])
-    exp = cfg["experiment"]
+    system = build_model(resolved["model"])
+    exp = resolved["experiment"]
     rng = _rng(seed)
 
     kind = exp["kind"]
@@ -448,9 +443,7 @@ def run_experiment(cfg: dict, outdir: str, seed: int, threads: int, quiet: bool)
     summary["model_label"] = system.label
     summary["n_modes"] = system.n_modes
     summary["seed"] = seed
-    with open(os.path.join(outdir, "summary.json"), "w") as f:
-        json.dump(summary, f, sort_keys=True, indent=2)
-        f.write("\n")
+    _write_json(os.path.join(outdir, "summary.json"), summary)
     files = files + ["summary.json"]
 
     manifest = {
@@ -461,29 +454,33 @@ def run_experiment(cfg: dict, outdir: str, seed: int, threads: int, quiet: bool)
         "wall_time_s": time.time() - t_start,
         "files": {name: _sha256_file(os.path.join(outdir, name)) for name in files},
     }
-    with open(os.path.join(outdir, "manifest.json"), "w") as f:
-        json.dump(manifest, f, sort_keys=True, indent=2)
-        f.write("\n")
+    _write_json(os.path.join(outdir, "manifest.json"), manifest)
     if not quiet:
         print(f"[wavelq] {kind} on {system.label}: wrote {', '.join(files)} to {outdir}")
     return summary
 
 
+def _write_json(path: str, payload: dict):
+    with open(path, "w") as f:
+        json.dump(payload, f, sort_keys=True, indent=2)
+        f.write("\n")
+
+
 def _sha256_file(path: str) -> str:
-    h = hashlib.sha256()
     with open(path, "rb") as f:
-        h.update(f.read())
-    return h.hexdigest()
+        return hashlib.sha256(f.read()).hexdigest()
 
 
 def _load_config(path: str) -> dict:
     try:
         with open(path) as f:
             return json.load(f)
-    except FileNotFoundError:
-        raise ConfigError(f"config: file not found: {path}")
+    except OSError as e:
+        raise ConfigError(f"config: cannot read {path}: {e.strerror}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"config: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}")
+    except ValueError as e:  # undecodable bytes, integers beyond the conversion limit
+        raise ConfigError(f"config: invalid JSON: {e}")
 
 
 _SUBCOMMAND_KINDS = {
@@ -506,33 +503,36 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--output", default=None, help="output directory (overrides config)")
         p.add_argument("--seed", type=int, default=None, help="seed (overrides config)")
-        p.add_argument("--threads", type=int, default=None,
+        p.add_argument("--threads", type=int, default=1,
                        help="worker threads for independent runs")
         p.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
+    for flag, v, lo in (("--seed", args.seed, 0), ("--threads", args.threads, 1)):
+        if v is not None and v < lo:
+            parser.error(f"argument {flag}: must be >= {lo}, got {v}")  # exits 2
 
     try:
-        cfg = validate_config(_load_config(args.config))
+        cfg = _load_config(args.config)
+        resolved = validate_config(cfg)
     except ConfigError as e:
         print(f"wavelq: config error: {e}", file=sys.stderr)
         return 2
 
     if args.command == "validate":
-        print(json.dumps(cfg, sort_keys=True, indent=2))
+        print(json.dumps(resolved, sort_keys=True, indent=2))
         return 0
 
-    if args.command != "run":
-        allowed = _SUBCOMMAND_KINDS[args.command]
-        if cfg["experiment"]["kind"] not in allowed:
-            print(f"wavelq: config error: experiment.kind: "
-                  f"'{cfg['experiment']['kind']}' does not match subcommand "
-                  f"'{args.command}' (expects one of {allowed})", file=sys.stderr)
-            return 2
+    kind = resolved["experiment"]["kind"]
+    if args.command != "run" and kind not in _SUBCOMMAND_KINDS[args.command]:
+        print(f"wavelq: config error: experiment.kind: '{kind}' does not match subcommand "
+              f"'{args.command}' (expects one of {_SUBCOMMAND_KINDS[args.command]})",
+              file=sys.stderr)
+        return 2
 
-    outdir = args.output if args.output is not None else cfg.get("output_dir", "out")
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    outdir = args.output if args.output is not None else resolved["output_dir"]
+    seed = args.seed if args.seed is not None else resolved["seed"]
     env_cap = os.environ.get("WAVELQ_MAX_THREADS")
-    threads = args.threads if args.threads is not None else 1
+    threads = args.threads
     if env_cap is not None:
         try:
             threads = min(threads, max(1, int(env_cap)))

@@ -285,9 +285,8 @@ def fit_decay(traj: Trajectory, norm: NormScale, window) -> DecayFit:
                     norm_used=norm, n_samples=int(pos.sum()))
 
 
-def default_decay_window(A_cl: np.ndarray, horizon: float,
-                         t_start: float = 10.0, cap: float = 300.0) -> tuple:
-    """Window [t_start, min(cap, 0.5 * T_trunc, horizon)] for rate fits.
+def default_decay_window(A_cl: np.ndarray, horizon: float) -> tuple:
+    """Window [10, min(300, 0.5 * T_trunc, horizon)] for rate fits.
 
     T_trunc is the energy e-folding time of the slowest damped closed-loop
     mode (1 / (2 min |Re eig|)); ending the window at half that time keeps the
@@ -296,10 +295,10 @@ def default_decay_window(A_cl: np.ndarray, horizon: float,
     re = np.abs(np.linalg.eigvals(A_cl).real)
     damped = re[re > 1e-12]
     t_trunc = np.inf if damped.size == 0 else 1.0 / (2.0 * damped.min())
-    end = min(cap, 0.5 * t_trunc, horizon)
-    if end <= t_start:
+    end = min(300.0, 0.5 * t_trunc, horizon)
+    if end <= 10.0:
         raise DomainError("horizon too short for the default decay window")
-    return (t_start, end)
+    return (10.0, end)
 
 
 def smooth_initial_state(lambdas, tail_exponent: float, rng=None,

@@ -269,6 +269,8 @@ def build_star_network(lengths, controlled_edge: int, observed_edge: int,
         raise DomainError("lambda_max must be positive")
 
     lams, amps = _star_eigenpairs(lengths, float(lambda_max))
+    if lams.size == 0:
+        raise DomainError(f"lambda_max: no eigenfrequency <= lambda_max = {lambda_max:g}")
     weyl = lambda_max * lengths.sum() / np.pi
     if abs(lams.size - weyl) > 2.0:
         raise ConsistencyError(

@@ -195,7 +195,7 @@ def integrate_dre(system: SpectralSystem, horizon: float, snapshot_times=None):
             for tau in taus]
 
 
-def _check_stabilizable(system: SpectralSystem, gain_tol: float = 1e-10, cost_tol: float = 1e-10):
+def _check_stabilizable(system: SpectralSystem):
     """Raise when an uncontrollable mode group carries observation cost.
 
     Frequencies are grouped by near-equality; within a group the controllable
@@ -213,13 +213,13 @@ def _check_stabilizable(system: SpectralSystem, gain_tol: float = 1e-10, cost_to
     for g in groups:
         rows = system.B_mod[g, :]
         u, s, _ = np.linalg.svd(rows, full_matrices=True)
-        rank = int(np.sum(s > gain_tol * scale)) if s.size else 0
+        rank = int(np.sum(s > 1e-10 * scale)) if s.size else 0
         if rank >= g.size:
             continue
         null = u[:, rank:]  # directions in the group with no control authority
         qg = Qe[np.ix_(g, g)]
         worst = np.abs(null.T @ qg @ null).max()
-        if worst > cost_tol * max(1.0, np.abs(Qe).max()):
+        if worst > 1e-10 * max(1.0, np.abs(Qe).max()):
             raise StabilizabilityError(
                 f"modes near lambda={lam[g[0]]:.6g} are uncontrollable but carry "
                 f"observation cost {worst:.2e}")
@@ -229,23 +229,22 @@ def _are_residual(E: np.ndarray, lam: np.ndarray, B: np.ndarray, Q: np.ndarray) 
     return float(np.linalg.norm(_riccati_rhs(E, lam, B, Q)))
 
 
-def solve_are(system: SpectralSystem, method: str = "newton_kleinman",
-              tol_scale: float = 1e-9, dre_tol: float = 1e-8,
-              max_iter: int = 60) -> RiccatiSolution:
+def solve_are(system: SpectralSystem, method: str = "newton_kleinman") -> RiccatiSolution:
     """Solve ``Q + E A + A^T E - E B B^T E = 0`` for the truncated system.
 
     ``newton_kleinman`` iterates Lyapunov solves from a stabilizing guess
     (identity if it stabilizes, else a DRE snapshot at tau = 10/lambda_min);
     ``dre_limit`` sweeps the DRE over geometrically doubled horizons until
     successive snapshots agree, realizing the minimal solution as the limit of
-    the finite-horizon operators.
+    the finite-horizon operators.  Newton-Kleinman stops at a residual of at most
+    1e-9 (1 + ||X||^2) within 60 steps, ``dre_limit`` at a snapshot change <= 1e-8.
     """
     lam = system.lambdas
     A, B, Q = first_order_matrices(system)
     _check_stabilizable(system)
 
     if method == "dre_limit":
-        return _solve_are_dre_limit(lam, A, B, Q, dre_tol)
+        return _solve_are_dre_limit(lam, A, B, Q)
     if method != "newton_kleinman":
         raise DomainError(f"unknown ARE method {method!r}")
 
@@ -261,7 +260,7 @@ def solve_are(system: SpectralSystem, method: str = "newton_kleinman",
         else:
             raise MethodError("no stabilizing initial guess found; try method='dre_limit'")
 
-    for _ in range(max_iter):
+    for _ in range(60):
         Acl = A - BBT @ X
         rhs = -(Q + X @ BBT @ X)
         X_new = scipy.linalg.solve_continuous_lyapunov(Acl.T, rhs)
@@ -270,12 +269,12 @@ def solve_are(system: SpectralSystem, method: str = "newton_kleinman",
             raise MethodError("Newton-Kleinman diverged; try method='dre_limit'")
         X = X_new
         res = _are_residual(X, lam, B, Q)
-        if res <= tol_scale * (1.0 + np.linalg.norm(X) ** 2):
+        if res <= 1e-9 * (1.0 + np.linalg.norm(X) ** 2):
             return RiccatiSolution(E=X, horizon=np.inf, residual=res, method="newton_kleinman")
     raise MethodError("Newton-Kleinman did not converge; try method='dre_limit'")
 
 
-def _solve_are_dre_limit(lam, A, B, Q, dre_tol):
+def _solve_are_dre_limit(lam, A, B, Q):
     M = hamiltonian_matrix(A, B, Q)
     max_step = np.pi / (4.0 * lam.max())
     tau = max(1.0, 10.0 / lam.min())
@@ -285,7 +284,7 @@ def _solve_are_dre_limit(lam, A, B, Q, dre_tol):
         prev = cur
         cur = _sweep(cur, M, tau - t_now, max_step)
         t_now = tau
-        if np.linalg.norm(cur - prev) <= dre_tol:
+        if np.linalg.norm(cur - prev) <= 1e-8:
             res = _are_residual(cur, lam, B, Q)
             return RiccatiSolution(E=cur, horizon=np.inf, residual=res, method="dre_limit")
         tau *= 2.0
@@ -328,8 +327,8 @@ class BoundsReport:
 
 
 def bounds_report(E_hat: RiccatiSolution, system: SpectralSystem, weak, strong,
-                  n_random: int = 100, rng=None, extra_probes=None) -> BoundsReport:
-    """Probe the ARE form with canonical and random unit vectors.
+                  n_random: int = 100, rng=None) -> BoundsReport:
+    """Probe the ARE form with the canonical and ``n_random`` random unit vectors.
 
     c1_hat is the largest constant valid in the lower bound over the probe
     set (min of value/weak norm), c2_hat the smallest valid upper constant.
@@ -342,10 +341,8 @@ def bounds_report(E_hat: RiccatiSolution, system: SpectralSystem, weak, strong,
     if rng is None:
         rng = np.random.default_rng(0)
     probes = [np.eye(dim)[:, k] for k in range(dim)]
-    raw = rng.standard_normal((max(int(n_random), 100), dim))
+    raw = rng.standard_normal((int(n_random), dim))
     probes += [r / np.linalg.norm(r) for r in raw]
-    if extra_probes is not None:
-        probes += [np.asarray(p, dtype=float) for p in extra_probes]
 
     lam = system.lambdas
     c1, c2 = np.inf, 0.0

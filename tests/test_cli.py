@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import os
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from wavelq.cli import ConfigError, main, validate_config
+from wavelq.cli import (ConfigError, EXPERIMENT_FIELDS, MODEL_FIELDS, main, run_experiment,
+                        validate_config)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
@@ -13,6 +18,14 @@ def _write(tmp_path, cfg, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+def _exit_code(argv):
+    """main's exit code, also when argparse exits."""
+    try:
+        return main(argv)
+    except SystemExit as e:
+        return e.code
 
 
 def _tiny_decay_cfg(outdir):
@@ -73,6 +86,41 @@ class TestValidation:
             monkeypatch.setenv("WAVELQ_MAX_THREADS", env)
         assert main(["run", "--config", _write(tmp_path, cfg), "--quiet"]) == 2
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override, flags, field", [
+        ({"model": {"kind": "star", "lengths": [float("inf"), 1.0], "controlled_edge": 0,
+                    "observed_edge": 1, "lambda_max": 6.0}}, [], "model.lengths"),
+        ({"model": {"kind": "star", "lengths": [True, 2.0], "controlled_edge": 0,
+                    "observed_edge": 1, "lambda_max": 6.0}}, [], "model.lengths"),
+        ({"experiment": {"kind": "turnpike", "horizons": [1.0, float("inf")]}}, [],
+         "experiment.horizons"),
+        ({"experiment": {"kind": "turnpike", "horizons": [True, 2.0]}}, [],
+         "experiment.horizons"),
+        ({"model": {"kind": "synthetic_exponential", "alpha_control": -1.0,
+                    "alpha_obs": 0.1, "n_modes": 4}}, [], "model.alpha_control"),
+        ({"model": {"kind": "star", "lengths": [1.0, 2.0], "controlled_edge": 0,
+                    "observed_edge": 1, "lambda_max": 1.0}}, [], "lambda_max"),
+        ({}, ["--seed", "-1"], "--seed"),
+        ({}, ["--threads", "0"], "--threads"),
+    ], ids=["star-inf-length", "star-bool-length", "inf-horizon", "bool-horizon",
+            "negative-alpha", "star-without-modes", "negative-seed", "zero-threads"])
+    def test_contract_holes_exit_2_naming_the_field(self, tmp_path, capsys, override, flags,
+                                                    field):
+        cfg = dict(_tiny_decay_cfg(tmp_path / "o"), **override)
+        argv = ["run", "--config", _write(tmp_path, cfg), "--quiet", *flags]
+        assert _exit_code(argv) == 2
+        assert field in capsys.readouterr().err
+
+    def test_validate_prints_the_resolved_config(self, tmp_path, capsys):
+        cfg = {"model": {"kind": "synthetic", "rho": 2, "eta": "inf", "n_modes": 8},
+               "experiment": {"kind": "bounds"}}
+        assert main(["validate", "--config", _write(tmp_path, cfg)]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert printed == validate_config(cfg)
+        assert printed["model"]["rho"] == 2.0 and isinstance(printed["model"]["rho"], float)
+        assert printed["experiment"] == {"kind": "bounds", "method": "newton_kleinman",
+                                         "n_random": 100}
+        assert (printed["seed"], printed["output_dir"]) == (0, "out")
 
     def test_subcommand_kind_mismatch(self, tmp_path, capsys):
         cfg = _tiny_decay_cfg(tmp_path / "o")
@@ -214,3 +262,97 @@ class TestThreads:
         }
         assert main(["run", "--config", _write(tmp_path, cfg), "--threads", "8",
                      "--quiet"]) == 0
+
+
+def test_raw_and_resolved_configs_write_the_same_bytes(tmp_path):
+    for path in sorted(CONFIG_DIR.glob("*.json")):
+        cfg = json.loads(path.read_text())
+        raw, resolved = tmp_path / path.stem / "raw", tmp_path / path.stem / "resolved"
+        run_experiment(cfg, str(raw), cfg["seed"], 1, True)
+        run_experiment(validate_config(cfg), str(resolved), cfg["seed"], 1, True)
+        for out in raw.iterdir():
+            if out.suffix == ".csv" or out.name == "summary.json":
+                assert out.read_bytes() == (resolved / out.name).read_bytes(), out
+
+
+# The CLI contract over every config field: one small valid config per model kind
+# and per experiment kind (at most 8 modes), with one field replaced.
+MODELS = {
+    "synthetic": {"kind": "synthetic", "rho": 2.0, "eta": 2.0, "n_modes": 4},
+    "synthetic_exponential": {"kind": "synthetic_exponential", "alpha_control": 0.1,
+                              "alpha_obs": 0.1, "n_modes": 4},
+    "interval": {"kind": "interval", "n_modes": 4, "control": {"subinterval": [0.4, 1.9]},
+                 "observation": "full_domain"},
+    "star": {"kind": "star", "lengths": [1.0, 1.3], "controlled_edge": 0,
+             "observed_edge": 1, "lambda_max": 6.0},
+    "rectangle": {"kind": "rectangle", "a": 1.0, "b": 2.0, "max_frequency": 3.0},
+}
+EXPERIMENTS = {
+    "observability": {"kind": "observability", "horizon": 8.0, "shells": [1.0, 2.0, 4.0],
+                      "side": "control"},
+    "bounds": {"kind": "bounds", "method": "newton_kleinman", "n_random": 3},
+    "decay_collocated": {"kind": "decay_collocated", "horizon": 6.0, "dt": 0.05,
+                         "window": [1.0, 5.0], "tail_exponent": 1.0, "signs": "random"},
+    "decay_riccati": {"kind": "decay_riccati", "horizon": 6.0, "dt": 0.05,
+                      "window": [1.0, 5.0], "smoothness_k": 1.0, "s": 1.0},
+    "null_control": {"kind": "null_control", "t0": 7.0, "n_draws": 1, "tail_exponent": 1.6},
+    "turnpike": {"kind": "turnpike", "horizons": [2.0, 4.0], "tail_exponent": 2.5,
+                 "z_tail": 2.0, "k": 1.0, "ktilde": 1.0, "dt_record": 0.1},
+}
+MODEL_BASES = {kind: {"model": m, "experiment": EXPERIMENTS["bounds"]}
+               for kind, m in MODELS.items()}
+EXPERIMENT_BASES = {kind: {"model": MODELS["synthetic"], "experiment": e}
+                    for kind, e in EXPERIMENTS.items()}
+# (base config, section or None for the top level, key to replace): every declared key
+TARGETS = ([(MODEL_BASES["synthetic"], None, key) for key in ("seed", "output_dir")]
+           + [(base, "model", key) for kind, base in MODEL_BASES.items()
+              for key in ("kind", *MODEL_FIELDS[kind])]
+           + [(base, "experiment", key) for kind, base in EXPERIMENT_BASES.items()
+              for key in ("kind", *EXPERIMENT_FIELDS[kind])])
+# values that no field accepts, but "inf" for rho and eta and strings for output_dir
+BAD_VALUES = [None, True, False, float("inf"), float("-inf"), float("nan"), "inf", "x", [],
+              {"subinterval": [2.0, 1.0]}, {"subinterval": [-1.0, 1.0]},
+              {"subinterval": [0.5]}, {"subinterval": "x"}]
+BAD_ENTRIES = [None, True, float("nan"), float("inf"), "x"]
+
+
+def _always_bad(key, value):
+    """Whether field ``key`` must reject ``value`` whatever the rest of the config."""
+    if key == "output_dir":
+        return not (isinstance(value, str) and value)
+    if isinstance(value, list):
+        return not value or any(isinstance(v, bool) or v != 1.0 for v in value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return False  # 0 and -1 are in range for some fields
+    return not (value == "inf" and key in ("rho", "eta"))
+
+
+def test_base_configs_run(tmp_path):
+    for i, cfg in enumerate([*MODEL_BASES.values(), *EXPERIMENT_BASES.values()]):
+        cfg = dict(cfg, output_dir=str(tmp_path / str(i)))
+        assert main(["run", "--config", _write(tmp_path, cfg), "--quiet"]) == 0, cfg
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(value=st.one_of(st.sampled_from(BAD_VALUES + [0, -1]),
+                       st.lists(st.sampled_from(BAD_ENTRIES + [1.0]), max_size=4)))
+def test_cli_contract_for_any_field_value(value):
+    for base, section, key in TARGETS:
+        cfg = json.loads(json.dumps(base))
+        (cfg if section is None else cfg[section])[key] = value
+        field = key if section is None else f"{section}.{key}"
+        try:
+            resolved = validate_config(cfg)
+        except ConfigError:
+            resolved = None
+        assert resolved is None or not _always_bad(key, value), field
+        if resolved is not None:
+            assert validate_config(json.loads(json.dumps(resolved, allow_nan=False))) == resolved
+        with tempfile.TemporaryDirectory() as tmp:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = _exit_code(["run", "--config", _write(Path(tmp), cfg), "--quiet",
+                                   "--output", os.path.join(tmp, "out")])
+        assert code in (0, 2, 3), field
+        if resolved is None:
+            assert code == 2 and field in err.getvalue(), (field, err.getvalue())

@@ -113,6 +113,10 @@ class TestStarNetwork:
         with pytest.raises(DomainError):
             build_star_network([np.pi, 1.0], 5, 0, 5.0)
 
+    def test_lambda_max_below_first_eigenfrequency(self):
+        with pytest.raises(DomainError, match="no eigenfrequency"):
+            build_star_network([1.0, 2.0], 0, 1, 1.0)
+
 
 class TestRectangle:
     def test_full_strip_is_identity(self):

@@ -232,6 +232,13 @@ class TestBounds:
         assert np.isfinite(rep.c2_hat)
         assert rep.probe_count >= 32 + 100
 
+    def test_probe_count_is_canonical_plus_n_random(self):
+        sys_ = build_synthetic(2.0, 2.0, 4)
+        sol = solve_are(sys_)
+        rep = bounds_report(sol, sys_, NormScale.energy(), NormScale.energy(), n_random=5,
+                            rng=np.random.default_rng(7))
+        assert rep.probe_count == sol.dim + 5
+
     def test_zero_cost_gives_zero_lower_constant(self):
         sys_ = SpectralSystem([1.0, 2.0], np.eye(2), np.zeros((2, 2)))
         sol = solve_are(sys_, method="dre_limit")
