@@ -6,6 +6,7 @@ the synthetic weak-observability family.  Prints spectra, control gains, and
 round-trips one system through the JSON format.
 """
 
+import os
 import tempfile
 
 import numpy as np
@@ -71,6 +72,7 @@ def synthetic_demo():
         path = f.name
     save_system(sys_, path)
     back = load_system(path)
+    os.remove(path)
     print(f"JSON round trip exact: {np.array_equal(back.B_mod, sys_.B_mod)} "
           f"(planted exponents kept: rho={back.rho}, eta={back.eta})\n")
 

@@ -17,7 +17,6 @@ truncation turns every rate exponential.
 import numpy as np
 
 from wavelq import (
-    NormScale,
     build_synthetic,
     build_synthetic_exponential,
     closed_loop_matrix,
@@ -31,8 +30,6 @@ from wavelq import (
     solve_are,
 )
 
-ENERGY = NormScale.energy()
-
 
 def collocated_rates():
     print("== collocated loop: fitted exponent vs k*rho ==")
@@ -43,7 +40,7 @@ def collocated_rates():
     for k in (0.5, 1.0, 1.5):
         x0 = smooth_initial_state(sys_.lambdas, k + 0.5 + 0.1, signs="alternating")
         traj = simulate_collocated(sys_, x0, 60.0, dt=0.01)
-        fit = fit_decay(traj, ENERGY, window)
+        fit = fit_decay(traj, window)
         print(f"  k = {k:3.1f}: fitted {fit.exponent:6.3f}  vs  k*rho = {k * rho:4.1f} "
               f"(r2 = {fit.r2:.4f})")
     print(f"window {tuple(round(w, 1) for w in window)} documented per run\n")
@@ -58,14 +55,14 @@ def riccati_rate():
     predicted = s * eta * rho / (rho + eta)
     x0 = smooth_initial_state(sys_.lambdas, (s + 1.0) / 2.0, signs="alternating")
     traj = simulate_riccati_feedback(sys_, sol, x0, 40.0, dt=0.01)
-    fit = fit_decay(traj, ENERGY, (10.0, 32.0))
+    fit = fit_decay(traj, (10.0, 32.0))
     print(f"  planted-rate tail: fitted {fit.exponent:.3f} vs predicted {predicted:.1f}")
     lam = sys_.lambdas
     from wavelq.spectral import ModalVector, to_energy
     signs = np.where(np.arange(128) % 2 == 0, 1.0, -1.0)
     rough = to_energy(ModalVector(a=lam**-3.1 * signs, b=lam**-3.1 * signs), lam)
     traj2 = simulate_riccati_feedback(sys_, sol, rough, 40.0, dt=0.01)
-    fit2 = fit_decay(traj2, ENERGY, default_decay_window(closed_loop_matrix(sys_, sol), 40.0))
+    fit2 = fit_decay(traj2, default_decay_window(closed_loop_matrix(sys_, sol), 40.0))
     print(f"  class-tail data (upper-bound regime): fitted {fit2.exponent:.3f} "
           f">= {predicted:.1f} (bound, not tight)\n")
 
@@ -79,7 +76,7 @@ def observer_rate():
     A, _, _ = first_order_matrices(sys_)
     D = np.zeros_like(A)
     D[np.ix_(range(1, 128, 2), range(1, 128, 2))] = sys_.Q_obs
-    fit = fit_decay(traj, ENERGY, default_decay_window(A - D, 310.0))
+    fit = fit_decay(traj, default_decay_window(A - D, 310.0))
     print(f"  fitted {fit.exponent:.3f} vs k*eta = {1.0 * eta:.1f} "
           "(lemma-type lower threshold 0.85*k*eta)\n")
 
@@ -90,7 +87,7 @@ def log_decay():
     x0 = smooth_initial_state(sys_.lambdas, 1.6, signs="alternating")
     traj = simulate_collocated(sys_, x0, 200.0)
     for lo, hi in ((10.0, 50.0), (50.0, 200.0)):
-        fit = fit_decay(traj, ENERGY, (lo, hi))
+        fit = fit_decay(traj, (lo, hi))
         print(f"  window ({lo:5.1f}, {hi:5.1f}): local exponent {fit.exponent:.3f}")
     print("the local exponent shrinks like 1/ln t: slower than every")
     print("polynomial rate, as the exponentially weighted scales predict\n")

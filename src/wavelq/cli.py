@@ -155,7 +155,7 @@ _DECAY_FIELDS = {"horizon": _POSITIVE, "dt": _MAYBE_POSITIVE,
                  "tail_exponent": _MAYBE_POSITIVE, "smoothness_k": _MAYBE_POSITIVE,
                  "s": _MAYBE_POSITIVE, "signs": _choice("random", "alternating")}
 EXPERIMENT_FIELDS = {
-    "observability": {"horizon": _POSITIVE, "shells": _numbers(3, positive=True),
+    "observability": {"horizon": _POSITIVE, "shells": _numbers(3, increasing=True, positive=True),
                       "side": _choice("control", "observation")},
     "bounds": {"method": _choice("newton_kleinman", "dre_limit"),
                "n_random": _integer(1, default=100)},
@@ -324,7 +324,7 @@ def _run_decay(system, exp, outdir, rng, threads, riccati: bool):
         A, B, _ = rc.first_order_matrices(system)
         A_cl = A - B @ B.T
     window = tuple(exp["window"]) if "window" in exp else cl.default_decay_window(A_cl, horizon)
-    fit = cl.fit_decay(traj, NormScale.energy(), window)
+    fit = cl.fit_decay(traj, window)
     io.trajectory_to_csv(traj, os.path.join(outdir, "trajectory.csv"))
     summary = {
         "experiment": "decay_riccati" if riccati else "decay_collocated",

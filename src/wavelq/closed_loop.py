@@ -4,10 +4,11 @@ All closed loops here are linear time-invariant, so trajectories are advanced
 by the exact matrix exponential of the closed-loop generator over a fixed step
 (no secular drift over long horizons).
 
-Dissipation integrals like ``int ||B^T x||^2 dt`` are accumulated exactly via
-step Gramians ``int_0^h exp(A^T s) M exp(A s) ds`` (Van Loan block-exponential
-construction), so the energy identities can be verified at integrator
-precision rather than sampling-quadrature precision.
+The dissipation integral of each loop's energy identity, such as
+``int ||B^T x||^2 dt``, is accumulated exactly from the step Gramian
+``int_0^h exp(A^T s) G exp(A s) ds`` that ``riccati.step_map`` returns with
+the propagator, so the identities can be verified at integrator precision
+rather than sampling-quadrature precision.
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ import numpy as np
 import scipy.linalg
 
 from .models import SpectralSystem, apply_free_flow, controllability_gramian, fit_line
-from .riccati import RiccatiSolution, first_order_matrices
-from .spectral import (DimensionError, DomainError, EnergyState, NormScale, as_energy_vector,
-                       energy_norm_squared)
+from .riccati import RiccatiSolution, first_order_matrices, step_map
+from .spectral import DimensionError, DomainError, EnergyState, as_energy_vector
+# unused here, but perfbench/tracing.py wraps closed_loop.energy_norm_squared by name
+from .spectral import energy_norm_squared  # noqa: F401
 
 
 @dataclass
@@ -28,9 +30,9 @@ class Trajectory:
     """Recorded closed-loop run in energy coordinates.
 
     ``states`` has one row per sample; ``energies`` are the squared
-    state-space norms.  ``diss_control`` / ``diss_obs`` hold the exact time
-    integrals of the recorded quadratic dissipation densities over the whole
-    horizon, independent of the sampling grid.
+    state-space norms.  ``dissipation`` holds the exact time integral over the
+    whole horizon of the dissipation density in the run's energy identity,
+    independent of the sampling grid.
     """
 
     times: np.ndarray
@@ -42,8 +44,7 @@ class Trajectory:
     values: np.ndarray | None = None  # x^T E x along Riccati-feedback runs
     control_power: np.ndarray | None = None  # ||u||^2 samples
     obs_power: np.ndarray | None = None  # ||C w||^2-type samples
-    diss_control: float | None = None
-    diss_obs: float | None = None
+    dissipation: float | None = None
 
     @property
     def n_samples(self) -> int:
@@ -52,25 +53,15 @@ class Trajectory:
     def state_at(self, i: int) -> EnergyState:
         return EnergyState.from_vector(self.states[i])
 
-    def norm_squared_series(self, scale: NormScale) -> np.ndarray:
-        return np.array([energy_norm_squared(x, self.lambdas, scale) for x in self.states])
-
-
-def _step_gramian(A_cl: np.ndarray, M: np.ndarray, h: float) -> np.ndarray:
-    """int_0^h exp(A_cl^T s) M exp(A_cl s) ds via a block matrix exponential."""
-    d = A_cl.shape[0]
-    Z = np.zeros((2 * d, 2 * d))
-    Z[:d, :d] = -A_cl.T
-    Z[:d, d:] = M
-    Z[d:, d:] = A_cl
-    EZ = scipy.linalg.expm(Z * h)
-    return EZ[d:, d:].T @ EZ[:d, d:]
-
 
 def _simulate_lti(system: SpectralSystem, A_cl: np.ndarray, x0: np.ndarray, horizon: float,
-                  dt: float | None, kind: str,
-                  control_gain: np.ndarray | None,
-                  m_control: np.ndarray | None, m_obs: np.ndarray | None) -> Trajectory:
+                  dt: float | None, kind: str, control_gain: np.ndarray | None,
+                  m_obs: np.ndarray, weight: np.ndarray) -> Trajectory:
+    """Advance x' = A_cl x exactly over equal steps of at most dt.
+
+    ``weight`` G is the dissipation density x^T G x of the run's energy
+    identity; its exact time integral becomes ``Trajectory.dissipation``.
+    """
     lam = system.lambdas
     x0 = as_energy_vector(x0)
     if x0.size != A_cl.shape[0]:
@@ -83,24 +74,19 @@ def _simulate_lti(system: SpectralSystem, A_cl: np.ndarray, x0: np.ndarray, hori
     h = horizon / steps
     times = np.linspace(0.0, horizon, steps + 1)
 
-    P = scipy.linalg.expm(A_cl * h)
+    P, W = step_map(A_cl, h, cost=weight)
     X = np.empty((steps + 1, x0.size))
     X[0] = x0
     for k in range(steps):
         X[k + 1] = P @ X[k]
 
     traj = Trajectory(times=times, states=X, energies=np.einsum("ij,ij->i", X, X),
-                      lambdas=lam, kind=kind)
+                      lambdas=lam, kind=kind,
+                      obs_power=np.einsum("ij,jk,ik->i", X, m_obs, X),
+                      dissipation=float(np.sum(W * (X[:-1].T @ X[:-1]))))
     if control_gain is not None:
         traj.controls = X @ control_gain.T  # u(t) = -gain @ x recorded with its sign
-    if m_control is not None:
-        traj.control_power = np.einsum("ij,jk,ik->i", X, m_control, X)
-        W = _step_gramian(A_cl, m_control, h)
-        traj.diss_control = float(np.einsum("ij,jk,ik->", X[:-1], W, X[:-1]))
-    if m_obs is not None:
-        traj.obs_power = np.einsum("ij,jk,ik->i", X, m_obs, X)
-        W = _step_gramian(A_cl, m_obs, h)
-        traj.diss_obs = float(np.einsum("ij,jk,ik->", X[:-1], W, X[:-1]))
+        traj.control_power = np.einsum("ij,ij->i", traj.controls, traj.controls)
     return traj
 
 
@@ -114,9 +100,8 @@ def simulate_collocated(system: SpectralSystem, x0, horizon: float,
     """
     A, B, Q = first_order_matrices(system)
     BBT = B @ B.T
-    traj = _simulate_lti(system, A - BBT, x0, horizon, dt, "collocated",
-                         control_gain=-B.T, m_control=BBT, m_obs=Q)
-    return traj
+    return _simulate_lti(system, A - BBT, x0, horizon, dt, "collocated",
+                         control_gain=-B.T, m_obs=Q, weight=BBT)
 
 
 def simulate_riccati_feedback(system: SpectralSystem, solution: RiccatiSolution, x0,
@@ -133,9 +118,8 @@ def simulate_riccati_feedback(system: SpectralSystem, solution: RiccatiSolution,
         raise DimensionError("Riccati solution dimension does not match the system")
     gain = B.T @ E
     A_cl = A - B @ gain
-    m_u = gain.T @ gain
     traj = _simulate_lti(system, A_cl, x0, horizon, dt, "riccati_feedback",
-                         control_gain=-gain, m_control=m_u, m_obs=Q)
+                         control_gain=-gain, m_obs=Q, weight=gain.T @ gain + Q)
     traj.values = np.einsum("ij,jk,ik->i", traj.states, E, traj.states)
     return traj
 
@@ -152,9 +136,8 @@ def simulate_backward_observer(system: SpectralSystem, terminal_state, horizon: 
     n = system.n_modes
     D = np.zeros((2 * n, 2 * n))
     D[np.ix_(np.arange(1, 2 * n, 2), np.arange(1, 2 * n, 2))] = system.Q_obs
-    traj = _simulate_lti(system, A - D, terminal_state, horizon, dt, "backward_observer",
-                         control_gain=None, m_control=None, m_obs=D)
-    return traj
+    return _simulate_lti(system, A - D, terminal_state, horizon, dt, "backward_observer",
+                         control_gain=None, m_obs=D, weight=D)
 
 
 def energy_identity_defect(traj: Trajectory) -> float:
@@ -164,23 +147,17 @@ def energy_identity_defect(traj: Trajectory) -> float:
     backward_observer: E(0)/2 - E(T)/2 = int ||C phi_t||^2 dt   (in reversed time)
     riccati_feedback:  V(0) - V(T) = int (||B^T E x||^2 + ||C w||^2) dt
     """
-    if traj.kind == "collocated":
+    if traj.kind in ("collocated", "backward_observer"):
         lhs = 0.5 * (traj.energies[0] - traj.energies[-1])
-        rhs = traj.diss_control
-        scale = 0.5 * traj.energies[0]
-    elif traj.kind == "backward_observer":
-        lhs = 0.5 * (traj.energies[0] - traj.energies[-1])
-        rhs = traj.diss_obs
         scale = 0.5 * traj.energies[0]
     elif traj.kind == "riccati_feedback":
         lhs = traj.values[0] - traj.values[-1]
-        rhs = traj.diss_control + traj.diss_obs
         scale = traj.values[0]
     else:
         raise DomainError(f"no energy identity for kind {traj.kind!r}")
-    if rhs is None:
-        raise DomainError("trajectory lacks the dissipation accumulators")
-    return abs(lhs - rhs) / max(scale, 1e-300)
+    if traj.dissipation is None:
+        raise DomainError("trajectory lacks the dissipation integral")
+    return abs(lhs - traj.dissipation) / max(scale, 1e-300)
 
 
 # ---------------------------------------------------------------------------
@@ -258,15 +235,14 @@ class DecayFit:
     prefactor: float
     window: tuple
     r2: float
-    norm_used: NormScale
     n_samples: int = 0
 
 
-def fit_decay(traj: Trajectory, norm: NormScale, window) -> DecayFit:
-    """Least-squares fit of log ||x(t)||^2 against log(t+1) inside the window.
+def fit_decay(traj: Trajectory, window) -> DecayFit:
+    """Least-squares fit of log E(t) against log(t+1) inside the window.
 
-    Nonpositive norm values are dropped (shrinking the effective window); at
-    least 20 samples must remain.
+    E(t) are the recorded energies ``traj.energies``.  Nonpositive values are
+    dropped (shrinking the effective window); at least 20 samples must remain.
     """
     t_start, t_end = float(window[0]), float(window[1])
     if not t_start < t_end:
@@ -274,7 +250,7 @@ def fit_decay(traj: Trajectory, norm: NormScale, window) -> DecayFit:
     inside = (traj.times > t_start) & (traj.times < t_end)
     if inside.sum() < 20:
         raise DomainError("fewer than 20 samples strictly inside the window")
-    vals = traj.norm_squared_series(norm)[inside]
+    vals = traj.energies[inside]
     ts = traj.times[inside]
     pos = vals > 0.0
     if pos.sum() < 20:
@@ -282,7 +258,7 @@ def fit_decay(traj: Trajectory, norm: NormScale, window) -> DecayFit:
     slope, intercept, r2 = fit_line(np.log(ts[pos] + 1.0), np.log(vals[pos]))
     return DecayFit(exponent=float(-slope), prefactor=float(np.exp(intercept)),
                     window=(t_start, t_end), r2=float(max(min(r2, 1.0), 0.0)),
-                    norm_used=norm, n_samples=int(pos.sum()))
+                    n_samples=int(pos.sum()))
 
 
 def default_decay_window(A_cl: np.ndarray, horizon: float) -> tuple:

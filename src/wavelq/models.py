@@ -24,7 +24,7 @@ from .spectral import DomainError, DimensionError, as_frequencies
 
 
 class ConsistencyError(RuntimeError):
-    """Internal cross-check failed (e.g. eigenvalue count vs Weyl law)."""
+    """Internal cross-check failed (e.g. a star's eigenvalue count vs its interlacing bound)."""
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +90,8 @@ class SpectralSystem:
         sym_defect = np.abs(self.Q_obs - self.Q_obs.T).max()
         if sym_defect > 1e-12 * max(1.0, np.abs(self.Q_obs).max()):
             raise DomainError("Q_obs must be symmetric")
+        # exactly symmetric, so the Gramians built from it are too
+        self.Q_obs = 0.5 * (self.Q_obs + self.Q_obs.T)
 
     @property
     def n_modes(self) -> int:
@@ -256,7 +258,8 @@ def build_star_network(lengths, controlled_edge: int, observed_edge: int,
 
     Distributed control over the controlled edge, gradient observation on the
     observed edge.  Eigenvalues are the roots of the star secular equation;
-    the count is validated against the Weyl law.
+    the count is validated against the interlacing bound of the edges
+    decoupled by a Dirichlet center.
     """
     lengths = np.asarray(lengths, dtype=float)
     if lengths.ndim != 1 or lengths.size < 2:
@@ -271,10 +274,17 @@ def build_star_network(lengths, controlled_edge: int, observed_edge: int,
     lams, amps = _star_eigenpairs(lengths, float(lambda_max))
     if lams.size == 0:
         raise DomainError(f"lambda_max: no eigenfrequency <= lambda_max = {lambda_max:g}")
-    weyl = lambda_max * lengths.sum() / np.pi
-    if abs(lams.size - weyl) > 2.0:
+    # u(center) = 0 is one linear constraint; with it the edges decouple into
+    # Dirichlet intervals with D = sum_j floor(lambda_max l_j / pi) eigenfrequencies
+    # <= lambda_max, so by min-max interlacing D <= count <= D + 1.  D is taken
+    # both ways for an eigenfrequency within rounding of lambda_max.
+    x = lambda_max * lengths / np.pi
+    lo = int(np.sum(np.floor(x * (1.0 - 1e-9))))
+    hi = int(np.sum(np.floor(x * (1.0 + 1e-9)))) + 1
+    if not lo <= lams.size <= hi:
         raise ConsistencyError(
-            f"eigenvalue count {lams.size} is inconsistent with the Weyl estimate {weyl:.2f}")
+            f"eigenvalue count {lams.size} is outside [{lo}, {hi}], "
+            "the interlacing bound from the decoupled edges")
 
     le = lengths[controlled_edge]
     ae = amps[:, controlled_edge]
@@ -421,7 +431,7 @@ def _rotation_gramian(lam: np.ndarray, M11, M22, horizon: float, reverse: bool =
     W[ix, iz] = tr
     W[iz, ix] = tr.T
     W[iz, iz] = br
-    return 0.5 * (W + W.T)
+    return W
 
 
 def observability_gramian(system: SpectralSystem, horizon: float, use_control: bool = True) -> np.ndarray:
@@ -516,8 +526,11 @@ def shell_constant(system: SpectralSystem, shell_lo: float, shell_hi: float,
 def fit_line(x: np.ndarray, y: np.ndarray):
     """Least-squares line y ~ slope * x + intercept; returns (slope, intercept, R^2).
 
-    R^2 is 1 for a constant y.
+    R^2 is 1 for a constant y.  Raises DomainError when x has fewer than two
+    distinct values, where no line is determined.
     """
+    if np.unique(x).size < 2:
+        raise DomainError("a line fit needs at least two distinct abscissae")
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     ss_tot = np.sum((y - y.mean()) ** 2)

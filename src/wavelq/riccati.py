@@ -12,8 +12,10 @@ an initial state is the optimal cost of ``int (||u||^2 + ||C w||^2) dt``.
 
 Every finite-horizon solver shares one exact kernel, ``step_map``: the step
 transition ``e^{M h}`` of the Hamiltonian matrix ``M = [[A, -B B^T], [-Q, -A^T]]``
-of the state/adjoint pair, with the Van Loan integrals of a quadratic cost and
-of the state over the step (Van Loan 1978).  The Riccati flow is swept step by
+of the state/adjoint pair or of any other LTI generator, with the Van Loan
+integral of a quadratic cost over the step (Van Loan 1978).  It is the
+library's only block-exponential construction: closed loops and tracking
+costs read their exact integrals from it.  The Riccati flow is swept step by
 step through the blocks of ``e^{M h}`` (Davison-Maki 1973), so no ODE
 integrator is involved and each step is exact up to rounding.
 """
@@ -120,22 +122,22 @@ def hamiltonian_matrix(A: np.ndarray, B: np.ndarray, Q: np.ndarray) -> np.ndarra
 def step_map(M: np.ndarray, h: float, cost: np.ndarray | None = None):
     """Exact step of y' = M y over a step h, from one block matrix exponential.
 
-    Returns ``(Phi, W, L)`` with ``Phi = e^{M h}``.  Given a symmetric cost
-    weight G, also ``W = int_0^h e^{M^T s} G e^{M s} ds`` and
-    ``L = int_0^h e^{M s} ds``, so a step from y costs ``y^T W y`` and its state
-    integral is ``L y``; without a weight both are None.
+    Returns ``(Phi, W)`` with ``Phi = e^{M h}``.  Given a symmetric cost weight
+    G, also ``W = int_0^h e^{M^T s} G e^{M s} ds`` (Van Loan 1978), read off
+    ``e^{Z h}`` with ``Z = [[-M^T, G], [0, M]]``, so a step from y costs
+    ``y^T W y``; without a weight W is None.  Stepping ``[[M, I], [0, 0]]``
+    instead puts ``int_0^h e^{M s} ds`` in the top right block of its Phi.
     """
     if cost is None:
-        return scipy.linalg.expm(M * h), None, None
+        return scipy.linalg.expm(M * h), None
     n = M.shape[0]
-    Z = np.zeros((3 * n, 3 * n))
+    Z = np.zeros((2 * n, 2 * n))
     Z[:n, :n] = -M.T
-    Z[:n, n:2 * n] = cost
-    Z[n:2 * n, n:2 * n] = M
-    Z[n:2 * n, 2 * n:] = np.eye(n)
+    Z[:n, n:] = cost
+    Z[n:, n:] = M
     F = scipy.linalg.expm(Z * h)
-    Phi = F[n:2 * n, n:2 * n]
-    return Phi, Phi.T @ F[:n, n:2 * n], F[n:2 * n, 2 * n:]
+    Phi = F[n:, n:]
+    return Phi, Phi.T @ F[:n, n:]
 
 
 def riccati_step(E: np.ndarray, Phi: np.ndarray, h: np.ndarray | None = None):
@@ -158,7 +160,7 @@ def riccati_step(E: np.ndarray, Phi: np.ndarray, h: np.ndarray | None = None):
 def _sweep(E: np.ndarray, M: np.ndarray, duration: float, max_step: float) -> np.ndarray:
     """Advance the Riccati flow by ``duration`` in equal steps of at most max_step."""
     steps = max(1, int(np.ceil(duration / max_step)))
-    Phi, _, _ = step_map(M, duration / steps)
+    Phi, _ = step_map(M, duration / steps)
     for _ in range(steps):
         E = riccati_step(E, Phi)
     return E

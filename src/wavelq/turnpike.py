@@ -11,8 +11,10 @@ feedforward: the deviation adjoint is ``q(t) = E(T-t) x(t) + h(t)`` with the
 matrix Riccati flow E and a linear feedforward h ending at the lift of the
 stationary adjoint.  Both are swept backward, and the state forward, with the
 exact Hamiltonian step map of ``riccati.step_map``; costs and mean positions
-are sums of its Van Loan integrals.  A dense collocation solve of the same
-two-point boundary value problem is provided as an independent oracle.
+are sums of its Van Loan integrals, and the averaged turnpike metrics read
+them instead of integrating the recorded grid.  A dense collocation solve of
+the same two-point boundary value problem is provided as an independent
+oracle.
 """
 
 from __future__ import annotations
@@ -121,8 +123,8 @@ class TrackingSolution:
     ``deviation_adjoints`` the deviation adjoints q(t), and
     ``deviation_controls`` are v = u^T - u_bar = -B^T q.  ``trajectory`` holds
     the full state/control pair for export and ``x0`` the initial state as
-    given.  Exact integrals of the deviation running cost and of the deviation
-    position are kept for cross-checking grid quadrature.
+    given.  The exact integrals of the deviation running cost and of the
+    deviation position are the averaged turnpike metrics' inputs.
     """
 
     times: np.ndarray
@@ -175,8 +177,10 @@ def solve_tracking(system: SpectralSystem, z, x0, horizon: float,
     times = np.linspace(0.0, horizon, steps + 1)
     sub = int(np.ceil(horizon / steps / (np.pi / (4.0 * lam.max()))))
     n_fine = steps * sub
-    Phi, W, L = step_map(hamiltonian_matrix(A, B, Q), horizon / n_fine,
-                         cost=scipy.linalg.block_diag(Q, B @ B.T))
+    M = hamiltonian_matrix(A, B, Q)
+    Phi, W = step_map(M, horizon / n_fine, cost=scipy.linalg.block_diag(Q, B @ B.T))
+    L = step_map(np.block([[M, np.eye(2 * dim)], [np.zeros((2 * dim, 4 * dim))]]),
+                 horizon / n_fine)[0][:2 * dim, 2 * dim:]
 
     Es = np.empty((n_fine + 1, dim, dim))
     hs = np.empty((n_fine + 1, dim))
@@ -330,10 +334,11 @@ class TurnpikeReport:
 def averaged_metrics(runs, stationary: StationarySolution, k: float = 1.0,
                      ktilde: float = 1.0, rho: float | None = None,
                      eta: float | None = None) -> TurnpikeReport:
-    """Averaged turnpike quantities per horizon, by quadrature on each run's grid.
+    """Averaged turnpike quantities per horizon, from each run's exact integrals.
 
     avg_tracking(T) = (1/T) int (||C (w - w_bar)||^2 + ||u - u_bar||^2) dt and
-    avg_state_gap(T) = || (1/T) int (w - w_bar) dt ||^2 in the X_{1/2} norm.
+    avg_state_gap(T) = || (1/T) int (w - w_bar) dt ||^2 in the X_{1/2} norm,
+    read from ``deviation_cost_exact`` and ``mean_deviation_a``.
     The bound proxy evaluates g1(T)/T * ||(w0 - w_bar, w1)||^2_{D(A^k)} +
     g2(T)/T * ||p_bar||^2_{X_{(ktilde+1)/2}} with unit constants (shape
     reference only; weights default to 1 when no exponent is planted).
@@ -349,7 +354,6 @@ def averaged_metrics(runs, stationary: StationarySolution, k: float = 1.0,
         if r.system is not system or not np.array_equal(r.z, runs[0].z):
             raise DomainError("all runs must share the system and target")
 
-    Cm = system.observation_factor()
     avg_track = np.empty(horizons.size)
     avg_gap = np.empty(horizons.size)
     bounds = np.empty(horizons.size)
@@ -363,14 +367,9 @@ def averaged_metrics(runs, stationary: StationarySolution, k: float = 1.0,
     p_class = float(np.sum(lam ** (2.0 * (ktilde + 1.0)) * p_bar**2))
 
     for i, run in enumerate(runs):
-        obs = (run.deviation_states[:, 0::2] / lam) @ Cm.T
-        integrand = (np.einsum("ij,ij->i", run.deviation_controls, run.deviation_controls)
-                     + np.einsum("ij,ij->i", obs, obs))
         T = run.horizon
-        avg_track[i] = scipy.integrate.simpson(integrand, x=run.times) / T
-        a_dev = run.deviation_states[:, 0::2] / lam
-        mean_a = scipy.integrate.simpson(a_dev, x=run.times, axis=0) / T
-        avg_gap[i] = float(np.sum(lam**2 * mean_a**2))
+        avg_track[i] = run.deviation_cost_exact / T
+        avg_gap[i] = float(np.sum(lam**2 * run.mean_deviation_a**2))
         g1 = 1.0 if np.isinf(rho_eff) else g_weight(T, k, rho_eff)
         g2 = 1.0 if np.isinf(eta_eff) else g_weight(T, ktilde, eta_eff)
         bounds[i] = g1 / T * w_class + g2 / T * p_class

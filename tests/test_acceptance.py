@@ -129,7 +129,7 @@ def test_criterion_04_planted_decay():
     sol = solve_are(sys_)
     x0 = smooth_initial_state(sys_.lambdas, (s + 1.0) / 2.0, signs="alternating")
     traj = simulate_riccati_feedback(sys_, sol, x0, 40.0, dt=0.01)
-    fit_r = fit_decay(traj, NormScale.energy(), (10.0, 32.0))
+    fit_r = fit_decay(traj, (10.0, 32.0))
     riccati_ok = abs(fit_r.exponent - predicted) <= 0.25 * predicted
 
     # collocated loop, class-critical data in D(A^k) with k = 1
@@ -138,7 +138,7 @@ def test_criterion_04_planted_decay():
     trajc = simulate_collocated(sys_, x0c, 70.0, dt=0.01)
     A, B, _ = first_order_matrices(sys_)
     window_c = default_decay_window(A - B @ B.T, 70.0)
-    fit_c = fit_decay(trajc, NormScale.energy(), window_c)
+    fit_c = fit_decay(trajc, window_c)
     colloc_ok = fit_c.exponent >= 0.85 * k * rho
 
     _report(4, "planted decay exponents", riccati_ok and colloc_ok,

@@ -78,6 +78,8 @@ class TestValidation:
         ({"experiment": {"kind": "decay_riccati", "horizon": 10.0,
                          "window": ["a", 8.0]}}, None, "experiment.window"),
         ({}, "abc", "WAVELQ_MAX_THREADS"),
+        ({"experiment": {"kind": "observability", "horizon": 5.0,
+                         "shells": [1.0, 1.0, 1.0]}}, None, "experiment.shells"),
     ])
     def test_bad_input_exits_2_naming_the_field(self, tmp_path, capsys, monkeypatch,
                                                 override, env, field):

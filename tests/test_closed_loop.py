@@ -51,7 +51,7 @@ class TestCollocated:
         traj = simulate_collocated(sys_, x0, 40.0)
         A, B, _ = first_order_matrices(sys_)
         window = default_decay_window(A - B @ B.T, 40.0)
-        fit = fit_decay(traj, NormScale.energy(), window)
+        fit = fit_decay(traj, window)
         assert fit.exponent >= 0.85 * 1.0 * 2.0
 
     def test_propagation_methods_agree(self):
@@ -104,7 +104,7 @@ class TestRiccatiFeedback:
         traj = simulate_riccati_feedback(sys_, sol, x0, 40.0)
         from wavelq.riccati import closed_loop_matrix
         window = default_decay_window(closed_loop_matrix(sys_, sol), 40.0)
-        fit = fit_decay(traj, NormScale.energy(), window)
+        fit = fit_decay(traj, window)
         assert fit.exponent >= 0.75 * 1.0
 
 
@@ -140,7 +140,7 @@ class TestBackwardObserver:
         D = np.zeros_like(A)
         D[np.ix_(range(1, 128, 2), range(1, 128, 2))] = sys_.Q_obs
         window = default_decay_window(A - D, 310.0)
-        fit = fit_decay(traj, NormScale.energy(), window)
+        fit = fit_decay(traj, window)
         assert fit.exponent >= 0.85 * 1.0 * eta
 
 
@@ -213,7 +213,7 @@ class TestFitDecay:
 
     def test_exact_power_law(self):
         traj = self._power_law_traj(2.0)
-        fit = fit_decay(traj, NormScale.energy(), (1.0, 90.0))
+        fit = fit_decay(traj, (1.0, 90.0))
         assert fit.exponent == pytest.approx(2.0, abs=1e-6)
         assert fit.r2 >= 1.0 - 1e-12
 
@@ -222,18 +222,18 @@ class TestFitDecay:
         xi = np.exp(-ts / 2.0)
         traj = Trajectory(times=ts, states=np.stack([xi, 0 * xi], axis=1),
                           energies=xi**2, lambdas=np.array([1.0]), kind="synthetic")
-        fit = fit_decay(traj, NormScale.energy(), (1.0, 10.0))
+        fit = fit_decay(traj, (1.0, 10.0))
         assert fit.r2 < 0.999
 
     def test_constant_signal(self):
         traj = self._power_law_traj(0.0)
-        fit = fit_decay(traj, NormScale.energy(), (1.0, 90.0))
+        fit = fit_decay(traj, (1.0, 90.0))
         assert abs(fit.exponent) <= 1e-12
 
     def test_too_few_samples_raises(self):
         traj = self._power_law_traj(1.0, t_end=100.0, n=25)
         with pytest.raises(DomainError):
-            fit_decay(traj, NormScale.energy(), (95.0, 99.0))
+            fit_decay(traj, (95.0, 99.0))
 
 
 class TestSequenceLemma:
@@ -306,10 +306,10 @@ class TestExponentialWeightRegime:
         assert traj.energies[-1] < traj.energies[0]
         # log-type decay: the local power-law exponent shrinks like 1/ln t,
         # unlike the polynomial plants whose fitted exponent is window-stable
-        early = fit_decay(traj, NormScale.energy(), (10.0, 50.0))
-        late = fit_decay(traj, NormScale.energy(), (50.0, 200.0))
+        early = fit_decay(traj, (10.0, 50.0))
+        late = fit_decay(traj, (50.0, 200.0))
         assert 0.0 < late.exponent < early.exponent
         poly = build_synthetic(2.0, 2.0, 48)
         ptraj = simulate_collocated(poly, x0, 200.0)
-        p_early = fit_decay(ptraj, NormScale.energy(), (10.0, 50.0))
+        p_early = fit_decay(ptraj, (10.0, 50.0))
         assert late.exponent < 0.5 * p_early.exponent

@@ -9,7 +9,9 @@ from wavelq.models import (
     build_star_network,
     build_synthetic,
     build_synthetic_exponential,
+    ConsistencyError,
     controllability_gramian,
+    fit_line,
     fit_weak_observability,
     observability_gramian,
 )
@@ -106,6 +108,26 @@ class TestStarNetwork:
         st = build_star_network([np.pi, 1.3], 0, 1, 30.0)
         weyl = 30.0 * (np.pi + 1.3) / np.pi
         assert abs(st.n_modes - weyl) <= 2.0
+
+    def test_interlacing_guard_accepts_true_spectra(self):
+        # pi/2, pi (three times), 3pi/2: the decoupled edges give D = 4 <= 5 <= D + 1
+        assert build_star_network([1.0, 1.0, 1.0, 1.0], 0, 1, 6.0).n_modes == 5
+        # lambda_max = 15 is a shared pole of the last two edges: D = 4 + 15 + 30
+        assert build_star_network([1.0, np.pi, 2 * np.pi], 0, 1, 15.0).n_modes == 49
+
+    def test_interlacing_guard_catches_a_missing_mode(self, monkeypatch):
+        import wavelq.models as md
+        full = md._star_eigenpairs
+
+        def drop_one(lengths, lambda_max):
+            lams, amps = full(lengths, lambda_max)
+            return lams[1:], amps[1:]
+
+        # four modes, all of them needed: D = 4
+        assert build_star_network([1.0, 1.0, 1.0, 1.0], 0, 1, 4.0).n_modes == 4
+        monkeypatch.setattr(md, "_star_eigenpairs", drop_one)
+        with pytest.raises(ConsistencyError):
+            build_star_network([1.0, 1.0, 1.0, 1.0], 0, 1, 4.0)
 
     def test_bad_inputs(self):
         with pytest.raises(DomainError):
@@ -283,6 +305,10 @@ class TestWeakObservabilityFit:
         assert rep.shell_edges.size == 3
         assert rep.warnings
 
+    def test_fit_line_needs_two_distinct_abscissae(self):
+        with pytest.raises(DomainError, match="distinct"):
+            fit_line(np.ones(3), np.array([1.0, 2.0, 3.0]))
+
     def test_requires_three_shells(self):
         sys_ = build_synthetic(2.0, 2.0, 16)
         with pytest.raises(DomainError):
@@ -310,6 +336,29 @@ class TestSystemInvariants:
             assert sys_.min_q_obs_eigenvalue() >= -1e-10 * scale
             assert np.all(np.diff(sys_.lambdas) >= 0.0)
             assert np.all(sys_.lambdas > 0.0)
+
+    @pytest.mark.parametrize("sys_", [
+        build_interval_wave(8),
+        build_interval_wave(8, control=("subinterval", 0.3, 1.2),
+                            observation=("subinterval", 1.0, 2.5)),
+        build_star_network([np.pi, np.pi, 1.0], 0, 2, 12.0),
+        build_rectangle(1.0, 2.0, 8.0),
+        build_synthetic(2.0, 2.0, 8),
+        build_synthetic_exponential(0.4, 0.4, 8),
+    ], ids=lambda s: s.label)
+    def test_gramians_exactly_symmetric_on_builders(self, sys_):
+        for W in (observability_gramian(sys_, 3.3, use_control=True),
+                  observability_gramian(sys_, 3.3, use_control=False),
+                  controllability_gramian(sys_, 3.3)):
+            assert np.array_equal(W, W.T)
+
+    def test_hand_built_q_obs_stored_exactly_symmetric(self):
+        from wavelq.models import SpectralSystem
+        Q = np.array([[2.0, 0.5], [0.5 + 1e-15, 1.0]])
+        sys_ = SpectralSystem([1.0, 2.0], np.eye(2), Q)
+        assert np.array_equal(sys_.Q_obs, sys_.Q_obs.T)
+        W = observability_gramian(sys_, 2.0, use_control=False)
+        assert np.array_equal(W, W.T)
 
 
 class TestObservationSideFit:

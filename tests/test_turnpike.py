@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 
 from wavelq.closed_loop import smooth_initial_state
 from wavelq.models import SpectralSystem, build_synthetic
@@ -145,6 +146,16 @@ class TestTracking:
         assert np.abs(vT - expected).max() <= 1e-7 * (1.0 + np.abs(expected).max())
 
 
+def _grid_quadrature(sys_, sol):
+    """Simpson quadrature on the recorded grid of the deviation running cost
+    int (||v||^2 + ||C (w - w_bar)||^2) dt and of the deviation position int (a - a_bar) dt."""
+    a_dev = sol.deviation_states[:, 0::2] / sys_.lambdas
+    obs = a_dev @ sys_.observation_factor().T
+    v = sol.deviation_controls
+    integrand = np.einsum("ij,ij->i", v, v) + np.einsum("ij,ij->i", obs, obs)
+    return simpson(integrand, x=sol.times), simpson(a_dev, x=sol.times, axis=0)
+
+
 class TestAveragedMetrics:
     def _runs(self, sys_, z, x0, horizons, dt_record=0.02):
         st = solve_stationary(sys_, z)
@@ -172,9 +183,16 @@ class TestAveragedMetrics:
         assert m_coarse.avg_state_gap[0] >= 0.0
         rel = abs(m_coarse.avg_tracking[0] - m_fine.avg_tracking[0]) / m_fine.avg_tracking[0]
         assert rel <= 1e-4
-        # quadrature also agrees with the solver-accumulated integral
-        assert m_fine.avg_tracking[0] == pytest.approx(
-            fine.deviation_cost_exact / 10.0, rel=1e-6)
+        # Simpson quadrature of the recorded grid agrees with the solver-accumulated
+        # integrals that the metrics read
+        cost_quad, int_a_quad = _grid_quadrature(sys_, fine)
+        assert cost_quad == pytest.approx(fine.deviation_cost_exact, rel=1e-6)
+        assert m_fine.avg_tracking[0] == pytest.approx(cost_quad / 10.0, rel=1e-6)
+        mean_a_quad = int_a_quad / 10.0
+        err = np.abs(mean_a_quad - fine.mean_deviation_a).max()
+        assert err <= 1e-6 * np.abs(mean_a_quad).max()
+        assert m_fine.avg_state_gap[0] == pytest.approx(
+            float(np.sum(sys_.lambdas**2 * mean_a_quad**2)), rel=1e-6)
 
     def test_horizons_must_increase(self):
         sys_ = build_synthetic(2.0, 2.0, 3)
