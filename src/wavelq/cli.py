@@ -342,19 +342,17 @@ def _run_decay(system, exp, outdir, rng, threads, riccati: bool):
 
 def _run_null_control(system, exp, outdir, rng, threads):
     t0, n_draws = exp["t0"], exp["n_draws"]
-    costs, ratios_strong, ratios_h, residuals = [], [], [], []
-    first = None
     strong = _default_scales(system)[1]
-    for _ in range(n_draws):
-        x0 = cl.smooth_initial_state(system.lambdas, exp["tail_exponent"], rng=rng).to_vector()
-        hum = cl.hum_null_control(system, x0, t0)
-        if first is None:
-            first = hum
-        costs.append(hum.cost)
-        residuals.append(hum.terminal_residual)
-        ratios_strong.append(hum.cost / sp.energy_norm_squared(x0, system.lambdas, strong))
-        ratios_h.append(hum.cost / sp.energy_norm_squared(x0, system.lambdas,
-                                                          NormScale.energy()))
+    x0s = np.array([cl.smooth_initial_state(system.lambdas, exp["tail_exponent"], rng=rng)
+                    .to_vector() for _ in range(n_draws)])
+    hums = cl.hum_null_control(system, x0s, t0)
+    first = hums[0]
+    costs = [hum.cost for hum in hums]
+    residuals = [hum.terminal_residual for hum in hums]
+    ratios_strong = [hum.cost / sp.energy_norm_squared(x0, system.lambdas, strong)
+                     for hum, x0 in zip(hums, x0s)]
+    ratios_h = [hum.cost / sp.energy_norm_squared(x0, system.lambdas, NormScale.energy())
+                for hum, x0 in zip(hums, x0s)]
     io.controls_to_csv(first.times, first.controls, os.path.join(outdir, "control.csv"))
     return {
         "experiment": "null_control",

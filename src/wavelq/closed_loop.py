@@ -2,7 +2,10 @@
 
 All closed loops here are linear time-invariant, so trajectories are advanced
 by the exact matrix exponential of the closed-loop generator over a fixed step
-(no secular drift over long horizons).
+(no secular drift over long horizons).  The generators are block diagonal over
+the system's decoupled blocks (``SpectralSystem.blocks``): the propagator and
+step Gramian come from one ``step_map`` per block and are assembled in the
+interleaved energy coordinates before the states are advanced.
 
 The dissipation integral of each loop's energy identity, such as
 ``int ||B^T x||^2 dt``, is accumulated exactly from the step Gramian
@@ -13,12 +16,14 @@ rather than sampling-quadrature precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
-from .models import SpectralSystem, apply_free_flow, controllability_gramian, fit_line
+from .models import (SpectralSystem, apply_free_flow, controllability_gramian, energy_index,
+                     fit_line)
 from .riccati import RiccatiSolution, first_order_matrices, step_map
 from .spectral import DimensionError, DomainError, EnergyState, as_energy_vector
 # unused here, but perfbench/tracing.py wraps closed_loop.energy_norm_squared by name
@@ -54,17 +59,28 @@ class Trajectory:
         return EnergyState.from_vector(self.states[i])
 
 
-def _simulate_lti(system: SpectralSystem, A_cl: np.ndarray, x0: np.ndarray, horizon: float,
+def _quadratic_forms(X: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """x^T M x for every row x of X, through BLAS over fixed 64-row chunks."""
+    out = np.empty(X.shape[0])
+    for k in range(0, X.shape[0], 64):
+        chunk = X[k:k + 64]
+        out[k:k + 64] = np.einsum("ij,ij->i", chunk @ M, chunk)
+    return out
+
+
+def _simulate_lti(system: SpectralSystem, generator, x0: np.ndarray, horizon: float,
                   dt: float | None, kind: str, control_gain: np.ndarray | None,
-                  m_obs: np.ndarray, weight: np.ndarray) -> Trajectory:
+                  m_obs: np.ndarray) -> Trajectory:
     """Advance x' = A_cl x exactly over equal steps of at most dt.
 
-    ``weight`` G is the dissipation density x^T G x of the run's energy
-    identity; its exact time integral becomes ``Trajectory.dissipation``.
+    ``generator(block, e)`` returns ``(A_cl, G)`` of one block: ``block`` is
+    the system restricted to it, ``e`` its energy-coordinate positions.  G is
+    the dissipation density x^T G x of the run's energy identity; its exact
+    time integral becomes ``Trajectory.dissipation``.
     """
     lam = system.lambdas
     x0 = as_energy_vector(x0)
-    if x0.size != A_cl.shape[0]:
+    if x0.size != 2 * lam.size:
         raise DimensionError("initial state dimension mismatch")
     if horizon <= 0.0:
         raise DomainError("horizon must be positive")
@@ -74,15 +90,19 @@ def _simulate_lti(system: SpectralSystem, A_cl: np.ndarray, x0: np.ndarray, hori
     h = horizon / steps
     times = np.linspace(0.0, horizon, steps + 1)
 
-    P, W = step_map(A_cl, h, cost=weight)
+    maps = []
+    for modes in system.blocks:
+        A_cl, G = generator(system.restrict(modes), energy_index(modes))
+        maps.append(step_map(A_cl, h, cost=G))
+    P = system.assemble([P_b for P_b, _ in maps])
+    W = system.assemble([W_b for _, W_b in maps])
     X = np.empty((steps + 1, x0.size))
     X[0] = x0
     for k in range(steps):
         X[k + 1] = P @ X[k]
 
     traj = Trajectory(times=times, states=X, energies=np.einsum("ij,ij->i", X, X),
-                      lambdas=lam, kind=kind,
-                      obs_power=np.einsum("ij,jk,ik->i", X, m_obs, X),
+                      lambdas=lam, kind=kind, obs_power=_quadratic_forms(X, m_obs),
                       dissipation=float(np.sum(W * (X[:-1].T @ X[:-1]))))
     if control_gain is not None:
         traj.controls = X @ control_gain.T  # u(t) = -gain @ x recorded with its sign
@@ -98,10 +118,14 @@ def simulate_collocated(system: SpectralSystem, x0, horizon: float,
     ``E(0)/2 - E(T)/2 = int ||B^T x||^2 dt`` holds at integrator precision
     (see energy_identity_defect).
     """
-    A, B, Q = first_order_matrices(system)
-    BBT = B @ B.T
-    return _simulate_lti(system, A - BBT, x0, horizon, dt, "collocated",
-                         control_gain=-B.T, m_obs=Q, weight=BBT)
+    def generator(block, e):
+        A, B, _ = first_order_matrices(block)
+        BBT = B @ B.T
+        return A - BBT, BBT
+
+    _, B, Q = first_order_matrices(system)
+    return _simulate_lti(system, generator, x0, horizon, dt, "collocated",
+                         control_gain=-B.T, m_obs=Q)
 
 
 def simulate_riccati_feedback(system: SpectralSystem, solution: RiccatiSolution, x0,
@@ -112,15 +136,19 @@ def simulate_riccati_feedback(system: SpectralSystem, solution: RiccatiSolution,
     equation, V is nonincreasing with V(0) - V(T) = int (||B^T E x||^2 +
     ||C w||^2) dt.
     """
-    A, B, Q = first_order_matrices(system)
+    _, B, Q = first_order_matrices(system)
     E = solution.E
-    if E.shape[0] != A.shape[0]:
+    if E.shape[0] != B.shape[0]:
         raise DimensionError("Riccati solution dimension does not match the system")
-    gain = B.T @ E
-    A_cl = A - B @ gain
-    traj = _simulate_lti(system, A_cl, x0, horizon, dt, "riccati_feedback",
-                         control_gain=-gain, m_obs=Q, weight=gain.T @ gain + Q)
-    traj.values = np.einsum("ij,jk,ik->i", traj.states, E, traj.states)
+
+    def generator(block, e):
+        A_b, B_b, Q_b = first_order_matrices(block)
+        gain = B_b.T @ E[np.ix_(e, e)]
+        return A_b - B_b @ gain, gain.T @ gain + Q_b
+
+    traj = _simulate_lti(system, generator, x0, horizon, dt, "riccati_feedback",
+                         control_gain=-(B.T @ E), m_obs=Q)
+    traj.values = _quadratic_forms(traj.states, E)
     return traj
 
 
@@ -132,12 +160,19 @@ def simulate_backward_observer(system: SpectralSystem, terminal_state, horizon: 
     forward system with velocity damping C*C; ``times`` are tau values
     (0 = terminal time, horizon = initial time t = 0).
     """
-    A, _, _ = first_order_matrices(system)
-    n = system.n_modes
-    D = np.zeros((2 * n, 2 * n))
-    D[np.ix_(np.arange(1, 2 * n, 2), np.arange(1, 2 * n, 2))] = system.Q_obs
-    return _simulate_lti(system, A - D, terminal_state, horizon, dt, "backward_observer",
-                         control_gain=None, m_obs=D, weight=D)
+    def velocity_form(block):
+        n = block.n_modes
+        D = np.zeros((2 * n, 2 * n))
+        D[np.ix_(np.arange(1, 2 * n, 2), np.arange(1, 2 * n, 2))] = block.Q_obs
+        return D
+
+    def generator(block, e):
+        A, _, _ = first_order_matrices(block)
+        D = velocity_form(block)
+        return A - D, D
+
+    return _simulate_lti(system, generator, terminal_state, horizon, dt, "backward_observer",
+                         control_gain=None, m_obs=velocity_form(system))
 
 
 def energy_identity_defect(traj: Trajectory) -> float:
@@ -167,60 +202,71 @@ def energy_identity_defect(traj: Trajectory) -> float:
 @dataclass
 class HumControl:
     """Minimal-L2 control steering x0 to zero at t0 (convention:
-    u(t) = -B^T Phi(t0 - t)^T W(t0)^{-1} Phi(t0) x0)."""
+    u(t) = -B^T Phi(t0 - t)^T W(t0)^{-1} Phi(t0) x0).
+
+    ``gamma`` is W(t0)^{-1} Phi(t0) x0.  ``controls``, the samples of u at
+    ``times``, are formed from it on first access, so a stack of draws holds
+    one state-sized vector per draw instead of every draw's samples.
+    """
 
     times: np.ndarray
-    controls: np.ndarray
+    gamma: np.ndarray
     cost: float
     terminal_residual: float
     gramian_condition: float
     certified: bool
+    _rotation: tuple = field(repr=False, compare=False)  # cos, sin of lambda (t - t0); B_mod
     note: str = ""
 
+    @functools.cached_property
+    def controls(self) -> np.ndarray:
+        c, s, B_mod = self._rotation
+        return -((c * self.gamma[1::2] - s * self.gamma[0::2]) @ B_mod)
 
-def hum_null_control(system: SpectralSystem, x0, t0: float, n_samples: int = 257) -> HumControl:
+
+def hum_null_control(system: SpectralSystem, x0, t0: float, n_samples: int = 257):
     """Steer x0 to the origin at time t0 with the minimum-energy control.
 
-    The controllability Gramian is evaluated in closed form; if its condition
-    number exceeds 1e12 the solve is Tikhonov-regularized and flagged as not
-    certified.  ``terminal_residual`` is the state-space norm of the reached
-    terminal state.
+    ``x0`` is one state, or a stack with one state per row, for which a list
+    with one HumControl per row is returned; the Gramian is built, its
+    condition number taken and its Cholesky factor formed once for the whole
+    stack.  The Gramian is evaluated in closed form; if its condition number
+    exceeds 1e12 the solve is Tikhonov-regularized and flagged as not
+    certified (a zero state is always certified).  ``terminal_residual`` is
+    the state-space norm of the reached terminal state.
     """
     if t0 <= 0.0:
         raise DomainError("steering time must be positive")
     x0 = as_energy_vector(x0)
     lam = system.lambdas
-    if x0.size != 2 * lam.size:
+    if x0.shape[-1] != 2 * lam.size or x0.ndim > 2:
         raise DimensionError("state dimension mismatch")
 
     W = controllability_gramian(system, t0)
-    y = apply_free_flow(lam, t0, x0)
-    if not np.any(x0):
-        times = np.linspace(0.0, t0, n_samples)
-        zeros = np.zeros((n_samples, system.n_controls))
-        return HumControl(times, zeros, 0.0, 0.0, float(np.linalg.cond(W)), True)
-
     cond = float(np.linalg.cond(W))
     if cond < 1e12:
-        gamma = scipy.linalg.solve(W, y, assume_a="pos")
-        certified = True
-        note = ""
+        factor = scipy.linalg.cho_factor(W)
     else:
         eps = 1e-14 * np.trace(W) / W.shape[0]
-        gamma = scipy.linalg.solve(W + eps * np.eye(W.shape[0]), y, assume_a="pos")
-        certified = False
-        note = "weakly controllable -- residual not certified"
+        factor = scipy.linalg.cho_factor(W + eps * np.eye(W.shape[0]))
+    states = np.atleast_2d(x0)
+    y = apply_free_flow(lam, t0, states)
+    gamma = scipy.linalg.cho_solve(factor, y.T).T
+    Wgamma = gamma @ W
+    costs = np.einsum("ij,ij->i", Wgamma, gamma)
+    residuals = np.linalg.norm(y - Wgamma, axis=1)
 
-    cost = float(gamma @ W @ gamma)
-    residual = float(np.linalg.norm(y - W @ gamma))
-
+    # u(t) = -B^T (velocity part of Phi(t - t0) gamma): one rotation for all sample times
     times = np.linspace(0.0, t0, n_samples)
-    controls = np.empty((n_samples, system.n_controls))
-    for k, t in enumerate(times):
-        z = apply_free_flow(lam, t - t0, gamma)
-        controls[k] = -(system.B_mod.T @ z[1::2])
-    return HumControl(times=times, controls=controls, cost=cost, terminal_residual=residual,
-                      gramian_condition=cond, certified=certified, note=note)
+    phase = lam * (times[:, None] - t0)
+    rotation = (np.cos(phase), np.sin(phase), system.B_mod)
+    out = []
+    for x, g, cost, res in zip(states, gamma, costs, residuals, strict=True):
+        certified = cond < 1e12 or not np.any(x)
+        out.append(HumControl(times=times, gamma=g, cost=float(cost), terminal_residual=float(res),
+                              gramian_condition=cond, certified=certified, _rotation=rotation,
+                              note="" if certified else "weakly controllable -- residual not certified"))
+    return out if x0.ndim == 2 else out[0]
 
 
 # ---------------------------------------------------------------------------

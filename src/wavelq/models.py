@@ -9,6 +9,16 @@ Distributed controls/observations on subregions are realized through the
 exact modal overlap matrix K of the indicator multiplier (closed-form
 integrals of eigenfunction products); ``B_mod`` is the symmetric PSD square
 root of K, so ``B_mod B_mod^T = K`` holds exactly.
+
+``SpectralSystem.blocks`` are the groups of modes that the control and
+observation couple: the connected components of the exact nonzeros of
+``B_mod B_mod^T`` and ``Q_obs``.  The free flow is per-mode, so every
+Gramian, Riccati solution and closed loop of the system is block diagonal
+over them.  The solvers work one block at a time on ``restrict(modes)`` and
+put the pieces back with ``assemble``; a system with one block (the interval
+with subinterval control, the stars) is solved whole.  The synthetic
+families split into single modes, the rectangle with strip control into one
+block per x2 index.
 """
 
 from __future__ import annotations
@@ -66,6 +76,11 @@ def psd_sqrt(M: np.ndarray) -> np.ndarray:
 # system container
 
 
+def energy_index(modes: np.ndarray) -> np.ndarray:
+    """Positions of the given modes' (xi, zeta) pairs in interleaved energy coordinates."""
+    return np.column_stack([2 * modes, 2 * modes + 1]).ravel()
+
+
 @dataclass
 class SpectralSystem:
     """Truncated modal system: frequencies, control map and observation form."""
@@ -77,6 +92,7 @@ class SpectralSystem:
     rho: float | None = None  # planted control-side exponent, if any
     eta: float | None = None  # planted observation-side exponent, if any
     _bbt: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _blocks: list | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.lambdas = as_frequencies(self.lambdas)
@@ -107,6 +123,59 @@ class SpectralSystem:
         if self._bbt is None:
             self._bbt = self.B_mod @ self.B_mod.T
         return self._bbt
+
+    @property
+    def blocks(self) -> list[np.ndarray]:
+        """Mode-index arrays of the decoupled blocks, ordered by first mode (cached).
+
+        Two modes share a block when a chain of exact nonzeros of ``bbt`` or
+        ``Q_obs`` links them; any nonzero coupling, however small, counts.
+        """
+        if self._blocks is None:
+            linked = (self.bbt != 0.0) | (self.Q_obs != 0.0)
+            seen = np.zeros(self.n_modes, dtype=bool)
+            self._blocks = []
+            for seed in range(self.n_modes):
+                if seen[seed]:
+                    continue
+                member = np.zeros(self.n_modes, dtype=bool)
+                member[seed] = True
+                front = member
+                while front.any():
+                    front = linked[front].any(axis=0) & ~member
+                    member |= front
+                seen |= member
+                self._blocks.append(np.flatnonzero(member))
+        return self._blocks
+
+    def restrict(self, modes: np.ndarray) -> SpectralSystem:
+        """The system on a subset of its modes (itself when ``modes`` is all of them).
+
+        Exact for a union of blocks; for a subset within a block it is the
+        compression used by shell-restricted Gramians.  Controls that act on
+        none of the modes are dropped, so ``B_mod`` keeps only the columns
+        that are nonzero on them.
+        """
+        if modes.size == self.n_modes:
+            return self
+        rows = np.ix_(modes, modes)
+        B_mod = self.B_mod[modes]
+        return SpectralSystem(self.lambdas[modes], B_mod[:, B_mod.any(axis=0)], self.Q_obs[rows],
+                              label=self.label, _bbt=self.bbt[rows])
+
+    def assemble(self, parts) -> np.ndarray:
+        """The block-diagonal energy-coordinate matrix with one part per block.
+
+        ``parts[k]`` is in the interleaved coordinates of ``blocks[k]``; with
+        a single block it is returned as it is.
+        """
+        if len(parts) == 1:
+            return parts[0]
+        out = np.zeros((2 * self.n_modes, 2 * self.n_modes))
+        for modes, part in zip(self.blocks, parts, strict=True):
+            e = energy_index(modes)
+            out[np.ix_(e, e)] = part
+        return out
 
     def observation_energy_form(self) -> np.ndarray:
         """Q_obs lifted to energy coordinates: D^-1 Q_obs D^-1 with D = diag(lambda)."""
@@ -434,25 +503,33 @@ def _rotation_gramian(lam: np.ndarray, M11, M22, horizon: float, reverse: bool =
     return W
 
 
+def _gramian(system: SpectralSystem, horizon: float, use_control: bool,
+             reverse: bool = False) -> np.ndarray:
+    """Free-flow Gramian of one block (or shell of one) in its energy coordinates."""
+    if use_control:
+        return _rotation_gramian(system.lambdas, None, system.bbt, horizon, reverse=reverse)
+    return _rotation_gramian(system.lambdas, system.observation_energy_form(), None, horizon)
+
+
 def observability_gramian(system: SpectralSystem, horizon: float, use_control: bool = True) -> np.ndarray:
     """Gramian W = int_0^T Phi^T M Phi dt of the free flow, in energy coordinates.
 
     ``use_control=True`` observes B* w_t (M is the velocity form B B*);
     ``use_control=False`` observes C w (M is C*C lifted to energy coordinates).
+    Built block by block over ``system.blocks``.
     """
     if horizon <= 0.0:
         raise DomainError("horizon must be positive")
-    lam = system.lambdas
-    if use_control:
-        return _rotation_gramian(lam, None, system.bbt, horizon)
-    return _rotation_gramian(lam, system.observation_energy_form(), None, horizon)
+    return system.assemble([_gramian(system.restrict(modes), horizon, use_control)
+                            for modes in system.blocks])
 
 
 def controllability_gramian(system: SpectralSystem, horizon: float) -> np.ndarray:
     """Gramian int_0^T Phi(s) B B^T Phi(s)^T ds used by minimum-norm steering."""
     if horizon <= 0.0:
         raise DomainError("horizon must be positive")
-    return _rotation_gramian(system.lambdas, None, system.bbt, horizon, reverse=True)
+    return system.assemble([_gramian(system.restrict(modes), horizon, True, reverse=True)
+                            for modes in system.blocks])
 
 
 def free_flow(system_or_lambdas, t: float) -> np.ndarray:
@@ -471,11 +548,11 @@ def free_flow(system_or_lambdas, t: float) -> np.ndarray:
 
 
 def apply_free_flow(lam: np.ndarray, t: float, x: np.ndarray) -> np.ndarray:
-    """Apply Phi(t) to an interleaved energy vector without forming the matrix."""
+    """Apply Phi(t) to interleaved energy vectors (the last axis) without forming the matrix."""
     c, s = np.cos(lam * t), np.sin(lam * t)
     out = np.empty_like(x)
-    out[0::2] = c * x[0::2] + s * x[1::2]
-    out[1::2] = -s * x[0::2] + c * x[1::2]
+    out[..., 0::2] = c * x[..., 0::2] + s * x[..., 1::2]
+    out[..., 1::2] = -s * x[..., 0::2] + c * x[..., 1::2]
     return out
 
 
@@ -508,18 +585,19 @@ def shell_constant(system: SpectralSystem, shell_lo: float, shell_hi: float,
     """Min eigenvalue of the Gramian restricted to modes in [lo, hi), per unit T/2.
 
     The restriction is exact: the free flow is per-mode block diagonal, so the
-    Gramian of shell-supported data involves only the shell rows and columns.
+    Gramian of shell-supported data involves only the shell rows and columns,
+    and it splits further over ``system.blocks``: the minimum is taken over
+    the blocks that meet the shell.
     """
-    idx = np.flatnonzero((system.lambdas >= shell_lo) & (system.lambdas < shell_hi))
-    if idx.size == 0:
+    in_shell = (system.lambdas >= shell_lo) & (system.lambdas < shell_hi)
+    if not in_shell.any():
         raise DomainError("empty shell")
-    sublam = system.lambdas[idx]
-    if use_control:
-        W = _rotation_gramian(sublam, None, system.bbt[np.ix_(idx, idx)], horizon)
-    else:
-        M11 = system.observation_energy_form()[np.ix_(idx, idx)]
-        W = _rotation_gramian(sublam, M11, None, horizon)
-    lo_eig = scipy.linalg.eigh(W, eigvals_only=True, subset_by_index=[0, 0])[0]
+    lo_eig = np.inf
+    for modes in system.blocks:
+        part = modes[in_shell[modes]]
+        if part.size:
+            W = _gramian(system.restrict(part), horizon, use_control)
+            lo_eig = min(lo_eig, scipy.linalg.eigh(W, eigvals_only=True, subset_by_index=[0, 0])[0])
     return float(max(lo_eig, 0.0) / (horizon / 2.0))
 
 

@@ -166,14 +166,29 @@ def _sweep(E: np.ndarray, M: np.ndarray, duration: float, max_step: float) -> np
     return E
 
 
+def _dre_snapshots(system: SpectralSystem, taus) -> dict:
+    """DRE snapshots of one block at the sorted positive times ``taus``, keyed by time."""
+    A, B, Q = first_order_matrices(system)
+    M = hamiltonian_matrix(A, B, Q)
+    max_step = np.pi / (4.0 * system.lambdas.max())
+    E = np.zeros_like(A)
+    by_tau = {0.0: E}
+    t_now = 0.0
+    for tau in taus:
+        E = _sweep(E, M, tau - t_now, max_step)
+        by_tau[float(tau)] = E
+        t_now = tau
+    return by_tau
+
+
 def integrate_dre(system: SpectralSystem, horizon: float, snapshot_times=None):
     """Solve the matrix Riccati equation forward in time-to-go from E(0) = 0.
 
     Returns one RiccatiSolution per requested snapshot (default: the horizon
-    only).  The flow is swept with the exact Hamiltonian step map, in equal
-    steps of at most pi/(4 lambda_max) between consecutive snapshot times, so
-    every snapshot falls on the step grid.  The quadratic form is monotone
-    nondecreasing in the time-to-go.
+    only).  Each block of the system is swept with the exact Hamiltonian step
+    map, in equal steps of at most pi/(4 lambda_max) of the block between
+    consecutive snapshot times, so every snapshot falls on the step grid.
+    The quadratic form is monotone nondecreasing in the time-to-go.
     """
     if horizon <= 0.0:
         raise DomainError("horizon must be positive")
@@ -183,16 +198,10 @@ def integrate_dre(system: SpectralSystem, horizon: float, snapshot_times=None):
     if np.any(taus < 0.0) or np.any(taus > horizon + 1e-12):
         raise DomainError("snapshot times must lie in [0, horizon]")
 
-    A, B, Q = first_order_matrices(system)
-    M = hamiltonian_matrix(A, B, Q)
-    max_step = np.pi / (4.0 * system.lambdas.max())
-    E = np.zeros_like(A)
-    by_tau = {0.0: E}
-    t_now = 0.0
-    for tau in np.unique(taus[taus > 0.0]):
-        E = _sweep(E, M, tau - t_now, max_step)
-        by_tau[float(tau)] = E
-        t_now = tau
+    parts = [_dre_snapshots(system.restrict(modes), np.unique(taus[taus > 0.0]))
+             for modes in system.blocks]
+    by_tau = {float(tau): system.assemble([p[float(tau)] for p in parts])
+              for tau in np.unique(taus)}
     return [RiccatiSolution(E=by_tau[float(tau)], horizon=float(tau), residual=0.0, method="dre")
             for tau in taus]
 
@@ -200,31 +209,33 @@ def integrate_dre(system: SpectralSystem, horizon: float, snapshot_times=None):
 def _check_stabilizable(system: SpectralSystem):
     """Raise when an uncontrollable mode group carries observation cost.
 
-    Frequencies are grouped by near-equality; within a group the controllable
-    subspace is the row space of B_mod restricted to the group.
+    Within each block, frequencies are grouped by near-equality; within a
+    group the controllable subspace is the row space of B_mod restricted to
+    the group.  Rows of different blocks are orthogonal, so the check splits
+    exactly over the blocks; its thresholds are those of the whole system.
     """
-    lam = system.lambdas
-    Qe = system.observation_energy_form()
-    groups = []
-    start = 0
-    for i in range(1, lam.size + 1):
-        if i == lam.size or lam[i] - lam[start] > 1e-9 * max(1.0, lam[start]):
-            groups.append(np.arange(start, i))
-            start = i
     scale = max(np.abs(system.B_mod).max(), 1.0)
-    for g in groups:
-        rows = system.B_mod[g, :]
-        u, s, _ = np.linalg.svd(rows, full_matrices=True)
-        rank = int(np.sum(s > 1e-10 * scale)) if s.size else 0
-        if rank >= g.size:
-            continue
-        null = u[:, rank:]  # directions in the group with no control authority
-        qg = Qe[np.ix_(g, g)]
-        worst = np.abs(null.T @ qg @ null).max()
-        if worst > 1e-10 * max(1.0, np.abs(Qe).max()):
-            raise StabilizabilityError(
-                f"modes near lambda={lam[g[0]]:.6g} are uncontrollable but carry "
-                f"observation cost {worst:.2e}")
+    cost_floor = 1e-10 * max(1.0, np.abs(system.observation_energy_form()).max())
+    for modes in system.blocks:
+        block = system.restrict(modes)
+        lam = block.lambdas
+        Qe = block.observation_energy_form()
+        start = 0
+        for i in range(1, lam.size + 1):
+            if i < lam.size and lam[i] - lam[start] <= 1e-9 * max(1.0, lam[start]):
+                continue
+            g = np.arange(start, i)
+            start = i
+            u, s, _ = np.linalg.svd(block.B_mod[g, :], full_matrices=True)
+            rank = int(np.sum(s > 1e-10 * scale)) if s.size else 0
+            if rank >= g.size:
+                continue
+            null = u[:, rank:]  # directions in the group with no control authority
+            worst = np.abs(null.T @ Qe[np.ix_(g, g)] @ null).max()
+            if worst > cost_floor:
+                raise StabilizabilityError(
+                    f"modes near lambda={lam[g[0]]:.6g} are uncontrollable but carry "
+                    f"observation cost {worst:.2e}")
 
 
 def _are_residual(E: np.ndarray, lam: np.ndarray, B: np.ndarray, Q: np.ndarray) -> float:
@@ -240,22 +251,33 @@ def solve_are(system: SpectralSystem, method: str = "newton_kleinman") -> Riccat
     successive snapshots agree, realizing the minimal solution as the limit of
     the finite-horizon operators.  Newton-Kleinman stops at a residual of at most
     1e-9 (1 + ||X||^2) within 60 steps, ``dre_limit`` at a snapshot change <= 1e-8.
+
+    Each block of the system is solved on its own and the results are
+    assembled.  A block stops at its share of the whole system's tolerance
+    (the tolerance over sqrt(number of blocks), with its own ||X||), so the
+    assembled solution meets both rules on the full matrix; ``residual`` is
+    the Frobenius norm of the full residual.
     """
+    if method not in ("newton_kleinman", "dre_limit"):
+        raise DomainError(f"unknown ARE method {method!r}")
+    _check_stabilizable(system)
+    share = 1.0 / np.sqrt(len(system.blocks))
+    solve = _are_newton_kleinman if method == "newton_kleinman" else _are_dre_limit
+    parts, residuals = zip(*(solve(system.restrict(modes), share) for modes in system.blocks))
+    return RiccatiSolution(E=system.assemble(parts), horizon=np.inf,
+                           residual=float(np.linalg.norm(residuals)), method=method)
+
+
+def _are_newton_kleinman(system: SpectralSystem, share: float):
+    """Newton-Kleinman on one block: returns (X, ||R||) at ||R|| <= share 1e-9 (1 + ||X||^2)."""
     lam = system.lambdas
     A, B, Q = first_order_matrices(system)
-    _check_stabilizable(system)
-
-    if method == "dre_limit":
-        return _solve_are_dre_limit(lam, A, B, Q)
-    if method != "newton_kleinman":
-        raise DomainError(f"unknown ARE method {method!r}")
-
     BBT = B @ B.T
     X = np.eye(2 * lam.size)
     if _spectral_abscissa(A - BBT) >= -1e-12:
         tau0 = 10.0 / lam.min()
         for _ in range(3):
-            X = integrate_dre(system, tau0)[-1].E
+            X = _dre_snapshots(system, [tau0])[tau0]
             if _spectral_abscissa(A - BBT @ X) < -1e-12:
                 break
             tau0 *= 2.0
@@ -271,12 +293,15 @@ def solve_are(system: SpectralSystem, method: str = "newton_kleinman") -> Riccat
             raise MethodError("Newton-Kleinman diverged; try method='dre_limit'")
         X = X_new
         res = _are_residual(X, lam, B, Q)
-        if res <= 1e-9 * (1.0 + np.linalg.norm(X) ** 2):
-            return RiccatiSolution(E=X, horizon=np.inf, residual=res, method="newton_kleinman")
+        if res <= share * 1e-9 * (1.0 + np.linalg.norm(X) ** 2):
+            return X, res
     raise MethodError("Newton-Kleinman did not converge; try method='dre_limit'")
 
 
-def _solve_are_dre_limit(lam, A, B, Q):
+def _are_dre_limit(system: SpectralSystem, share: float):
+    """Horizon-doubling DRE limit on one block: returns (X, ||R||) at a change <= share 1e-8."""
+    lam = system.lambdas
+    A, B, Q = first_order_matrices(system)
     M = hamiltonian_matrix(A, B, Q)
     max_step = np.pi / (4.0 * lam.max())
     tau = max(1.0, 10.0 / lam.min())
@@ -286,9 +311,8 @@ def _solve_are_dre_limit(lam, A, B, Q):
         prev = cur
         cur = _sweep(cur, M, tau - t_now, max_step)
         t_now = tau
-        if np.linalg.norm(cur - prev) <= 1e-8:
-            res = _are_residual(cur, lam, B, Q)
-            return RiccatiSolution(E=cur, horizon=np.inf, residual=res, method="dre_limit")
+        if np.linalg.norm(cur - prev) <= share * 1e-8:
+            return cur, _are_residual(cur, lam, B, Q)
         tau *= 2.0
     raise MethodError("dre_limit did not converge within the horizon cap")
 

@@ -25,10 +25,6 @@ from .riccati import RiccatiSolution
 from .turnpike import TurnpikeReport
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _matrix_payload(M: np.ndarray) -> dict:
     M = np.atleast_2d(np.asarray(M, dtype=float))
     return {"rows": int(M.shape[0]), "cols": int(M.shape[1]),
@@ -107,6 +103,12 @@ def load_riccati(path) -> RiccatiSolution:
         return riccati_from_dict(json.load(f))
 
 
+def _write_rows(f, columns) -> None:
+    """One CSV line per row of the given equal-length columns, each row formatted once."""
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    f.writelines(row % values for values in zip(*columns))
+
+
 def trajectory_to_csv(traj: Trajectory, path) -> None:
     n = traj.n_samples
     nan = np.full(n, np.nan)
@@ -115,27 +117,20 @@ def trajectory_to_csv(traj: Trajectory, path) -> None:
     ops = traj.obs_power if traj.obs_power is not None else nan
     with open(path, "w", newline="\n") as f:
         f.write("time,energy,value,control_norm_sq,obs_norm_sq\n")
-        for k in range(n):
-            f.write(",".join(_fmt(v) for v in
-                             (traj.times[k], traj.energies[k], values[k], cps[k], ops[k])))
-            f.write("\n")
+        _write_rows(f, (traj.times, traj.energies, values, cps, ops))
 
 
 def turnpike_to_csv(report: TurnpikeReport, path) -> None:
     with open(path, "w", newline="\n") as f:
         f.write("horizon,avg_tracking,avg_state_gap,bound_proxy\n")
-        for k in range(report.horizons.size):
-            f.write(",".join(_fmt(v) for v in
-                             (report.horizons[k], report.avg_tracking[k],
-                              report.avg_state_gap[k], report.bound_values[k])))
-            f.write("\n")
+        _write_rows(f, (report.horizons, report.avg_tracking, report.avg_state_gap,
+                        report.bound_values))
 
 
 def observability_to_csv(report, path) -> None:
     with open(path, "w", newline="\n") as f:
         f.write("shell_lambda,shell_constant\n")
-        for lo, c in zip(report.shell_edges, report.shell_constants):
-            f.write(f"{_fmt(lo)},{_fmt(c)}\n")
+        _write_rows(f, (report.shell_edges, report.shell_constants))
 
 
 def controls_to_csv(times: np.ndarray, controls: np.ndarray, path) -> None:
@@ -143,5 +138,4 @@ def controls_to_csv(times: np.ndarray, controls: np.ndarray, path) -> None:
     m = controls.shape[1]
     with open(path, "w", newline="\n") as f:
         f.write("time," + ",".join(f"u_{i}" for i in range(m)) + "\n")
-        for k in range(times.size):
-            f.write(_fmt(times[k]) + "," + ",".join(_fmt(v) for v in controls[k]) + "\n")
+        _write_rows(f, (times, *controls.T))

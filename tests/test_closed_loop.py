@@ -203,6 +203,22 @@ class TestHum:
         assert all(costs[i] < costs[i + 1] for i in range(len(costs) - 1))
 
 
+    def test_stack_of_states_matches_one_call_per_state(self):
+        sys_ = build_synthetic(2.0, 2.0, 16)
+        rng = np.random.default_rng(5)
+        x0s = np.array([smooth_initial_state(sys_.lambdas, 1.6, rng=rng).to_vector()
+                        for _ in range(4)] + [np.zeros(32)])
+        stack = hum_null_control(sys_, x0s, 2.5 * np.pi, n_samples=33)
+        assert len(stack) == 5
+        for x0, h in zip(x0s, stack):
+            one = hum_null_control(sys_, x0, 2.5 * np.pi, n_samples=33)
+            assert h.cost == pytest.approx(one.cost, rel=1e-12, abs=0.0)
+            assert h.terminal_residual <= 1e-12 * max(1.0, np.linalg.norm(x0))
+            assert np.abs(h.controls - one.controls).max() <= 1e-12 * max(1.0, np.abs(one.controls).max())
+            assert h.certified and h.gramian_condition == one.gramian_condition
+        assert stack[-1].cost == 0.0 and not stack[-1].controls.any()
+
+
 class TestFitDecay:
     def _power_law_traj(self, exponent, t_end=100.0, n=3000):
         ts = np.linspace(0.0, t_end, n)
@@ -291,6 +307,18 @@ class TestTrajectoryInvariants:
         traj = simulate_collocated(sys_, x0, 5.0)
         expected = -(traj.states[:, 1::2] @ sys_.B_mod)
         assert np.abs(traj.controls - expected).max() <= 1e-12
+
+    def test_recorded_quadratic_forms_match_per_row_reference(self):
+        # 151 samples: two full 64-row chunks and a partial one
+        sys_ = build_synthetic(2.0, 2.0, 5)
+        x0 = smooth_initial_state(sys_.lambdas, 1.3, rng=np.random.default_rng(7))
+        sol = solve_are(sys_)
+        traj = simulate_riccati_feedback(sys_, sol, x0, 14.95, dt=0.1)
+        assert traj.n_samples == 151
+        _, _, Q = first_order_matrices(sys_)
+        for got, M in ((traj.values, sol.E), (traj.obs_power, Q)):
+            ref = np.array([x @ M @ x for x in traj.states])
+            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 class TestExponentialWeightRegime:

@@ -371,3 +371,47 @@ class TestObservationSideFit:
                                          use_control=False)
             assert abs(rep.rho_hat - eta) <= 0.1 * eta
             assert rep.use_control is False
+
+
+class TestBlocks:
+    def test_rectangle_one_block_per_x2_index(self):
+        sys_ = build_rectangle(1.0, 2.0, 12.0)
+        x2 = sys_.mode_indices[:, 1]
+        assert len(sys_.blocks) == np.unique(x2).size
+        for modes in sys_.blocks:
+            assert np.unique(x2[modes]).size == 1
+        assert np.array_equal(np.sort(np.concatenate(sys_.blocks)), np.arange(sys_.n_modes))
+
+    @pytest.mark.parametrize("sys_", [build_synthetic(2.0, 2.0, 9),
+                                      build_synthetic_exponential(0.3, 0.5, 7),
+                                      build_interval_wave(6)], ids=lambda s: s.label)
+    def test_decoupled_families_are_singletons(self, sys_):
+        assert [m.tolist() for m in sys_.blocks] == [[k] for k in range(sys_.n_modes)]
+
+    def test_interval_subinterval_control_is_one_block(self):
+        sys_ = build_interval_wave(10, control=("subinterval", 0.4, 1.9))
+        assert len(sys_.blocks) == 1
+        assert np.array_equal(sys_.blocks[0], np.arange(10))
+        assert sys_.restrict(sys_.blocks[0]) is sys_
+
+    def test_tiny_nonzero_coupling_keeps_modes_together(self):
+        from wavelq.models import SpectralSystem
+        B = np.diag([1.0, 1.0, 1.0])
+        Q = np.diag([1.0, 2.0, 3.0])
+        assert [m.tolist() for m in SpectralSystem([1.0, 2.0, 3.0], B, Q).blocks] == [[0], [1], [2]]
+        Q[0, 2] = Q[2, 0] = 1e-300
+        assert [m.tolist() for m in SpectralSystem([1.0, 2.0, 3.0], B, Q).blocks] == [[0, 2], [1]]
+        B[1, 0] = 1e-160  # bbt[0, 1] = 1e-160, a nonzero product
+        assert [m.tolist() for m in SpectralSystem([1.0, 2.0, 3.0], B, Q).blocks] == [[0, 1, 2]]
+
+    def test_gramians_are_assembled_block_diagonal(self):
+        sys_ = build_rectangle(1.0, 2.0, 7.0)
+        from wavelq.models import energy_index
+        W = observability_gramian(sys_, 2.5)
+        for i, a in enumerate(sys_.blocks):
+            for j, b in enumerate(sys_.blocks):
+                sub = W[np.ix_(energy_index(a), energy_index(b))]
+                if i == j:
+                    assert np.array_equal(sub, observability_gramian(sys_.restrict(a), 2.5))
+                else:
+                    assert not sub.any()

@@ -4,20 +4,32 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
+from wavelq.closed_loop import (
+    hum_null_control,
+    simulate_backward_observer,
+    simulate_collocated,
+    simulate_riccati_feedback,
+)
 from wavelq.models import (
     SpectralSystem,
     build_interval_wave,
     build_synthetic,
+    controllability_gramian,
     observability_gramian,
+    shell_constant,
 )
 from wavelq.riccati import (
     StabilizabilityError,
     bounds_report,
     closed_loop_matrix,
     first_order_matrices,
+    hamiltonian_matrix,
     integrate_dre,
+    riccati_step,
     solve_are,
+    step_map,
     value,
 )
 from wavelq.spectral import NormScale
@@ -290,3 +302,116 @@ class TestExponentialWeightScales:
             sol = solve_are(sys_)
             scale = np.abs(sol.E).max()
             assert sol.min_eigenvalue() >= -1e-8 * scale
+
+
+# ---------------------------------------------------------------------------
+# block dispatch against monolithic oracles on the whole system
+
+
+@st.composite
+def block_systems(draw):
+    """A system with 1-3 coupled blocks of 1-3 modes each, on randomly permuted mode indices."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    # per block, which of B B^T and Q_obs couples its modes (the other is diagonal)
+    links = draw(st.lists(st.sampled_from(["both", "control", "observation"]),
+                          min_size=len(sizes), max_size=len(sizes)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = sum(sizes)
+    perm = rng.permutation(n)
+    B = np.zeros((n, n))
+    Q = np.zeros((n, n))
+    start = 0
+    for size, link in zip(sizes, links):
+        rows = np.ix_(perm[start:start + size], perm[start:start + size])
+        B[rows] = np.diag(rng.uniform(0.5, 2.0, size))
+        if link != "observation":
+            B[rows] += rng.standard_normal((size, size))
+        C = rng.standard_normal((size, size))
+        Q[rows] = C @ C.T + 0.1 * np.eye(size) if link != "control" \
+            else np.diag(rng.uniform(0.1, 2.0, size))
+        start += size
+    sys_ = SpectralSystem(np.sort(rng.uniform(0.5, 4.0, n)), B, Q)
+    return sys_, len(sizes), rng.standard_normal(2 * n)
+
+
+def mono_dre(sys_, taus):
+    """Davison-Maki sweep of the whole system in steps of at most pi/(4 lambda_max)."""
+    A, B, Q = first_order_matrices(sys_)
+    M = hamiltonian_matrix(A, B, Q)
+    E, t_now, out = np.zeros_like(A), 0.0, []
+    for tau in taus:
+        steps = int(np.ceil((tau - t_now) / (np.pi / (4.0 * sys_.lambdas.max()))))
+        Phi, _ = step_map(M, (tau - t_now) / steps)
+        for _ in range(steps):
+            E = riccati_step(E, Phi)
+        out.append(E)
+        t_now = tau
+    return out
+
+
+def mono_loop(A_cl, G, x0, horizon, steps):
+    """States and exact dissipation integral of x' = A_cl x from one expm of the whole system."""
+    P, W = step_map(A_cl, horizon / steps, cost=G)
+    X = [x0]
+    for _ in range(steps):
+        X.append(P @ X[-1])
+    X = np.array(X)
+    return X, float(np.sum(W * (X[:-1].T @ X[:-1])))
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(case=block_systems())
+def test_block_dispatch_matches_monolithic_oracles(case):
+    sys_, n_blocks, x0 = case
+    assert len(sys_.blocks) == n_blocks
+    A, B, Q = first_order_matrices(sys_)
+    BBT = B @ B.T
+    d = A.shape[0]
+
+    X = scipy.linalg.solve_continuous_are(A, B, Q, np.eye(B.shape[1]))
+    for method, tol in (("newton_kleinman", 1e-8), ("dre_limit", 1e-6)):
+        sol = solve_are(sys_, method=method)
+        assert np.abs(sol.E - X).max() <= tol * (1.0 + np.abs(X).max())
+        R = Q + sol.E @ A + A.T @ sol.E - sol.E @ BBT @ sol.E
+        assert sol.residual == pytest.approx(np.linalg.norm(R), rel=1e-6, abs=1e-14)
+        if method == "newton_kleinman":
+            assert np.linalg.norm(R) <= 1e-9 * (1.0 + np.linalg.norm(sol.E) ** 2)
+
+    taus = [0.7, 2.0]
+    for snap, E_ref in zip(integrate_dre(sys_, 2.0, snapshot_times=taus), mono_dre(sys_, taus)):
+        assert np.abs(snap.E - E_ref).max() <= 1e-9 * np.abs(E_ref).max()
+
+    E = solve_are(sys_).E
+    D = np.zeros((d, d))
+    D[1::2, 1::2] = sys_.Q_obs
+    gain = B.T @ E
+    loops = [(simulate_collocated(sys_, x0, 2.0), A - BBT, BBT),
+             (simulate_riccati_feedback(sys_, solve_are(sys_), x0, 2.0),
+              A - B @ gain, gain.T @ gain + Q),
+             (simulate_backward_observer(sys_, x0, 2.0), A - D, D)]
+    for traj, A_cl, G in loops:
+        states, dissipation = mono_loop(A_cl, G, x0, 2.0, traj.n_samples - 1)
+        assert np.abs(traj.states - states).max() <= 1e-11 * np.abs(x0).max()
+        assert traj.dissipation == pytest.approx(dissipation, rel=1e-10)
+
+    T = 3.0
+    for use_control, M in ((True, BBT), (False, Q)):
+        W = step_map(A, T, cost=M)[1]
+        assert np.abs(observability_gramian(sys_, T, use_control) - W).max() <= 1e-12 * np.abs(W).max()
+        lo = np.median(sys_.lambdas)
+        shell = np.flatnonzero(sys_.lambdas >= lo)
+        e = np.column_stack([2 * shell, 2 * shell + 1]).ravel()
+        ref = scipy.linalg.eigvalsh(W[np.ix_(e, e)])[0] / (T / 2.0)
+        assert shell_constant(sys_, lo, 10.0, T, use_control) == pytest.approx(
+            max(ref, 0.0), abs=1e-12 * np.abs(W).max())
+    Wc = step_map(A.T, T, cost=BBT)[1]
+    assert np.abs(controllability_gramian(sys_, T) - Wc).max() <= 1e-12 * np.abs(Wc).max()
+
+    t0 = 6.0
+    hum = hum_null_control(sys_, x0, t0, n_samples=5)
+    gamma = np.linalg.solve(step_map(A.T, t0, cost=BBT)[1], scipy.linalg.expm(A * t0) @ x0)
+    assert hum.certified
+    assert hum.cost == pytest.approx(gamma @ scipy.linalg.expm(A * t0) @ x0, rel=1e-8)
+    for t, u in zip(hum.times, hum.controls):
+        u_ref = -B.T @ scipy.linalg.expm(A * (t - t0)) @ gamma
+        assert np.abs(u - u_ref).max() <= 1e-8 * (1.0 + np.abs(u_ref).max())

@@ -1,9 +1,10 @@
 import numpy as np
 
-from wavelq.closed_loop import simulate_collocated, smooth_initial_state
+from wavelq.closed_loop import Trajectory, simulate_collocated, smooth_initial_state
 from wavelq.models import build_interval_wave, build_synthetic
 from wavelq.riccati import solve_are
 from wavelq.serialize import (
+    controls_to_csv,
     load_riccati,
     load_system,
     save_riccati,
@@ -78,3 +79,28 @@ def test_float_precision_survives_round_trip(tmp_path):
     path = tmp_path / "r.json"
     save_riccati(sol, path)
     assert np.array_equal(load_riccati(path).E, sol.E)  # bit-exact via 17 digits
+
+
+def _fmt_reference(x) -> str:
+    return format(float(x), ".17g")
+
+
+def test_csv_rows_match_per_value_formatting(tmp_path):
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0 / 3.0, -2.5e-310, 1.7976931348623157e308]
+    n = len(special)
+    traj = Trajectory(times=np.linspace(0.0, 1.0, n), states=np.zeros((n, 2)),
+                      energies=np.array(special), lambdas=np.ones(1), kind="collocated",
+                      values=np.array(special[::-1]), control_power=np.roll(special, 3))
+    path = tmp_path / "trajectory.csv"
+    trajectory_to_csv(traj, path)
+    rows = [",".join(_fmt_reference(v) for v in row)
+            for row in zip(traj.times, traj.energies, traj.values,
+                           traj.control_power, np.full(n, np.nan))]  # no obs_power: nan
+    assert path.read_bytes() == (
+        "time,energy,value,control_norm_sq,obs_norm_sq\n" + "".join(r + "\n" for r in rows)).encode()
+
+    controls = np.array([special, special[::-1]]).T
+    path = tmp_path / "control.csv"
+    controls_to_csv(traj.times, controls, path)
+    rows = [",".join(_fmt_reference(v) for v in (t, *u)) for t, u in zip(traj.times, controls)]
+    assert path.read_bytes() == ("time,u_0,u_1\n" + "".join(r + "\n" for r in rows)).encode()
