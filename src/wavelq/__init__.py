@@ -78,7 +78,6 @@ from .turnpike import (  # noqa: F401
     g_weight,
     solve_stationary,
     solve_tracking,
-    solve_tracking_collocation,
     stationary_cost,
     tracking_os_residual,
 )

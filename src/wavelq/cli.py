@@ -336,7 +336,7 @@ def _run_decay(system, exp, outdir, rng, threads, riccati: bool):
         "energy_identity_defect": cl.energy_identity_defect(traj),
         "n_modes": system.n_modes,
     }
-    _write_json(os.path.join(outdir, "fit.json"), summary)
+    io.write_json(os.path.join(outdir, "fit.json"), summary)
     return summary, ["trajectory.csv", "fit.json"]
 
 
@@ -441,7 +441,7 @@ def run_experiment(cfg: dict, outdir: str, seed: int, threads: int, quiet: bool)
     summary["model_label"] = system.label
     summary["n_modes"] = system.n_modes
     summary["seed"] = seed
-    _write_json(os.path.join(outdir, "summary.json"), summary)
+    io.write_json(os.path.join(outdir, "summary.json"), summary)
     files = files + ["summary.json"]
 
     manifest = {
@@ -452,16 +452,10 @@ def run_experiment(cfg: dict, outdir: str, seed: int, threads: int, quiet: bool)
         "wall_time_s": time.time() - t_start,
         "files": {name: _sha256_file(os.path.join(outdir, name)) for name in files},
     }
-    _write_json(os.path.join(outdir, "manifest.json"), manifest)
+    io.write_json(os.path.join(outdir, "manifest.json"), manifest)
     if not quiet:
         print(f"[wavelq] {kind} on {system.label}: wrote {', '.join(files)} to {outdir}")
     return summary
-
-
-def _write_json(path: str, payload: dict):
-    with open(path, "w") as f:
-        json.dump(payload, f, sort_keys=True, indent=2)
-        f.write("\n")
 
 
 def _sha256_file(path: str) -> str:

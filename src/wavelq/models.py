@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 from .spectral import DomainError, DimensionError, as_frequencies
 
@@ -238,8 +237,59 @@ def build_interval_wave(n_modes: int, control="full_domain", observation="full_d
     return SpectralSystem(lam, B, Q, label=f"interval(n={n_modes})", _bbt=bbt)
 
 
-def _star_secular(lam: float, lengths: np.ndarray) -> float:
-    return float(np.sum(np.cos(lam * lengths) / np.sin(lam * lengths)))
+def _star_secular(lam: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``sum_j cot(lambda l_j)`` at every frequency of ``lam``."""
+    x = np.asarray(lam, dtype=float)[..., None] * lengths
+    return np.sum(np.cos(x) / np.sin(x), axis=-1)
+
+
+def _star_roots(lo: np.ndarray, hi: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The root of the secular function in each bracket, f(lo) > 0 > f(hi), all at once.
+
+    Brent's safeguarded secant / inverse-quadratic steps, the same iteration
+    as ``scipy.optimize.brentq`` with xtol 1e-13 and rtol 4 eps, run on every
+    bracket in lockstep; a bracket's root is frozen at the step it converges.
+    Following brentq step for step keeps the star spectra, and every output
+    built on them, bitwise what the scalar solve gave.
+    """
+    xtol, rtol = 1e-13, 4.0 * np.finfo(float).eps
+    xpre, xcur = lo.copy(), hi.copy()
+    fpre, fcur = _star_secular(xpre, lengths), _star_secular(xcur, lengths)
+    xblk, fblk, spre, scur = (np.zeros_like(lo) for _ in range(4))
+    roots = np.full_like(lo, np.nan)
+    todo = np.ones(lo.shape, dtype=bool)
+    with np.errstate(all="ignore"):  # brackets already frozen may divide by zero
+        for _ in range(100):
+            flip = (fpre != 0.0) & (fcur != 0.0) & (np.signbit(fpre) != np.signbit(fcur))
+            xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
+            spre, scur = np.where(flip, xcur - xpre, spre), np.where(flip, xcur - xpre, scur)
+            swap = np.abs(fblk) < np.abs(fcur)
+            xpre, xcur, xblk = np.where(swap, xcur, xpre), np.where(swap, xblk, xcur), \
+                np.where(swap, xcur, xblk)
+            fpre, fcur, fblk = np.where(swap, fcur, fpre), np.where(swap, fblk, fcur), \
+                np.where(swap, fcur, fblk)
+
+            delta = (xtol + rtol * np.abs(xcur)) / 2
+            sbis = (xblk - xcur) / 2
+            done = todo & ((fcur == 0.0) | (np.abs(sbis) < delta))
+            roots[done] = xcur[done]
+            todo &= ~done
+            if not todo.any():
+                return roots
+
+            interpolated = -fcur * (xcur - xpre) / (fcur - fpre)
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            extrapolated = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            stry = np.where(xpre == xblk, interpolated, extrapolated)
+            short = (np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre)) \
+                & (2 * np.abs(stry) < np.minimum(np.abs(spre), 3 * np.abs(sbis) - delta))
+            spre, scur = np.where(short, scur, sbis), np.where(short, stry, sbis)
+
+            xpre, fpre = xcur, fcur
+            xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
+            fcur = _star_secular(xcur, lengths)
+    raise ConsistencyError("the star secular equation did not converge in 100 steps")
 
 
 def _star_eigenpairs(lengths: np.ndarray, lambda_max: float):
@@ -290,26 +340,28 @@ def _star_eigenpairs(lengths: np.ndarray, lambda_max: float):
             amp[mem] = basis[:, col] / np.sqrt(weights)
             modes.append((pos, amp))
 
-    # center-nonzero family: one root of the cot sum per inter-pole gap
-    gaps = [(0.0, clusters[0][0])]
-    gaps += [(clusters[i][0], clusters[i + 1][0]) for i in range(len(clusters) - 1)]
-    for left, right in gaps:
-        if left > lambda_max:
-            break
-        width = right - left
-        root = None
-        delta = 1e-6 * width
-        for _ in range(8):
-            lo, hi = left + delta, right - delta
-            if lo >= hi:
-                break
-            flo, fhi = _star_secular(lo, lengths), _star_secular(hi, lengths)
-            if flo > 0.0 and fhi < 0.0:
-                root = scipy.optimize.brentq(_star_secular, lo, hi, args=(lengths,),
-                                             xtol=1e-13, rtol=4.0 * np.finfo(float).eps)
-                break
-            delta *= 1e-2
-        if root is None or root > lambda_max:
+    # center-nonzero family: one root of the cot sum per inter-pole gap.  The sum
+    # falls from +inf to -inf across a gap; its ends are pulled in until they
+    # bracket the root (a cluster's center can lie a rounding error off its poles)
+    ends = np.concatenate(([0.0], [pos for pos, _ in clusters]))
+    keep = ends[:-1] <= lambda_max
+    left, right = ends[:-1][keep], ends[1:][keep]
+    delta = 1e-6 * (right - left)
+    lo, hi = np.empty_like(left), np.empty_like(left)
+    bracketed = np.zeros(left.size, dtype=bool)
+    gap_open = np.ones(left.size, dtype=bool)  # no try so far closed the gap
+    for _ in range(8):
+        try_lo, try_hi = left + delta, right - delta
+        gap_open &= try_lo < try_hi
+        idx = np.flatnonzero(gap_open & ~bracketed)
+        ok = (_star_secular(try_lo[idx], lengths) > 0.0) \
+            & (_star_secular(try_hi[idx], lengths) < 0.0)
+        hit, miss = idx[ok], idx[~ok]
+        lo[hit], hi[hit] = try_lo[hit], try_hi[hit]
+        bracketed[hit] = True
+        delta[miss] *= 1e-2
+    for root in _star_roots(lo[bracketed], hi[bracketed], lengths):
+        if root > lambda_max:
             continue
         amp = 1.0 / np.sin(root * lengths)
         nrm = np.sqrt(np.sum(amp**2 * norm_weights(root)))

@@ -11,11 +11,21 @@ CSV files carry a header row; floats are printed with 17 significant digits so
 re-runs are byte-identical.  Trajectory CSV columns: time, energy, value,
 control_norm_sq, obs_norm_sq (nan where a column does not apply).  Turnpike
 CSV columns: horizon, avg_tracking, avg_state_gap, bound_proxy.
+
+Every output is written as a new file through ``open_output``: the entry at
+the path is unlinked first, never truncated and rewritten.  So a symlink or
+hard link at an output path is replaced, not written through, a read-only
+file in a writable directory is replaced, and a file in a directory without
+write permission cannot be rewritten.  On ext4 with its default
+``auto_da_alloc``, truncating an existing file (or renaming over it) forces a
+flush at close that costs tens of milliseconds, unlink-then-create well under
+one; on tmpfs both are cheap.
 """
 
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 
@@ -23,6 +33,22 @@ from .closed_loop import Trajectory
 from .models import SpectralSystem
 from .riccati import RiccatiSolution
 from .turnpike import TurnpikeReport
+
+
+def open_output(path):
+    """A new text file at ``path`` with ``\\n`` line ends; any old entry is unlinked first."""
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+    return open(path, "x", encoding="utf-8", newline="\n")
+
+
+def write_json(path, payload: dict, indent: int | None = 2) -> None:
+    """``payload`` as sorted-key JSON plus a final newline, streamed into a new file."""
+    with open_output(path) as f:
+        json.dump(payload, f, sort_keys=True, indent=indent)
+        f.write("\n")
 
 
 def _matrix_payload(M: np.ndarray) -> dict:
@@ -62,9 +88,7 @@ def system_from_dict(payload: dict) -> SpectralSystem:
 
 
 def save_system(system: SpectralSystem, path) -> None:
-    with open(path, "w") as f:
-        json.dump(system_to_dict(system), f, sort_keys=True)
-        f.write("\n")
+    write_json(path, system_to_dict(system), indent=None)
 
 
 def load_system(path) -> SpectralSystem:
@@ -93,9 +117,7 @@ def riccati_from_dict(payload: dict) -> RiccatiSolution:
 
 
 def save_riccati(sol: RiccatiSolution, path) -> None:
-    with open(path, "w") as f:
-        json.dump(riccati_to_dict(sol), f, sort_keys=True)
-        f.write("\n")
+    write_json(path, riccati_to_dict(sol), indent=None)
 
 
 def load_riccati(path) -> RiccatiSolution:
@@ -115,20 +137,20 @@ def trajectory_to_csv(traj: Trajectory, path) -> None:
     values = traj.values if traj.values is not None else nan
     cps = traj.control_power if traj.control_power is not None else nan
     ops = traj.obs_power if traj.obs_power is not None else nan
-    with open(path, "w", newline="\n") as f:
+    with open_output(path) as f:
         f.write("time,energy,value,control_norm_sq,obs_norm_sq\n")
         _write_rows(f, (traj.times, traj.energies, values, cps, ops))
 
 
 def turnpike_to_csv(report: TurnpikeReport, path) -> None:
-    with open(path, "w", newline="\n") as f:
+    with open_output(path) as f:
         f.write("horizon,avg_tracking,avg_state_gap,bound_proxy\n")
         _write_rows(f, (report.horizons, report.avg_tracking, report.avg_state_gap,
                         report.bound_values))
 
 
 def observability_to_csv(report, path) -> None:
-    with open(path, "w", newline="\n") as f:
+    with open_output(path) as f:
         f.write("shell_lambda,shell_constant\n")
         _write_rows(f, (report.shell_edges, report.shell_constants))
 
@@ -136,6 +158,6 @@ def observability_to_csv(report, path) -> None:
 def controls_to_csv(times: np.ndarray, controls: np.ndarray, path) -> None:
     controls = np.atleast_2d(controls)
     m = controls.shape[1]
-    with open(path, "w", newline="\n") as f:
+    with open_output(path) as f:
         f.write("time," + ",".join(f"u_{i}" for i in range(m)) + "\n")
         _write_rows(f, (times, *controls.T))

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
+from tracking_oracle import solve_tracking_collocation
 from wavelq.closed_loop import (
     default_decay_window,
     energy_identity_defect,
@@ -41,7 +42,6 @@ from wavelq.turnpike import (
     averaged_metrics,
     solve_stationary,
     solve_tracking,
-    solve_tracking_collocation,
     tracking_os_residual,
 )
 

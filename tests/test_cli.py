@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -221,7 +222,31 @@ class TestRun:
         assert abs(summary["rho_hat"] - 2.0) <= 0.3
 
 
+    def test_rerun_into_the_same_directory_writes_the_same_bytes(self, tmp_path):
+        cfg = {"model": {"kind": "synthetic", "rho": 2.0, "eta": 2.0, "n_modes": 4},
+               "experiment": {"kind": "turnpike", "horizons": [3.0, 6.0], "dt_record": 0.05},
+               "seed": 7}
+        out = tmp_path / "out"
+        runs = []
+        for _ in range(2):
+            run_experiment(cfg, str(out), 7, 1, True)
+            manifest = json.loads((out / "manifest.json").read_text())
+            written = {name: (out / name).read_bytes() for name in manifest["files"]}
+            assert manifest["files"] == {name: hashlib.sha256(data).hexdigest()
+                                         for name, data in written.items()}
+            runs.append(written)
+        assert runs[0] == runs[1]
+        assert sorted(os.listdir(out)) == sorted([*runs[0], "manifest.json"])
+
+
 class TestFailurePaths:
+    def test_directory_at_an_output_path_exits_3(self, tmp_path, capsys):
+        cfg = _tiny_decay_cfg(tmp_path / "out")
+        (tmp_path / "out" / "summary.json").mkdir(parents=True)
+        assert main(["run", "--config", _write(tmp_path, cfg), "--quiet"]) == 3
+        assert "numeric failure" in capsys.readouterr().err
+        assert (tmp_path / "out" / "summary.json").is_dir()
+
     def test_numeric_failure_exits_3(self, tmp_path, capsys):
         # uncontrolled costly modes (star with rationally related uncontrolled
         # edges) make the ARE infeasible: numeric failure, not config error

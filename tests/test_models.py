@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.linalg import eigh_tridiagonal
+from scipy.optimize import brentq
 
 from wavelq.models import (
     build_interval_wave,
@@ -16,6 +17,31 @@ from wavelq.models import (
     observability_gramian,
 )
 from wavelq.spectral import DomainError
+
+
+def _brentq_star_spectrum(lengths, lambda_max):
+    """Reference star spectrum: shared poles q - 1 times each, plus one brentq root per gap."""
+    lengths = np.asarray(lengths, dtype=float)
+
+    def secular(lam):
+        return float(np.sum(np.cos(lam * lengths) / np.sin(lam * lengths)))
+
+    poles = np.sort(np.concatenate([np.arange(1, int(lambda_max * ell / np.pi) + 3) * np.pi / ell
+                                    for ell in lengths]))
+    groups = np.split(poles, np.flatnonzero(np.diff(poles) >= 1e-9 * max(1.0, lambda_max)) + 1)
+    centers = [g.mean() for g in groups]
+    lams = [c for c, g in zip(centers, groups) if c <= lambda_max for _ in range(g.size - 1)]
+    for left, right in zip([0.0] + centers[:-1], centers):
+        if left > lambda_max:
+            break
+        delta = 1e-6 * (right - left)
+        while not secular(left + delta) > 0.0 > secular(right - delta):
+            delta *= 1e-2
+        root = brentq(secular, left + delta, right - delta, xtol=1e-13,
+                      rtol=4.0 * np.finfo(float).eps)
+        if root <= lambda_max:
+            lams.append(root)
+    return np.sort(lams)
 
 
 class TestInterval:
@@ -114,6 +140,19 @@ class TestStarNetwork:
         assert build_star_network([1.0, 1.0, 1.0, 1.0], 0, 1, 6.0).n_modes == 5
         # lambda_max = 15 is a shared pole of the last two edges: D = 4 + 15 + 30
         assert build_star_network([1.0, np.pi, 2 * np.pi], 0, 1, 15.0).n_modes == 49
+
+    @pytest.mark.parametrize("lengths, lambda_max", [
+        ([1.0, np.pi, 2 * np.pi], 15.0),  # demo 01's star: shared poles, one on lambda_max
+        ([1.0, 1.0, 1.0, 1.0], 6.0),
+        ([1.0, 1.0, 1.0, 1.0], 20.0),
+        ([1.0, np.sqrt(2.0), np.sqrt(3.0), 0.7], 25.0),
+        ([0.37, 2.9, 1.61], 40.0),
+    ])
+    def test_eigenfrequencies_match_brentq_roots(self, lengths, lambda_max):
+        lams = build_star_network(lengths, 0, 1, lambda_max).lambdas
+        ref = _brentq_star_spectrum(lengths, lambda_max)
+        assert lams.shape == ref.shape
+        assert np.abs(lams - ref).max() <= 1e-12
 
     def test_interlacing_guard_catches_a_missing_mode(self, monkeypatch):
         import wavelq.models as md

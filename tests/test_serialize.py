@@ -1,4 +1,7 @@
+import os
+
 import numpy as np
+import pytest
 
 from wavelq.closed_loop import Trajectory, simulate_collocated, smooth_initial_state
 from wavelq.models import build_interval_wave, build_synthetic
@@ -7,11 +10,14 @@ from wavelq.serialize import (
     controls_to_csv,
     load_riccati,
     load_system,
+    observability_to_csv,
     save_riccati,
     save_system,
     trajectory_to_csv,
     turnpike_to_csv,
+    write_json,
 )
+from wavelq.turnpike import TurnpikeReport
 
 
 def test_system_round_trip(tmp_path):
@@ -60,7 +66,6 @@ def test_trajectory_csv_schema(tmp_path):
 
 
 def test_turnpike_csv_schema(tmp_path):
-    from wavelq.turnpike import TurnpikeReport
     rep = TurnpikeReport(horizons=np.array([1.0, 2.0]),
                          avg_tracking=np.array([0.5, 0.25]),
                          avg_state_gap=np.array([0.1, 0.05]),
@@ -104,3 +109,63 @@ def test_csv_rows_match_per_value_formatting(tmp_path):
     controls_to_csv(traj.times, controls, path)
     rows = [",".join(_fmt_reference(v) for v in (t, *u)) for t, u in zip(traj.times, controls)]
     assert path.read_bytes() == ("time,u_0,u_1\n" + "".join(r + "\n" for r in rows)).encode()
+
+
+def _writers():
+    """One call of every output writer, as (name, write(path))."""
+    sys_ = build_synthetic(2.0, 2.0, 3)
+    traj = simulate_collocated(sys_, np.ones(6), 1.0)
+    rep = TurnpikeReport(horizons=np.array([1.0]), avg_tracking=np.array([0.5]),
+                         avg_state_gap=np.array([0.1]), bound_values=np.array([1.0]),
+                         k_used=1.0, ktilde_used=1.0)
+
+    class Shells:
+        shell_edges, shell_constants = np.array([1.0, 2.0]), np.array([0.5, 0.25])
+
+    return [
+        ("save_system", lambda path: save_system(sys_, path)),
+        ("save_riccati", lambda path: save_riccati(solve_are(sys_), path)),
+        ("trajectory_to_csv", lambda path: trajectory_to_csv(traj, path)),
+        ("turnpike_to_csv", lambda path: turnpike_to_csv(rep, path)),
+        ("observability_to_csv", lambda path: observability_to_csv(Shells, path)),
+        ("controls_to_csv", lambda path: controls_to_csv(traj.times, np.ones((traj.n_samples, 2)),
+                                                         path)),
+        ("write_json", lambda path: write_json(path, {"b": [1.0, 2.5], "a": None})),
+    ]
+
+
+WRITERS = _writers()
+
+
+@pytest.mark.parametrize("name, write", WRITERS, ids=[name for name, _ in WRITERS])
+def test_rewrite_creates_a_new_file(tmp_path, name, write):
+    path = tmp_path / "out"
+    write(path)
+    fresh = path.read_bytes()
+    path.write_bytes(b"output of an earlier run\n")
+    with open(path, "rb") as old:
+        write(path)
+        # the open handle still reads the old file: it was unlinked, not truncated
+        assert old.read() == b"output of an earlier run\n"
+    assert path.read_bytes() == fresh
+
+
+@pytest.mark.parametrize("name, write", WRITERS, ids=[name for name, _ in WRITERS])
+def test_links_and_read_only_files_are_replaced(tmp_path, name, write):
+    target = tmp_path / "target"
+    target.write_bytes(b"not an output\n")
+    write(tmp_path / "expected")
+    expected = (tmp_path / "expected").read_bytes()
+
+    for path, make in ((tmp_path / "symlink", lambda p: p.symlink_to(target)),
+                       (tmp_path / "hardlink", lambda p: os.link(target, p))):
+        make(path)
+        write(path)
+        assert not path.is_symlink() and path.read_bytes() == expected
+        assert target.read_bytes() == b"not an output\n"
+
+    read_only = tmp_path / "read_only"
+    read_only.write_bytes(b"old\n")
+    read_only.chmod(0o444)
+    write(read_only)
+    assert read_only.read_bytes() == expected

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
+from tracking_oracle import solve_tracking_collocation
 from wavelq.closed_loop import smooth_initial_state
 from wavelq.models import SpectralSystem, build_synthetic
 from wavelq.spectral import DomainError
@@ -12,7 +13,6 @@ from wavelq.turnpike import (
     g_weight,
     solve_stationary,
     solve_tracking,
-    solve_tracking_collocation,
     stationary_cost,
     tracking_os_residual,
 )
