@@ -16,7 +16,8 @@ changes nothing; errors name the offending field.  Numbers must be finite JSON
 numbers, not booleans; the string ``"inf"`` is accepted only for ``rho``/``eta``.
 Every experiment writes CSV results, a ``summary.json`` with the fitted constants
 and residuals, and a ``manifest.json`` with the hash of the config as given,
-library version, seed, wall time and checksums of the produced files.  One seed
+library version, seed, wall time and checksums of the produced files (a run
+unlinks those of the previous manifest that it does not write again).  One seed
 drives all random draws through a counter-based generator, so re-running a config
 with the same seed reproduces the CSV and summary bytes exactly.
 
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import functools
 import hashlib
 import json
@@ -306,6 +308,7 @@ def _run_bounds(system, exp, outdir, rng, threads):
         "weak_scale": _scale_payload(weak),
         "strong_scale": _scale_payload(strong),
         "are_residual": sol.residual,
+        "are_backward_error": sol.backward_error,
         "are_method": sol.method,
     }, ["riccati.json"]
 
@@ -347,12 +350,10 @@ def _run_null_control(system, exp, outdir, rng, threads):
                     .to_vector() for _ in range(n_draws)])
     hums = cl.hum_null_control(system, x0s, t0)
     first = hums[0]
-    costs = [hum.cost for hum in hums]
+    costs = np.array([hum.cost for hum in hums])
     residuals = [hum.terminal_residual for hum in hums]
-    ratios_strong = [hum.cost / sp.energy_norm_squared(x0, system.lambdas, strong)
-                     for hum, x0 in zip(hums, x0s)]
-    ratios_h = [hum.cost / sp.energy_norm_squared(x0, system.lambdas, NormScale.energy())
-                for hum, x0 in zip(hums, x0s)]
+    ratios_strong = costs / sp.energy_norm_squared(x0s, system.lambdas, strong)
+    ratios_h = costs / sp.energy_norm_squared(x0s, system.lambdas, NormScale.energy())
     io.controls_to_csv(first.times, first.controls, os.path.join(outdir, "control.csv"))
     return {
         "experiment": "null_control",
@@ -360,10 +361,10 @@ def _run_null_control(system, exp, outdir, rng, threads):
         "n_draws": n_draws,
         "gramian_condition": first.gramian_condition,
         "certified": first.certified,
-        "costs": costs,
+        "costs": costs.tolist(),
         "terminal_residuals": residuals,
-        "cost_over_strong_norm": ratios_strong,
-        "cost_over_energy_norm": ratios_h,
+        "cost_over_strong_norm": ratios_strong.tolist(),
+        "cost_over_energy_norm": ratios_h.tolist(),
         "strong_scale": _scale_payload(strong),
     }, ["control.csv"]
 
@@ -443,6 +444,7 @@ def run_experiment(cfg: dict, outdir: str, seed: int, threads: int, quiet: bool)
     summary["seed"] = seed
     io.write_json(os.path.join(outdir, "summary.json"), summary)
     files = files + ["summary.json"]
+    _unlink_stale_outputs(outdir, files)
 
     manifest = {
         "config_sha256": hashlib.sha256(
@@ -456,6 +458,20 @@ def run_experiment(cfg: dict, outdir: str, seed: int, threads: int, quiet: bool)
     if not quiet:
         print(f"[wavelq] {kind} on {system.label}: wrote {', '.join(files)} to {outdir}")
     return summary
+
+
+def _unlink_stale_outputs(outdir: str, files: list):
+    """Unlink the plain file names of the previous manifest that ``files`` lacks, if it parses."""
+    try:
+        with open(os.path.join(outdir, "manifest.json")) as f:
+            listed = json.load(f)["files"].keys()
+    except (OSError, ValueError, KeyError, TypeError, AttributeError):
+        return
+    for name in listed:
+        if name in files or name in ("", ".", "..") or "/" in name or "\0" in name:
+            continue
+        with contextlib.suppress(FileNotFoundError, IsADirectoryError):
+            os.unlink(os.path.join(outdir, name))
 
 
 def _sha256_file(path: str) -> str:

@@ -17,7 +17,9 @@ integral of a quadratic cost over the step (Van Loan 1978).  It is the
 library's only block-exponential construction: closed loops and tracking
 costs read their exact integrals from it.  The Riccati flow is swept step by
 step through the blocks of ``e^{M h}`` (Davison-Maki 1973), so no ODE
-integrator is involved and each step is exact up to rounding.
+integrator is involved and each step is exact up to rounding.  One sweep per
+block gives the DRE snapshots, the ``dre_limit`` horizons and Newton-Kleinman's
+initial guess; both ARE methods stop each block on its backward error.
 """
 
 from __future__ import annotations
@@ -45,13 +47,15 @@ class RiccatiSolution:
 
     ``horizon`` is the time-to-go of a DRE snapshot, or ``inf`` for a solution
     of the algebraic equation.  ``residual`` is the ARE residual norm (zero by
-    convention for DRE snapshots).
+    convention for DRE snapshots), ``backward_error`` its normalization by
+    ``solve_are`` (nan elsewhere; ``riccati.json`` does not store it).
     """
 
     E: np.ndarray
     horizon: float
     residual: float
     method: str
+    backward_error: float = np.nan
 
     def __post_init__(self):
         self.E = np.asarray(self.E, dtype=float)
@@ -90,16 +94,11 @@ def first_order_matrices(system: SpectralSystem):
     return A, B, Q
 
 
-def _e_times_a(E: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """E @ A_mat using the per-mode rotation structure (O(n^2))."""
-    out = np.empty_like(E)
-    out[:, 0::2] = -E[:, 1::2] * lam
-    out[:, 1::2] = E[:, 0::2] * lam
-    return out
-
-
 def _riccati_rhs(E: np.ndarray, lam: np.ndarray, B: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    EA = _e_times_a(E, lam)
+    """Q + E A + A^T E - E B B^T E, with E A from the per-mode rotation structure (O(n^2))."""
+    EA = np.empty_like(E)
+    EA[:, 0::2] = -E[:, 1::2] * lam
+    EA[:, 1::2] = E[:, 0::2] * lam
     EB = E @ B
     return Q + EA + EA.T - EB @ EB.T
 
@@ -157,28 +156,20 @@ def riccati_step(E: np.ndarray, Phi: np.ndarray, h: np.ndarray | None = None):
     return 0.5 * (E + E.T), sol[:, d]
 
 
-def _sweep(E: np.ndarray, M: np.ndarray, duration: float, max_step: float) -> np.ndarray:
-    """Advance the Riccati flow by ``duration`` in equal steps of at most max_step."""
-    steps = max(1, int(np.ceil(duration / max_step)))
-    Phi, _ = step_map(M, duration / steps)
-    for _ in range(steps):
-        E = riccati_step(E, Phi)
-    return E
-
-
-def _dre_snapshots(system: SpectralSystem, taus) -> dict:
-    """DRE snapshots of one block at the sorted positive times ``taus``, keyed by time."""
+def _dre_flow(system: SpectralSystem, taus):
+    """Yield one block's DRE from E(0) = 0 at each nondecreasing time of ``taus``."""
     A, B, Q = first_order_matrices(system)
     M = hamiltonian_matrix(A, B, Q)
     max_step = np.pi / (4.0 * system.lambdas.max())
-    E = np.zeros_like(A)
-    by_tau = {0.0: E}
-    t_now = 0.0
+    E, t_now = np.zeros_like(A), 0.0
     for tau in taus:
-        E = _sweep(E, M, tau - t_now, max_step)
-        by_tau[float(tau)] = E
+        steps = int(np.ceil((tau - t_now) / max_step))
+        if steps:
+            Phi, _ = step_map(M, (tau - t_now) / steps)
+            for _ in range(steps):
+                E = riccati_step(E, Phi)
         t_now = tau
-    return by_tau
+        yield E
 
 
 def integrate_dre(system: SpectralSystem, horizon: float, snapshot_times=None):
@@ -198,10 +189,9 @@ def integrate_dre(system: SpectralSystem, horizon: float, snapshot_times=None):
     if np.any(taus < 0.0) or np.any(taus > horizon + 1e-12):
         raise DomainError("snapshot times must lie in [0, horizon]")
 
-    parts = [_dre_snapshots(system.restrict(modes), np.unique(taus[taus > 0.0]))
-             for modes in system.blocks]
-    by_tau = {float(tau): system.assemble([p[float(tau)] for p in parts])
-              for tau in np.unique(taus)}
+    unique = np.unique(taus)
+    flows = [_dre_flow(system.restrict(modes), unique) for modes in system.blocks]
+    by_tau = {float(tau): system.assemble(parts) for tau, parts in zip(unique, zip(*flows))}
     return [RiccatiSolution(E=by_tau[float(tau)], horizon=float(tau), residual=0.0, method="dre")
             for tau in taus]
 
@@ -238,83 +228,77 @@ def _check_stabilizable(system: SpectralSystem):
                     f"observation cost {worst:.2e}")
 
 
-def _are_residual(E: np.ndarray, lam: np.ndarray, B: np.ndarray, Q: np.ndarray) -> float:
-    return float(np.linalg.norm(_riccati_rhs(E, lam, B, Q)))
-
-
 def solve_are(system: SpectralSystem, method: str = "newton_kleinman") -> RiccatiSolution:
     """Solve ``Q + E A + A^T E - E B B^T E = 0`` for the truncated system.
 
-    ``newton_kleinman`` iterates Lyapunov solves from a stabilizing guess
-    (identity if it stabilizes, else a DRE snapshot at tau = 10/lambda_min);
-    ``dre_limit`` sweeps the DRE over geometrically doubled horizons until
-    successive snapshots agree, realizing the minimal solution as the limit of
-    the finite-horizon operators.  Newton-Kleinman stops at a residual of at most
-    1e-9 (1 + ||X||^2) within 60 steps, ``dre_limit`` at a snapshot change <= 1e-8.
+    ``newton_kleinman`` iterates Lyapunov solves from a stabilizing guess (the
+    identity if it stabilizes, else the first stabilizing DRE snapshot at
+    tau = 10, 20, 40 over lambda_min); ``dre_limit`` takes DRE snapshots at
+    horizons doubling from max(1, 10/lambda_min), realizing the minimal
+    solution as the limit of the finite-horizon operators.
 
-    Each block of the system is solved on its own and the results are
-    assembled.  A block stops at its share of the whole system's tolerance
-    (the tolerance over sqrt(number of blocks), with its own ||X||), so the
-    assembled solution meets both rules on the full matrix; ``residual`` is
-    the Frobenius norm of the full residual.
+    Each block is solved on its own and the results are assembled.  A block
+    stops on its backward error ||R|| / (||Q|| + 2 ||A|| ||X|| + ||X||^2 ||B B^T||)
+    in Frobenius norms (Kleinman 1968; Laub 1979): at the first iterate at or
+    below 1e-14, or, once below 1e-10, at the previous iterate when the next
+    fails to lower it; else MethodError after 60 Newton steps or 14 horizons.
+    The assembled norms are root sums of squares of the blocks', so the
+    assembled ``backward_error`` is at most the worst block's (Cauchy-Schwarz);
+    ``residual`` is ||R|| of the whole system.
     """
     if method not in ("newton_kleinman", "dre_limit"):
         raise DomainError(f"unknown ARE method {method!r}")
     _check_stabilizable(system)
-    share = 1.0 / np.sqrt(len(system.blocks))
-    solve = _are_newton_kleinman if method == "newton_kleinman" else _are_dre_limit
-    parts, residuals = zip(*(solve(system.restrict(modes), share) for modes in system.blocks))
-    return RiccatiSolution(E=system.assemble(parts), horizon=np.inf,
-                           residual=float(np.linalg.norm(residuals)), method=method)
+    parts, norms = zip(*(_solve_block(system.restrict(modes), method) for modes in system.blocks))
+    norms = np.linalg.norm(norms, axis=0)
+    return RiccatiSolution(E=system.assemble(parts), horizon=np.inf, residual=float(norms[0]),
+                           method=method, backward_error=_backward_error(norms))
 
 
-def _are_newton_kleinman(system: SpectralSystem, share: float):
-    """Newton-Kleinman on one block: returns (X, ||R||) at ||R|| <= share 1e-9 (1 + ||X||^2)."""
-    lam = system.lambdas
+def _backward_error(norms) -> float:
+    """Backward error from the norms (||R||, ||Q||, ||A||, ||X||, ||B B^T||); 0 when R = 0."""
+    r, q, a, x, g = norms
+    return float(r / (q + 2.0 * a * x + x * x * g)) if r else 0.0
+
+
+def _solve_block(system: SpectralSystem, method: str):
+    """The iterates of ``method`` on one block, stopped on their backward error.
+
+    Returns the kept iterate X and its norms (||R||, ||Q||, ||A||, ||X||, ||B B^T||).
+    """
     A, B, Q = first_order_matrices(system)
     BBT = B @ B.T
-    X = np.eye(2 * lam.size)
+    if method == "newton_kleinman":
+        iterates = _newton_kleinman(system, A, BBT, Q)
+    else:
+        iterates = _dre_flow(system, max(1.0, 10.0 / system.lambdas.min()) * 2.0 ** np.arange(14))
+    q, a, g = np.linalg.norm(Q), np.linalg.norm(A), np.linalg.norm(BBT)
+    kept, kept_err = None, np.inf
+    for X in iterates:
+        norms = (np.linalg.norm(_riccati_rhs(X, system.lambdas, B, Q)), q, a, np.linalg.norm(X), g)
+        err = _backward_error(norms)
+        if kept_err <= 1e-10 and err >= kept_err:
+            return kept
+        kept, kept_err = (X, norms), err
+        if err <= 1e-14:
+            return kept
+    raise MethodError(f"{method} did not converge within its iteration cap; try the other method")
+
+
+def _newton_kleinman(system: SpectralSystem, A, BBT, Q):
+    """Newton-Kleinman iterates on one block, at most 60."""
+    X = np.eye(A.shape[0])
     if _spectral_abscissa(A - BBT) >= -1e-12:
-        tau0 = 10.0 / lam.min()
-        for _ in range(3):
-            X = _dre_snapshots(system, [tau0])[tau0]
-            if _spectral_abscissa(A - BBT @ X) < -1e-12:
-                break
-            tau0 *= 2.0
-        else:
+        guesses = _dre_flow(system, 10.0 / system.lambdas.min() * np.array([1.0, 2.0, 4.0]))
+        X = next((E for E in guesses if _spectral_abscissa(A - BBT @ E) < -1e-12), None)
+        if X is None:
             raise MethodError("no stabilizing initial guess found; try method='dre_limit'")
-
     for _ in range(60):
-        Acl = A - BBT @ X
-        rhs = -(Q + X @ BBT @ X)
-        X_new = scipy.linalg.solve_continuous_lyapunov(Acl.T, rhs)
-        X_new = 0.5 * (X_new + X_new.T)
-        if not np.all(np.isfinite(X_new)):
+        X = scipy.linalg.solve_continuous_lyapunov((A - BBT @ X).T, -(Q + X @ BBT @ X))
+        X = 0.5 * (X + X.T)
+        if not np.all(np.isfinite(X)):
             raise MethodError("Newton-Kleinman diverged; try method='dre_limit'")
-        X = X_new
-        res = _are_residual(X, lam, B, Q)
-        if res <= share * 1e-9 * (1.0 + np.linalg.norm(X) ** 2):
-            return X, res
-    raise MethodError("Newton-Kleinman did not converge; try method='dre_limit'")
-
-
-def _are_dre_limit(system: SpectralSystem, share: float):
-    """Horizon-doubling DRE limit on one block: returns (X, ||R||) at a change <= share 1e-8."""
-    lam = system.lambdas
-    A, B, Q = first_order_matrices(system)
-    M = hamiltonian_matrix(A, B, Q)
-    max_step = np.pi / (4.0 * lam.max())
-    tau = max(1.0, 10.0 / lam.min())
-    cur = np.zeros_like(A)
-    t_now = 0.0
-    for _ in range(14):
-        prev = cur
-        cur = _sweep(cur, M, tau - t_now, max_step)
-        t_now = tau
-        if np.linalg.norm(cur - prev) <= share * 1e-8:
-            return cur, _are_residual(cur, lam, B, Q)
-        tau *= 2.0
-    raise MethodError("dre_limit did not converge within the horizon cap")
+        yield X
 
 
 def _spectral_abscissa(M: np.ndarray) -> float:
@@ -366,27 +350,17 @@ def bounds_report(E_hat: RiccatiSolution, system: SpectralSystem, weak, strong,
     dim = E_hat.dim
     if rng is None:
         rng = np.random.default_rng(0)
-    probes = [np.eye(dim)[:, k] for k in range(dim)]
     raw = rng.standard_normal((int(n_random), dim))
-    probes += [r / np.linalg.norm(r) for r in raw]
-
-    lam = system.lambdas
-    c1, c2 = np.inf, 0.0
-    excluded = 0
-    used = 0
-    for x in probes:
-        val = value(E_hat, x)
-        wn = energy_norm_squared(x, lam, weak)
-        sn = energy_norm_squared(x, lam, strong)
-        if wn <= 0.0:
-            if val > 0.0:
-                excluded += 1
-                continue
-            wn = np.nan
-        used += 1
-        if np.isfinite(wn):
-            c1 = min(c1, val / wn)
-        if sn > 0.0:
-            c2 = max(c2, val / sn)
-    return BoundsReport(c1_hat=float(max(c1, 0.0)), c2_hat=float(c2), probe_count=used,
-                        weak_scale=weak, strong_scale=strong, excluded=excluded)
+    probes = np.vstack([np.eye(dim), raw / np.linalg.norm(raw, axis=1, keepdims=True)])
+    vals = np.einsum("ij,ij->i", probes @ E_hat.E, probes)
+    wn = energy_norm_squared(probes, system.lambdas, weak)
+    sn = energy_norm_squared(probes, system.lambdas, strong)
+    excluded = (wn <= 0.0) & (vals > 0.0)
+    lower = np.isfinite(wn) & (wn > 0.0)
+    upper = ~excluded & (sn > 0.0)
+    c1 = np.min(vals[lower] / wn[lower], initial=np.inf)
+    c2 = np.max(vals[upper] / sn[upper], initial=0.0)
+    n_excluded = int(excluded.sum())
+    return BoundsReport(c1_hat=float(max(c1, 0.0)), c2_hat=float(c2),
+                        probe_count=len(probes) - n_excluded,
+                        weak_scale=weak, strong_scale=strong, excluded=n_excluded)

@@ -192,21 +192,25 @@ def norm_squared(v: ModalVector, lambdas, scale: NormScale) -> float:
     return float(np.sum(w * (lam**2 * v.a**2 + v.b**2)))
 
 
-def energy_norm_squared(x, lambdas, scale: NormScale) -> float:
-    """Squared norm of an energy-coordinate state (EnergyState or flat vector)."""
-    if isinstance(x, EnergyState):
-        xi, zeta = x.xi, x.zeta
-    else:
-        s = EnergyState.from_vector(x)
-        xi, zeta = s.xi, s.zeta
+def energy_norm_squared(x, lambdas, scale: NormScale):
+    """Squared norm of an energy-coordinate state (EnergyState or flat vector).
+
+    A stack of flat vectors along the last axis gives an array of their
+    squared norms; a single state gives a float.
+    """
+    x = np.atleast_1d(as_energy_vector(x))
+    if not np.all(np.isfinite(x)):
+        raise DomainError("x must contain only finite entries")
     lam = as_frequencies(lambdas)
-    if lam.size != xi.size:
+    if x.shape[-1] != 2 * lam.size:
         raise DimensionError("frequency count does not match mode count")
+    xi, zeta = x[..., 0::2], x[..., 1::2]
     if scale.kind == "sobolev_state":
         # a = xi / lambda, so the weight on xi**2 is lambda**(4*beta - 2)
-        return float(np.sum(lam ** (4.0 * scale.param - 2.0) * xi**2))
-    w = scale.density_weights(lam)
-    return float(np.sum(w * (xi**2 + zeta**2)))
+        out = np.sum(lam ** (4.0 * scale.param - 2.0) * xi**2, axis=-1)
+    else:
+        out = np.sum(scale.density_weights(lam) * (xi**2 + zeta**2), axis=-1)
+    return float(out) if x.ndim == 1 else out
 
 
 def apply_fractional_power(v: ModalVector, lambdas, beta: float) -> ModalVector:

@@ -3,12 +3,15 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import wavelq
 from wavelq.cli import (ConfigError, EXPERIMENT_FIELDS, MODEL_FIELDS, main, run_experiment,
                         validate_config)
 
@@ -238,6 +241,30 @@ class TestRun:
         assert runs[0] == runs[1]
         assert sorted(os.listdir(out)) == sorted([*runs[0], "manifest.json"])
 
+    def test_a_run_unlinks_what_the_previous_manifest_listed_and_it_did_not_write(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "notes.txt").write_text("not listed")
+        decay = _tiny_decay_cfg(out)
+        run_experiment(decay, str(out), 5, 1, True)
+        run_experiment({**decay, "experiment": {"kind": "bounds", "n_random": 5}},
+                       str(out), 5, 1, True)
+        assert sorted(os.listdir(out)) == ["manifest.json", "notes.txt", "riccati.json",
+                                           "summary.json"]
+
+    @pytest.mark.parametrize("manifest", [
+        '{"files": {"../outside.txt": "", "": "", ".": "", "..": "", "sub": "", "gone.csv": ""}}',
+        '{"files": ["../outside.txt"]}', '["../outside.txt"]', '{"files": 3}', "not json"])
+    def test_a_foreign_or_malformed_manifest_unlinks_no_other_path(self, tmp_path, manifest):
+        out = tmp_path / "out"
+        (out / "sub").mkdir(parents=True)
+        (out / "manifest.json").write_text(manifest)
+        (tmp_path / "outside.txt").write_text("kept")
+        run_experiment(_tiny_decay_cfg(out), str(out), 5, 1, True)
+        assert (tmp_path / "outside.txt").read_text() == "kept"
+        assert sorted(os.listdir(out)) == ["fit.json", "manifest.json", "sub", "summary.json",
+                                           "trajectory.csv"]
+
 
 class TestFailurePaths:
     def test_directory_at_an_output_path_exits_3(self, tmp_path, capsys):
@@ -352,6 +379,18 @@ def _always_bad(key, value):
     if isinstance(value, int) and not isinstance(value, bool):
         return False  # 0 and -1 are in range for some fields
     return not (value == "inf" and key in ("rho", "eta"))
+
+
+def test_importing_the_cli_loads_no_oracle_only_scipy_package():
+    # scipy.optimize, scipy.sparse and scipy.integrate serve only the test oracles;
+    # importing them would add about 0.15 s to every run's start
+    src = str(Path(wavelq.__file__).resolve().parents[1])
+    code = ("import sys, wavelq.cli; print(*sorted(m for m in sys.modules if m.split('.')[:2] "
+            "in (['scipy', 'optimize'], ['scipy', 'sparse'], ['scipy', 'integrate'])))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout.split() == []
 
 
 def test_base_configs_run(tmp_path):

@@ -1,4 +1,6 @@
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,10 +14,13 @@ from wavelq.closed_loop import (
     simulate_collocated,
     simulate_riccati_feedback,
 )
+from wavelq.cli import build_model
 from wavelq.models import (
     SpectralSystem,
     build_interval_wave,
+    build_rectangle,
     build_synthetic,
+    build_synthetic_exponential,
     controllability_gramian,
     observability_gramian,
     shell_constant,
@@ -32,7 +37,9 @@ from wavelq.riccati import (
     step_map,
     value,
 )
-from wavelq.spectral import NormScale
+from wavelq.spectral import NormScale, energy_norm_squared
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
 
 def single_mode_system(lam=1.0, gain=1.0, q=1.0):
@@ -213,6 +220,33 @@ class TestAre:
             assert eigs.real.max() <= 1e-8
 
 
+def dense_backward_error(sol, sys_):
+    """||R|| / (||Q|| + 2 ||A|| ||E|| + ||E||^2 ||B B^T||) on the whole system, Frobenius norms."""
+    A, B, Q = first_order_matrices(sys_)
+    BBT = B @ B.T
+    R = Q + sol.E @ A + A.T @ sol.E - sol.E @ BBT @ sol.E
+    nE = np.linalg.norm(sol.E)
+    return np.linalg.norm(R) / (np.linalg.norm(Q) + 2.0 * np.linalg.norm(A) * nE
+                                + nE**2 * np.linalg.norm(BBT))
+
+
+BACKWARD_ERROR_SYSTEMS = {
+    "bounds_synthetic": lambda: build_model(
+        json.loads((CONFIG_DIR / "bounds_synthetic.json").read_text())["model"]),
+    "rectangle_12": lambda: build_rectangle(1.0, 2.0, 12.0),
+    "rectangle_16": lambda: build_rectangle(1.0, 2.0, 16.0),
+}
+
+
+@pytest.mark.parametrize("method", ["newton_kleinman", "dre_limit"])
+@pytest.mark.parametrize("case", sorted(BACKWARD_ERROR_SYSTEMS))
+def test_both_methods_reach_backward_error_1e_14(case, method):
+    sys_ = BACKWARD_ERROR_SYSTEMS[case]()
+    sol = solve_are(sys_, method=method)
+    assert dense_backward_error(sol, sys_) <= 1e-14
+    assert sol.backward_error <= 1e-14
+
+
 class TestValue:
     def test_zero_state(self):
         sol = solve_are(single_mode_system())
@@ -232,6 +266,61 @@ class TestValue:
         x0 = rng.standard_normal(6)
         W = observability_gramian(zsys, T, use_control=False)
         assert value(snap, x0) == pytest.approx(x0 @ W @ x0, rel=1e-8)
+
+
+def per_probe_bounds(E_hat, system, weak, strong, n_random, rng):
+    """(c1, c2, used, excluded) from one value and two norm calls per probe, as a loop."""
+    dim = E_hat.dim
+    probes = [np.eye(dim)[:, k] for k in range(dim)]
+    raw = rng.standard_normal((int(n_random), dim))
+    probes += [r / np.linalg.norm(r) for r in raw]
+    c1, c2, excluded, used = np.inf, 0.0, 0, 0
+    for x in probes:
+        val = value(E_hat, x)
+        wn = energy_norm_squared(x, system.lambdas, weak)
+        sn = energy_norm_squared(x, system.lambdas, strong)
+        if wn <= 0.0:
+            if val > 0.0:
+                excluded += 1
+                continue
+            wn = np.nan
+        used += 1
+        if np.isfinite(wn):
+            c1 = min(c1, val / wn)
+        if sn > 0.0:
+            c2 = max(c2, val / sn)
+    return max(c1, 0.0), c2, used, excluded
+
+
+BOUNDS_ORACLE_CASES = {
+    "synthetic": (lambda: build_synthetic(2.0, 2.0, 16), "newton_kleinman",
+                  NormScale.graded(-0.5), NormScale.graded(0.5)),
+    "rectangle": (lambda: build_rectangle(1.0, 2.0, 8.0), "newton_kleinman",
+                  NormScale.energy(), NormScale.graded(0.5)),
+    "exp_weight": (lambda: build_synthetic_exponential(0.3, 0.2, 12), "newton_kleinman",
+                   NormScale.exp_weight(0.2), NormScale.energy()),
+    "sobolev_excluded": (lambda: build_synthetic(2.0, 2.0, 8), "newton_kleinman",
+                         NormScale.sobolev_state(0.25), NormScale.graded(0.5)),
+    "zero_cost": (lambda: SpectralSystem([1.0, 2.0], np.eye(2), np.zeros((2, 2))), "dre_limit",
+                  NormScale.energy(), NormScale.energy()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOUNDS_ORACLE_CASES))
+def test_bounds_report_matches_per_probe_oracle(case):
+    build, method, weak, strong = BOUNDS_ORACLE_CASES[case]
+    sys_ = build()
+    sol = solve_are(sys_, method=method)
+    rep = bounds_report(sol, sys_, weak, strong, n_random=40, rng=np.random.default_rng(9))
+    c1, c2, used, excluded = per_probe_bounds(sol, sys_, weak, strong, 40,
+                                              np.random.default_rng(9))
+    assert rep.c1_hat == pytest.approx(c1, rel=1e-14, abs=0.0)
+    assert rep.c2_hat == pytest.approx(c2, rel=1e-14, abs=0.0)
+    assert (rep.probe_count, rep.excluded) == (used, excluded)
+    if case == "sobolev_excluded":
+        assert excluded == sol.dim // 2  # the canonical zeta probes
+    if case == "zero_cost":
+        assert c1 == 0.0
 
 
 class TestBounds:
@@ -271,7 +360,6 @@ class TestBounds:
         sol = solve_are(sys_)
         weak, strong = NormScale.graded(-0.5), NormScale.graded(0.5)
         rep = bounds_report(sol, sys_, weak, strong, rng=np.random.default_rng(6))
-        from wavelq.spectral import energy_norm_squared
         rng = np.random.default_rng(6)
         probes = [np.eye(16)[:, k] for k in range(16)]
         raw = rng.standard_normal((100, 16))
@@ -286,7 +374,6 @@ class TestExponentialWeightScales:
     def test_two_sided_bounds_with_exp_weights(self):
         # exponentially weighted observability: the bound scales are the
         # matching exp-weight norms
-        from wavelq.models import build_synthetic_exponential
         sys_ = build_synthetic_exponential(0.3, 0.2, 12)
         sol = solve_are(sys_)
         # weak side: the planted observation weight exp(-2*0.2*lambda); the
@@ -376,6 +463,13 @@ def test_block_dispatch_matches_monolithic_oracles(case):
         assert sol.residual == pytest.approx(np.linalg.norm(R), rel=1e-6, abs=1e-14)
         if method == "newton_kleinman":
             assert np.linalg.norm(R) <= 1e-9 * (1.0 + np.linalg.norm(sol.E) ** 2)
+        nE = np.linalg.norm(sol.E)
+        assert sol.backward_error == pytest.approx(sol.residual / (
+            np.linalg.norm(Q) + 2.0 * np.linalg.norm(A) * nE + nE**2 * np.linalg.norm(BBT)),
+            rel=1e-12)
+        worst = max(solve_are(sys_.restrict(modes), method=method).backward_error
+                    for modes in sys_.blocks)
+        assert sol.backward_error <= worst * (1.0 + 1e-12)
 
     taus = [0.7, 2.0]
     for snap, E_ref in zip(integrate_dre(sys_, 2.0, snapshot_times=taus), mono_dre(sys_, taus)):

@@ -114,6 +114,27 @@ def test_energy_norm_squared_on_vectors():
     assert got == pytest.approx(1.0 + 4.0, rel=1e-14)
 
 
+@pytest.mark.parametrize("scale", [NormScale.graded(0.5), NormScale.graded_dual(0.3),
+                                   NormScale.exp_weight(0.2), NormScale.sobolev_state(0.75)],
+                         ids=lambda s: s.describe())
+def test_energy_norm_squared_on_a_stack_equals_per_row_calls(scale):
+    rng = np.random.default_rng(11)
+    lam = np.sort(rng.uniform(0.5, 9.0, 7))
+    stack = rng.standard_normal((3, 5, 14))
+    got = energy_norm_squared(stack, lam, scale)
+    assert got.shape == (3, 5)
+    assert np.array_equal(got, [[energy_norm_squared(x, lam, scale) for x in rows]
+                                for rows in stack])
+    bad = stack.copy()
+    bad[2, 4, 0] = np.inf
+    with pytest.raises(DomainError):
+        energy_norm_squared(bad, lam, scale)
+    with pytest.raises(DimensionError):
+        energy_norm_squared(stack[..., :13], lam, scale)
+    with pytest.raises(DimensionError):
+        energy_norm_squared(stack, lam[:6], scale)
+
+
 class TestInterpolationGap:
     def test_single_mode_equality(self):
         v = ModalVector(a=[0.7], b=[0.3])
