@@ -376,10 +376,11 @@ def _run_turnpike(system, exp, outdir, rng, threads: int):
     signs = rng.choice([-1.0, 1.0], size=system.n_modes)
     z = system.lambdas ** (-exp["z_tail"]) * signs
     stationary = tp.solve_stationary(system, z)
+    are = rc.solve_are(system)
 
     def run_one(T):
         return tp.solve_tracking(system, z, x0, T, stationary=stationary,
-                                 dt_record=dt_record)
+                                 dt_record=dt_record, are=are)
 
     if threads > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:

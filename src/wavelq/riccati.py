@@ -12,14 +12,16 @@ an initial state is the optimal cost of ``int (||u||^2 + ||C w||^2) dt``.
 
 Every finite-horizon solver shares one exact kernel, ``step_map``: the step
 transition ``e^{M h}`` of the Hamiltonian matrix ``M = [[A, -B B^T], [-Q, -A^T]]``
-of the state/adjoint pair or of any other LTI generator, with the Van Loan
-integral of a quadratic cost over the step (Van Loan 1978).  It is the
-library's only block-exponential construction: closed loops and tracking
-costs read their exact integrals from it.  The Riccati flow is swept step by
-step through the blocks of ``e^{M h}`` (Davison-Maki 1973), so no ODE
-integrator is involved and each step is exact up to rounding.  One sweep per
-block gives the DRE snapshots, the ``dre_limit`` horizons and Newton-Kleinman's
-initial guess; both ARE methods stop each block on its backward error.
+of the state/adjoint pair or of any other LTI generator (or of a stack of
+them), with the Van Loan integral of a quadratic cost over the step (Van Loan
+1978).  It is the library's only block-exponential construction: closed loops
+and tracking read their steps and exact integrals from it.  The DRE alone is
+swept step by step through the blocks of ``e^{M h}`` (Davison-Maki 1973), so
+no ODE integrator is involved and each step is exact up to rounding.  One
+sweep per block gives the DRE snapshots, the ``dre_limit`` horizons and
+Newton-Kleinman's initial guess; both ARE methods stop each block on its
+backward error.  Tracking uses the stabilizing ARE solution instead
+(``turnpike.solve_tracking``).
 """
 
 from __future__ import annotations
@@ -104,17 +106,17 @@ def _riccati_rhs(E: np.ndarray, lam: np.ndarray, B: np.ndarray, Q: np.ndarray) -
 
 
 def hamiltonian_matrix(A: np.ndarray, B: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """M = [[A, -B B^T], [-Q, -A^T]], the generator of the state/adjoint pair.
+    """M = [[A, -B B^T], [-Q, -A^T]], the generator of the state/adjoint pair (stacks too).
 
     Along an optimal trajectory (x, q)' = M (x, q) with control u = -B^T q, and
     q = E x + h with E the Riccati flow in the time-to-go.
     """
-    d = A.shape[0]
-    M = np.empty((2 * d, 2 * d))
-    M[:d, :d] = A
-    M[:d, d:] = -B @ B.T
-    M[d:, :d] = -Q
-    M[d:, d:] = -A.T
+    d = A.shape[-1]
+    M = np.empty(A.shape[:-2] + (2 * d, 2 * d))
+    M[..., :d, :d] = A
+    M[..., :d, d:] = -B @ np.swapaxes(B, -1, -2)
+    M[..., d:, :d] = -Q
+    M[..., d:, d:] = -np.swapaxes(A, -1, -2)
     return M
 
 
@@ -126,34 +128,30 @@ def step_map(M: np.ndarray, h: float, cost: np.ndarray | None = None):
     ``e^{Z h}`` with ``Z = [[-M^T, G], [0, M]]``, so a step from y costs
     ``y^T W y``; without a weight W is None.  Stepping ``[[M, I], [0, 0]]``
     instead puts ``int_0^h e^{M s} ds`` in the top right block of its Phi.
+    A stack of generators (and of weights) gives the stack of their steps;
+    ``scipy.linalg.expm`` returns the same bits for each slice as alone.
     """
     if cost is None:
         return scipy.linalg.expm(M * h), None
-    n = M.shape[0]
-    Z = np.zeros((2 * n, 2 * n))
-    Z[:n, :n] = -M.T
-    Z[:n, n:] = cost
-    Z[n:, n:] = M
+    n = M.shape[-1]
+    Z = np.zeros(M.shape[:-2] + (2 * n, 2 * n))
+    Z[..., :n, :n] = -np.swapaxes(M, -1, -2)
+    Z[..., :n, n:] = cost
+    Z[..., n:, n:] = M
     F = scipy.linalg.expm(Z * h)
-    Phi = F[n:, n:]
-    return Phi, Phi.T @ F[:n, n:]
+    Phi = F[..., n:, n:]
+    return Phi, np.swapaxes(Phi, -1, -2) @ F[..., :n, n:]
 
 
-def riccati_step(E: np.ndarray, Phi: np.ndarray, h: np.ndarray | None = None):
-    """Carry ``q = E x + h`` one step back across the step map Phi.
+def riccati_step(E: np.ndarray, Phi: np.ndarray) -> np.ndarray:
+    """Carry ``q = E x`` one step back across the step map Phi.
 
-    With S = Phi22 - E Phi12: E <- S^{-1} (E Phi11 - Phi21) and h <- S^{-1} h.
-    Returns the new E (symmetrized), and the new h when one is given.
+    With S = Phi22 - E Phi12: E <- S^{-1} (E Phi11 - Phi21), symmetrized.
     """
     d = E.shape[0]
     S = Phi[d:, d:] - E @ Phi[:d, d:]
-    rhs = E @ Phi[:d, :d] - Phi[d:, :d]
-    if h is None:
-        E = np.linalg.solve(S, rhs)
-        return 0.5 * (E + E.T)
-    sol = np.linalg.solve(S, np.column_stack([rhs, h]))
-    E = sol[:, :d]
-    return 0.5 * (E + E.T), sol[:, d]
+    E = np.linalg.solve(S, E @ Phi[:d, :d] - Phi[d:, :d])
+    return 0.5 * (E + E.T)
 
 
 def _dre_flow(system: SpectralSystem, taus):

@@ -6,14 +6,18 @@ in the observation space realized through the symmetric factor
 coefficient vector of length n_modes.
 
 The finite-horizon optimality system is solved in deviation variables
-(state minus stationary state) by Riccati feedback plus a backward
-feedforward: the deviation adjoint is ``q(t) = E(T-t) x(t) + h(t)`` with the
-matrix Riccati flow E and a linear feedforward h ending at the lift of the
-stationary adjoint.  Both are swept backward, and the state forward, with the
-exact Hamiltonian step map of ``riccati.step_map``; costs and mean positions
-are sums of its Van Loan integrals, and the averaged turnpike metrics read
-them instead of integrating the recorded grid.  The tests hold an independent
-oracle: a dense collocation solve of the same two-point boundary value problem.
+(state minus stationary state) through the Riccati dichotomy (Porretta-Zuazua
+2013; Trelat-Zuazua 2015): with the stabilizing ARE solution P, the adjoint
+split y = q - P x runs backward and the state forward along two stable,
+decoupled flows, each in closed form from the closed-loop step and Gramian
+of ``riccati.step_map``.  The solve splits over the system's blocks, stacks
+blocks of equal size, and walks the horizon in chunks of steps, so it has no
+per-step Python loop and stores nothing of size steps x d^2.  Costs and mean
+positions are sums of the Hamiltonian step's Van Loan integrals, and the
+averaged turnpike metrics read them instead of integrating the recorded grid.
+The tests hold two independent oracles: a dense collocation solve of the
+same two-point boundary value problem, and the monolithic Riccati feedback +
+feedforward sweep.
 """
 
 from __future__ import annotations
@@ -24,8 +28,9 @@ import numpy as np
 import scipy.linalg
 
 from .closed_loop import Trajectory
-from .models import SpectralSystem
-from .riccati import first_order_matrices, hamiltonian_matrix, riccati_step, step_map
+from .models import SpectralSystem, energy_index
+from .riccati import (RiccatiSolution, first_order_matrices, hamiltonian_matrix, solve_are,
+                      step_map)
 from .spectral import DimensionError, DomainError, ModalVector, as_energy_vector
 
 
@@ -141,24 +146,39 @@ class TrackingSolution:
 
 def solve_tracking(system: SpectralSystem, z, x0, horizon: float,
                    stationary: StationarySolution | None = None,
-                   dt_record: float | None = None) -> TrackingSolution:
-    """Solve the finite-horizon tracking problem via Riccati feedback + feedforward.
+                   dt_record: float | None = None,
+                   are: RiccatiSolution | None = None) -> TrackingSolution:
+    """Solve the finite-horizon tracking problem through the Riccati dichotomy.
 
-    The record step is split into equal steps of at most pi/(4 lambda_max),
-    all sharing one exact Hamiltonian step map.  Backward sweep: from E = 0
-    and the lifted stationary adjoint h_T at t = T, ``riccati_step`` carries
-    (E, h) back one step at a time.  Forward recurrence: x_{k+1} = Phi11 x_k +
-    Phi12 q_k with q_k = E_k x_k + h_k.  The running costs and the position
-    average are exact sums of the step's Van Loan integrals.
+    With the stabilizing ARE solution P (``are``, else ``solve_are``, which
+    must succeed) and A_cl = A - B B^T P, the split y = q - P x gives
+    y' = -A_cl^T y and x' = A_cl x - B B^T y.  Over j fine steps of length h:
+    y_{k-j} = F_j^T y_k and x_{k+j} = F_j x_k - G_j y_{k+j}, with
+    F_j = e^{A_cl j h} and the closed-loop Gramian
+    G_j = int_0^{jh} e^{A_cl s} B B^T e^{A_cl^T s} ds; the end condition
+    q_N = h_T gives (I - P G_N) y_N = h_T - P F_N x_0.
+
+    The record step is split into equal fine steps of at most
+    pi/(4 lambda_max).  (F_1, G_1) comes from ``step_map``; (F_j, G_j) up to
+    a chunk length follow by doubling with G(s + t) = G(s) + F(s) G(t) F(s)^T,
+    and (F_N, G_N) by binary doubling.  Each stack of equal-sized blocks is
+    walked in chunks whose stacks hold about ``_STACK_ELEMENTS`` numbers.
+    Costs and the position average are exact sums of the Hamiltonian step's
+    Van Loan integrals; the ``value`` column is x^T E(T - t) x with
+    E(tau) = P - F_tau^T (I - P G_tau)^{-1} P F_tau.
     """
     if horizon <= 0.0:
         raise DomainError("horizon must be positive")
     z = np.asarray(z, dtype=float)
     if stationary is None:
         stationary = solve_stationary(system, z)
+    if are is None:
+        are = solve_are(system)
     lam = system.lambdas
     dim = 2 * lam.size
     A, B, Q = first_order_matrices(system)
+    if are.dim != dim:
+        raise DimensionError("ARE solution dimension mismatch")
 
     x0 = as_energy_vector(x0)
     if x0.size != dim:
@@ -172,49 +192,30 @@ def solve_tracking(system: SpectralSystem, z, x0, horizon: float,
     steps = max(2, int(np.ceil(horizon / dt_record)))
     times = np.linspace(0.0, horizon, steps + 1)
     sub = int(np.ceil(horizon / steps / (np.pi / (4.0 * lam.max()))))
-    n_fine = steps * sub
-    M = hamiltonian_matrix(A, B, Q)
-    Phi, W = step_map(M, horizon / n_fine, cost=scipy.linalg.block_diag(Q, B @ B.T))
-    L = step_map(np.block([[M, np.eye(2 * dim)], [np.zeros((2 * dim, 4 * dim))]]),
-                 horizon / n_fine)[0][:2 * dim, 2 * dim:]
 
-    Es = np.empty((n_fine + 1, dim, dim))
-    hs = np.empty((n_fine + 1, dim))
-    Es[-1] = 0.0
-    hs[-1] = h_T
-    for j in range(n_fine - 1, -1, -1):
-        Es[j], hs[j] = riccati_step(Es[j + 1], Phi, hs[j + 1])
-
-    Y = np.empty((n_fine + 1, 2 * dim))  # rows (x_k, q_k)
-    Y[0, :dim] = x0_dev
-    for j in range(n_fine):
-        Y[j, dim:] = Es[j] @ Y[j, :dim] + hs[j]
-        Y[j + 1, :dim] = Phi[:dim] @ Y[j]
-    Y[-1, dim:] = h_T
+    X = np.empty((steps + 1, dim))
+    q = np.empty((steps + 1, dim))
+    values = np.zeros(steps + 1)
+    int_y = np.empty(2 * dim)
+    j_dev_exact = 0.0
+    for e in _stacked_blocks(system):
+        j_dev_exact += _track_stack(e, (A, B, Q, are.E), x0_dev, h_T, horizon, sub,
+                                    X, q, values, int_y)
 
     Cm = system.observation_factor()
     obs_stationary_gap = Cm @ stationary.w_bar.a - z  # C w_bar - z
     u_bar = stationary.u_bar
-    j_dev_exact = float(np.einsum("ij,ij->", Y[:-1] @ W, Y[:-1]))
-    int_y = L @ Y[:-1].sum(axis=0)
     int_a_dev = int_y[:dim][0::2] / lam
+    stationary_rate = float(u_bar @ u_bar) + float(obs_stationary_gap @ obs_stationary_gap)
     j_full_exact = (j_dev_exact - 2.0 * float(u_bar @ (B.T @ int_y[dim:]))
                     + 2.0 * float(obs_stationary_gap @ (Cm @ int_a_dev))
-                    + horizon * (float(u_bar @ u_bar)
-                                 + float(obs_stationary_gap @ obs_stationary_gap)))
+                    + horizon * stationary_rate)
     mean_a = int_a_dev / horizon
-
-    X = Y[::sub, :dim]
-    q = Y[::sub, dim:]
     V = -(q @ B)
-    values = np.einsum("ij,ijk,ik->i", X, Es[::sub], X)
 
-    zeta_dev_T = X[-1][1::2]
-    zeta_dev_0 = x0_dev[1::2]
     p_bar = stationary.p_bar.a
-    value_cost = (float(x0_dev @ Es[0] @ x0_dev) + float(hs[0] @ x0_dev)
-                  - float(p_bar @ zeta_dev_T) + 2.0 * float(p_bar @ zeta_dev_0)
-                  + horizon * (float(u_bar @ u_bar) + float(obs_stationary_gap @ obs_stationary_gap)))
+    value_cost = (float(x0_dev @ q[0]) - float(p_bar @ X[-1][1::2])
+                  + 2.0 * float(p_bar @ x0_dev[1::2]) + horizon * stationary_rate)
 
     full = X + x_bar_lift
     obs_dev_series = (X[:, 0::2] / lam) @ Cm.T
@@ -230,6 +231,129 @@ def solve_tracking(system: SpectralSystem, z, x0, horizon: float,
                             z=z, x0=x0, horizon=float(horizon), cost_quadrature=j_full_exact,
                             deviation_cost_exact=j_dev_exact, mean_deviation_a=mean_a,
                             value_formula_cost=value_cost, system=system)
+
+
+# numbers in one (steps, blocks, s, s) stack of a chunk of the tracking sweep
+_STACK_ELEMENTS = 1 << 16
+
+
+def _stacked_blocks(system: SpectralSystem) -> list[np.ndarray]:
+    """Energy indices of the system's blocks, one (blocks, s) array per block size s."""
+    by_size = {}
+    for modes in system.blocks:
+        by_size.setdefault(modes.size, []).append(energy_index(modes))
+    return [np.array(group) for group in by_size.values()]
+
+
+def _mT(a: np.ndarray) -> np.ndarray:
+    return np.swapaxes(a, -1, -2)
+
+
+def _mv(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Stacked matrix-vector products M v."""
+    return (M @ v[..., None])[..., 0]
+
+
+def _compose(first, second):
+    """The pair (F, G) over s + t from the pairs over s and over t (stacks broadcast)."""
+    (F1, G1), (F2, G2) = first, second
+    return F1 @ F2, G1 + F1 @ G2 @ _mT(F1)
+
+
+def _power(pair, n: int):
+    """The pair over n >= 1 steps, by binary doubling of the one-step pair."""
+    acc = None
+    while True:
+        if n & 1:
+            acc = pair if acc is None else _compose(acc, pair)
+        n >>= 1
+        if not n:
+            return acc
+        pair = _compose(pair, pair)
+
+
+def _powers(pair, m: int):
+    """Stacks of the pairs (F_j, G_j) over j = 0..m steps, each (m + 1, blocks, s, s)."""
+    F1, G1 = pair
+    F = np.empty((m + 1,) + F1.shape)
+    G = np.empty_like(F)
+    F[0], G[0], F[1], G[1] = np.eye(F1.shape[-1]), 0.0, F1, G1
+    k = 1
+    while k < m:
+        n = min(k, m - k)
+        F[k + 1:k + n + 1], G[k + 1:k + n + 1] = _compose((F[k], G[k]), (F[1:n + 1], G[1:n + 1]))
+        k += n
+    return F, G
+
+
+def _track_stack(e, mats, x0_dev, h_T, horizon, sub, X, q, values, int_y) -> float:
+    """Solve the tracking dichotomy on one stack of equal-sized blocks.
+
+    ``e`` holds the blocks' energy indices.  Fills their columns of the
+    recorded states X and adjoints q and of the integrals int_y of (x, q),
+    adds their share to ``values``, and returns their deviation cost.
+    """
+    A, B, Q, P = mats
+    blk = (e[:, :, None], e[:, None, :])
+    A, B, Q, P = A[blk], B[e], Q[blk], P[blk]
+    nb, s = e.shape
+    steps = X.shape[0] - 1
+    n_fine = steps * sub
+    h = horizon / n_fine
+    BBT = B @ _mT(B)
+    A_cl = A - BBT @ P
+    FT, G1 = step_map(_mT(A_cl), h, cost=BBT)
+    one = (_mT(FT), G1)
+    m = min(n_fine, sub * max(1, _STACK_ELEMENTS // (sub * nb * s * s)))
+    F, G = _powers(one, m)
+
+    M = hamiltonian_matrix(A, B, Q)
+    cost = np.zeros((nb, 2 * s, 2 * s))
+    cost[:, :s, :s], cost[:, s:, s:] = Q, BBT
+    W = step_map(M, h, cost=cost)[1]
+    gen = np.zeros((nb, 4 * s, 4 * s))
+    gen[:, :2 * s, :2 * s], gen[:, :2 * s, 2 * s:] = M, np.eye(2 * s)
+    L = step_map(gen, h)[0][:, :2 * s, 2 * s:]
+
+    F_N, G_N = _power(one, n_fine)
+    x = x0_dev[e]
+    eye = np.eye(s)
+    y_end = np.linalg.solve(eye - P @ G_N, (h_T[e] - _mv(P, _mv(F_N, x)))[..., None])[..., 0]
+
+    starts = range(0, n_fine, m)
+    y_at = [y_end]  # y at the chunk ends, last chunk first
+    for a in reversed(starts[1:]):
+        y_at.append(_mv(_mT(F[min(m, n_fine - a)]), y_at[-1]))
+
+    j_dev, y_sum = 0.0, np.zeros((nb, 2 * s))
+    for a, y_b in zip(starts, reversed(y_at)):
+        n = min(m, n_fine - a)
+        ys = _mv(_mT(F[n::-1]), y_b)             # y_{a+i} = F_{n-i}^T y_{a+n}
+        xs = np.empty_like(ys)
+        xs[0] = x
+        xs[1:] = _mv(F[1:n + 1], x) - _mv(G[1:n + 1], ys[1:])
+        qs = ys + _mv(P, xs)
+        Y = np.concatenate([xs[:-1], qs[:-1]], axis=-1)
+        j_dev += float(np.sum(_mv(W, Y) * Y))
+        y_sum += Y.sum(axis=0)
+        rec = slice(a // sub, (a + n) // sub)
+        X[rec, e], q[rec, e] = xs[:-1:sub], qs[:-1:sub]
+        x = xs[-1]
+    X[-1, e], q[-1, e] = x, y_end + _mv(P, x)
+    int_y[e], int_y[e + X.shape[1]] = np.split(_mv(L, y_sum), 2, axis=-1)
+
+    # values x^T E(tau) x, chunk by chunk backward; ``pair`` spans the time to go at the chunk's end
+    pair = (eye, np.zeros((nb, s, s)))
+    for a in reversed(starts):
+        n = min(m, n_fine - a)
+        j = np.arange(n, 0, -sub)
+        F_tau, G_tau = _compose((F[j], G[j]), pair)
+        xr = X[a // sub:(a + n) // sub, e]
+        w = _mv(F_tau, xr)
+        zeta = np.linalg.solve(eye - P @ G_tau, _mv(P, w)[..., None])[..., 0]
+        values[a // sub:(a + n) // sub] += np.sum(xr * _mv(P, xr) - w * zeta, axis=(1, 2))
+        pair = _compose((F[n], G[n]), pair)
+    return j_dev
 
 
 def tracking_os_residual(sol: TrackingSolution) -> float:

@@ -288,6 +288,21 @@ class TestFailurePaths:
         assert main(["run", "--config", _write(tmp_path, cfg), "--quiet"]) == 3
         assert "numeric failure" in capsys.readouterr().err
 
+    def test_turnpike_without_a_stabilizing_are_solution_exits_3(self, tmp_path, capsys):
+        # tracking runs through the stabilizing ARE solution; three equal edges with
+        # control and observation on one leave Newton-Kleinman no stabilizing guess
+        cfg = {
+            "model": {"kind": "star", "lengths": [1.0, 1.0, 1.0], "controlled_edge": 0,
+                      "observed_edge": 0, "lambda_max": 8.0},
+            "experiment": {"kind": "turnpike", "horizons": [5.0, 10.0]},
+            "seed": 1,
+            "output_dir": str(tmp_path / "out"),
+        }
+        assert main(["run", "--config", _write(tmp_path, cfg), "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert err == ("wavelq: numeric failure: MethodError: no stabilizing initial guess "
+                       "found; try method='dre_limit'\n")
+
 
 class TestThreads:
     def test_thread_count_does_not_change_results(self, tmp_path):

@@ -1,12 +1,16 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import simpson
 
-from tracking_oracle import solve_tracking_collocation
+from tracking_oracle import solve_tracking_collocation, solve_tracking_sweep
 from wavelq.closed_loop import smooth_initial_state
-from wavelq.models import SpectralSystem, build_synthetic
+from wavelq.models import (SpectralSystem, build_interval_wave, build_rectangle,
+                           build_star_network, build_synthetic)
+from wavelq.riccati import MethodError, solve_are
 from wavelq.spectral import DomainError
 from wavelq.turnpike import (
     averaged_metrics,
@@ -224,3 +228,102 @@ class TestValueAgainstTrackingOracle:
         snap = integrate_dre(sys_, T)[0]
         sol = solve_tracking(sys_, np.zeros(4), x0, T)
         assert sol.cost_quadrature == pytest.approx(value(snap, x0), rel=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# the dichotomy solve against the monolithic Riccati sweep
+
+
+def _assert_matches_sweep(sys_, z, x0, horizon, dt_record=None, tol=1e-10):
+    sol = solve_tracking(sys_, z, x0, horizon, dt_record=dt_record)
+    ref = solve_tracking_sweep(sys_, z, x0, horizon, dt_record=dt_record)
+    assert np.array_equal(sol.times, ref.times)
+    for name in ("deviation_states", "deviation_adjoints", "deviation_controls",
+                 "mean_deviation_a"):
+        want = getattr(ref, name)
+        assert np.abs(getattr(sol, name) - want).max() <= tol * np.abs(want).max(), name
+    assert np.abs(sol.trajectory.values - ref.values).max() <= tol * np.abs(ref.values).max()
+    for name in ("deviation_cost_exact", "value_formula_cost"):
+        assert getattr(sol, name) == pytest.approx(getattr(ref, name), rel=tol), name
+    return sol
+
+
+@pytest.mark.parametrize("build, horizon, dt_record", [
+    (lambda: build_synthetic(2.0, 2.0, 12), 25.0, 0.01),
+    (lambda: build_synthetic(2.0, 2.0, 12), 200.0, 0.01),
+    (lambda: build_synthetic(np.inf, np.inf, 12), 200.0, 0.01),
+    (lambda: build_rectangle(1.0, 2.0, 8.0), 10.0, None),  # blocks of four sizes
+    (lambda: build_interval_wave(16, control=("subinterval", 0.4, 1.9)), 10.0, None),  # one block
+    (lambda: build_synthetic(2.0, 2.0, 12), 20.0, 0.3),  # sub = 5 fine steps per record step
+], ids=["synthetic-T25", "synthetic-T200", "exact-T200", "rectangle", "interval", "sub5"])
+def test_dichotomy_matches_sweep_oracle(build, horizon, dt_record):
+    sys_ = build()
+    rng = np.random.default_rng(12)
+    x0 = smooth_initial_state(sys_.lambdas, 2.5, rng=rng).to_vector()
+    z = sys_.lambdas**-2.0 * rng.choice([-1.0, 1.0], size=sys_.n_modes)
+    sol = _assert_matches_sweep(sys_, z, x0, horizon, dt_record)
+    assert tracking_os_residual(sol) <= 1e-6
+
+
+@st.composite
+def small_systems(draw):
+    """A 1-4 mode system, coupled or split into blocks of the drawn sizes on permuted modes."""
+    sizes = draw(st.sampled_from([(1,), (2,), (3,), (4,), (1, 1), (1, 2), (1, 3), (2, 2),
+                                  (1, 1, 1), (1, 1, 2), (1, 1, 1, 1)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    n = labels.size
+    same = labels[:, None] == labels[None, :]
+    B = np.diag(rng.uniform(0.3, 2.0, n))  # mode k's own control, so every mode is controllable
+    B += np.where(same & ~np.eye(n, dtype=bool), 0.5 * rng.standard_normal((n, n)), 0.0)
+    C = np.where(same, rng.standard_normal((n, n)), 0.0)
+    lam = np.sort(rng.uniform(0.5, 4.0, n))
+    return (SpectralSystem(lam, B, C.T @ C), rng.standard_normal(n), rng.standard_normal(2 * n),
+            draw(st.floats(0.5, 100.0)), draw(st.floats(0.05, 2.0)))
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(case=small_systems())
+def test_dichotomy_matches_sweep_on_random_block_systems(case):
+    sys_, z, x0, horizon, dt_record = case
+    _assert_matches_sweep(sys_, z, x0, horizon, dt_record)
+
+
+def test_tracking_memory_stays_off_the_step_count():
+    # the sweep stored the Riccati flow at every step: 1001 x 196 x 196 doubles, 307 MB here
+    sys_ = build_rectangle(1.0, 2.0, 12.0)
+    rng = np.random.default_rng(13)
+    x0 = smooth_initial_state(sys_.lambdas, 2.5, rng=rng).to_vector()
+    z = sys_.lambdas**-2.0 * rng.choice([-1.0, 1.0], size=sys_.n_modes)
+    tracemalloc.start()
+    try:
+        sol = solve_tracking(sys_, z, x0, 20.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.times.size == 1001
+    assert peak <= 32 * 2**20
+
+
+def test_tracking_needs_a_stabilizing_are_solution():
+    # three equal edges, control and observation on one: modes that vanish on that
+    # edge are free and nearly uncontrollable, so Newton-Kleinman finds no
+    # stabilizing guess; the Riccati sweep alone would still track them
+    sys_ = build_star_network([1.0, 1.0, 1.0], 0, 0, 8.0)
+    z = np.zeros(sys_.n_modes)
+    x0 = np.ones(2 * sys_.n_modes)
+    with pytest.raises(MethodError, match="no stabilizing initial guess"):
+        solve_are(sys_)
+    with pytest.raises(MethodError, match="no stabilizing initial guess"):
+        solve_tracking(sys_, z, x0, 5.0)
+    assert np.all(np.isfinite(solve_tracking_sweep(sys_, z, x0, 5.0).deviation_states))
+
+
+def test_precomputed_are_solution_gives_the_same_bits():
+    sys_ = build_synthetic(2.0, 2.0, 5)
+    rng = np.random.default_rng(14)
+    z, x0 = rng.standard_normal(5), rng.standard_normal(10)
+    a = solve_tracking(sys_, z, x0, 6.0)
+    b = solve_tracking(sys_, z, x0, 6.0, are=solve_are(sys_))
+    assert np.array_equal(a.deviation_states, b.deviation_states)
+    assert np.array_equal(a.trajectory.values, b.trajectory.values)
