@@ -159,8 +159,7 @@ _DECAY_FIELDS = {"horizon": _POSITIVE, "dt": _MAYBE_POSITIVE,
 EXPERIMENT_FIELDS = {
     "observability": {"horizon": _POSITIVE, "shells": _numbers(3, increasing=True, positive=True),
                       "side": _choice("control", "observation")},
-    "bounds": {"method": _choice("newton_kleinman", "dre_limit"),
-               "n_random": _integer(1, default=100)},
+    "bounds": {"n_random": _integer(1, default=100)},
     "decay_collocated": _DECAY_FIELDS,
     "decay_riccati": _DECAY_FIELDS,
     "null_control": {"t0": _POSITIVE, "n_draws": _integer(1, default=1),
@@ -295,7 +294,7 @@ def _default_scales(system):
 
 
 def _run_bounds(system, exp, outdir, rng, threads):
-    sol = rc.solve_are(system, method=exp["method"])
+    sol = rc.solve_are(system)
     weak, strong = _default_scales(system)
     report = rc.bounds_report(sol, system, weak, strong, n_random=exp["n_random"], rng=rng)
     io.save_riccati(sol, os.path.join(outdir, "riccati.json"))

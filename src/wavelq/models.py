@@ -246,49 +246,17 @@ def _star_secular(lam: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 def _star_roots(lo: np.ndarray, hi: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """The root of the secular function in each bracket, f(lo) > 0 > f(hi), all at once.
 
-    Brent's safeguarded secant / inverse-quadratic steps, the same iteration
-    as ``scipy.optimize.brentq`` with xtol 1e-13 and rtol 4 eps, run on every
-    bracket in lockstep; a bracket's root is frozen at the step it converges.
-    Following brentq step for step keeps the star spectra, and every output
-    built on them, bitwise what the scalar solve gave.
+    Bisection on every bracket in lockstep, until each bracket is narrower
+    than ``scipy.optimize.brentq``'s tolerance xtol + rtol |x| (xtol 1e-13,
+    rtol 4 eps); the roots are the bracket midpoints.
     """
     xtol, rtol = 1e-13, 4.0 * np.finfo(float).eps
-    xpre, xcur = lo.copy(), hi.copy()
-    fpre, fcur = _star_secular(xpre, lengths), _star_secular(xcur, lengths)
-    xblk, fblk, spre, scur = (np.zeros_like(lo) for _ in range(4))
-    roots = np.full_like(lo, np.nan)
-    todo = np.ones(lo.shape, dtype=bool)
-    with np.errstate(all="ignore"):  # brackets already frozen may divide by zero
-        for _ in range(100):
-            flip = (fpre != 0.0) & (fcur != 0.0) & (np.signbit(fpre) != np.signbit(fcur))
-            xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
-            spre, scur = np.where(flip, xcur - xpre, spre), np.where(flip, xcur - xpre, scur)
-            swap = np.abs(fblk) < np.abs(fcur)
-            xpre, xcur, xblk = np.where(swap, xcur, xpre), np.where(swap, xblk, xcur), \
-                np.where(swap, xcur, xblk)
-            fpre, fcur, fblk = np.where(swap, fcur, fpre), np.where(swap, fblk, fcur), \
-                np.where(swap, fcur, fblk)
-
-            delta = (xtol + rtol * np.abs(xcur)) / 2
-            sbis = (xblk - xcur) / 2
-            done = todo & ((fcur == 0.0) | (np.abs(sbis) < delta))
-            roots[done] = xcur[done]
-            todo &= ~done
-            if not todo.any():
-                return roots
-
-            interpolated = -fcur * (xcur - xpre) / (fcur - fpre)
-            dpre = (fpre - fcur) / (xpre - xcur)
-            dblk = (fblk - fcur) / (xblk - xcur)
-            extrapolated = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            stry = np.where(xpre == xblk, interpolated, extrapolated)
-            short = (np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre)) \
-                & (2 * np.abs(stry) < np.minimum(np.abs(spre), 3 * np.abs(sbis) - delta))
-            spre, scur = np.where(short, scur, sbis), np.where(short, stry, sbis)
-
-            xpre, fpre = xcur, fcur
-            xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
-            fcur = _star_secular(xcur, lengths)
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if np.all(hi - lo < xtol + rtol * np.abs(mid)):
+            return mid
+        above = _star_secular(mid, lengths) > 0.0
+        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
     raise ConsistencyError("the star secular equation did not converge in 100 steps")
 
 

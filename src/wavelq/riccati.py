@@ -18,10 +18,11 @@ them), with the Van Loan integral of a quadratic cost over the step (Van Loan
 and tracking read their steps and exact integrals from it.  The DRE alone is
 swept step by step through the blocks of ``e^{M h}`` (Davison-Maki 1973), so
 no ODE integrator is involved and each step is exact up to rounding.  One
-sweep per block gives the DRE snapshots, the ``dre_limit`` horizons and
-Newton-Kleinman's initial guess; both ARE methods stop each block on its
-backward error.  Tracking uses the stabilizing ARE solution instead
-(``turnpike.solve_tracking``).
+sweep per block gives the DRE snapshots, and ``solve_are`` runs one iteration
+per block: Newton-Kleinman from the identity when it stabilizes, else from
+the first stabilizing DRE snapshot at doubling horizons, else the snapshots
+themselves; it stops on the backward error.  Tracking uses the ARE solution
+instead (``turnpike.solve_tracking``).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ class StabilizabilityError(RuntimeError):
 
 
 class MethodError(RuntimeError):
-    """A solver failed to converge; try the alternative method."""
+    """The ARE iteration hit its cap or produced a non-finite iterate."""
 
 
 @dataclass
@@ -226,29 +227,30 @@ def _check_stabilizable(system: SpectralSystem):
                     f"observation cost {worst:.2e}")
 
 
-def solve_are(system: SpectralSystem, method: str = "newton_kleinman") -> RiccatiSolution:
+def solve_are(system: SpectralSystem) -> RiccatiSolution:
     """Solve ``Q + E A + A^T E - E B B^T E = 0`` for the truncated system.
 
-    ``newton_kleinman`` iterates Lyapunov solves from a stabilizing guess (the
-    identity if it stabilizes, else the first stabilizing DRE snapshot at
-    tau = 10, 20, 40 over lambda_min); ``dre_limit`` takes DRE snapshots at
-    horizons doubling from max(1, 10/lambda_min), realizing the minimal
-    solution as the limit of the finite-horizon operators.
-
     Each block is solved on its own and the results are assembled.  A block
-    stops on its backward error ||R|| / (||Q|| + 2 ||A|| ||X|| + ||X||^2 ||B B^T||)
+    runs Newton-Kleinman's Lyapunov solves from the identity when A - B B^T is
+    stable.  Otherwise its iterates are the DRE snapshots at horizons doubling
+    from max(1, 10/lambda_min), and Newton-Kleinman continues from the first
+    snapshot that stabilizes; when none does, the snapshots converge to the
+    minimal solution, whose closed loop is then only marginally stable (modes
+    that neither control nor observation sees stay free).  ``method`` is
+    ``newton_kleinman`` when every block kept a Newton step, else ``dre_limit``.
+
+    A block stops on its backward error ||R|| / (||Q|| + 2 ||A|| ||X|| + ||X||^2 ||B B^T||)
     in Frobenius norms (Kleinman 1968; Laub 1979): at the first iterate at or
     below 1e-14, or, once below 1e-10, at the previous iterate when the next
-    fails to lower it; else MethodError after 60 Newton steps or 14 horizons.
-    The assembled norms are root sums of squares of the blocks', so the
-    assembled ``backward_error`` is at most the worst block's (Cauchy-Schwarz);
-    ``residual`` is ||R|| of the whole system.
+    fails to lower it; else MethodError after 14 horizons plus 60 Newton steps,
+    or at a non-finite iterate.  The assembled norms are root sums of squares
+    of the blocks', so the assembled ``backward_error`` is at most the worst
+    block's (Cauchy-Schwarz); ``residual`` is ||R|| of the whole system.
     """
-    if method not in ("newton_kleinman", "dre_limit"):
-        raise DomainError(f"unknown ARE method {method!r}")
     _check_stabilizable(system)
-    parts, norms = zip(*(_solve_block(system.restrict(modes), method) for modes in system.blocks))
+    parts, norms, kinds = zip(*(_solve_block(system.restrict(modes)) for modes in system.blocks))
     norms = np.linalg.norm(norms, axis=0)
+    method = "newton_kleinman" if set(kinds) == {"newton_kleinman"} else "dre_limit"
     return RiccatiSolution(E=system.assemble(parts), horizon=np.inf, residual=float(norms[0]),
                            method=method, backward_error=_backward_error(norms))
 
@@ -259,44 +261,47 @@ def _backward_error(norms) -> float:
     return float(r / (q + 2.0 * a * x + x * x * g)) if r else 0.0
 
 
-def _solve_block(system: SpectralSystem, method: str):
-    """The iterates of ``method`` on one block, stopped on their backward error.
+def _solve_block(system: SpectralSystem):
+    """One block's ARE iterates, stopped on their backward error.
 
-    Returns the kept iterate X and its norms (||R||, ||Q||, ||A||, ||X||, ||B B^T||).
+    Returns the kept iterate X, its norms (||R||, ||Q||, ||A||, ||X||, ||B B^T||)
+    and the name of the iteration it came from.
     """
     A, B, Q = first_order_matrices(system)
     BBT = B @ B.T
-    if method == "newton_kleinman":
-        iterates = _newton_kleinman(system, A, BBT, Q)
-    else:
-        iterates = _dre_flow(system, max(1.0, 10.0 / system.lambdas.min()) * 2.0 ** np.arange(14))
     q, a, g = np.linalg.norm(Q), np.linalg.norm(A), np.linalg.norm(BBT)
     kept, kept_err = None, np.inf
-    for X in iterates:
+    for X, kind in _are_iterates(system, A, BBT, Q):
+        if not np.all(np.isfinite(X)):
+            raise MethodError(f"{kind} produced a non-finite iterate")
         norms = (np.linalg.norm(_riccati_rhs(X, system.lambdas, B, Q)), q, a, np.linalg.norm(X), g)
         err = _backward_error(norms)
         if kept_err <= 1e-10 and err >= kept_err:
             return kept
-        kept, kept_err = (X, norms), err
+        kept, kept_err = (X, norms, kind), err
         if err <= 1e-14:
             return kept
-    raise MethodError(f"{method} did not converge within its iteration cap; try the other method")
+    raise MethodError("the ARE did not converge within 14 horizons and 60 Newton steps")
 
 
-def _newton_kleinman(system: SpectralSystem, A, BBT, Q):
-    """Newton-Kleinman iterates on one block, at most 60."""
+def _are_iterates(system: SpectralSystem, A, BBT, Q):
+    """Yield (X, iteration name): DRE snapshots until one stabilizes, then Newton-Kleinman.
+
+    The snapshots are skipped when the identity stabilizes; Newton-Kleinman
+    takes at most 60 steps, and is skipped when no snapshot stabilizes.
+    """
     X = np.eye(A.shape[0])
     if _spectral_abscissa(A - BBT) >= -1e-12:
-        guesses = _dre_flow(system, 10.0 / system.lambdas.min() * np.array([1.0, 2.0, 4.0]))
-        X = next((E for E in guesses if _spectral_abscissa(A - BBT @ E) < -1e-12), None)
-        if X is None:
-            raise MethodError("no stabilizing initial guess found; try method='dre_limit'")
+        for X in _dre_flow(system, max(1.0, 10.0 / system.lambdas.min()) * 2.0 ** np.arange(14)):
+            yield X, "dre_limit"
+            if _spectral_abscissa(A - BBT @ X) < -1e-12:
+                break
+        else:
+            return
     for _ in range(60):
         X = scipy.linalg.solve_continuous_lyapunov((A - BBT @ X).T, -(Q + X @ BBT @ X))
         X = 0.5 * (X + X.T)
-        if not np.all(np.isfinite(X)):
-            raise MethodError("Newton-Kleinman diverged; try method='dre_limit'")
-        yield X
+        yield X, "newton_kleinman"
 
 
 def _spectral_abscissa(M: np.ndarray) -> float:

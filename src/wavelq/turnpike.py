@@ -7,14 +7,15 @@ coefficient vector of length n_modes.
 
 The finite-horizon optimality system is solved in deviation variables
 (state minus stationary state) through the Riccati dichotomy (Porretta-Zuazua
-2013; Trelat-Zuazua 2015): with the stabilizing ARE solution P, the adjoint
-split y = q - P x runs backward and the state forward along two stable,
-decoupled flows, each in closed form from the closed-loop step and Gramian
-of ``riccati.step_map``.  The solve splits over the system's blocks, stacks
-blocks of equal size, and walks the horizon in chunks of steps, so it has no
-per-step Python loop and stores nothing of size steps x d^2.  Costs and mean
-positions are sums of the Hamiltonian step's Van Loan integrals, and the
-averaged turnpike metrics read them instead of integrating the recorded grid.
+2013; Trelat-Zuazua 2015): with the ARE solution P, the adjoint split
+y = q - P x runs backward and the state forward along two decoupled flows,
+stable but for modes that neither control nor observation sees, each in
+closed form from the closed-loop step and Gramian of ``riccati.step_map``.
+The solve splits over the system's blocks, stacks blocks of equal size, and
+walks the horizon in chunks of steps, so it has no per-step Python loop and
+stores nothing of size steps x d^2.  Costs and mean positions are sums of
+the Hamiltonian step's Van Loan integrals, and the averaged turnpike metrics
+read them instead of integrating the recorded grid.
 The tests hold two independent oracles: a dense collocation solve of the
 same two-point boundary value problem, and the monolithic Riccati feedback +
 feedforward sweep.
@@ -150,8 +151,8 @@ def solve_tracking(system: SpectralSystem, z, x0, horizon: float,
                    are: RiccatiSolution | None = None) -> TrackingSolution:
     """Solve the finite-horizon tracking problem through the Riccati dichotomy.
 
-    With the stabilizing ARE solution P (``are``, else ``solve_are``, which
-    must succeed) and A_cl = A - B B^T P, the split y = q - P x gives
+    With the ARE solution P (``are``, else ``solve_are``; stabilizing when
+    such a solution exists) and A_cl = A - B B^T P, the split y = q - P x gives
     y' = -A_cl^T y and x' = A_cl x - B B^T y.  Over j fine steps of length h:
     y_{k-j} = F_j^T y_k and x_{k+j} = F_j x_k - G_j y_{k+j}, with
     F_j = e^{A_cl j h} and the closed-loop Gramian

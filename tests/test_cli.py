@@ -62,6 +62,11 @@ class TestValidation:
         cfg["model"]["bogus"] = 1
         assert main(["run", "--config", _write(tmp_path, cfg)]) == 2
         assert "unknown key" in capsys.readouterr().err
+        # solve_are picks its own iteration: the ARE has no method key
+        cfg["model"].pop("bogus")
+        cfg["experiment"] = {"kind": "bounds", "method": "dre_limit"}
+        assert main(["run", "--config", _write(tmp_path, cfg)]) == 2
+        assert "experiment.method: unknown key" in capsys.readouterr().err
 
     def test_missing_file_is_validation_error(self, capsys):
         assert main(["run", "--config", "/nonexistent/cfg.json"]) == 2
@@ -124,8 +129,7 @@ class TestValidation:
         printed = json.loads(capsys.readouterr().out)
         assert printed == validate_config(cfg)
         assert printed["model"]["rho"] == 2.0 and isinstance(printed["model"]["rho"], float)
-        assert printed["experiment"] == {"kind": "bounds", "method": "newton_kleinman",
-                                         "n_random": 100}
+        assert printed["experiment"] == {"kind": "bounds", "n_random": 100}
         assert (printed["seed"], printed["output_dir"]) == (0, "out")
 
     def test_subcommand_kind_mismatch(self, tmp_path, capsys):
@@ -265,6 +269,22 @@ class TestRun:
         assert sorted(os.listdir(out)) == ["fit.json", "manifest.json", "sub", "summary.json",
                                            "trajectory.csv"]
 
+    def test_turnpike_without_a_stabilizing_are_solution_runs(self, tmp_path, capsys):
+        # three equal edges with control and observation on one: the modes that
+        # vanish on that edge leave no stabilizing ARE solution, and tracking runs
+        # through the DRE limit instead
+        cfg = {
+            "model": {"kind": "star", "lengths": [1.0, 1.0, 1.0], "controlled_edge": 0,
+                      "observed_edge": 0, "lambda_max": 8.0},
+            "experiment": {"kind": "turnpike", "horizons": [5.0, 10.0]},
+            "seed": 1,
+            "output_dir": str(tmp_path / "out"),
+        }
+        assert main(["run", "--config", _write(tmp_path, cfg), "--quiet"]) == 0
+        assert capsys.readouterr().err == ""
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["os_residual_last_run"] <= 1e-6
+
 
 class TestFailurePaths:
     def test_directory_at_an_output_path_exits_3(self, tmp_path, capsys):
@@ -287,21 +307,6 @@ class TestFailurePaths:
         }
         assert main(["run", "--config", _write(tmp_path, cfg), "--quiet"]) == 3
         assert "numeric failure" in capsys.readouterr().err
-
-    def test_turnpike_without_a_stabilizing_are_solution_exits_3(self, tmp_path, capsys):
-        # tracking runs through the stabilizing ARE solution; three equal edges with
-        # control and observation on one leave Newton-Kleinman no stabilizing guess
-        cfg = {
-            "model": {"kind": "star", "lengths": [1.0, 1.0, 1.0], "controlled_edge": 0,
-                      "observed_edge": 0, "lambda_max": 8.0},
-            "experiment": {"kind": "turnpike", "horizons": [5.0, 10.0]},
-            "seed": 1,
-            "output_dir": str(tmp_path / "out"),
-        }
-        assert main(["run", "--config", _write(tmp_path, cfg), "--quiet"]) == 3
-        err = capsys.readouterr().err
-        assert err == ("wavelq: numeric failure: MethodError: no stabilizing initial guess "
-                       "found; try method='dre_limit'\n")
 
 
 class TestThreads:
@@ -359,7 +364,7 @@ MODELS = {
 EXPERIMENTS = {
     "observability": {"kind": "observability", "horizon": 8.0, "shells": [1.0, 2.0, 4.0],
                       "side": "control"},
-    "bounds": {"kind": "bounds", "method": "newton_kleinman", "n_random": 3},
+    "bounds": {"kind": "bounds", "n_random": 3},
     "decay_collocated": {"kind": "decay_collocated", "horizon": 6.0, "dt": 0.05,
                          "window": [1.0, 5.0], "tail_exponent": 1.0, "signs": "random"},
     "decay_riccati": {"kind": "decay_riccati", "horizon": 6.0, "dt": 0.05,

@@ -10,7 +10,7 @@ from tracking_oracle import solve_tracking_collocation, solve_tracking_sweep
 from wavelq.closed_loop import smooth_initial_state
 from wavelq.models import (SpectralSystem, build_interval_wave, build_rectangle,
                            build_star_network, build_synthetic)
-from wavelq.riccati import MethodError, solve_are
+from wavelq.riccati import closed_loop_matrix, solve_are
 from wavelq.spectral import DomainError
 from wavelq.turnpike import (
     averaged_metrics,
@@ -255,7 +255,10 @@ def _assert_matches_sweep(sys_, z, x0, horizon, dt_record=None, tol=1e-10):
     (lambda: build_rectangle(1.0, 2.0, 8.0), 10.0, None),  # blocks of four sizes
     (lambda: build_interval_wave(16, control=("subinterval", 0.4, 1.9)), 10.0, None),  # one block
     (lambda: build_synthetic(2.0, 2.0, 12), 20.0, 0.3),  # sub = 5 fine steps per record step
-], ids=["synthetic-T25", "synthetic-T200", "exact-T200", "rectangle", "interval", "sub5"])
+    # free modes vanishing on the controlled edge: no stabilizing ARE solution
+    (lambda: build_star_network([1.0, 1.0, 1.0], 0, 0, 8.0), 50.0, None),
+], ids=["synthetic-T25", "synthetic-T200", "exact-T200", "rectangle", "interval", "sub5",
+        "star_111"])
 def test_dichotomy_matches_sweep_oracle(build, horizon, dt_record):
     sys_ = build()
     rng = np.random.default_rng(12)
@@ -305,18 +308,17 @@ def test_tracking_memory_stays_off_the_step_count():
     assert peak <= 32 * 2**20
 
 
-def test_tracking_needs_a_stabilizing_are_solution():
+def test_tracking_without_a_stabilizing_are_solution():
     # three equal edges, control and observation on one: modes that vanish on that
-    # edge are free and nearly uncontrollable, so Newton-Kleinman finds no
-    # stabilizing guess; the Riccati sweep alone would still track them
+    # edge are free and nearly uncontrollable, so no DRE snapshot stabilizes and
+    # solve_are keeps the DRE limit, whose closed loop leaves those modes neutral
     sys_ = build_star_network([1.0, 1.0, 1.0], 0, 0, 8.0)
     z = np.zeros(sys_.n_modes)
     x0 = np.ones(2 * sys_.n_modes)
-    with pytest.raises(MethodError, match="no stabilizing initial guess"):
-        solve_are(sys_)
-    with pytest.raises(MethodError, match="no stabilizing initial guess"):
-        solve_tracking(sys_, z, x0, 5.0)
-    assert np.all(np.isfinite(solve_tracking_sweep(sys_, z, x0, 5.0).deviation_states))
+    are = solve_are(sys_)
+    assert are.method == "dre_limit"
+    assert np.linalg.eigvals(closed_loop_matrix(sys_, are)).real.max() > -1e-12
+    assert np.all(np.isfinite(solve_tracking(sys_, z, x0, 5.0, are=are).deviation_states))
 
 
 def test_precomputed_are_solution_gives_the_same_bits():
