@@ -21,14 +21,13 @@ unlinks those of the previous manifest that it does not write again).  One seed
 drives all random draws through a counter-based generator, so re-running a config
 with the same seed reproduces the CSV and summary bytes exactly.
 
-Exit codes: 0 success, 2 config/validation error (also ``--seed`` below 0 or
-``--threads`` below 1), 3 numeric failure.
+Exit codes: 0 success, 2 config/validation error (also ``--seed`` below 0),
+3 numeric failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import contextlib
 import functools
 import hashlib
@@ -138,7 +137,7 @@ _MAYBE_POSITIVE = _number(positive=True, default=None)
 MODEL_FIELDS = {
     "synthetic": {"rho": _number(positive=True, inf=True),
                   "eta": _number(positive=True, inf=True),
-                  "n_modes": _integer(1), "spectrum": _choice("linear")},
+                  "n_modes": _integer(1)},
     "synthetic_exponential": {"alpha_control": _number(0.0), "alpha_obs": _number(0.0),
                               "n_modes": _integer(1)},
     "interval": {"n_modes": _integer(1), "control": _REGION, "observation": _REGION},
@@ -268,7 +267,7 @@ def _scale_payload(scale: NormScale) -> dict:
 # summary dict and writes CSVs)
 
 
-def _run_observability(system, exp, outdir, rng, threads):
+def _run_observability(system, exp, outdir, rng):
     side = exp["side"]
     report = md.fit_weak_observability(system, exp["horizon"], exp["shells"],
                                        use_control=(side == "control"))
@@ -293,7 +292,7 @@ def _default_scales(system):
     return weak, strong
 
 
-def _run_bounds(system, exp, outdir, rng, threads):
+def _run_bounds(system, exp, outdir, rng):
     sol = rc.solve_are(system)
     weak, strong = _default_scales(system)
     report = rc.bounds_report(sol, system, weak, strong, n_random=exp["n_random"], rng=rng)
@@ -312,7 +311,7 @@ def _run_bounds(system, exp, outdir, rng, threads):
     }, ["riccati.json"]
 
 
-def _run_decay(system, exp, outdir, rng, threads, riccati: bool):
+def _run_decay(system, exp, outdir, rng, riccati: bool):
     x0 = cl.smooth_initial_state(system.lambdas, exp["tail_exponent"], rng=rng,
                                  signs=exp["signs"]).to_vector()
     horizon = exp["horizon"]
@@ -342,7 +341,7 @@ def _run_decay(system, exp, outdir, rng, threads, riccati: bool):
     return summary, ["trajectory.csv", "fit.json"]
 
 
-def _run_null_control(system, exp, outdir, rng, threads):
+def _run_null_control(system, exp, outdir, rng):
     t0, n_draws = exp["t0"], exp["n_draws"]
     strong = _default_scales(system)[1]
     x0s = np.array([cl.smooth_initial_state(system.lambdas, exp["tail_exponent"], rng=rng)
@@ -368,7 +367,7 @@ def _run_null_control(system, exp, outdir, rng, threads):
     }, ["control.csv"]
 
 
-def _run_turnpike(system, exp, outdir, rng, threads: int):
+def _run_turnpike(system, exp, outdir, rng):
     horizons, k, ktilde = exp["horizons"], exp["k"], exp["ktilde"]
     dt_record = exp.get("dt_record")  # None: the tracking solver's own grid
     x0 = cl.smooth_initial_state(system.lambdas, exp["tail_exponent"], rng=rng).to_vector()
@@ -376,16 +375,8 @@ def _run_turnpike(system, exp, outdir, rng, threads: int):
     z = system.lambdas ** (-exp["z_tail"]) * signs
     stationary = tp.solve_stationary(system, z)
     are = rc.solve_are(system)
-
-    def run_one(T):
-        return tp.solve_tracking(system, z, x0, T, stationary=stationary,
-                                 dt_record=dt_record, are=are)
-
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            runs = list(pool.map(run_one, horizons))
-    else:
-        runs = [run_one(T) for T in horizons]
+    runs = [tp.solve_tracking(system, z, x0, T, stationary=stationary,
+                              dt_record=dt_record, are=are) for T in horizons]
 
     report = tp.averaged_metrics(runs, stationary, k=k, ktilde=ktilde)
     io.turnpike_to_csv(report, os.path.join(outdir, "turnpike.csv"))
@@ -413,7 +404,7 @@ def _run_turnpike(system, exp, outdir, rng, threads: int):
     }, ["turnpike.csv", "trajectory.csv"]
 
 
-# experiment kind -> runner(system, exp, outdir, rng, threads) -> (summary, files)
+# experiment kind -> runner(system, exp, outdir, rng) -> (summary, files)
 _RUNNERS = {
     "observability": _run_observability,
     "bounds": _run_bounds,
@@ -428,6 +419,7 @@ def run_experiment(cfg: dict, outdir: str, seed: int, threads: int, quiet: bool)
     """Execute the configured experiment; returns the summary dict.
 
     ``cfg`` may be raw or resolved; the manifest hashes it as given.
+    ``threads`` is ignored (every run is sequential); callers still pass it positionally.
     """
     t_start = time.time()
     resolved = validate_config(cfg)
@@ -437,7 +429,7 @@ def run_experiment(cfg: dict, outdir: str, seed: int, threads: int, quiet: bool)
     rng = _rng(seed)
 
     kind = exp["kind"]
-    summary, files = _RUNNERS[kind](system, exp, outdir, rng, threads)
+    summary, files = _RUNNERS[kind](system, exp, outdir, rng)
 
     summary["model_label"] = system.label
     summary["n_modes"] = system.n_modes
@@ -511,13 +503,10 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--output", default=None, help="output directory (overrides config)")
         p.add_argument("--seed", type=int, default=None, help="seed (overrides config)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for independent runs")
         p.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
-    for flag, v, lo in (("--seed", args.seed, 0), ("--threads", args.threads, 1)):
-        if v is not None and v < lo:
-            parser.error(f"argument {flag}: must be >= {lo}, got {v}")  # exits 2
+    if args.seed is not None and args.seed < 0:
+        parser.error(f"argument --seed: must be >= 0, got {args.seed}")  # exits 2
 
     try:
         cfg = _load_config(args.config)
@@ -539,18 +528,9 @@ def main(argv=None) -> int:
 
     outdir = args.output if args.output is not None else resolved["output_dir"]
     seed = args.seed if args.seed is not None else resolved["seed"]
-    env_cap = os.environ.get("WAVELQ_MAX_THREADS")
-    threads = args.threads
-    if env_cap is not None:
-        try:
-            threads = min(threads, max(1, int(env_cap)))
-        except ValueError:
-            print(f"wavelq: config error: WAVELQ_MAX_THREADS: must be an integer, "
-                  f"got {env_cap!r}", file=sys.stderr)
-            return 2
 
     try:
-        run_experiment(cfg, outdir, seed, threads, args.quiet)
+        run_experiment(cfg, outdir, seed, 1, args.quiet)
     except (DomainError, ConfigError) as e:
         print(f"wavelq: config error: {e}", file=sys.stderr)
         return 2

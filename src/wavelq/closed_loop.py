@@ -351,15 +351,14 @@ def smooth_initial_state(lambdas, tail_exponent: float, rng=None,
 # the sequence lemma behind the polynomial decay rates
 
 
-def sequence_lemma_check(C: float, alpha: float, m_max: int, a0: float = 1.0,
-                         burn_in: int | None = None):
+def sequence_lemma_check(C: float, alpha: float, m_max: int, a0: float = 1.0):
     """Roll out the extremal recursion a_{m+1} + C a_{m+1}^(2+alpha) = a_m.
 
     Returns (bound_constant, violations).  The normalized sequence
     b_m = a_m * (m+1)^(1/(1+alpha)) peaks early and then decays monotonically
     toward its limit; ``bound_constant`` is its empirical supremum and
-    ``violations`` collects indices past the burn-in where b_m still
-    increases, which would be evidence against boundedness.
+    ``violations`` collects indices past the burn-in max(10, m_max // 20)
+    where b_m still increases, which would be evidence against boundedness.
     """
     if C <= 0.0:
         raise DomainError("C must be positive")
@@ -373,8 +372,7 @@ def sequence_lemma_check(C: float, alpha: float, m_max: int, a0: float = 1.0,
     power = 1.0 / (1.0 + alpha)
     if a0 == 0.0:
         return 0.0, []
-    if burn_in is None:
-        burn_in = max(10, m_max // 20)
+    burn_in = max(10, m_max // 20)
 
     a = float(a0)
     b_prev = a

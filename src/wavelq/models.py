@@ -244,11 +244,11 @@ def _star_secular(lam: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 
 def _star_roots(lo: np.ndarray, hi: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The root of the secular function in each bracket, f(lo) > 0 > f(hi), all at once.
+    """The root of the secular function in each inter-pole gap (lo, hi), all at once.
 
-    Bisection on every bracket in lockstep, until each bracket is narrower
-    than ``scipy.optimize.brentq``'s tolerance xtol + rtol |x| (xtol 1e-13,
-    rtol 4 eps); the roots are the bracket midpoints.
+    Bisection in lockstep on every gap until each is narrower than brentq's
+    tolerance xtol + rtol |x| (xtol 1e-13, rtol 4 eps).  The sum falls from
+    +inf to -inf across a gap and is evaluated only at interior midpoints.
     """
     xtol, rtol = 1e-13, 4.0 * np.finfo(float).eps
     for _ in range(100):
@@ -308,27 +308,10 @@ def _star_eigenpairs(lengths: np.ndarray, lambda_max: float):
             amp[mem] = basis[:, col] / np.sqrt(weights)
             modes.append((pos, amp))
 
-    # center-nonzero family: one root of the cot sum per inter-pole gap.  The sum
-    # falls from +inf to -inf across a gap; its ends are pulled in until they
-    # bracket the root (a cluster's center can lie a rounding error off its poles)
+    # center-nonzero family: one root of the cot sum per inter-pole gap
     ends = np.concatenate(([0.0], [pos for pos, _ in clusters]))
     keep = ends[:-1] <= lambda_max
-    left, right = ends[:-1][keep], ends[1:][keep]
-    delta = 1e-6 * (right - left)
-    lo, hi = np.empty_like(left), np.empty_like(left)
-    bracketed = np.zeros(left.size, dtype=bool)
-    gap_open = np.ones(left.size, dtype=bool)  # no try so far closed the gap
-    for _ in range(8):
-        try_lo, try_hi = left + delta, right - delta
-        gap_open &= try_lo < try_hi
-        idx = np.flatnonzero(gap_open & ~bracketed)
-        ok = (_star_secular(try_lo[idx], lengths) > 0.0) \
-            & (_star_secular(try_hi[idx], lengths) < 0.0)
-        hit, miss = idx[ok], idx[~ok]
-        lo[hit], hi[hit] = try_lo[hit], try_hi[hit]
-        bracketed[hit] = True
-        delta[miss] *= 1e-2
-    for root in _star_roots(lo[bracketed], hi[bracketed], lengths):
+    for root in _star_roots(ends[:-1][keep], ends[1:][keep], lengths):
         if root > lambda_max:
             continue
         amp = 1.0 / np.sin(root * lengths)
@@ -432,16 +415,8 @@ def build_rectangle(a: float, b: float, max_frequency: float) -> SpectralSystem:
     return sys_
 
 
-def _spectrum_array(spectrum, n_modes: int) -> np.ndarray:
-    if isinstance(spectrum, str):
-        if spectrum != "linear":
-            raise DomainError(f"unknown spectrum kind {spectrum!r}")
-        return np.arange(1, n_modes + 1, dtype=float)
-    return as_frequencies(spectrum)
-
-
-def build_synthetic(rho: float, eta: float, n_modes: int, spectrum="linear") -> SpectralSystem:
-    """Decoupled family realizing the weak-observability exponents exactly.
+def build_synthetic(rho: float, eta: float, n_modes: int) -> SpectralSystem:
+    """Decoupled family on lambda_n = n realizing the weak-observability exponents exactly.
 
     ``B_mod = diag(lambda**(-1/rho))`` and the observation weight on the energy
     density is ``lambda**(-2/eta)`` (``Q_obs = diag(lambda**(2 - 2/eta))``).
@@ -449,7 +424,7 @@ def build_synthetic(rho: float, eta: float, n_modes: int, spectrum="linear") -> 
     """
     if rho <= 0.0 or eta <= 0.0:
         raise DomainError("rho and eta must be positive (inf allowed)")
-    lam = _spectrum_array(spectrum, n_modes)
+    lam = np.arange(1, n_modes + 1, dtype=float)
     inv_rho = 0.0 if np.isinf(rho) else 1.0 / rho
     inv_eta = 0.0 if np.isinf(eta) else 1.0 / eta
     B = np.diag(lam ** (-inv_rho))
@@ -458,9 +433,8 @@ def build_synthetic(rho: float, eta: float, n_modes: int, spectrum="linear") -> 
                           rho=float(rho), eta=float(eta))
 
 
-def build_synthetic_exponential(alpha_control: float, alpha_obs: float, n_modes: int,
-                                spectrum="linear") -> SpectralSystem:
-    """Decoupled family with exponential weights exp(-alpha*lambda) on both sides.
+def build_synthetic_exponential(alpha_control: float, alpha_obs: float, n_modes: int) -> SpectralSystem:
+    """Decoupled family on lambda_n = n with exponential weights exp(-alpha*lambda) on both sides.
 
     Realizes the exponentially weighted observability scales (the regime of
     logarithmic decay); the observation weight on the energy density is
@@ -468,7 +442,7 @@ def build_synthetic_exponential(alpha_control: float, alpha_obs: float, n_modes:
     """
     if alpha_control < 0.0 or alpha_obs < 0.0:
         raise DomainError("weight rates must be nonnegative")
-    lam = _spectrum_array(spectrum, n_modes)
+    lam = np.arange(1, n_modes + 1, dtype=float)
     B = np.diag(np.exp(-alpha_control * lam))
     Q = np.diag(lam**2 * np.exp(-2.0 * alpha_obs * lam))
     return SpectralSystem(lam, B, Q,
@@ -550,21 +524,6 @@ def controllability_gramian(system: SpectralSystem, horizon: float) -> np.ndarra
         raise DomainError("horizon must be positive")
     return system.assemble([_gramian(system.restrict(modes), horizon, True, reverse=True)
                             for modes in system.blocks])
-
-
-def free_flow(system_or_lambdas, t: float) -> np.ndarray:
-    """The rotation propagator Phi(t) as a dense matrix (interleaved coords)."""
-    lam = system_or_lambdas.lambdas if isinstance(system_or_lambdas, SpectralSystem) \
-        else as_frequencies(system_or_lambdas)
-    n = lam.size
-    c, s = np.cos(lam * t), np.sin(lam * t)
-    P = np.zeros((2 * n, 2 * n))
-    ix = np.arange(0, 2 * n, 2)
-    P[ix, ix] = c
-    P[ix, ix + 1] = s
-    P[ix + 1, ix] = -s
-    P[ix + 1, ix + 1] = c
-    return P
 
 
 def apply_free_flow(lam: np.ndarray, t: float, x: np.ndarray) -> np.ndarray:

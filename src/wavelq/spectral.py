@@ -183,13 +183,7 @@ def norm_squared(v: ModalVector, lambdas, scale: NormScale) -> float:
     For graded kinds this is ``sum w_n(lambda_n) * (lambda_n**2 a_n**2 + b_n**2)``;
     for ``sobolev_state(beta)`` it is ``sum lambda_n**(4*beta) * a_n**2``.
     """
-    lam = as_frequencies(lambdas)
-    if lam.size != v.n_modes:
-        raise DimensionError("frequency count does not match mode count")
-    if scale.kind == "sobolev_state":
-        return float(np.sum(lam ** (4.0 * scale.param) * v.a**2))
-    w = scale.density_weights(lam)
-    return float(np.sum(w * (lam**2 * v.a**2 + v.b**2)))
+    return energy_norm_squared(to_energy(v, lambdas), lambdas, scale)
 
 
 def energy_norm_squared(x, lambdas, scale: NormScale):

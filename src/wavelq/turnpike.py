@@ -397,8 +397,7 @@ class TurnpikeReport:
 
 
 def averaged_metrics(runs, stationary: StationarySolution, k: float = 1.0,
-                     ktilde: float = 1.0, rho: float | None = None,
-                     eta: float | None = None) -> TurnpikeReport:
+                     ktilde: float = 1.0) -> TurnpikeReport:
     """Averaged turnpike quantities per horizon, from each run's exact integrals.
 
     avg_tracking(T) = (1/T) int (||C (w - w_bar)||^2 + ||u - u_bar||^2) dt and
@@ -406,7 +405,7 @@ def averaged_metrics(runs, stationary: StationarySolution, k: float = 1.0,
     read from ``deviation_cost_exact`` and ``mean_deviation_a``.
     The bound proxy evaluates g1(T)/T * ||(w0 - w_bar, w1)||^2_{D(A^k)} +
     g2(T)/T * ||p_bar||^2_{X_{(ktilde+1)/2}} with unit constants (shape
-    reference only; weights default to 1 when no exponent is planted).
+    reference only; weights from the planted ``system.rho``/``eta``, else 1).
     """
     if not runs:
         raise DomainError("no tracking runs given")
@@ -423,8 +422,8 @@ def averaged_metrics(runs, stationary: StationarySolution, k: float = 1.0,
     avg_gap = np.empty(horizons.size)
     bounds = np.empty(horizons.size)
 
-    rho_eff = rho if rho is not None else (system.rho if system.rho is not None else np.inf)
-    eta_eff = eta if eta is not None else (system.eta if system.eta is not None else np.inf)
+    rho = system.rho if system.rho is not None else np.inf
+    eta = system.eta if system.eta is not None else np.inf
 
     x0_dev0 = runs[0].deviation_states[0]
     w_class = float(np.sum(lam ** (2.0 * k) * (x0_dev0[0::2] ** 2 + x0_dev0[1::2] ** 2)))
@@ -435,8 +434,8 @@ def averaged_metrics(runs, stationary: StationarySolution, k: float = 1.0,
         T = run.horizon
         avg_track[i] = run.deviation_cost_exact / T
         avg_gap[i] = float(np.sum(lam**2 * run.mean_deviation_a**2))
-        g1 = 1.0 if np.isinf(rho_eff) else g_weight(T, k, rho_eff)
-        g2 = 1.0 if np.isinf(eta_eff) else g_weight(T, ktilde, eta_eff)
+        g1 = 1.0 if np.isinf(rho) else g_weight(T, k, rho)
+        g2 = 1.0 if np.isinf(eta) else g_weight(T, ktilde, eta)
         bounds[i] = g1 / T * w_class + g2 / T * p_class
 
     return TurnpikeReport(horizons=horizons, avg_tracking=avg_track,

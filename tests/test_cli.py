@@ -67,6 +67,11 @@ class TestValidation:
         cfg["experiment"] = {"kind": "bounds", "method": "dre_limit"}
         assert main(["run", "--config", _write(tmp_path, cfg)]) == 2
         assert "experiment.method: unknown key" in capsys.readouterr().err
+        # the synthetic families run on lambda_n = n: there is no spectrum key
+        cfg["experiment"].pop("method")
+        cfg["model"]["spectrum"] = "linear"
+        assert main(["run", "--config", _write(tmp_path, cfg)]) == 2
+        assert "model.spectrum: unknown key" in capsys.readouterr().err
 
     def test_missing_file_is_validation_error(self, capsys):
         assert main(["run", "--config", "/nonexistent/cfg.json"]) == 2
@@ -77,7 +82,7 @@ class TestValidation:
         assert main(["run", "--config", str(path)]) == 2
         assert "line" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("override, env, field", [
+    @pytest.mark.parametrize("override, flags, field", [
         ({"model": {"kind": "interval", "n_modes": 4,
                     "control": {"subinterval": ["x", 1.0]}}}, None, "model.control.subinterval"),
         ({"experiment": {"kind": "observability", "horizon": 5.0,
@@ -86,16 +91,14 @@ class TestValidation:
                     "alpha_obs": 0.1, "n_modes": 4}}, None, "model.alpha_control"),
         ({"experiment": {"kind": "decay_riccati", "horizon": 10.0,
                          "window": ["a", 8.0]}}, None, "experiment.window"),
-        ({}, "abc", "WAVELQ_MAX_THREADS"),
+        ({}, ["--threads", "2"], "--threads"),  # runs are sequential: there is no such flag
         ({"experiment": {"kind": "observability", "horizon": 5.0,
                          "shells": [1.0, 1.0, 1.0]}}, None, "experiment.shells"),
     ])
-    def test_bad_input_exits_2_naming_the_field(self, tmp_path, capsys, monkeypatch,
-                                                override, env, field):
+    def test_bad_input_exits_2_naming_the_field(self, tmp_path, capsys, override, flags, field):
         cfg = dict(_tiny_decay_cfg(tmp_path / "o"), **override)
-        if env is not None:
-            monkeypatch.setenv("WAVELQ_MAX_THREADS", env)
-        assert main(["run", "--config", _write(tmp_path, cfg), "--quiet"]) == 2
+        argv = ["run", "--config", _write(tmp_path, cfg), "--quiet", *(flags or [])]
+        assert _exit_code(argv) == 2
         assert field in capsys.readouterr().err
 
     @pytest.mark.parametrize("override, flags, field", [
@@ -307,35 +310,6 @@ class TestFailurePaths:
         }
         assert main(["run", "--config", _write(tmp_path, cfg), "--quiet"]) == 3
         assert "numeric failure" in capsys.readouterr().err
-
-
-class TestThreads:
-    def test_thread_count_does_not_change_results(self, tmp_path):
-        cfg = {
-            "model": {"kind": "synthetic", "rho": 2.0, "eta": 2.0, "n_modes": 6},
-            "experiment": {"kind": "turnpike", "horizons": [4.0, 8.0, 12.0],
-                           "dt_record": 0.05},
-            "seed": 11,
-            "output_dir": str(tmp_path / "t1"),
-        }
-        path = _write(tmp_path, cfg)
-        assert main(["run", "--config", path, "--threads", "1", "--quiet"]) == 0
-        assert main(["run", "--config", path, "--threads", "3", "--output",
-                     str(tmp_path / "t3"), "--quiet"]) == 0
-        assert (tmp_path / "t1" / "turnpike.csv").read_bytes() == \
-            (tmp_path / "t3" / "turnpike.csv").read_bytes()
-
-    def test_env_cap_honored(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("WAVELQ_MAX_THREADS", "1")
-        cfg = {
-            "model": {"kind": "synthetic", "rho": 2.0, "eta": 2.0, "n_modes": 4},
-            "experiment": {"kind": "turnpike", "horizons": [3.0, 6.0],
-                           "dt_record": 0.05},
-            "seed": 12,
-            "output_dir": str(tmp_path / "env"),
-        }
-        assert main(["run", "--config", _write(tmp_path, cfg), "--threads", "8",
-                     "--quiet"]) == 0
 
 
 def test_raw_and_resolved_configs_write_the_same_bytes(tmp_path):
