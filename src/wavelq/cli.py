@@ -319,12 +319,15 @@ def _run_decay(system, exp, outdir, rng, riccati: bool):
     if riccati:
         sol = rc.solve_are(system)
         traj = cl.simulate_riccati_feedback(system, sol, x0, horizon, dt=dt)
-        A_cl = rc.closed_loop_matrix(system, sol)
     else:
         traj = cl.simulate_collocated(system, x0, horizon, dt=dt)
+    if "window" in exp:
+        window = tuple(exp["window"])
+    elif riccati:
+        window = cl.default_decay_window(rc.closed_loop_matrix(system, sol), horizon)
+    else:
         A, B, _ = rc.first_order_matrices(system)
-        A_cl = A - B @ B.T
-    window = tuple(exp["window"]) if "window" in exp else cl.default_decay_window(A_cl, horizon)
+        window = cl.default_decay_window(A - B @ B.T, horizon)
     fit = cl.fit_decay(traj, window)
     io.trajectory_to_csv(traj, os.path.join(outdir, "trajectory.csv"))
     summary = {

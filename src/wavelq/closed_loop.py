@@ -3,9 +3,12 @@
 All closed loops here are linear time-invariant, so trajectories are advanced
 by the exact matrix exponential of the closed-loop generator over a fixed step
 (no secular drift over long horizons).  The generators are block diagonal over
-the system's decoupled blocks (``SpectralSystem.blocks``): the propagator and
-step Gramian come from one ``step_map`` per block and are assembled in the
-interleaved energy coordinates before the states are advanced.
+the system's decoupled blocks (``SpectralSystem.blocks``), and blocks of equal
+size advance as one stack (``models.stacked_blocks``; a single-block system is
+one stack of one) in chunks of 8 steps, each chunk from its own exponential.
+No dense propagator is assembled, and no (steps, d) array is held besides the
+states and the controls: the recorded quadratic forms come from per-block
+weights over bounded row chunks.
 
 The dissipation integral of each loop's energy identity, such as
 ``int ||B^T x||^2 dt``, is accumulated exactly from the step Gramian
@@ -23,7 +26,7 @@ import numpy as np
 import scipy.linalg
 
 from .models import (SpectralSystem, apply_free_flow, controllability_gramian, energy_index,
-                     fit_line)
+                     fit_line, stacked_blocks)
 from .riccati import RiccatiSolution, first_order_matrices, step_map
 from .spectral import DimensionError, DomainError, EnergyState, as_energy_vector
 # unused here, but perfbench/tracing.py wraps closed_loop.energy_norm_squared by name
@@ -59,24 +62,21 @@ class Trajectory:
         return EnergyState.from_vector(self.states[i])
 
 
-def _quadratic_forms(X: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """x^T M x for every row x of X, through BLAS over fixed 64-row chunks."""
-    out = np.empty(X.shape[0])
-    for k in range(0, X.shape[0], 64):
-        chunk = X[k:k + 64]
-        out[k:k + 64] = np.einsum("ij,ij->i", chunk @ M, chunk)
-    return out
+# steps between two states advanced by their own exponential, and the numbers in
+# one row chunk of a stack's recorded samples
+_CHUNK_STEPS = 8
+_CHUNK_ELEMENTS = 1 << 15
 
 
 def _simulate_lti(system: SpectralSystem, generator, x0: np.ndarray, horizon: float,
-                  dt: float | None, kind: str, control_gain: np.ndarray | None,
-                  m_obs: np.ndarray) -> Trajectory:
+                  dt: float | None, kind: str, control_gain: np.ndarray | None) -> Trajectory:
     """Advance x' = A_cl x exactly over equal steps of at most dt.
 
-    ``generator(block, e)`` returns ``(A_cl, G)`` of one block: ``block`` is
-    the system restricted to it, ``e`` its energy-coordinate positions.  G is
-    the dissipation density x^T G x of the run's energy identity; its exact
-    time integral becomes ``Trajectory.dissipation``.
+    ``generator(block, e)`` returns ``(A_cl, G, forms)`` of one block: ``block``
+    is the system restricted to it, ``e`` its energy-coordinate positions.  G
+    is the dissipation density x^T G x of the run's energy identity; its exact
+    time integral becomes ``Trajectory.dissipation``.  ``forms`` maps the names
+    of recorded Trajectory series to the block's weight M of x^T M x.
     """
     lam = system.lambdas
     x0 = as_energy_vector(x0)
@@ -90,24 +90,65 @@ def _simulate_lti(system: SpectralSystem, generator, x0: np.ndarray, horizon: fl
     h = horizon / steps
     times = np.linspace(0.0, horizon, steps + 1)
 
-    maps = []
-    for modes in system.blocks:
-        A_cl, G = generator(system.restrict(modes), energy_index(modes))
-        maps.append(step_map(A_cl, h, cost=G))
-    P = system.assemble([P_b for P_b, _ in maps])
-    W = system.assemble([W_b for _, W_b in maps])
     X = np.empty((steps + 1, x0.size))
-    X[0] = x0
-    for k in range(steps):
-        X[k + 1] = P @ X[k]
+    series = {}
+    dissipation = sum(_advance_stack(system, generator, modes, h, x0, X, series)
+                      for modes in stacked_blocks(system))
 
     traj = Trajectory(times=times, states=X, energies=np.einsum("ij,ij->i", X, X),
-                      lambdas=lam, kind=kind, obs_power=_quadratic_forms(X, m_obs),
-                      dissipation=float(np.sum(W * (X[:-1].T @ X[:-1]))))
+                      lambdas=lam, kind=kind, dissipation=float(dissipation), **series)
     if control_gain is not None:
         traj.controls = X @ control_gain.T  # u(t) = -gain @ x recorded with its sign
         traj.control_power = np.einsum("ij,ij->i", traj.controls, traj.controls)
     return traj
+
+
+def _advance_stack(system, generator, modes, h, x0, X, series) -> float:
+    """Fill the columns of X of one stack of equal-sized blocks, given by ``modes``.
+
+    One ``step_map`` gives the blocks' one-step propagators Phi and step
+    Gramians W, another their _CHUNK_STEPS-step propagators.  Every
+    _CHUNK_STEPS-th sample comes from the one before through the latter; the
+    samples between from it through the powers of Phi, in one batched product
+    per row chunk.  Adds the stack's share of each form to ``series`` and
+    returns its share of the dissipation sum over the steps, x^T W x at each
+    step's start.
+    """
+    k = _CHUNK_STEPS
+    e = energy_index(modes)
+    parts = [generator(system.restrict(b), i) for b, i in zip(modes, e)]
+    A_cl = np.array([p[0] for p in parts])
+    Phi, W = step_map(A_cl, h, cost=np.array([p[1] for p in parts]))
+    chunk_T = step_map(A_cl, k * h)[0].swapaxes(-1, -2)
+    forms = {name: np.array([p[2][name] for p in parts]) for name in parts[0][2]}
+
+    nb, s = e.shape
+    n = X.shape[0]
+    # right factors [I, Phi^T, ..., (Phi^(k-1))^T] for states stored as rows
+    powers = np.empty((nb, s, k * s))
+    powers[:, :, :s] = np.eye(s)
+    for j in range(1, k):
+        powers[:, :, j * s:(j + 1) * s] = powers[:, :, (j - 1) * s:j * s] @ Phi.swapaxes(-1, -2)
+    rows = max(1, _CHUNK_ELEMENTS // (k * nb * s))  # coarse samples per row chunk
+    coarse = np.empty((nb, rows, s))
+    cols = e.ravel()
+    for name in forms:
+        series.setdefault(name, np.zeros(n))
+    state = x0[e][:, None, :]
+    dissipation = 0.0
+    for start in range(0, n, k * rows):
+        m = min(rows, -(-(n - start) // k))
+        for i in range(m):
+            coarse[:, i] = state[:, 0]
+            state = state @ chunk_T
+        Y = (coarse[:, :m] @ powers).reshape(nb, m * k, s)[:, :n - start]
+        stop = start + Y.shape[1]
+        X[start:stop, cols] = np.swapaxes(Y, 0, 1).reshape(-1, nb * s)
+        for name, M in forms.items():
+            series[name][start:stop] += np.einsum("brs,brs->r", Y @ M, Y)
+        Y = Y[:, :n - 1 - start]
+        dissipation += np.einsum("brs,brs->", Y @ W, Y)
+    return dissipation
 
 
 def simulate_collocated(system: SpectralSystem, x0, horizon: float,
@@ -119,13 +160,12 @@ def simulate_collocated(system: SpectralSystem, x0, horizon: float,
     (see energy_identity_defect).
     """
     def generator(block, e):
-        A, B, _ = first_order_matrices(block)
+        A, B, Q = first_order_matrices(block)
         BBT = B @ B.T
-        return A - BBT, BBT
+        return A - BBT, BBT, {"obs_power": Q}
 
-    _, B, Q = first_order_matrices(system)
-    return _simulate_lti(system, generator, x0, horizon, dt, "collocated",
-                         control_gain=-B.T, m_obs=Q)
+    _, B, _ = first_order_matrices(system)
+    return _simulate_lti(system, generator, x0, horizon, dt, "collocated", control_gain=-B.T)
 
 
 def simulate_riccati_feedback(system: SpectralSystem, solution: RiccatiSolution, x0,
@@ -136,20 +176,19 @@ def simulate_riccati_feedback(system: SpectralSystem, solution: RiccatiSolution,
     equation, V is nonincreasing with V(0) - V(T) = int (||B^T E x||^2 +
     ||C w||^2) dt.
     """
-    _, B, Q = first_order_matrices(system)
+    _, B, _ = first_order_matrices(system)
     E = solution.E
     if E.shape[0] != B.shape[0]:
         raise DimensionError("Riccati solution dimension does not match the system")
 
     def generator(block, e):
         A_b, B_b, Q_b = first_order_matrices(block)
-        gain = B_b.T @ E[np.ix_(e, e)]
-        return A_b - B_b @ gain, gain.T @ gain + Q_b
+        E_b = E[np.ix_(e, e)]
+        gain = B_b.T @ E_b
+        return A_b - B_b @ gain, gain.T @ gain + Q_b, {"obs_power": Q_b, "values": E_b}
 
-    traj = _simulate_lti(system, generator, x0, horizon, dt, "riccati_feedback",
-                         control_gain=-(B.T @ E), m_obs=Q)
-    traj.values = _quadratic_forms(traj.states, E)
-    return traj
+    return _simulate_lti(system, generator, x0, horizon, dt, "riccati_feedback",
+                         control_gain=-(B.T @ E))
 
 
 def simulate_backward_observer(system: SpectralSystem, terminal_state, horizon: float,
@@ -160,19 +199,14 @@ def simulate_backward_observer(system: SpectralSystem, terminal_state, horizon: 
     forward system with velocity damping C*C; ``times`` are tau values
     (0 = terminal time, horizon = initial time t = 0).
     """
-    def velocity_form(block):
-        n = block.n_modes
-        D = np.zeros((2 * n, 2 * n))
-        D[np.ix_(np.arange(1, 2 * n, 2), np.arange(1, 2 * n, 2))] = block.Q_obs
-        return D
-
     def generator(block, e):
         A, _, _ = first_order_matrices(block)
-        D = velocity_form(block)
-        return A - D, D
+        D = np.zeros_like(A)
+        D[1::2, 1::2] = block.Q_obs  # C*C acting on velocities
+        return A - D, D, {"obs_power": D}
 
     return _simulate_lti(system, generator, terminal_state, horizon, dt, "backward_observer",
-                         control_gain=None, m_obs=velocity_form(system))
+                         control_gain=None)
 
 
 def energy_identity_defect(traj: Trajectory) -> float:

@@ -16,9 +16,10 @@ observation couple: the connected components of the exact nonzeros of
 Gramian, Riccati solution and closed loop of the system is block diagonal
 over them.  The solvers work one block at a time on ``restrict(modes)`` and
 put the pieces back with ``assemble``; a system with one block (the interval
-with subinterval control, the stars) is solved whole.  The synthetic
-families split into single modes, the rectangle with strip control into one
-block per x2 index.
+with subinterval control, the stars) is solved whole.  Tracking and the closed
+loops advance ``stacked_blocks``, the blocks grouped by size, one stack at a
+time.  The synthetic families split into single modes, the rectangle with
+strip control into one block per x2 index.
 """
 
 from __future__ import annotations
@@ -76,8 +77,11 @@ def psd_sqrt(M: np.ndarray) -> np.ndarray:
 
 
 def energy_index(modes: np.ndarray) -> np.ndarray:
-    """Positions of the given modes' (xi, zeta) pairs in interleaved energy coordinates."""
-    return np.column_stack([2 * modes, 2 * modes + 1]).ravel()
+    """Positions of the given modes' (xi, zeta) pairs in interleaved energy coordinates.
+
+    Works along the last axis, so a stack of mode arrays gives a stack of positions.
+    """
+    return np.stack([2 * modes, 2 * modes + 1], axis=-1).reshape(*modes.shape[:-1], -1)
 
 
 @dataclass
@@ -187,6 +191,14 @@ class SpectralSystem:
 
     def min_q_obs_eigenvalue(self) -> float:
         return float(scipy.linalg.eigh(self.Q_obs, eigvals_only=True, subset_by_index=[0, 0])[0])
+
+
+def stacked_blocks(system: SpectralSystem) -> list[np.ndarray]:
+    """The system's blocks grouped by size: one (blocks, n) array of mode indices per size n."""
+    by_size = {}
+    for modes in system.blocks:
+        by_size.setdefault(modes.size, []).append(modes)
+    return [np.array(group) for group in by_size.values()]
 
 
 # ---------------------------------------------------------------------------

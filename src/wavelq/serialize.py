@@ -45,16 +45,21 @@ def open_output(path):
 
 
 def write_json(path, payload: dict, indent: int | None = 2) -> None:
-    """``payload`` as sorted-key JSON plus a final newline, streamed into a new file."""
+    """``payload`` as sorted-key JSON plus a final newline, in a new file.
+
+    Encoded in one piece: for ``indent=None`` that takes the C encoder, while
+    streaming through ``json.dump`` always takes the pure-Python one.  Both
+    write the same bytes.
+    """
+    text = json.dumps(payload, sort_keys=True, indent=indent)
     with open_output(path) as f:
-        json.dump(payload, f, sort_keys=True, indent=indent)
-        f.write("\n")
+        f.write(text + "\n")
 
 
 def _matrix_payload(M: np.ndarray) -> dict:
     M = np.atleast_2d(np.asarray(M, dtype=float))
     return {"rows": int(M.shape[0]), "cols": int(M.shape[1]),
-            "data_row_major": [float(v) for v in M.ravel(order="C")]}
+            "data_row_major": M.ravel(order="C").tolist()}
 
 
 def _matrix_from_payload(payload: dict) -> np.ndarray:
@@ -66,7 +71,7 @@ def system_to_dict(system: SpectralSystem) -> dict:
     return {
         "schema": "wavelq-system-v1",
         "label": system.label,
-        "lambdas": [float(v) for v in system.lambdas],
+        "lambdas": system.lambdas.tolist(),
         "B_mod": _matrix_payload(system.B_mod),
         "Q_obs": _matrix_payload(system.Q_obs),
         "rho": None if system.rho is None else float(system.rho),

@@ -29,7 +29,7 @@ import numpy as np
 import scipy.linalg
 
 from .closed_loop import Trajectory
-from .models import SpectralSystem, energy_index
+from .models import SpectralSystem, energy_index, stacked_blocks
 from .riccati import (RiccatiSolution, first_order_matrices, hamiltonian_matrix, solve_are,
                       step_map)
 from .spectral import DimensionError, DomainError, ModalVector, as_energy_vector
@@ -199,9 +199,9 @@ def solve_tracking(system: SpectralSystem, z, x0, horizon: float,
     values = np.zeros(steps + 1)
     int_y = np.empty(2 * dim)
     j_dev_exact = 0.0
-    for e in _stacked_blocks(system):
-        j_dev_exact += _track_stack(e, (A, B, Q, are.E), x0_dev, h_T, horizon, sub,
-                                    X, q, values, int_y)
+    for modes in stacked_blocks(system):
+        j_dev_exact += _track_stack(energy_index(modes), (A, B, Q, are.E), x0_dev, h_T,
+                                    horizon, sub, X, q, values, int_y)
 
     Cm = system.observation_factor()
     obs_stationary_gap = Cm @ stationary.w_bar.a - z  # C w_bar - z
@@ -236,14 +236,6 @@ def solve_tracking(system: SpectralSystem, z, x0, horizon: float,
 
 # numbers in one (steps, blocks, s, s) stack of a chunk of the tracking sweep
 _STACK_ELEMENTS = 1 << 16
-
-
-def _stacked_blocks(system: SpectralSystem) -> list[np.ndarray]:
-    """Energy indices of the system's blocks, one (blocks, s) array per block size s."""
-    by_size = {}
-    for modes in system.blocks:
-        by_size.setdefault(modes.size, []).append(energy_index(modes))
-    return [np.array(group) for group in by_size.values()]
 
 
 def _mT(a: np.ndarray) -> np.ndarray:

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings, strategies as st
 
 from wavelq.closed_loop import (
     Trajectory,
@@ -14,8 +17,8 @@ from wavelq.closed_loop import (
     simulate_riccati_feedback,
     smooth_initial_state,
 )
-from wavelq.models import SpectralSystem, build_synthetic
-from wavelq.riccati import first_order_matrices, solve_are
+from wavelq.models import SpectralSystem, build_interval_wave, build_synthetic
+from wavelq.riccati import first_order_matrices, solve_are, step_map
 from wavelq.spectral import DomainError, NormScale, energy_norm_squared
 
 
@@ -309,7 +312,7 @@ class TestTrajectoryInvariants:
         assert np.abs(traj.controls - expected).max() <= 1e-12
 
     def test_recorded_quadratic_forms_match_per_row_reference(self):
-        # 151 samples: two full 64-row chunks and a partial one
+        # 151 samples: 18 full 8-step chunks and a partial one
         sys_ = build_synthetic(2.0, 2.0, 5)
         x0 = smooth_initial_state(sys_.lambdas, 1.3, rng=np.random.default_rng(7))
         sol = solve_are(sys_)
@@ -319,6 +322,83 @@ class TestTrajectoryInvariants:
         for got, M in ((traj.values, sol.E), (traj.obs_power, Q)):
             ref = np.array([x @ M @ x for x in traj.states])
             assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+@st.composite
+def stacked_systems(draw):
+    """Blocks of 1-3 modes on permuted modes, sizes repeating so that equal-sized blocks stack."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    n = labels.size
+    same = labels[:, None] == labels[None, :]
+    B = np.diag(rng.uniform(0.3, 2.0, n))
+    B += np.where(same & ~np.eye(n, dtype=bool), 0.5 * rng.standard_normal((n, n)), 0.0)
+    C = np.where(same, rng.standard_normal((n, n)), 0.0)
+    sys_ = SpectralSystem(np.sort(rng.uniform(0.5, 4.0, n)), B, C.T @ C)
+    return sys_, sorted(sizes), rng.standard_normal(2 * n), draw(
+        st.sampled_from([1, 7, 8, 9, 17, 151]))
+
+
+def dense_loop(sys_, kind, x0, horizon, steps, E):
+    """The recorded outputs of a loop from the assembled step map, one product per step."""
+    A, B, Q = first_order_matrices(sys_)
+    D = np.zeros_like(A)
+    D[1::2, 1::2] = sys_.Q_obs
+    if kind == "backward_observer":
+        gain, A_cl, G, obs = None, A - D, D, D
+    elif kind == "collocated":
+        gain = B.T
+        A_cl, G, obs = A - B @ gain, B @ gain, Q
+    else:
+        gain = B.T @ E
+        A_cl, G, obs = A - B @ gain, gain.T @ gain + Q, Q
+    P, W = step_map(A_cl, horizon / steps, cost=G)
+    X = np.empty((steps + 1, x0.size))
+    X[0] = x0
+    for k in range(steps):
+        X[k + 1] = P @ X[k]
+    out = {"states": X, "energies": np.einsum("ij,ij->i", X, X),
+           "obs_power": np.einsum("ij,jk,ik->i", X, obs, X),
+           "dissipation": np.einsum("ij,jk,ik->", X[:-1], W, X[:-1])}
+    if gain is not None:
+        out["controls"] = -X @ gain.T
+        out["control_power"] = np.einsum("ij,ij->i", out["controls"], out["controls"])
+    if kind == "riccati_feedback":
+        out["values"] = np.einsum("ij,jk,ik->i", X, E, X)
+    return out
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(case=stacked_systems())
+def test_stacked_loops_match_dense_per_step_oracle(case):
+    # 1, 7, 8, 9, 17 and 151 steps: the last 8-step chunk full or partial
+    sys_, sizes, x0, steps = case
+    assert sorted(modes.size for modes in sys_.blocks) == sizes
+    horizon, dt = 0.05 * steps, 0.05 * (1.0 + 1e-9)
+    sol = solve_are(sys_)
+    for traj in (simulate_collocated(sys_, x0, horizon, dt),
+                 simulate_riccati_feedback(sys_, sol, x0, horizon, dt),
+                 simulate_backward_observer(sys_, x0, horizon, dt)):
+        assert traj.n_samples == steps + 1
+        for name, want in dense_loop(sys_, traj.kind, x0, horizon, steps, sol.E).items():
+            got = getattr(traj, name)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (traj.kind, name)
+
+
+def test_collocated_loop_holds_no_state_sized_temporaries():
+    # 9779 steps of the 64-mode interval: 10 MB of states, to which the loop adds only its
+    # step maps and bounded row chunks (full-size per-stack temporaries would not fit)
+    sys_ = build_interval_wave(64, control=("subinterval", 0.4, 1.9))
+    x0 = smooth_initial_state(sys_.lambdas, 1.6, rng=np.random.default_rng(8)).to_vector()
+    tracemalloc.start()
+    try:
+        traj = simulate_collocated(sys_, x0, 60.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.n_samples == 9780
+    assert peak <= traj.states.nbytes + traj.controls.nbytes + 2 * 2**20
 
 
 class TestExponentialWeightRegime:

@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from wavelq.closed_loop import Trajectory, simulate_collocated, smooth_initial_state
 from wavelq.models import build_interval_wave, build_synthetic
-from wavelq.riccati import solve_are
+from wavelq.riccati import RiccatiSolution, solve_are
 from wavelq.serialize import (
     controls_to_csv,
     load_riccati,
@@ -84,6 +85,22 @@ def test_float_precision_survives_round_trip(tmp_path):
     path = tmp_path / "r.json"
     save_riccati(sol, path)
     assert np.array_equal(load_riccati(path).E, sol.E)  # bit-exact via 17 digits
+
+
+def test_riccati_json_matches_streamed_reference(tmp_path):
+    # one-piece encoding writes the bytes a streamed json.dump of the same floats writes
+    big = 1.7976931348623157e308
+    E = np.array([[np.nan, -0.0, 5e-324], [-0.0, big, -1.0 / 3.0], [5e-324, -1.0 / 3.0, 0.0]])
+    sol = RiccatiSolution(E=E, horizon=np.inf, residual=2.5e-310, method="newton_kleinman")
+    path, ref = tmp_path / "riccati.json", tmp_path / "reference.json"
+    save_riccati(sol, path)
+    payload = {"schema": "wavelq-riccati-v1", "horizon": "inf", "residual": 2.5e-310,
+               "method": "newton_kleinman",
+               "E": {"rows": 3, "cols": 3, "data_row_major": [float(v) for v in E.ravel()]}}
+    with open(ref, "w", encoding="utf-8", newline="\n") as f:
+        json.dump(payload, f, sort_keys=True)
+        f.write("\n")
+    assert path.read_bytes() == ref.read_bytes()
 
 
 def _fmt_reference(x) -> str:
