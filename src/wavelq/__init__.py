@@ -23,11 +23,7 @@ from .spectral import (  # noqa: F401
     EnergyState,
     ModalVector,
     NormScale,
-    apply_fractional_power,
     energy_norm_squared,
-    from_energy,
-    interpolation_gap,
-    norm_squared,
     to_energy,
 )
 from .models import (  # noqa: F401
@@ -78,6 +74,5 @@ from .turnpike import (  # noqa: F401
     g_weight,
     solve_stationary,
     solve_tracking,
-    stationary_cost,
     tracking_os_residual,
 )

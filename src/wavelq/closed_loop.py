@@ -58,9 +58,6 @@ class Trajectory:
     def n_samples(self) -> int:
         return self.times.size
 
-    def state_at(self, i: int) -> EnergyState:
-        return EnergyState.from_vector(self.states[i])
-
 
 # steps between two states advanced by their own exponential, and the numbers in
 # one row chunk of a stack's recorded samples

@@ -189,9 +189,6 @@ class SpectralSystem:
         """A modal factor C with C^T C = Q_obs (symmetric PSD square root)."""
         return psd_sqrt(self.Q_obs)
 
-    def min_q_obs_eigenvalue(self) -> float:
-        return float(scipy.linalg.eigh(self.Q_obs, eigvals_only=True, subset_by_index=[0, 0])[0])
-
 
 def stacked_blocks(system: SpectralSystem) -> list[np.ndarray]:
     """The system's blocks grouped by size: one (blocks, n) array of mode indices per size n."""
@@ -383,9 +380,16 @@ def build_star_network(lengths, controlled_edge: int, observed_edge: int,
     Q = 0.5 * (Q + Q.T)
 
     label = f"star(lengths={np.array2string(lengths, precision=4)}, ctrl={controlled_edge}, obs={observed_edge})"
-    sys_ = SpectralSystem(lams, B, Q, label=label, _bbt=K)
-    sys_.edge_amplitudes = amps  # per-mode amplitude on each edge
-    return sys_
+    return SpectralSystem(lams, B, Q, label=label, _bbt=K)
+
+
+def _rectangle_modes(max_frequency: float) -> np.ndarray:
+    """The (m, n) pairs with sqrt(m**2 + n**2) <= max_frequency, one row each, in mode order."""
+    mmax = int(np.floor(max_frequency))
+    pairs = [(m, n) for m in range(1, mmax + 1) for n in range(1, mmax + 1)
+             if m * m + n * n <= max_frequency**2]
+    pairs.sort(key=lambda p: (np.hypot(p[0], p[1]), p[0], p[1]))
+    return np.array(pairs, dtype=int)
 
 
 def build_rectangle(a: float, b: float, max_frequency: float) -> SpectralSystem:
@@ -400,20 +404,14 @@ def build_rectangle(a: float, b: float, max_frequency: float) -> SpectralSystem:
     if max_frequency < np.sqrt(2.0):
         raise DomainError("max_frequency below the lowest mode sqrt(2)")
 
-    mmax = int(np.floor(max_frequency))
-    pairs = [(m, n) for m in range(1, mmax + 1) for n in range(1, mmax + 1)
-             if m * m + n * n <= max_frequency**2]
-    pairs.sort(key=lambda p: (np.hypot(p[0], p[1]), p[0], p[1]))
-    idx = np.array(pairs, dtype=int)
+    idx = _rectangle_modes(max_frequency)
     lam = np.hypot(idx[:, 0].astype(float), idx[:, 1].astype(float))
 
     n_modes = lam.size
     K = np.zeros((n_modes, n_modes))
     B = np.zeros((n_modes, n_modes))
-    for n in range(1, mmax + 1):
+    for n in np.unique(idx[:, 1]):
         rows = np.flatnonzero(idx[:, 1] == n)
-        if rows.size == 0:
-            continue
         ms = idx[rows, 0].astype(float)
         block = (2.0 / np.pi) * sine_product_integral(ms, ms, a, b)
         block = 0.5 * (block + block.T)
@@ -421,10 +419,8 @@ def build_rectangle(a: float, b: float, max_frequency: float) -> SpectralSystem:
         B[np.ix_(rows, rows)] = psd_sqrt(block)
 
     Q = np.diag(lam**2)
-    sys_ = SpectralSystem(lam, B, Q, label=f"rectangle(strip=({a:g},{b:g}), lmax={max_frequency:g})",
+    return SpectralSystem(lam, B, Q, label=f"rectangle(strip=({a:g},{b:g}), lmax={max_frequency:g})",
                           _bbt=K)
-    sys_.mode_indices = idx
-    return sys_
 
 
 def build_synthetic(rho: float, eta: float, n_modes: int) -> SpectralSystem:

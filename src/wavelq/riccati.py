@@ -70,9 +70,6 @@ class RiccatiSolution:
     def dim(self) -> int:
         return self.E.shape[0]
 
-    def min_eigenvalue(self) -> float:
-        return float(scipy.linalg.eigh(self.E, eigvals_only=True, subset_by_index=[0, 0])[0])
-
 
 def first_order_matrices(system: SpectralSystem):
     """(A_mat, B_mat, Q_mat) of the first-order system in energy coordinates.
@@ -314,13 +311,12 @@ def closed_loop_matrix(system: SpectralSystem, solution: RiccatiSolution) -> np.
     return A - B @ (B.T @ solution.E)
 
 
-def value(solution, x0) -> float:
+def value(solution: RiccatiSolution, x0) -> float:
     """Quadratic-form value x0^T E x0 (the optimal cost from x0)."""
-    E = solution.E if isinstance(solution, RiccatiSolution) else np.asarray(solution, dtype=float)
     x = as_energy_vector(x0)
-    if x.size != E.shape[0]:
+    if x.size != solution.dim:
         raise DimensionError("state dimension does not match the Riccati matrix")
-    return float(x @ E @ x)
+    return float(x @ solution.E @ x)
 
 
 @dataclass

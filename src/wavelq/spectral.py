@@ -91,22 +91,12 @@ class EnergyState:
     def n_modes(self) -> int:
         return self.xi.size
 
-    def norm_h_squared(self) -> float:
-        return float(np.dot(self.xi, self.xi) + np.dot(self.zeta, self.zeta))
-
     def to_vector(self) -> np.ndarray:
         """Interleaved flat vector (xi_1, zeta_1, xi_2, zeta_2, ...)."""
         out = np.empty(2 * self.n_modes)
         out[0::2] = self.xi
         out[1::2] = self.zeta
         return out
-
-    @classmethod
-    def from_vector(cls, x) -> "EnergyState":
-        x = _as_coeffs(x, "x")
-        if x.size % 2:
-            raise DimensionError("energy vector length must be even")
-        return cls(xi=x[0::2].copy(), zeta=x[1::2].copy())
 
 
 def as_energy_vector(x) -> np.ndarray:
@@ -117,7 +107,7 @@ def as_energy_vector(x) -> np.ndarray:
 # Norm-scale kinds.  Each kind defines a per-mode weight applied to the
 # energy density lambda**2*a**2 + b**2, except sobolev_state which weights
 # a**2 alone (a position-only norm).
-_KINDS = ("sobolev_state", "graded", "graded_dual", "exp_weight")
+_KINDS = ("sobolev_state", "graded", "exp_weight")
 
 
 @dataclass(frozen=True)
@@ -126,8 +116,7 @@ class NormScale:
 
     kind / weight on the energy density ``lambda**2 a**2 + b**2``:
 
-    * ``graded(s)``       -- ``lambda**(2s)``
-    * ``graded_dual(s)``  -- ``lambda**(-2(s+1))``
+    * ``graded(s)``       -- ``lambda**(2s)``; s = -(t+1) is the dual of graded(t)
     * ``exp_weight(alpha)`` -- ``exp(-2*alpha*lambda)``, alpha >= 0
     * ``sobolev_state(beta)`` -- ``lambda**(4*beta)`` applied to ``a**2`` only
     """
@@ -146,13 +135,11 @@ class NormScale:
         return cls("graded", float(s))
 
     @classmethod
-    def graded_dual(cls, s: float) -> "NormScale":
-        return cls("graded_dual", float(s))
-
-    @classmethod
     def exp_weight(cls, alpha: float) -> "NormScale":
         return cls("exp_weight", float(alpha))
 
+    # the only kind whose norm vanishes on nonzero states (those at rest in
+    # position), which bounds_report's ``excluded`` count exists for
     @classmethod
     def sobolev_state(cls, beta: float) -> "NormScale":
         return cls("sobolev_state", float(beta))
@@ -163,27 +150,16 @@ class NormScale:
         return cls("graded", 0.0)
 
     def density_weights(self, lambdas) -> np.ndarray:
-        """Per-mode weight on the energy density (graded kinds only)."""
+        """Per-mode weight on the energy density (every kind but sobolev_state)."""
         lam = as_frequencies(lambdas)
         if self.kind == "graded":
             return lam ** (2.0 * self.param)
-        if self.kind == "graded_dual":
-            return lam ** (-2.0 * (self.param + 1.0))
         if self.kind == "exp_weight":
             return np.exp(-2.0 * self.param * lam)
         raise DomainError("sobolev_state has no energy-density weight")
 
     def describe(self) -> str:
         return f"{self.kind}({self.param:g})"
-
-
-def norm_squared(v: ModalVector, lambdas, scale: NormScale) -> float:
-    """Squared norm of a modal vector under the given scale.
-
-    For graded kinds this is ``sum w_n(lambda_n) * (lambda_n**2 a_n**2 + b_n**2)``;
-    for ``sobolev_state(beta)`` it is ``sum lambda_n**(4*beta) * a_n**2``.
-    """
-    return energy_norm_squared(to_energy(v, lambdas), lambdas, scale)
 
 
 def energy_norm_squared(x, lambdas, scale: NormScale):
@@ -207,55 +183,8 @@ def energy_norm_squared(x, lambdas, scale: NormScale):
     return float(out) if x.ndim == 1 else out
 
 
-def apply_fractional_power(v: ModalVector, lambdas, beta: float) -> ModalVector:
-    """Apply A**beta componentwise: both coefficient slots scale by lambda**(2*beta)."""
-    lam = as_frequencies(lambdas)
-    if lam.size != v.n_modes:
-        raise DimensionError("frequency count does not match mode count")
-    factor = lam ** (2.0 * float(beta))
-    if not np.all(np.isfinite(factor)):
-        raise DomainError("lambda**(2*beta) overflows or is undefined")
-    return ModalVector(a=factor * v.a, b=factor * v.b)
-
-
 def to_energy(v: ModalVector, lambdas) -> EnergyState:
     lam = as_frequencies(lambdas)
     if lam.size != v.n_modes:
         raise DimensionError("frequency count does not match mode count")
     return EnergyState(xi=lam * v.a, zeta=v.b.copy())
-
-
-def from_energy(s: EnergyState, lambdas) -> ModalVector:
-    lam = as_frequencies(lambdas)
-    if lam.size != s.n_modes:
-        raise DimensionError("frequency count does not match mode count")
-    return ModalVector(a=s.xi / lam, b=s.zeta.copy())
-
-
-def interpolation_gap(v: ModalVector, lambdas, rho: float, eta: float, s: float) -> float:
-    """Slack of the interpolation inequality between the weak and strong scales.
-
-    Returns RHS - LHS of
-
-        ||v||^2_{graded(1/rho)} <=
-            ||v||^{2*s*eta/Z}_{graded(-1/eta)} * ||v||^{2*(1+eta/rho)/Z}_{graded(1/rho+s)}
-
-    with Z = 1 + eta/rho + s*eta.  Nonnegative by Hoelder; zero for a
-    single-mode vector.
-    """
-    if rho <= 0.0 or eta <= 0.0 or s <= 0.0:
-        raise DomainError("rho, eta, s must be positive")
-    lam = as_frequencies(lambdas)
-    weak = norm_squared(v, lam, NormScale.graded(-1.0 / eta))
-    mid = norm_squared(v, lam, NormScale.graded(1.0 / rho))
-    strong = norm_squared(v, lam, NormScale.graded(1.0 / rho + s))
-    if weak == 0.0:
-        raise DomainError("interpolation gap undefined for the zero vector")
-    z = 1.0 + eta / rho + s * eta
-    theta_weak = s * eta / z
-    theta_strong = (1.0 + eta / rho) / z
-    # rhs - mid evaluated as mid * expm1(log rhs - log mid): conditioned
-    # relative to the mid norm even when the individual norms are huge
-    log_ratio = (theta_weak * np.log(weak) + theta_strong * np.log(strong)
-                 - np.log(mid))
-    return float(mid * np.expm1(log_ratio))

@@ -64,15 +64,6 @@ class StationarySolution:
     optimality_residual: float
 
 
-def stationary_cost(system: SpectralSystem, z, u) -> float:
-    """Stationary objective ||u||^2 + ||C A^-1 B u - z||^2 (for convexity probes)."""
-    z = np.asarray(z, dtype=float)
-    u = np.asarray(u, dtype=float)
-    Cm = system.observation_factor()
-    w = (system.B_mod @ u) / system.lambdas**2
-    return float(u @ u + np.sum((Cm @ w - z) ** 2))
-
-
 def solve_stationary(system: SpectralSystem, z) -> StationarySolution:
     """Solve min_u ||u||^2 + ||C w - z||^2 subject to A w = B u.
 

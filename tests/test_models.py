@@ -1,10 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, eigvalsh
 from scipy.optimize import brentq
 
 from wavelq.models import (
+    SpectralSystem,
+    _rectangle_modes,
+    _star_eigenpairs,
     build_interval_wave,
     build_rectangle,
     build_star_network,
@@ -119,13 +124,15 @@ class TestStarNetwork:
             assert hits.sum() == 2  # triple pole -> multiplicity 2
 
     def test_eigenfunctions_orthonormal(self):
-        st = build_star_network([1.0, np.pi, np.pi**2], 0, 1, 25.0)
         lengths = np.array([1.0, np.pi, np.pi**2])
+        st = build_star_network(lengths, 0, 1, 25.0)
+        lams, amplitudes = _star_eigenpairs(lengths, 25.0)
+        assert np.array_equal(lams, st.lambdas)
         # Gram matrix via the per-edge closed-form overlaps summed over edges
         from wavelq.models import sine_product_integral
         G = np.zeros((st.n_modes, st.n_modes))
         for j, ell in enumerate(lengths):
-            amps = st.edge_amplitudes[:, j]
+            amps = amplitudes[:, j]
             G += np.outer(amps, amps) * sine_product_integral(st.lambdas, st.lambdas, 0.0, ell)
         assert np.abs(G - np.eye(st.n_modes)).max() <= 1e-8
 
@@ -201,7 +208,7 @@ class TestRectangle:
     def test_overlaps_match_quadrature(self):
         a, b = 1.0, 2.0
         sys_ = build_rectangle(a, b, 5.0)
-        idx = sys_.mode_indices
+        idx = _rectangle_modes(5.0)
         K = sys_.bbt
         for i in range(sys_.n_modes):
             for j in range(sys_.n_modes):
@@ -217,7 +224,7 @@ class TestRectangle:
     def test_diagonal_closed_form(self):
         a, b = 1.0, 2.0
         sys_ = build_rectangle(a, b, 5.0)
-        idx = sys_.mode_indices
+        idx = _rectangle_modes(5.0)
         for i in range(sys_.n_modes):
             m = idx[i, 0]
             expected = (2 / np.pi) * ((b - a) / 2
@@ -265,7 +272,6 @@ class TestGramians:
         assert np.abs(W).max() == 0.0
 
     def test_single_mode_closed_form(self):
-        from wavelq.models import SpectralSystem
         lam = 1.7
         sys_ = SpectralSystem([lam], np.array([[1.0]]), np.array([[1.0]]))
         T = 2.3
@@ -384,7 +390,7 @@ class TestSystemInvariants:
         for sys_ in systems:
             scale = max(1.0, np.abs(sys_.Q_obs).max())
             assert np.abs(sys_.Q_obs - sys_.Q_obs.T).max() <= 1e-12 * scale
-            assert sys_.min_q_obs_eigenvalue() >= -1e-10 * scale
+            assert eigvalsh(sys_.Q_obs)[0] >= -1e-10 * scale
             assert np.all(np.diff(sys_.lambdas) >= 0.0)
             assert np.all(sys_.lambdas > 0.0)
 
@@ -403,8 +409,21 @@ class TestSystemInvariants:
                   controllability_gramian(sys_, 3.3)):
             assert np.array_equal(W, W.T)
 
+    @pytest.mark.parametrize("sys_", [
+        build_synthetic(2.0, 2.0, 8),
+        build_synthetic_exponential(0.4, 0.4, 8),
+        build_interval_wave(8, control=("subinterval", 0.3, 1.2)),
+        build_star_network([np.pi, np.pi, 1.0], 0, 2, 12.0),
+        build_rectangle(1.0, 2.0, 8.0),
+    ], ids=lambda s: s.label)
+    def test_systems_hold_only_their_dataclass_fields(self, sys_):
+        # an attribute outside the fields would be dropped by restrict and replace
+        fields = {f.name for f in dataclasses.fields(SpectralSystem)}
+        for system in (sys_, sys_.restrict(np.arange(sys_.n_modes - 1)),
+                       dataclasses.replace(sys_, label="copy")):
+            assert set(vars(system)) <= fields
+
     def test_hand_built_q_obs_stored_exactly_symmetric(self):
-        from wavelq.models import SpectralSystem
         Q = np.array([[2.0, 0.5], [0.5 + 1e-15, 1.0]])
         sys_ = SpectralSystem([1.0, 2.0], np.eye(2), Q)
         assert np.array_equal(sys_.Q_obs, sys_.Q_obs.T)
@@ -427,7 +446,7 @@ class TestObservationSideFit:
 class TestBlocks:
     def test_rectangle_one_block_per_x2_index(self):
         sys_ = build_rectangle(1.0, 2.0, 12.0)
-        x2 = sys_.mode_indices[:, 1]
+        x2 = _rectangle_modes(12.0)[:, 1]
         assert len(sys_.blocks) == np.unique(x2).size
         for modes in sys_.blocks:
             assert np.unique(x2[modes]).size == 1
@@ -446,7 +465,6 @@ class TestBlocks:
         assert sys_.restrict(sys_.blocks[0]) is sys_
 
     def test_tiny_nonzero_coupling_keeps_modes_together(self):
-        from wavelq.models import SpectralSystem
         B = np.diag([1.0, 1.0, 1.0])
         Q = np.diag([1.0, 2.0, 3.0])
         assert [m.tolist() for m in SpectralSystem([1.0, 2.0, 3.0], B, Q).blocks] == [[0], [1], [2]]

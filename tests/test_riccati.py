@@ -396,7 +396,7 @@ class TestExponentialWeightScales:
                      build_interval_wave(6, control=("subinterval", 0.5, 2.2))):
             sol = solve_are(sys_)
             scale = np.abs(sol.E).max()
-            assert sol.min_eigenvalue() >= -1e-8 * scale
+            assert scipy.linalg.eigvalsh(sol.E)[0] >= -1e-8 * scale
 
 
 # ---------------------------------------------------------------------------

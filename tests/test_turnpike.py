@@ -17,9 +17,14 @@ from wavelq.turnpike import (
     g_weight,
     solve_stationary,
     solve_tracking,
-    stationary_cost,
     tracking_os_residual,
 )
+
+
+def stationary_cost(system: SpectralSystem, z, u) -> float:
+    """Stationary objective ||u||^2 + ||C A^-1 B u - z||^2 (for convexity probes)."""
+    w = (system.B_mod @ u) / system.lambdas**2
+    return float(u @ u + np.sum((system.observation_factor() @ w - z) ** 2))
 
 
 def single_mode_system():
