@@ -23,7 +23,7 @@ from wavelq.models import SpectralSystem
 
 def dre_to_are():
     print("== DRE snapshots approach the algebraic solution (1 mode) ==")
-    sys_ = SpectralSystem([1.0], np.array([[1.0]]), np.array([[1.0]]))
+    sys_ = SpectralSystem.from_dense([1.0], np.array([[1.0]]), np.array([[1.0]]))
     are = solve_are(sys_)
     x = np.array([1.0, 0.0])
     e1 = np.sqrt(2.0) * np.sqrt(2.0 * (np.sqrt(2.0) - 1.0))

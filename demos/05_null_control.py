@@ -15,7 +15,7 @@ from wavelq import NormScale, build_synthetic, energy_norm_squared, hum_null_con
 def steering_demo():
     print("== single mode, full control, one full period ==")
     from wavelq.models import SpectralSystem
-    sys1 = SpectralSystem([1.0], np.array([[1.0]]), np.array([[1.0]]))
+    sys1 = SpectralSystem.from_dense([1.0], np.array([[1.0]]), np.array([[1.0]]))
     x0 = np.array([1.0, 0.5])
     h = hum_null_control(sys1, x0, 2 * np.pi)
     print(f"cost = {h.cost:.9f} (closed form |x0|^2/pi = {(x0 @ x0) / np.pi:.9f})")

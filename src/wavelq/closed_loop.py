@@ -6,9 +6,10 @@ by the exact matrix exponential of the closed-loop generator over a fixed step
 the system's decoupled blocks (``SpectralSystem.blocks``), and blocks of equal
 size advance as one stack (``models.stacked_blocks``; a single-block system is
 one stack of one) in chunks of 8 steps, each chunk from its own exponential.
-No dense propagator is assembled, and no (steps, d) array is held besides the
-states and the controls: the recorded quadratic forms come from per-block
-weights over bounded row chunks.
+No dense propagator or gain is assembled, and no (steps, d) array is held
+besides the states and the controls: the recorded quadratic forms come from
+per-block weights over bounded row chunks, and each block's controls from its
+own gain, written into the columns of the controls that act on it.
 
 The dissipation integral of each loop's energy identity, such as
 ``int ||B^T x||^2 dt``, is accumulated exactly from the step Gramian
@@ -66,14 +67,16 @@ _CHUNK_ELEMENTS = 1 << 15
 
 
 def _simulate_lti(system: SpectralSystem, generator, x0: np.ndarray, horizon: float,
-                  dt: float | None, kind: str, control_gain: np.ndarray | None) -> Trajectory:
+                  dt: float | None, kind: str) -> Trajectory:
     """Advance x' = A_cl x exactly over equal steps of at most dt.
 
-    ``generator(block, e)`` returns ``(A_cl, G, forms)`` of one block: ``block``
-    is the system restricted to it, ``e`` its energy-coordinate positions.  G
-    is the dissipation density x^T G x of the run's energy identity; its exact
-    time integral becomes ``Trajectory.dissipation``.  ``forms`` maps the names
-    of recorded Trajectory series to the block's weight M of x^T M x.
+    ``generator(block, e)`` returns ``(A_cl, G, forms, gain)`` of one block:
+    ``block`` is the system restricted to it, ``e`` its energy-coordinate
+    positions.  G is the dissipation density x^T G x of the run's energy
+    identity; its exact time integral becomes ``Trajectory.dissipation``.
+    ``forms`` maps the names of recorded Trajectory series to the block's
+    weight M of x^T M x.  ``gain`` is the F of the recorded controls u = F x
+    on the block's controls, or None when the loop records none.
     """
     lam = system.lambdas
     x0 = as_energy_vector(x0)
@@ -89,35 +92,66 @@ def _simulate_lti(system: SpectralSystem, generator, x0: np.ndarray, horizon: fl
 
     X = np.empty((steps + 1, x0.size))
     series = {}
-    dissipation = sum(_advance_stack(system, generator, modes, h, x0, X, series)
-                      for modes in stacked_blocks(system))
+    advanced = [_advance_stack(system, generator, stack, h, x0, X, series)
+                for stack in stacked_blocks(system)]
 
     traj = Trajectory(times=times, states=X, energies=np.einsum("ij,ij->i", X, X),
-                      lambdas=lam, kind=kind, dissipation=float(dissipation), **series)
-    if control_gain is not None:
-        traj.controls = X @ control_gain.T  # u(t) = -gain @ x recorded with its sign
+                      lambdas=lam, kind=kind, dissipation=float(sum(d for d, _ in advanced)),
+                      **series)
+    if advanced[0][1] is not None:
+        traj.controls = _recorded_controls(X, [g for _, g in advanced], system.n_controls)
         traj.control_power = np.einsum("ij,ij->i", traj.controls, traj.controls)
     return traj
 
 
-def _advance_stack(system, generator, modes, h, x0, X, series) -> float:
-    """Fill the columns of X of one stack of equal-sized blocks, given by ``modes``.
+def _recorded_controls(X: np.ndarray, stacks, n_controls: int) -> np.ndarray:
+    """The recorded controls u = F x, each block's into its own columns.
+
+    ``stacks`` holds per stack the blocks' energy positions e (blocks, s),
+    their transposed gains F^T padded with zero columns to the widest, the
+    mask of the columns that are not padding, and the blocks' control
+    indices in that order.  The states are read in bounded row chunks, once
+    every stack's step maps are freed.
+    """
+    U = np.zeros((X.shape[0], n_controls))
+    for e, gains, filled, controls in stacks:
+        rows = max(1, _CHUNK_ELEMENTS // e.size)
+        for start in range(0, X.shape[0], rows):
+            Y = np.swapaxes(X[start:start + rows, e], 0, 1)
+            U[start:start + rows, controls] = np.swapaxes(Y @ gains, 0, 1)[:, filled]
+    return U
+
+
+def _advance_stack(system, generator, stack, h, x0, X, series):
+    """Fill the columns of X of one stack of equal-sized blocks, given by their records.
 
     One ``step_map`` gives the blocks' one-step propagators Phi and step
     Gramians W, another their _CHUNK_STEPS-step propagators.  Every
     _CHUNK_STEPS-th sample comes from the one before through the latter; the
     samples between from it through the powers of Phi, in one batched product
-    per row chunk.  Adds the stack's share of each form to ``series`` and
-    returns its share of the dissipation sum over the steps, x^T W x at each
-    step's start.
+    per row chunk.  Adds the stack's share of each form to ``series``.
+    Returns its share of the dissipation sum over the steps, x^T W x at each
+    step's start, and its gains as ``_recorded_controls`` takes them (None
+    when the loop records no controls).
     """
     k = _CHUNK_STEPS
-    e = energy_index(modes)
-    parts = [generator(system.restrict(b), i) for b, i in zip(modes, e)]
+    e = energy_index(np.array([r.modes for r in stack]))
+    blocks = [system.restrict(r.modes) for r in stack]
+    parts = [generator(block, i) for block, i in zip(blocks, e)]
     A_cl = np.array([p[0] for p in parts])
     Phi, W = step_map(A_cl, h, cost=np.array([p[1] for p in parts]))
     chunk_T = step_map(A_cl, k * h)[0].swapaxes(-1, -2)
     forms = {name: np.array([p[2][name] for p in parts]) for name in parts[0][2]}
+    gains = None
+    if parts[0][3] is not None:
+        # the blocks' transposed gains, padded with zero columns to the widest
+        counts = np.array([r.controls.size for r in stack])
+        gains = np.zeros((len(stack), e.shape[1], counts.max()))
+        for gain, p, block in zip(gains, parts, blocks):
+            # the gain's rows are the block's controls; a whole system keeps its zero ones
+            gain[:, :block.records[0].controls.size] = p[3][block.records[0].controls].T
+        filled = np.arange(counts.max()) < counts[:, None]
+        controls = np.concatenate([r.controls for r in stack])
 
     nb, s = e.shape
     n = X.shape[0]
@@ -145,7 +179,7 @@ def _advance_stack(system, generator, modes, h, x0, X, series) -> float:
             series[name][start:stop] += np.einsum("brs,brs->r", Y @ M, Y)
         Y = Y[:, :n - 1 - start]
         dissipation += np.einsum("brs,brs->", Y @ W, Y)
-    return dissipation
+    return dissipation, None if gains is None else (e, gains, filled, controls)
 
 
 def simulate_collocated(system: SpectralSystem, x0, horizon: float,
@@ -159,10 +193,9 @@ def simulate_collocated(system: SpectralSystem, x0, horizon: float,
     def generator(block, e):
         A, B, Q = first_order_matrices(block)
         BBT = B @ B.T
-        return A - BBT, BBT, {"obs_power": Q}
+        return A - BBT, BBT, {"obs_power": Q}, -B.T
 
-    _, B, _ = first_order_matrices(system)
-    return _simulate_lti(system, generator, x0, horizon, dt, "collocated", control_gain=-B.T)
+    return _simulate_lti(system, generator, x0, horizon, dt, "collocated")
 
 
 def simulate_riccati_feedback(system: SpectralSystem, solution: RiccatiSolution, x0,
@@ -173,19 +206,18 @@ def simulate_riccati_feedback(system: SpectralSystem, solution: RiccatiSolution,
     equation, V is nonincreasing with V(0) - V(T) = int (||B^T E x||^2 +
     ||C w||^2) dt.
     """
-    _, B, _ = first_order_matrices(system)
     E = solution.E
-    if E.shape[0] != B.shape[0]:
+    if E.shape[0] != 2 * system.n_modes:
         raise DimensionError("Riccati solution dimension does not match the system")
 
     def generator(block, e):
         A_b, B_b, Q_b = first_order_matrices(block)
         E_b = E[np.ix_(e, e)]
         gain = B_b.T @ E_b
-        return A_b - B_b @ gain, gain.T @ gain + Q_b, {"obs_power": Q_b, "values": E_b}
+        return (A_b - B_b @ gain, gain.T @ gain + Q_b, {"obs_power": Q_b, "values": E_b},
+                -gain)
 
-    return _simulate_lti(system, generator, x0, horizon, dt, "riccati_feedback",
-                         control_gain=-(B.T @ E))
+    return _simulate_lti(system, generator, x0, horizon, dt, "riccati_feedback")
 
 
 def simulate_backward_observer(system: SpectralSystem, terminal_state, horizon: float,
@@ -200,10 +232,9 @@ def simulate_backward_observer(system: SpectralSystem, terminal_state, horizon: 
         A, _, _ = first_order_matrices(block)
         D = np.zeros_like(A)
         D[1::2, 1::2] = block.Q_obs  # C*C acting on velocities
-        return A - D, D, {"obs_power": D}
+        return A - D, D, {"obs_power": D}, None
 
-    return _simulate_lti(system, generator, terminal_state, horizon, dt, "backward_observer",
-                         control_gain=None)
+    return _simulate_lti(system, generator, terminal_state, horizon, dt, "backward_observer")
 
 
 def energy_identity_defect(traj: Trajectory) -> float:

@@ -1,6 +1,6 @@
 """Concrete spectral systems and observability-Gramian estimation.
 
-A system is stored by its frequencies ``lambda_n`` (eigenvalues of A are
+A system is given by its frequencies ``lambda_n`` (eigenvalues of A are
 ``lambda_n**2``), the modal control map ``B_mod`` (control enters the velocity
 equation) and the modal quadratic form ``Q_obs`` of C*C acting on position
 coefficients, so ``||C w||^2 = a^T Q_obs a``.
@@ -10,16 +10,22 @@ exact modal overlap matrix K of the indicator multiplier (closed-form
 integrals of eigenfunction products); ``B_mod`` is the symmetric PSD square
 root of K, so ``B_mod B_mod^T = K`` holds exactly.
 
-``SpectralSystem.blocks`` are the groups of modes that the control and
-observation couple: the connected components of the exact nonzeros of
-``B_mod B_mod^T`` and ``Q_obs``.  The free flow is per-mode, so every
-Gramian, Riccati solution and closed loop of the system is block diagonal
-over them.  The solvers work one block at a time on ``restrict(modes)`` and
-put the pieces back with ``assemble``; a system with one block (the interval
-with subinterval control, the stars) is solved whole.  Tracking and the closed
-loops advance ``stacked_blocks``, the blocks grouped by size, one stack at a
-time.  The synthetic families split into single modes, the rectangle with
-strip control into one block per x2 index.
+The modes split into decoupled blocks: the groups that the control and the
+observation couple.  The free flow is per-mode, so every Gramian, Riccati
+solution and closed loop of the system is block diagonal over them.  A
+``SpectralSystem`` stores only ``lambdas`` and one ``Block`` record per block:
+its modes, the controls that act on it with its rows of ``B_mod``, and its
+pieces of ``B B*`` and ``Q_obs``.  The dense ``B_mod``, ``Q_obs`` and ``bbt``
+are assembled from the records on first access, for serialization, HUM,
+tracking and the stationary problem; nothing else of size n x n is held.
+Builders that know their blocks pass them: the rectangle with strip control
+one block per x2 index, the synthetic families one block per mode.  The
+interval, the stars, loaded and hand-built systems enter through
+``SpectralSystem.from_dense``, which finds the blocks once.  The solvers work
+one block at a time on ``restrict(modes)`` and put the pieces back with
+``assemble``; a system with one block is the one-record case.  Tracking and
+the closed loops advance ``stacked_blocks``, the records grouped by size, one
+stack at a time.
 """
 
 from __future__ import annotations
@@ -84,87 +90,190 @@ def energy_index(modes: np.ndarray) -> np.ndarray:
     return np.stack([2 * modes, 2 * modes + 1], axis=-1).reshape(*modes.shape[:-1], -1)
 
 
+def _symmetrized(Q: np.ndarray, scale: float) -> np.ndarray:
+    """0.5 (Q + Q^T), once Q is checked symmetric to 1e-12 of ``scale``."""
+    if np.abs(Q - Q.T).max() > 1e-12 * scale:
+        raise DomainError("Q_obs must be symmetric")
+    return 0.5 * (Q + Q.T)
+
+
+@dataclass(eq=False)
+class Block:
+    """The record of one decoupled block of a system.
+
+    ``modes`` are the block's mode indices, increasing.  ``controls`` are the
+    indices of the control columns that act on it, increasing; no other block
+    uses them.  ``B`` is B_mod on the block's rows and those columns, ``bbt``
+    and ``Q`` are B B* and Q_obs on its rows and columns.  Columns of ``B``
+    that are zero are dropped with their index.
+    """
+
+    modes: np.ndarray
+    controls: np.ndarray
+    B: np.ndarray
+    bbt: np.ndarray
+    Q: np.ndarray
+
+    def __post_init__(self):
+        self.modes = np.asarray(self.modes, dtype=int)
+        controls = np.asarray(self.controls, dtype=int)
+        B = np.asarray(self.B, dtype=float)
+        self.bbt = np.asarray(self.bbt, dtype=float)
+        self.Q = np.asarray(self.Q, dtype=float)
+        k = self.modes.size
+        if (self.modes.ndim != 1 or not k or B.shape != (k, controls.size)
+                or self.bbt.shape != (k, k) or self.Q.shape != (k, k)):
+            raise DimensionError("a block's B, bbt and Q must match its modes and controls")
+        if (self.modes[1:] <= self.modes[:-1]).any() or (controls[1:] <= controls[:-1]).any():
+            raise DimensionError("a block's modes and controls must be increasing")
+        keep = B.any(axis=0)
+        self.controls, self.B = (controls, B) if keep.all() else (controls[keep], B[:, keep])
+
+
+def _components(linked: np.ndarray) -> list[np.ndarray]:
+    """Connected components of a symmetric boolean adjacency, ordered by first index."""
+    n = linked.shape[0]
+    seen = np.zeros(n, dtype=bool)
+    out = []
+    for seed in range(n):
+        if seen[seed]:
+            continue
+        member = np.zeros(n, dtype=bool)
+        member[seed] = True
+        front = member
+        while front.any():
+            front = linked[front].any(axis=0) & ~member
+            member |= front
+        seen |= member
+        out.append(np.flatnonzero(member))
+    return out
+
+
 @dataclass
 class SpectralSystem:
-    """Truncated modal system: frequencies, control map and observation form."""
+    """Truncated modal system: frequencies and one ``Block`` record per decoupled block.
+
+    ``records`` are ordered by first mode and hold every mode once; each
+    control acts on at most one of them.  ``B_mod``, ``bbt`` and ``Q_obs`` are
+    the dense matrices assembled from them on first access.
+    """
 
     lambdas: np.ndarray
-    B_mod: np.ndarray
-    Q_obs: np.ndarray
+    records: tuple
+    n_controls: int
     label: str = ""
     rho: float | None = None  # planted control-side exponent, if any
     eta: float | None = None  # planted observation-side exponent, if any
-    _bbt: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _blocks: list | None = field(default=None, init=False, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.lambdas = as_frequencies(self.lambdas)
-        self.B_mod = np.atleast_2d(np.asarray(self.B_mod, dtype=float))
-        self.Q_obs = np.atleast_2d(np.asarray(self.Q_obs, dtype=float))
-        n = self.n_modes
-        if self.B_mod.shape[0] != n:
+        records = sorted(self.records, key=lambda r: r.modes[0])
+        held = np.sort(np.concatenate([r.modes for r in records]))
+        if not np.array_equal(held, np.arange(self.n_modes)):
+            raise DimensionError("the blocks must hold every mode once")
+        controls = np.concatenate([r.controls for r in records])
+        if np.unique(controls).size < controls.size or np.any(controls >= self.n_controls):
+            raise DimensionError("each control must act on one block and lie below n_controls")
+        # exactly symmetric, so the Gramians built from it are too (a no-op on shared records)
+        scale = max(1.0, max(np.abs(r.Q).max() for r in records))
+        for r in records:
+            r.Q = _symmetrized(r.Q, scale)
+        self.records = tuple(records)
+
+    @classmethod
+    def from_dense(cls, lambdas, B_mod, Q_obs, label: str = "", rho: float | None = None,
+                   eta: float | None = None, bbt=None) -> SpectralSystem:
+        """The system of a dense ``B_mod`` (n_modes x n_controls) and ``Q_obs``, split into blocks.
+
+        ``bbt`` is ``B_mod B_mod^T`` unless given.  Two modes share a block
+        when a chain of exact nonzeros of ``bbt`` or ``Q_obs``, or of control
+        columns acting on both, links them; any nonzero coupling, however
+        small, counts.
+        """
+        lam = as_frequencies(lambdas)
+        B = np.atleast_2d(np.asarray(B_mod, dtype=float))
+        Q = np.atleast_2d(np.asarray(Q_obs, dtype=float))
+        n = lam.size
+        if B.shape[0] != n:
             raise DimensionError("B_mod must have one row per mode")
-        if self.Q_obs.shape != (n, n):
+        if Q.shape != (n, n):
             raise DimensionError("Q_obs must be n_modes x n_modes")
-        sym_defect = np.abs(self.Q_obs - self.Q_obs.T).max()
-        if sym_defect > 1e-12 * max(1.0, np.abs(self.Q_obs).max()):
-            raise DomainError("Q_obs must be symmetric")
-        # exactly symmetric, so the Gramians built from it are too
-        self.Q_obs = 0.5 * (self.Q_obs + self.Q_obs.T)
+        Q = _symmetrized(Q, max(1.0, np.abs(Q).max()))
+        bbt = B @ B.T if bbt is None else np.asarray(bbt, dtype=float)
+        acts = (B != 0.0).astype(float)
+        linked = (bbt != 0.0) | (Q != 0.0) | (acts @ acts.T != 0.0)
+        columns = np.arange(B.shape[1])
+        records = [Block(m, columns, B[m], bbt[np.ix_(m, m)], Q[np.ix_(m, m)])
+                   for m in _components(linked)]
+        return cls(lam, records, B.shape[1], label=label, rho=rho, eta=eta)
 
     @property
     def n_modes(self) -> int:
         return self.lambdas.size
 
     @property
-    def n_controls(self) -> int:
-        return self.B_mod.shape[1]
+    def blocks(self) -> list[np.ndarray]:
+        """Mode-index arrays of the decoupled blocks, ordered by first mode."""
+        return [r.modes for r in self.records]
+
+    def _dense(self, name: str) -> np.ndarray:
+        """The records' pieces ``name`` put in place in one read-only matrix (cached)."""
+        if name not in self._cache:
+            n = self.n_modes
+            out = np.zeros((n, self.n_controls if name == "B" else n))
+            for r in self.records:
+                out[np.ix_(r.modes, r.controls if name == "B" else r.modes)] = getattr(r, name)
+            out.flags.writeable = False
+            self._cache[name] = out
+        return self._cache[name]
+
+    @property
+    def B_mod(self) -> np.ndarray:
+        """Modal control map, n_modes x n_controls (assembled on first access)."""
+        return self._dense("B")
 
     @property
     def bbt(self) -> np.ndarray:
-        """Modal matrix of B B* (cached)."""
-        if self._bbt is None:
-            self._bbt = self.B_mod @ self.B_mod.T
-        return self._bbt
+        """Modal matrix of B B* (assembled on first access)."""
+        return self._dense("bbt")
 
     @property
-    def blocks(self) -> list[np.ndarray]:
-        """Mode-index arrays of the decoupled blocks, ordered by first mode (cached).
-
-        Two modes share a block when a chain of exact nonzeros of ``bbt`` or
-        ``Q_obs`` links them; any nonzero coupling, however small, counts.
-        """
-        if self._blocks is None:
-            linked = (self.bbt != 0.0) | (self.Q_obs != 0.0)
-            seen = np.zeros(self.n_modes, dtype=bool)
-            self._blocks = []
-            for seed in range(self.n_modes):
-                if seen[seed]:
-                    continue
-                member = np.zeros(self.n_modes, dtype=bool)
-                member[seed] = True
-                front = member
-                while front.any():
-                    front = linked[front].any(axis=0) & ~member
-                    member |= front
-                seen |= member
-                self._blocks.append(np.flatnonzero(member))
-        return self._blocks
+    def Q_obs(self) -> np.ndarray:
+        """Modal observation form (assembled on first access)."""
+        return self._dense("Q")
 
     def restrict(self, modes: np.ndarray) -> SpectralSystem:
         """The system on a subset of its modes (itself when ``modes`` is all of them).
 
-        Exact for a union of blocks; for a subset within a block it is the
-        compression used by shell-restricted Gramians.  Controls that act on
-        none of the modes are dropped, so ``B_mod`` keeps only the columns
-        that are nonzero on them.
+        Exact for a union of blocks; for a subset within a block (a slice of
+        one record) it is the compression used by shell-restricted Gramians.
+        Controls that act on none of the modes are dropped, and those kept are
+        renumbered in increasing order.
         """
+        modes = np.asarray(modes)
         if modes.size == self.n_modes:
             return self
-        rows = np.ix_(modes, modes)
-        B_mod = self.B_mod[modes]
-        return SpectralSystem(self.lambdas[modes], B_mod[:, B_mod.any(axis=0)], self.Q_obs[rows],
-                              label=self.label, _bbt=self.bbt[rows])
+        if "owners" not in self._cache:
+            owner, slot = np.empty((2, self.n_modes), dtype=int)
+            for k, r in enumerate(self.records):
+                owner[r.modes], slot[r.modes] = k, np.arange(r.modes.size)
+            self._cache["owners"] = owner, slot
+        owner, slot = self._cache["owners"]
+        held = owner[modes]
+        pieces = []
+        for k in np.unique(held):
+            r = self.records[k]
+            at = np.flatnonzero(held == k)  # the new indices of the record's modes
+            sel = slot[modes[at]]
+            B = r.B[sel]
+            keep = B.any(axis=0)
+            pieces.append((at, r.controls[keep], B[:, keep], r.bbt[np.ix_(sel, sel)],
+                           r.Q[np.ix_(sel, sel)]))
+        kept = np.unique(np.concatenate([p[1] for p in pieces]))
+        records = [Block(at, np.searchsorted(kept, controls), B, bbt, Q)
+                   for at, controls, B, bbt, Q in pieces]
+        return SpectralSystem(self.lambdas[modes], records, kept.size, label=self.label)
 
     def assemble(self, parts) -> np.ndarray:
         """The block-diagonal energy-coordinate matrix with one part per block.
@@ -190,12 +299,12 @@ class SpectralSystem:
         return psd_sqrt(self.Q_obs)
 
 
-def stacked_blocks(system: SpectralSystem) -> list[np.ndarray]:
-    """The system's blocks grouped by size: one (blocks, n) array of mode indices per size n."""
+def stacked_blocks(system: SpectralSystem) -> list[list[Block]]:
+    """The system's records grouped by block size, one list per size in order of first use."""
     by_size = {}
-    for modes in system.blocks:
-        by_size.setdefault(modes.size, []).append(modes)
-    return [np.array(group) for group in by_size.values()]
+    for r in system.records:
+        by_size.setdefault(r.modes.size, []).append(r)
+    return list(by_size.values())
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +352,7 @@ def build_interval_wave(n_modes: int, control="full_domain", observation="full_d
         Q = (2.0 / np.pi) * np.outer(lam, lam) * cosine_product_integral(lam, lam, a, b)
         Q = 0.5 * (Q + Q.T)
 
-    return SpectralSystem(lam, B, Q, label=f"interval(n={n_modes})", _bbt=bbt)
+    return SpectralSystem.from_dense(lam, B, Q, label=f"interval(n={n_modes})", bbt=bbt)
 
 
 def _star_secular(lam: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -380,16 +489,17 @@ def build_star_network(lengths, controlled_edge: int, observed_edge: int,
     Q = 0.5 * (Q + Q.T)
 
     label = f"star(lengths={np.array2string(lengths, precision=4)}, ctrl={controlled_edge}, obs={observed_edge})"
-    return SpectralSystem(lams, B, Q, label=label, _bbt=K)
+    return SpectralSystem.from_dense(lams, B, Q, label=label, bbt=K)
 
 
 def _rectangle_modes(max_frequency: float) -> np.ndarray:
     """The (m, n) pairs with sqrt(m**2 + n**2) <= max_frequency, one row each, in mode order."""
-    mmax = int(np.floor(max_frequency))
-    pairs = [(m, n) for m in range(1, mmax + 1) for n in range(1, mmax + 1)
-             if m * m + n * n <= max_frequency**2]
-    pairs.sort(key=lambda p: (np.hypot(p[0], p[1]), p[0], p[1]))
-    return np.array(pairs, dtype=int)
+    k = np.arange(1, int(np.floor(max_frequency)) + 1)
+    m, n = np.repeat(k, k.size), np.tile(k, k.size)
+    inside = m * m + n * n <= max_frequency**2
+    m, n = m[inside], n[inside]
+    order = np.lexsort((n, m, np.hypot(m.astype(float), n.astype(float))))
+    return np.column_stack([m[order], n[order]])
 
 
 def build_rectangle(a: float, b: float, max_frequency: float) -> SpectralSystem:
@@ -397,7 +507,8 @@ def build_rectangle(a: float, b: float, max_frequency: float) -> SpectralSystem:
 
     Modes (m, n) with lambda = sqrt(m**2 + n**2) <= max_frequency.  The control
     overlap couples only modes sharing the x2 index:
-    ``K = [(2/pi) int_a^b sin(m x) sin(m' x) dx] * delta_{n n'}``.
+    ``K = [(2/pi) int_a^b sin(m x) sin(m' x) dx] * delta_{n n'}``, so the system
+    is built as one record per x2 index, with no n x n matrix.
     """
     if not (0.0 <= a < b <= np.pi + 1e-12):
         raise DomainError(f"strip needs 0 <= a < b <= pi, got a={a}, b={b}")
@@ -407,20 +518,20 @@ def build_rectangle(a: float, b: float, max_frequency: float) -> SpectralSystem:
     idx = _rectangle_modes(max_frequency)
     lam = np.hypot(idx[:, 0].astype(float), idx[:, 1].astype(float))
 
-    n_modes = lam.size
-    K = np.zeros((n_modes, n_modes))
-    B = np.zeros((n_modes, n_modes))
+    records = []
     for n in np.unique(idx[:, 1]):
         rows = np.flatnonzero(idx[:, 1] == n)
         ms = idx[rows, 0].astype(float)
-        block = (2.0 / np.pi) * sine_product_integral(ms, ms, a, b)
-        block = 0.5 * (block + block.T)
-        K[np.ix_(rows, rows)] = block
-        B[np.ix_(rows, rows)] = psd_sqrt(block)
+        K = (2.0 / np.pi) * sine_product_integral(ms, ms, a, b)
+        K = 0.5 * (K + K.T)
+        records.append(Block(rows, rows, psd_sqrt(K), K, np.diag(lam[rows] ** 2)))
+    return SpectralSystem(lam, records, lam.size,
+                          label=f"rectangle(strip=({a:g},{b:g}), lmax={max_frequency:g})")
 
-    Q = np.diag(lam**2)
-    return SpectralSystem(lam, B, Q, label=f"rectangle(strip=({a:g},{b:g}), lmax={max_frequency:g})",
-                          _bbt=K)
+
+def _mode_records(b: np.ndarray, q: np.ndarray) -> list[Block]:
+    """One record per mode k: control k acts on it alone with weight b[k]; Q_obs weight q[k]."""
+    return [Block([k], [k], [[bk]], [[bk * bk]], [[qk]]) for k, (bk, qk) in enumerate(zip(b, q))]
 
 
 def build_synthetic(rho: float, eta: float, n_modes: int) -> SpectralSystem:
@@ -435,9 +546,9 @@ def build_synthetic(rho: float, eta: float, n_modes: int) -> SpectralSystem:
     lam = np.arange(1, n_modes + 1, dtype=float)
     inv_rho = 0.0 if np.isinf(rho) else 1.0 / rho
     inv_eta = 0.0 if np.isinf(eta) else 1.0 / eta
-    B = np.diag(lam ** (-inv_rho))
-    Q = np.diag(lam ** (2.0 - 2.0 * inv_eta))
-    return SpectralSystem(lam, B, Q, label=f"synthetic(rho={rho:g}, eta={eta:g}, n={lam.size})",
+    records = _mode_records(lam ** (-inv_rho), lam ** (2.0 - 2.0 * inv_eta))
+    return SpectralSystem(lam, records, lam.size,
+                          label=f"synthetic(rho={rho:g}, eta={eta:g}, n={lam.size})",
                           rho=float(rho), eta=float(eta))
 
 
@@ -451,9 +562,8 @@ def build_synthetic_exponential(alpha_control: float, alpha_obs: float, n_modes:
     if alpha_control < 0.0 or alpha_obs < 0.0:
         raise DomainError("weight rates must be nonnegative")
     lam = np.arange(1, n_modes + 1, dtype=float)
-    B = np.diag(np.exp(-alpha_control * lam))
-    Q = np.diag(lam**2 * np.exp(-2.0 * alpha_obs * lam))
-    return SpectralSystem(lam, B, Q,
+    records = _mode_records(np.exp(-alpha_control * lam), lam**2 * np.exp(-2.0 * alpha_obs * lam))
+    return SpectralSystem(lam, records, lam.size,
                           label=f"synthetic_exp(a={alpha_control:g}, b={alpha_obs:g}, n={lam.size})")
 
 

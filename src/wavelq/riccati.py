@@ -197,22 +197,23 @@ def _check_stabilizable(system: SpectralSystem):
 
     Within each block, frequencies are grouped by near-equality; within a
     group the controllable subspace is the row space of B_mod restricted to
-    the group.  Rows of different blocks are orthogonal, so the check splits
-    exactly over the blocks; its thresholds are those of the whole system.
+    the group.  Rows of different blocks act through different controls, so
+    the check splits exactly over the records; its thresholds are those of
+    the whole system.
     """
-    scale = max(np.abs(system.B_mod).max(), 1.0)
-    cost_floor = 1e-10 * max(1.0, np.abs(system.observation_energy_form()).max())
-    for modes in system.blocks:
-        block = system.restrict(modes)
-        lam = block.lambdas
-        Qe = block.observation_energy_form()
+    inv = 1.0 / system.lambdas
+    forms = [r.Q * np.outer(inv[r.modes], inv[r.modes]) for r in system.records]
+    scale = max(1.0, max(np.abs(r.B).max(initial=0.0) for r in system.records))
+    cost_floor = 1e-10 * max(1.0, max(np.abs(Qe).max() for Qe in forms))
+    for r, Qe in zip(system.records, forms):
+        lam = system.lambdas[r.modes]
         start = 0
         for i in range(1, lam.size + 1):
             if i < lam.size and lam[i] - lam[start] <= 1e-9 * max(1.0, lam[start]):
                 continue
             g = np.arange(start, i)
             start = i
-            u, s, _ = np.linalg.svd(block.B_mod[g, :], full_matrices=True)
+            u, s, _ = np.linalg.svd(r.B[g, :], full_matrices=True)
             rank = int(np.sum(s > 1e-10 * scale)) if s.size else 0
             if rank >= g.size:
                 continue

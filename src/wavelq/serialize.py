@@ -82,7 +82,7 @@ def system_to_dict(system: SpectralSystem) -> dict:
 def system_from_dict(payload: dict) -> SpectralSystem:
     if payload.get("schema") != "wavelq-system-v1":
         raise ValueError("not a wavelq-system-v1 payload")
-    return SpectralSystem(
+    return SpectralSystem.from_dense(
         lambdas=np.asarray(payload["lambdas"], dtype=float),
         B_mod=_matrix_from_payload(payload["B_mod"]),
         Q_obs=_matrix_from_payload(payload["Q_obs"]),

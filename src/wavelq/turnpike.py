@@ -190,9 +190,10 @@ def solve_tracking(system: SpectralSystem, z, x0, horizon: float,
     values = np.zeros(steps + 1)
     int_y = np.empty(2 * dim)
     j_dev_exact = 0.0
-    for modes in stacked_blocks(system):
-        j_dev_exact += _track_stack(energy_index(modes), (A, B, Q, are.E), x0_dev, h_T,
-                                    horizon, sub, X, q, values, int_y)
+    for stack in stacked_blocks(system):
+        j_dev_exact += _track_stack(energy_index(np.array([r.modes for r in stack])),
+                                    (A, B, Q, are.E), x0_dev, h_T, horizon, sub, X, q,
+                                    values, int_y)
 
     Cm = system.observation_factor()
     obs_stationary_gap = Cm @ stationary.w_bar.a - z  # C w_bar - z

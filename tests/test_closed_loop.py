@@ -23,12 +23,12 @@ from wavelq.spectral import DomainError, NormScale, energy_norm_squared
 
 
 def single_mode_system(lam=1.0, gain=1.0, q=1.0):
-    return SpectralSystem([lam], np.array([[gain]]), np.array([[q]]))
+    return SpectralSystem.from_dense([lam], np.array([[gain]]), np.array([[q]]))
 
 
 class TestCollocated:
     def test_conservative_flow_preserves_energy(self):
-        sys_ = SpectralSystem([1.0, 2.0, 3.0], np.zeros((3, 1)), np.zeros((3, 3)))
+        sys_ = SpectralSystem.from_dense([1.0, 2.0, 3.0], np.zeros((3, 1)), np.zeros((3, 3)))
         x0 = np.array([1.0, 0.0, 0.5, -0.5, 0.2, 0.9])
         traj = simulate_collocated(sys_, x0, 100.0)
         drift = np.abs(traj.energies / traj.energies[0] - 1.0).max()
@@ -113,7 +113,7 @@ class TestRiccatiFeedback:
 
 class TestBackwardObserver:
     def test_no_observation_is_conservative(self):
-        sys_ = SpectralSystem([1.0, 2.0], np.eye(2), np.zeros((2, 2)))
+        sys_ = SpectralSystem.from_dense([1.0, 2.0], np.eye(2), np.zeros((2, 2)))
         traj = simulate_backward_observer(sys_, np.array([1.0, 0.0, 0.2, 0.4]), 100.0)
         assert np.abs(traj.energies / traj.energies[0] - 1.0).max() <= 1e-9
 
@@ -323,16 +323,24 @@ class TestTrajectoryInvariants:
 
 @st.composite
 def stacked_systems(draw):
-    """Blocks of 1-3 modes on permuted modes, sizes repeating so that equal-sized blocks stack."""
+    """Blocks of 1-3 modes on permuted modes, sizes repeating so that equal-sized blocks stack.
+
+    Each block is coupled by B B*, by Q_obs or by both; the other is diagonal on it.
+    """
     sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=5))
+    links = np.array(draw(st.lists(st.sampled_from(["both", "control", "observation"]),
+                                   min_size=len(sizes), max_size=len(sizes))))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     labels = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
     n = labels.size
     same = labels[:, None] == labels[None, :]
+    off = same & ~np.eye(n, dtype=bool)
     B = np.diag(rng.uniform(0.3, 2.0, n))
-    B += np.where(same & ~np.eye(n, dtype=bool), 0.5 * rng.standard_normal((n, n)), 0.0)
+    B += np.where(off & (links[labels] != "observation")[:, None],
+                  0.5 * rng.standard_normal((n, n)), 0.0)
     C = np.where(same, rng.standard_normal((n, n)), 0.0)
-    sys_ = SpectralSystem(np.sort(rng.uniform(0.5, 4.0, n)), B, C.T @ C)
+    Q = np.where(off & (links[labels] == "control")[:, None], 0.0, C.T @ C)
+    sys_ = SpectralSystem.from_dense(np.sort(rng.uniform(0.5, 4.0, n)), B, Q)
     return sys_, sorted(sizes), rng.standard_normal(2 * n), draw(
         st.sampled_from([1, 7, 8, 9, 17, 151]))
 

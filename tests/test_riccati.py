@@ -1,4 +1,3 @@
-import dataclasses
 import json
 from pathlib import Path
 
@@ -8,12 +7,7 @@ import scipy.integrate
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from wavelq.closed_loop import (
-    hum_null_control,
-    simulate_backward_observer,
-    simulate_collocated,
-    simulate_riccati_feedback,
-)
+from wavelq.closed_loop import hum_null_control
 from wavelq.cli import build_model
 from wavelq.models import (
     SpectralSystem,
@@ -44,7 +38,7 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
 
 def single_mode_system(lam=1.0, gain=1.0, q=1.0):
-    return SpectralSystem([lam], np.array([[gain]]), np.array([[q]]))
+    return SpectralSystem.from_dense([lam], np.array([[gain]]), np.array([[q]]))
 
 
 def exact_single_mode_are():
@@ -113,14 +107,18 @@ def random_system(n=4, m=2, seed=0):
     rng = np.random.default_rng(seed)
     lam = np.sort(rng.uniform(0.5, 4.0, n))
     C = rng.standard_normal((n, n))
-    return SpectralSystem(lam, rng.standard_normal((n, m)), C @ C.T / n)
+    return SpectralSystem.from_dense(lam, rng.standard_normal((n, m)), C @ C.T / n)
+
+
+def without_control(sys_):
+    """The system with one control column that acts on no mode."""
+    return SpectralSystem.from_dense(sys_.lambdas, np.zeros((sys_.n_modes, 1)), sys_.Q_obs)
 
 
 DRE_ORACLE_CASES = {
     "random_synthetic": (lambda: random_system(), [6.0]),
-    "no_control": (lambda: dataclasses.replace(build_synthetic(2.0, 2.0, 3),
-                                               B_mod=np.zeros((3, 1)), _bbt=None), [4.0]),
-    "no_cost": (lambda: SpectralSystem([1.0, 2.0], np.eye(2), np.zeros((2, 2))), [5.0]),
+    "no_control": (lambda: without_control(build_synthetic(2.0, 2.0, 3)), [4.0]),
+    "no_cost": (lambda: SpectralSystem.from_dense([1.0, 2.0], np.eye(2), np.zeros((2, 2))), [5.0]),
     "interval_subinterval": (lambda: build_interval_wave(6, control=("subinterval", 0.4, 2.0)),
                              [3.0]),
     "off_grid_snapshots": (lambda: build_synthetic(2.0, 2.0, 4), [0.37, 1.0, 2.9, np.e]),
@@ -144,7 +142,7 @@ class TestDre:
 
     def test_no_control_matches_observation_gramian(self):
         sys_ = build_synthetic(2.0, 2.0, 3)
-        zsys = dataclasses.replace(sys_, B_mod=np.zeros((3, 1)), _bbt=None)
+        zsys = without_control(sys_)
         T = 3.7
         E = integrate_dre(zsys, T)[0].E
         W = observability_gramian(zsys, T, use_control=False)
@@ -184,7 +182,7 @@ class TestAre:
         assert np.abs(sol.E - X).max() <= 1e-7 * (1.0 + np.abs(X).max())
 
     def test_zero_cost_gives_zero_minimal_solution(self):
-        sys_ = SpectralSystem([1.0, 2.0], np.eye(2), np.zeros((2, 2)))
+        sys_ = SpectralSystem.from_dense([1.0, 2.0], np.eye(2), np.zeros((2, 2)))
         sol = solve_are(sys_)
         assert np.abs(sol.E).max() <= 1e-12
 
@@ -210,7 +208,7 @@ class TestAre:
 
     def test_uncontrolled_costly_mode_raises(self):
         # mode 2 has no control authority but carries observation cost
-        sys_ = SpectralSystem([1.0, 2.0], np.array([[1.0], [0.0]]), np.diag([1.0, 4.0]))
+        sys_ = SpectralSystem.from_dense([1.0, 2.0], np.array([[1.0], [0.0]]), np.diag([1.0, 4.0]))
         with pytest.raises(StabilizabilityError):
             solve_are(sys_)
 
@@ -266,7 +264,7 @@ class TestValue:
 
     def test_no_control_value_is_free_flow_cost(self):
         sys_ = build_synthetic(2.0, 2.0, 3)
-        zsys = dataclasses.replace(sys_, B_mod=np.zeros((3, 1)), _bbt=None)
+        zsys = without_control(sys_)
         T = 5.0
         snap = integrate_dre(zsys, T)[0]
         rng = np.random.default_rng(2)
@@ -308,7 +306,7 @@ BOUNDS_ORACLE_CASES = {
                    NormScale.exp_weight(0.2), NormScale.energy()),
     "sobolev_excluded": (lambda: build_synthetic(2.0, 2.0, 8),
                          NormScale.sobolev_state(0.25), NormScale.graded(0.5)),
-    "zero_cost": (lambda: SpectralSystem([1.0, 2.0], np.eye(2), np.zeros((2, 2))),
+    "zero_cost": (lambda: SpectralSystem.from_dense([1.0, 2.0], np.eye(2), np.zeros((2, 2))),
                   NormScale.energy(), NormScale.energy()),
 }
 
@@ -349,7 +347,7 @@ class TestBounds:
         assert rep.probe_count == sol.dim + 5
 
     def test_zero_cost_gives_zero_lower_constant(self):
-        sys_ = SpectralSystem([1.0, 2.0], np.eye(2), np.zeros((2, 2)))
+        sys_ = SpectralSystem.from_dense([1.0, 2.0], np.eye(2), np.zeros((2, 2)))
         sol = integrate_dre(sys_, 10.0)[0]  # the minimal solution 0, exactly
         rep = bounds_report(sol, sys_, NormScale.energy(), NormScale.energy(),
                             rng=np.random.default_rng(4))
@@ -425,7 +423,7 @@ def block_systems(draw):
         Q[rows] = C @ C.T + 0.1 * np.eye(size) if link != "control" \
             else np.diag(rng.uniform(0.1, 2.0, size))
         start += size
-    sys_ = SpectralSystem(np.sort(rng.uniform(0.5, 4.0, n)), B, Q)
+    sys_ = SpectralSystem.from_dense(np.sort(rng.uniform(0.5, 4.0, n)), B, Q)
     return sys_, len(sizes), rng.standard_normal(2 * n)
 
 
@@ -444,16 +442,6 @@ def mono_dre(sys_, taus):
     return out
 
 
-def mono_loop(A_cl, G, x0, horizon, steps):
-    """States and exact dissipation integral of x' = A_cl x from one expm of the whole system."""
-    P, W = step_map(A_cl, horizon / steps, cost=G)
-    X = [x0]
-    for _ in range(steps):
-        X.append(P @ X[-1])
-    X = np.array(X)
-    return X, float(np.sum(W * (X[:-1].T @ X[:-1])))
-
-
 @settings(max_examples=25, derandomize=True, deadline=None)
 @given(case=block_systems())
 def test_block_dispatch_matches_monolithic_oracles(case):
@@ -461,7 +449,6 @@ def test_block_dispatch_matches_monolithic_oracles(case):
     assert len(sys_.blocks) == n_blocks
     A, B, Q = first_order_matrices(sys_)
     BBT = B @ B.T
-    d = A.shape[0]
 
     X = scipy.linalg.solve_continuous_are(A, B, Q, np.eye(B.shape[1]))
     sol = solve_are(sys_)
@@ -479,19 +466,6 @@ def test_block_dispatch_matches_monolithic_oracles(case):
     taus = [0.7, 2.0]
     for snap, E_ref in zip(integrate_dre(sys_, 2.0, snapshot_times=taus), mono_dre(sys_, taus)):
         assert np.abs(snap.E - E_ref).max() <= 1e-9 * np.abs(E_ref).max()
-
-    E = solve_are(sys_).E
-    D = np.zeros((d, d))
-    D[1::2, 1::2] = sys_.Q_obs
-    gain = B.T @ E
-    loops = [(simulate_collocated(sys_, x0, 2.0), A - BBT, BBT),
-             (simulate_riccati_feedback(sys_, solve_are(sys_), x0, 2.0),
-              A - B @ gain, gain.T @ gain + Q),
-             (simulate_backward_observer(sys_, x0, 2.0), A - D, D)]
-    for traj, A_cl, G in loops:
-        states, dissipation = mono_loop(A_cl, G, x0, 2.0, traj.n_samples - 1)
-        assert np.abs(traj.states - states).max() <= 1e-11 * np.abs(x0).max()
-        assert traj.dissipation == pytest.approx(dissipation, rel=1e-10)
 
     T = 3.0
     for use_control, M in ((True, BBT), (False, Q)):

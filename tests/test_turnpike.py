@@ -28,7 +28,7 @@ def stationary_cost(system: SpectralSystem, z, u) -> float:
 
 
 def single_mode_system():
-    return SpectralSystem([1.0], np.array([[1.0]]), np.array([[1.0]]))
+    return SpectralSystem.from_dense([1.0], np.array([[1.0]]), np.array([[1.0]]))
 
 
 class TestGWeight:
@@ -286,8 +286,8 @@ def small_systems(draw):
     B += np.where(same & ~np.eye(n, dtype=bool), 0.5 * rng.standard_normal((n, n)), 0.0)
     C = np.where(same, rng.standard_normal((n, n)), 0.0)
     lam = np.sort(rng.uniform(0.5, 4.0, n))
-    return (SpectralSystem(lam, B, C.T @ C), rng.standard_normal(n), rng.standard_normal(2 * n),
-            draw(st.floats(0.5, 100.0)), draw(st.floats(0.05, 2.0)))
+    return (SpectralSystem.from_dense(lam, B, C.T @ C), rng.standard_normal(n),
+            rng.standard_normal(2 * n), draw(st.floats(0.5, 100.0)), draw(st.floats(0.05, 2.0)))
 
 
 @settings(max_examples=50, derandomize=True, deadline=None)
