@@ -3,9 +3,11 @@
 All closed loops here are linear time-invariant, so trajectories are advanced
 by the exact matrix exponential of the closed-loop generator over a fixed step
 (no secular drift over long horizons).  The generators are block diagonal over
-the system's decoupled blocks (``SpectralSystem.blocks``), and blocks of equal
-size advance as one stack (``models.stacked_blocks``; a single-block system is
-one stack of one) in chunks of 8 steps, each chunk from its own exponential.
+the system's decoupled blocks, and blocks of equal size advance as one stack
+(``models.stacked_blocks``; a single-block system is one stack of one) in
+chunks of 8 steps, each chunk from its own exponential.  Each loop's generator
+maps a stack's records, energy positions and ``riccati.stack_matrices`` to the
+stacked closed-loop matrix, dissipation weight, recorded forms and gain.
 No dense propagator or gain is assembled, and no (steps, d) array is held
 besides the states and the controls: the recorded quadratic forms come from
 per-block weights over bounded row chunks, and each block's controls from its
@@ -28,7 +30,7 @@ import scipy.linalg
 
 from .models import (SpectralSystem, apply_free_flow, controllability_gramian, energy_index,
                      fit_line, stacked_blocks)
-from .riccati import RiccatiSolution, first_order_matrices, step_map
+from .riccati import RiccatiSolution, stack_matrices, step_map
 from .spectral import DimensionError, DomainError, EnergyState, as_energy_vector
 # unused here, but perfbench/tracing.py wraps closed_loop.energy_norm_squared by name
 from .spectral import energy_norm_squared  # noqa: F401
@@ -70,13 +72,13 @@ def _simulate_lti(system: SpectralSystem, generator, x0: np.ndarray, horizon: fl
                   dt: float | None, kind: str) -> Trajectory:
     """Advance x' = A_cl x exactly over equal steps of at most dt.
 
-    ``generator(block, e)`` returns ``(A_cl, G, forms, gain)`` of one block:
-    ``block`` is the system restricted to it, ``e`` its energy-coordinate
-    positions.  G is the dissipation density x^T G x of the run's energy
-    identity; its exact time integral becomes ``Trajectory.dissipation``.
-    ``forms`` maps the names of recorded Trajectory series to the block's
-    weight M of x^T M x.  ``gain`` is the F of the recorded controls u = F x
-    on the block's controls, or None when the loop records none.
+    ``generator(stack, e, A, B, Q)`` returns the stacked ``(A_cl, G, forms,
+    gain)`` of the records ``stack`` at energy positions ``e`` (blocks, s),
+    given their ``riccati.stack_matrices``.  G is the dissipation density
+    x^T G x of the run's energy identity; its exact time integral becomes
+    ``Trajectory.dissipation``.  ``forms`` maps the names of recorded
+    Trajectory series to the weights M of x^T M x.  ``gain`` is the F of the
+    recorded controls u = F x on the padded B's columns, or None.
     """
     lam = system.lambdas
     x0 = as_energy_vector(x0)
@@ -136,22 +138,9 @@ def _advance_stack(system, generator, stack, h, x0, X, series):
     """
     k = _CHUNK_STEPS
     e = energy_index(np.array([r.modes for r in stack]))
-    blocks = [system.restrict(r.modes) for r in stack]
-    parts = [generator(block, i) for block, i in zip(blocks, e)]
-    A_cl = np.array([p[0] for p in parts])
-    Phi, W = step_map(A_cl, h, cost=np.array([p[1] for p in parts]))
+    A_cl, G, forms, gain = generator(stack, e, *stack_matrices(system.lambdas, stack))
+    Phi, W = step_map(A_cl, h, cost=G)
     chunk_T = step_map(A_cl, k * h)[0].swapaxes(-1, -2)
-    forms = {name: np.array([p[2][name] for p in parts]) for name in parts[0][2]}
-    gains = None
-    if parts[0][3] is not None:
-        # the blocks' transposed gains, padded with zero columns to the widest
-        counts = np.array([r.controls.size for r in stack])
-        gains = np.zeros((len(stack), e.shape[1], counts.max()))
-        for gain, p, block in zip(gains, parts, blocks):
-            # the gain's rows are the block's controls; a whole system keeps its zero ones
-            gain[:, :block.records[0].controls.size] = p[3][block.records[0].controls].T
-        filled = np.arange(counts.max()) < counts[:, None]
-        controls = np.concatenate([r.controls for r in stack])
 
     nb, s = e.shape
     n = X.shape[0]
@@ -179,7 +168,10 @@ def _advance_stack(system, generator, stack, h, x0, X, series):
             series[name][start:stop] += np.einsum("brs,brs->r", Y @ M, Y)
         Y = Y[:, :n - 1 - start]
         dissipation += np.einsum("brs,brs->", Y @ W, Y)
-    return dissipation, None if gains is None else (e, gains, filled, controls)
+    if gain is None:
+        return dissipation, None
+    filled = np.arange(gain.shape[1]) < np.array([[r.controls.size] for r in stack])
+    return dissipation, (e, gain.swapaxes(-1, -2), filled, np.concatenate([r.controls for r in stack]))
 
 
 def simulate_collocated(system: SpectralSystem, x0, horizon: float,
@@ -190,10 +182,9 @@ def simulate_collocated(system: SpectralSystem, x0, horizon: float,
     ``E(0)/2 - E(T)/2 = int ||B^T x||^2 dt`` holds at integrator precision
     (see energy_identity_defect).
     """
-    def generator(block, e):
-        A, B, Q = first_order_matrices(block)
-        BBT = B @ B.T
-        return A - BBT, BBT, {"obs_power": Q}, -B.T
+    def generator(stack, e, A, B, Q):
+        BBT = B @ B.swapaxes(-1, -2)
+        return A - BBT, BBT, {"obs_power": Q}, -B.swapaxes(-1, -2)
 
     return _simulate_lti(system, generator, x0, horizon, dt, "collocated")
 
@@ -210,11 +201,10 @@ def simulate_riccati_feedback(system: SpectralSystem, solution: RiccatiSolution,
     if E.shape[0] != 2 * system.n_modes:
         raise DimensionError("Riccati solution dimension does not match the system")
 
-    def generator(block, e):
-        A_b, B_b, Q_b = first_order_matrices(block)
-        E_b = E[np.ix_(e, e)]
-        gain = B_b.T @ E_b
-        return (A_b - B_b @ gain, gain.T @ gain + Q_b, {"obs_power": Q_b, "values": E_b},
+    def generator(stack, e, A, B, Q):
+        E_b = E[e[:, :, None], e[:, None, :]]
+        gain = B.swapaxes(-1, -2) @ E_b
+        return (A - B @ gain, gain.swapaxes(-1, -2) @ gain + Q, {"obs_power": Q, "values": E_b},
                 -gain)
 
     return _simulate_lti(system, generator, x0, horizon, dt, "riccati_feedback")
@@ -228,10 +218,9 @@ def simulate_backward_observer(system: SpectralSystem, terminal_state, horizon: 
     forward system with velocity damping C*C; ``times`` are tau values
     (0 = terminal time, horizon = initial time t = 0).
     """
-    def generator(block, e):
-        A, _, _ = first_order_matrices(block)
+    def generator(stack, e, A, B, Q):
         D = np.zeros_like(A)
-        D[1::2, 1::2] = block.Q_obs  # C*C acting on velocities
+        D[:, 1::2, 1::2] = [r.Q for r in stack]  # C*C acting on velocities
         return A - D, D, {"obs_power": D}, None
 
     return _simulate_lti(system, generator, terminal_state, horizon, dt, "backward_observer")

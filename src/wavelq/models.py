@@ -21,11 +21,11 @@ tracking and the stationary problem; nothing else of size n x n is held.
 Builders that know their blocks pass them: the rectangle with strip control
 one block per x2 index, the synthetic families one block per mode.  The
 interval, the stars, loaded and hand-built systems enter through
-``SpectralSystem.from_dense``, which finds the blocks once.  The solvers work
-one block at a time on ``restrict(modes)`` and put the pieces back with
-``assemble``; a system with one block is the one-record case.  Tracking and
-the closed loops advance ``stacked_blocks``, the records grouped by size, one
-stack at a time.
+``SpectralSystem.from_dense``, which finds the blocks once.  The solvers read
+the records, one block at a time, and put the pieces back with ``assemble``;
+a system with one block is the one-record case.  Tracking and the closed
+loops advance ``stacked_blocks``, the records grouped by size, one stack at a
+time.
 """
 
 from __future__ import annotations
@@ -242,38 +242,6 @@ class SpectralSystem:
     def Q_obs(self) -> np.ndarray:
         """Modal observation form (assembled on first access)."""
         return self._dense("Q")
-
-    def restrict(self, modes: np.ndarray) -> SpectralSystem:
-        """The system on a subset of its modes (itself when ``modes`` is all of them).
-
-        Exact for a union of blocks; for a subset within a block (a slice of
-        one record) it is the compression used by shell-restricted Gramians.
-        Controls that act on none of the modes are dropped, and those kept are
-        renumbered in increasing order.
-        """
-        modes = np.asarray(modes)
-        if modes.size == self.n_modes:
-            return self
-        if "owners" not in self._cache:
-            owner, slot = np.empty((2, self.n_modes), dtype=int)
-            for k, r in enumerate(self.records):
-                owner[r.modes], slot[r.modes] = k, np.arange(r.modes.size)
-            self._cache["owners"] = owner, slot
-        owner, slot = self._cache["owners"]
-        held = owner[modes]
-        pieces = []
-        for k in np.unique(held):
-            r = self.records[k]
-            at = np.flatnonzero(held == k)  # the new indices of the record's modes
-            sel = slot[modes[at]]
-            B = r.B[sel]
-            keep = B.any(axis=0)
-            pieces.append((at, r.controls[keep], B[:, keep], r.bbt[np.ix_(sel, sel)],
-                           r.Q[np.ix_(sel, sel)]))
-        kept = np.unique(np.concatenate([p[1] for p in pieces]))
-        records = [Block(at, np.searchsorted(kept, controls), B, bbt, Q)
-                   for at, controls, B, bbt, Q in pieces]
-        return SpectralSystem(self.lambdas[modes], records, kept.size, label=self.label)
 
     def assemble(self, parts) -> np.ndarray:
         """The block-diagonal energy-coordinate matrix with one part per block.
@@ -615,12 +583,13 @@ def _rotation_gramian(lam: np.ndarray, M11, M22, horizon: float, reverse: bool =
     return W
 
 
-def _gramian(system: SpectralSystem, horizon: float, use_control: bool,
-             reverse: bool = False) -> np.ndarray:
-    """Free-flow Gramian of one block (or shell of one) in its energy coordinates."""
+def _gramian(lam: np.ndarray, bbt: np.ndarray, Q: np.ndarray, horizon: float,
+             use_control: bool, reverse: bool = False) -> np.ndarray:
+    """Free-flow Gramian of one block (or shell of one) from its frequencies, B B* and Q_obs."""
     if use_control:
-        return _rotation_gramian(system.lambdas, None, system.bbt, horizon, reverse=reverse)
-    return _rotation_gramian(system.lambdas, system.observation_energy_form(), None, horizon)
+        return _rotation_gramian(lam, None, bbt, horizon, reverse=reverse)
+    inv = 1.0 / lam
+    return _rotation_gramian(lam, Q * np.outer(inv, inv), None, horizon)
 
 
 def observability_gramian(system: SpectralSystem, horizon: float, use_control: bool = True) -> np.ndarray:
@@ -628,20 +597,20 @@ def observability_gramian(system: SpectralSystem, horizon: float, use_control: b
 
     ``use_control=True`` observes B* w_t (M is the velocity form B B*);
     ``use_control=False`` observes C w (M is C*C lifted to energy coordinates).
-    Built block by block over ``system.blocks``.
+    Built block by block from ``system.records``.
     """
     if horizon <= 0.0:
         raise DomainError("horizon must be positive")
-    return system.assemble([_gramian(system.restrict(modes), horizon, use_control)
-                            for modes in system.blocks])
+    return system.assemble([_gramian(system.lambdas[r.modes], r.bbt, r.Q, horizon, use_control)
+                            for r in system.records])
 
 
 def controllability_gramian(system: SpectralSystem, horizon: float) -> np.ndarray:
     """Gramian int_0^T Phi(s) B B^T Phi(s)^T ds used by minimum-norm steering."""
     if horizon <= 0.0:
         raise DomainError("horizon must be positive")
-    return system.assemble([_gramian(system.restrict(modes), horizon, True, reverse=True)
-                            for modes in system.blocks])
+    return system.assemble([_gramian(system.lambdas[r.modes], r.bbt, r.Q, horizon, True,
+                                     reverse=True) for r in system.records])
 
 
 def apply_free_flow(lam: np.ndarray, t: float, x: np.ndarray) -> np.ndarray:
@@ -683,17 +652,19 @@ def shell_constant(system: SpectralSystem, shell_lo: float, shell_hi: float,
 
     The restriction is exact: the free flow is per-mode block diagonal, so the
     Gramian of shell-supported data involves only the shell rows and columns,
-    and it splits further over ``system.blocks``: the minimum is taken over
-    the blocks that meet the shell.
+    and it splits further over the blocks: the minimum is taken over the
+    blocks that meet the shell, each Gramian built from the shell's rows and
+    columns of the block's record.
     """
     in_shell = (system.lambdas >= shell_lo) & (system.lambdas < shell_hi)
     if not in_shell.any():
         raise DomainError("empty shell")
     lo_eig = np.inf
-    for modes in system.blocks:
-        part = modes[in_shell[modes]]
+    for r in system.records:
+        part = np.flatnonzero(in_shell[r.modes])
         if part.size:
-            W = _gramian(system.restrict(part), horizon, use_control)
+            cut = np.ix_(part, part)
+            W = _gramian(system.lambdas[r.modes[part]], r.bbt[cut], r.Q[cut], horizon, use_control)
             lo_eig = min(lo_eig, scipy.linalg.eigh(W, eigvals_only=True, subset_by_index=[0, 0])[0])
     return float(max(lo_eig, 0.0) / (horizon / 2.0))
 

@@ -22,7 +22,9 @@ sweep per block gives the DRE snapshots, and ``solve_are`` runs one iteration
 per block: Newton-Kleinman from the identity when it stabilizes, else from
 the first stabilizing DRE snapshot at doubling horizons, else the snapshots
 themselves; it stops on the backward error.  Tracking uses the ARE solution
-instead (``turnpike.solve_tracking``).
+instead (``turnpike.solve_tracking``).  Each block is read from its record:
+``block_matrices`` and ``stack_matrices`` are the per-block and per-stack forms
+of ``first_order_matrices``, built by the same lift.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .models import SpectralSystem
+from .models import Block, SpectralSystem
 from .spectral import DimensionError, DomainError, as_energy_vector
 
 
@@ -42,6 +44,10 @@ class StabilizabilityError(RuntimeError):
 
 class MethodError(RuntimeError):
     """The ARE iteration hit its cap or produced a non-finite iterate."""
+
+
+# numbers in one row band of RiccatiSolution's symmetry check
+_BAND_ELEMENTS = 1 << 16
 
 
 @dataclass
@@ -61,10 +67,13 @@ class RiccatiSolution:
     backward_error: float = np.nan
 
     def __post_init__(self):
-        self.E = np.asarray(self.E, dtype=float)
-        nrm = np.abs(self.E).max() if self.E.size else 0.0
-        if np.abs(self.E - self.E.T).max() > 1e-10 * (1.0 + nrm):
-            raise DomainError("Riccati solution must be symmetric")
+        # checked in row bands, so no temporary of E's size is formed
+        E = self.E = np.asarray(self.E, dtype=float)
+        tol = 1e-10 * (1.0 + (max(E.max(), -E.min()) if E.size else 0.0))
+        rows = max(1, _BAND_ELEMENTS // max(1, E.shape[0]))
+        for start in range(0, E.shape[0], rows):
+            if np.abs(E[start:start + rows] - E[:, start:start + rows].T).max() > tol:
+                raise DomainError("Riccati solution must be symmetric")
 
     @property
     def dim(self) -> int:
@@ -78,19 +87,40 @@ def first_order_matrices(system: SpectralSystem):
     mode, and Q_mat carries Q_obs conjugated by diag(1/lambda) on the xi block
     (positions are a = xi/lambda).
     """
-    lam = system.lambdas
-    n = lam.size
-    A = np.zeros((2 * n, 2 * n))
+    return _lift(system.lambdas, system.B_mod, system.Q_obs)
+
+
+def block_matrices(lambdas: np.ndarray, record: Block):
+    """``first_order_matrices`` of one block, from its record, in its modes' coordinates."""
+    return _lift(lambdas[record.modes], record.B, record.Q)
+
+
+def stack_matrices(lambdas: np.ndarray, stack):
+    """``block_matrices`` of a stack of equal-sized records (``models.stacked_blocks``).
+
+    Each block's B is padded with zero columns to the widest record's.
+    """
+    B = np.zeros((len(stack), stack[0].modes.size, max(r.controls.size for r in stack)))
+    for b, r in zip(B, stack):
+        b[:, :r.controls.size] = r.B
+    return _lift(lambdas[np.array([r.modes for r in stack])], B, np.array([r.Q for r in stack]))
+
+
+def _lift(lam: np.ndarray, B_mod: np.ndarray, Q_obs: np.ndarray):
+    """(A, B, Q) in energy coordinates from frequencies, B_mod and Q_obs (stacks too)."""
+    n = lam.shape[-1]
+    A = np.zeros(lam.shape[:-1] + (2 * n, 2 * n))
     ix = np.arange(0, 2 * n, 2)
-    A[ix, ix + 1] = lam
-    A[ix + 1, ix] = -lam
+    A[..., ix, ix + 1] = lam
+    A[..., ix + 1, ix] = -lam
 
-    B = np.zeros((2 * n, system.n_controls))
-    B[1::2, :] = system.B_mod
+    B = np.zeros(B_mod.shape[:-2] + (2 * n, B_mod.shape[-1]))
+    B[..., 1::2, :] = B_mod
 
-    Q = np.zeros((2 * n, 2 * n))
-    Q[np.ix_(ix, ix)] = system.observation_energy_form()
-    Q = 0.5 * (Q + Q.T)
+    inv = 1.0 / lam
+    Q = np.zeros_like(A)
+    Q[..., 0::2, 0::2] = Q_obs * (inv[..., :, None] * inv[..., None, :])
+    Q = 0.5 * (Q + np.swapaxes(Q, -1, -2))
     return A, B, Q
 
 
@@ -152,11 +182,10 @@ def riccati_step(E: np.ndarray, Phi: np.ndarray) -> np.ndarray:
     return 0.5 * (E + E.T)
 
 
-def _dre_flow(system: SpectralSystem, taus):
-    """Yield one block's DRE from E(0) = 0 at each nondecreasing time of ``taus``."""
-    A, B, Q = first_order_matrices(system)
+def _dre_flow(lam: np.ndarray, A, B, Q, taus):
+    """Yield the DRE of a block (``lam``, ``block_matrices``) from 0 at each time of ``taus``."""
     M = hamiltonian_matrix(A, B, Q)
-    max_step = np.pi / (4.0 * system.lambdas.max())
+    max_step = np.pi / (4.0 * lam.max())
     E, t_now = np.zeros_like(A), 0.0
     for tau in taus:
         steps = int(np.ceil((tau - t_now) / max_step))
@@ -186,7 +215,8 @@ def integrate_dre(system: SpectralSystem, horizon: float, snapshot_times=None):
         raise DomainError("snapshot times must lie in [0, horizon]")
 
     unique = np.unique(taus)
-    flows = [_dre_flow(system.restrict(modes), unique) for modes in system.blocks]
+    lam = system.lambdas
+    flows = [_dre_flow(lam[r.modes], *block_matrices(lam, r), unique) for r in system.records]
     by_tau = {float(tau): system.assemble(parts) for tau, parts in zip(unique, zip(*flows))}
     return [RiccatiSolution(E=by_tau[float(tau)], horizon=float(tau), residual=0.0, method="dre")
             for tau in taus]
@@ -246,7 +276,9 @@ def solve_are(system: SpectralSystem) -> RiccatiSolution:
     block's (Cauchy-Schwarz); ``residual`` is ||R|| of the whole system.
     """
     _check_stabilizable(system)
-    parts, norms, kinds = zip(*(_solve_block(system.restrict(modes)) for modes in system.blocks))
+    lam = system.lambdas
+    parts, norms, kinds = zip(*(_solve_block(lam[r.modes], *block_matrices(lam, r))
+                                for r in system.records))
     norms = np.linalg.norm(norms, axis=0)
     method = "newton_kleinman" if set(kinds) == {"newton_kleinman"} else "dre_limit"
     return RiccatiSolution(E=system.assemble(parts), horizon=np.inf, residual=float(norms[0]),
@@ -259,20 +291,19 @@ def _backward_error(norms) -> float:
     return float(r / (q + 2.0 * a * x + x * x * g)) if r else 0.0
 
 
-def _solve_block(system: SpectralSystem):
-    """One block's ARE iterates, stopped on their backward error.
+def _solve_block(lam: np.ndarray, A, B, Q):
+    """The ARE iterates of a block (``lam``, ``block_matrices``), stopped on their backward error.
 
     Returns the kept iterate X, its norms (||R||, ||Q||, ||A||, ||X||, ||B B^T||)
     and the name of the iteration it came from.
     """
-    A, B, Q = first_order_matrices(system)
     BBT = B @ B.T
     q, a, g = np.linalg.norm(Q), np.linalg.norm(A), np.linalg.norm(BBT)
     kept, kept_err = None, np.inf
-    for X, kind in _are_iterates(system, A, BBT, Q):
+    for X, kind in _are_iterates(lam, A, B, Q, BBT):
         if not np.all(np.isfinite(X)):
             raise MethodError(f"{kind} produced a non-finite iterate")
-        norms = (np.linalg.norm(_riccati_rhs(X, system.lambdas, B, Q)), q, a, np.linalg.norm(X), g)
+        norms = (np.linalg.norm(_riccati_rhs(X, lam, B, Q)), q, a, np.linalg.norm(X), g)
         err = _backward_error(norms)
         if kept_err <= 1e-10 and err >= kept_err:
             return kept
@@ -282,7 +313,7 @@ def _solve_block(system: SpectralSystem):
     raise MethodError("the ARE did not converge within 14 horizons and 60 Newton steps")
 
 
-def _are_iterates(system: SpectralSystem, A, BBT, Q):
+def _are_iterates(lam: np.ndarray, A, B, Q, BBT):
     """Yield (X, iteration name): DRE snapshots until one stabilizes, then Newton-Kleinman.
 
     The snapshots are skipped when the identity stabilizes; Newton-Kleinman
@@ -290,7 +321,7 @@ def _are_iterates(system: SpectralSystem, A, BBT, Q):
     """
     X = np.eye(A.shape[0])
     if _spectral_abscissa(A - BBT) >= -1e-12:
-        for X in _dre_flow(system, max(1.0, 10.0 / system.lambdas.min()) * 2.0 ** np.arange(14)):
+        for X in _dre_flow(lam, A, B, Q, max(1.0, 10.0 / lam.min()) * 2.0 ** np.arange(14)):
             yield X, "dre_limit"
             if _spectral_abscissa(A - BBT @ X) < -1e-12:
                 break

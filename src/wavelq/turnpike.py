@@ -11,9 +11,10 @@ The finite-horizon optimality system is solved in deviation variables
 y = q - P x runs backward and the state forward along two decoupled flows,
 stable but for modes that neither control nor observation sees, each in
 closed form from the closed-loop step and Gramian of ``riccati.step_map``.
-The solve splits over the system's blocks, stacks blocks of equal size, and
-walks the horizon in chunks of steps, so it has no per-step Python loop and
-stores nothing of size steps x d^2.  Costs and mean positions are sums of
+The solve reads the system's block records, stacks blocks of equal size
+(``riccati.stack_matrices``, so no dense A or Q is formed), and walks the
+horizon in chunks of steps, so it has no per-step Python loop and stores
+nothing of size steps x d^2.  Costs and mean positions are sums of
 the Hamiltonian step's Van Loan integrals, and the averaged turnpike metrics
 read them instead of integrating the recorded grid.
 The tests hold two independent oracles: a dense collocation solve of the
@@ -31,7 +32,7 @@ import scipy.linalg
 from .closed_loop import Trajectory
 from .models import SpectralSystem, energy_index, stacked_blocks
 from .riccati import (RiccatiSolution, first_order_matrices, hamiltonian_matrix, solve_are,
-                      step_map)
+                      stack_matrices, step_map)
 from .spectral import DimensionError, DomainError, ModalVector, as_energy_vector
 
 
@@ -168,7 +169,6 @@ def solve_tracking(system: SpectralSystem, z, x0, horizon: float,
         are = solve_are(system)
     lam = system.lambdas
     dim = 2 * lam.size
-    A, B, Q = first_order_matrices(system)
     if are.dim != dim:
         raise DimensionError("ARE solution dimension mismatch")
 
@@ -191,8 +191,7 @@ def solve_tracking(system: SpectralSystem, z, x0, horizon: float,
     int_y = np.empty(2 * dim)
     j_dev_exact = 0.0
     for stack in stacked_blocks(system):
-        j_dev_exact += _track_stack(energy_index(np.array([r.modes for r in stack])),
-                                    (A, B, Q, are.E), x0_dev, h_T, horizon, sub, X, q,
+        j_dev_exact += _track_stack(lam, stack, are.E, x0_dev, h_T, horizon, sub, X, q,
                                     values, int_y)
 
     Cm = system.observation_factor()
@@ -200,11 +199,11 @@ def solve_tracking(system: SpectralSystem, z, x0, horizon: float,
     u_bar = stationary.u_bar
     int_a_dev = int_y[:dim][0::2] / lam
     stationary_rate = float(u_bar @ u_bar) + float(obs_stationary_gap @ obs_stationary_gap)
-    j_full_exact = (j_dev_exact - 2.0 * float(u_bar @ (B.T @ int_y[dim:]))
+    j_full_exact = (j_dev_exact - 2.0 * float(u_bar @ (system.B_mod.T @ int_y[dim + 1::2]))
                     + 2.0 * float(obs_stationary_gap @ (Cm @ int_a_dev))
                     + horizon * stationary_rate)
     mean_a = int_a_dev / horizon
-    V = -(q @ B)
+    V = -(q[:, 1::2] @ system.B_mod)
 
     p_bar = stationary.p_bar.a
     value_cost = (float(x0_dev @ q[0]) - float(p_bar @ X[-1][1::2])
@@ -271,16 +270,17 @@ def _powers(pair, m: int):
     return F, G
 
 
-def _track_stack(e, mats, x0_dev, h_T, horizon, sub, X, q, values, int_y) -> float:
+def _track_stack(lam, stack, P, x0_dev, h_T, horizon, sub, X, q, values, int_y) -> float:
     """Solve the tracking dichotomy on one stack of equal-sized blocks.
 
-    ``e`` holds the blocks' energy indices.  Fills their columns of the
-    recorded states X and adjoints q and of the integrals int_y of (x, q),
-    adds their share to ``values``, and returns their deviation cost.
+    ``stack`` holds the blocks' records and P is the whole ARE solution.
+    Fills their columns of the recorded states X and adjoints q and of the
+    integrals int_y of (x, q), adds their share to ``values``, and returns
+    their deviation cost.
     """
-    A, B, Q, P = mats
-    blk = (e[:, :, None], e[:, None, :])
-    A, B, Q, P = A[blk], B[e], Q[blk], P[blk]
+    e = energy_index(np.array([r.modes for r in stack]))
+    A, B, Q = stack_matrices(lam, stack)
+    P = P[e[:, :, None], e[:, None, :]]
     nb, s = e.shape
     steps = X.shape[0] - 1
     n_fine = steps * sub

@@ -416,10 +416,9 @@ class TestSystemInvariants:
         build_rectangle(1.0, 2.0, 8.0),
     ], ids=lambda s: s.label)
     def test_systems_hold_only_their_dataclass_fields(self, sys_):
-        # an attribute outside the fields would be dropped by restrict and replace
+        # an attribute outside the fields would be dropped by replace
         fields = {f.name for f in dataclasses.fields(SpectralSystem)}
-        for system in (sys_, sys_.restrict(np.arange(sys_.n_modes - 1)),
-                       dataclasses.replace(sys_, label="copy")):
+        for system in (sys_, dataclasses.replace(sys_, label="copy")):
             assert set(vars(system)) <= fields
 
     def test_hand_built_q_obs_stored_exactly_symmetric(self):
@@ -461,7 +460,6 @@ class TestBlocks:
         sys_ = build_interval_wave(10, control=("subinterval", 0.4, 1.9))
         assert len(sys_.blocks) == 1
         assert np.array_equal(sys_.blocks[0], np.arange(10))
-        assert sys_.restrict(sys_.blocks[0]) is sys_
 
     def test_tiny_nonzero_coupling_keeps_modes_together(self):
         B = np.diag([1.0, 1.0, 1.0])
@@ -484,6 +482,10 @@ class TestBlocks:
             for j, b in enumerate(sys_.blocks):
                 sub = W[np.ix_(energy_index(a), energy_index(b))]
                 if i == j:
-                    assert np.array_equal(sub, observability_gramian(sys_.restrict(a), 2.5))
+                    # the block alone, from the dense matrices rather than its record
+                    alone = SpectralSystem.from_dense(sys_.lambdas[a], sys_.B_mod[a],
+                                                      sys_.Q_obs[np.ix_(a, a)],
+                                                      bbt=sys_.bbt[np.ix_(a, a)])
+                    assert np.array_equal(sub, observability_gramian(alone, 2.5))
                 else:
                     assert not sub.any()

@@ -16,20 +16,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wavelq.cli import build_model
+from wavelq.closed_loop import (hum_null_control, simulate_backward_observer, simulate_collocated,
+                                simulate_riccati_feedback)
 from wavelq.models import (
     SpectralSystem,
     _rectangle_modes,
     _star_eigenpairs,
     build_interval_wave,
     build_rectangle,
+    build_star_network,
     build_synthetic,
     build_synthetic_exponential,
+    controllability_gramian,
     cosine_product_integral,
     fit_weak_observability,
     observability_gramian,
     psd_sqrt,
     sine_product_integral,
 )
+from wavelq.riccati import integrate_dre, solve_are
+from wavelq.turnpike import solve_tracking
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "demos" / "configs").glob("*.json"))
 
@@ -297,3 +303,59 @@ def test_rectangle_observability_holds_no_dense_matrix():
         tracemalloc.stop()
     assert sys_.n_modes == 3149
     assert peak < 8 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# the solvers read the records: no system is built per block
+
+
+@pytest.mark.parametrize("sys_", [build_rectangle(1.0, 2.0, 8.0),
+                                  build_star_network([1.0, 1.3, 1.7], 0, 1, 8.0)],
+                         ids=lambda s: s.label)
+def test_solvers_build_no_system_per_block(sys_, monkeypatch):
+    rng = np.random.default_rng(4)
+    x0 = rng.standard_normal(2 * sys_.n_modes) / sys_.lambdas.repeat(2)
+    z = rng.standard_normal(sys_.n_modes)
+    built = []
+    post_init = SpectralSystem.__post_init__
+
+    def counted(self):
+        built.append(self.label)
+        post_init(self)
+
+    monkeypatch.setattr(SpectralSystem, "__post_init__", counted)
+    are = solve_are(sys_)
+    integrate_dre(sys_, 1.0, snapshot_times=[0.5, 1.0])
+    simulate_collocated(sys_, x0, 2.0)
+    simulate_riccati_feedback(sys_, are, x0, 2.0)
+    simulate_backward_observer(sys_, x0, 2.0)
+    solve_tracking(sys_, z, x0, 2.0, are=are)
+    observability_gramian(sys_, 2.0)
+    controllability_gramian(sys_, 2.0)
+    fit_weak_observability(sys_, 6.0, [1.5, 2.5, 4.0])
+    hum_null_control(sys_, x0, 2.0 * np.pi)
+    assert built == []
+
+
+def test_a_trailing_zero_control_column_changes_no_bit():
+    # one block: the record drops the zero column, so both systems run the same numbers
+    rng = np.random.default_rng(11)
+    lam = np.array([1.0, 1.7, 2.4, 3.1])
+    B = rng.standard_normal((4, 2))
+    C = rng.standard_normal((4, 4))
+    x0, z = rng.standard_normal(8), rng.standard_normal(4)
+    narrow = SpectralSystem.from_dense(lam, B, C @ C.T)
+    wide = SpectralSystem.from_dense(lam, np.column_stack([B, np.zeros(4)]), C @ C.T)
+    assert len(wide.records) == 1 and wide.n_controls == 3
+    runs = []
+    for sys_ in (narrow, wide):
+        are = solve_are(sys_)
+        collocated = simulate_collocated(sys_, x0, 3.0)
+        feedback = simulate_riccati_feedback(sys_, are, x0, 3.0)
+        tracking = solve_tracking(sys_, z, x0, 3.0, are=are)
+        runs.append((are.E, collocated.states, feedback.states, tracking.deviation_states,
+                     tracking.trajectory.states, collocated.controls[:, :2],
+                     feedback.controls[:, :2]))
+    for a, b in zip(*runs):
+        assert np.array_equal(a, b)
+    assert not collocated.controls[:, 2].any() and not feedback.controls[:, 2].any()

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,11 +18,15 @@ from wavelq.models import (
     build_synthetic,
     build_synthetic_exponential,
     controllability_gramian,
+    energy_index,
     observability_gramian,
     shell_constant,
+    stacked_blocks,
 )
 from wavelq.riccati import (
+    RiccatiSolution,
     StabilizabilityError,
+    block_matrices,
     bounds_report,
     closed_loop_matrix,
     first_order_matrices,
@@ -29,10 +34,11 @@ from wavelq.riccati import (
     integrate_dre,
     riccati_step,
     solve_are,
+    stack_matrices,
     step_map,
     value,
 )
-from wavelq.spectral import NormScale, energy_norm_squared
+from wavelq.spectral import DomainError, NormScale, energy_norm_squared
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
@@ -72,6 +78,25 @@ class TestFirstOrderMatrices:
         _, B, _ = first_order_matrices(sys_)
         assert np.abs(B[0::2, :]).max() == 0.0
         assert np.allclose(B[1::2, :], sys_.B_mod)
+
+    @pytest.mark.parametrize("sys_", [build_rectangle(1.0, 2.0, 9.0), build_synthetic(2.0, 2.0, 5),
+                                      build_interval_wave(5, control=("subinterval", 0.4, 1.9)),
+                                      build_star_network([np.pi, np.pi, 1.0], 0, 2, 8.0)],
+                             ids=lambda s: s.label)
+    def test_block_and_stack_matrices_are_pieces_of_the_dense_ones(self, sys_):
+        A, B, Q = first_order_matrices(sys_)
+        for stack in stacked_blocks(sys_):
+            A_s, B_s, Q_s = stack_matrices(sys_.lambdas, stack)
+            for r, A_k, B_k, Q_k in zip(stack, A_s, B_s, Q_s):
+                e = energy_index(r.modes)
+                A_b, B_b, Q_b = block_matrices(sys_.lambdas, r)
+                assert np.array_equal(A_b, A[np.ix_(e, e)]) and np.array_equal(A_k, A_b)
+                assert np.array_equal(Q_b, Q[np.ix_(e, e)]) and np.array_equal(Q_k, Q_b)
+                assert np.array_equal(B_b, B[np.ix_(e, r.controls)])
+                assert np.array_equal(B_k[:, :r.controls.size], B_b)
+                assert not B_k[:, r.controls.size:].any()
+                # the other controls do not act on the block
+                assert not np.delete(B[e], r.controls, axis=1).any()
 
 
 def rk_dre(system, taus):
@@ -250,6 +275,36 @@ def test_both_methods_reach_backward_error_1e_14(case, method):
     assert sol.method == method
     assert dense_backward_error(sol, sys_) <= 1e-14
     assert sol.backward_error <= 1e-14
+
+
+class TestRiccatiSolution:
+    def test_symmetry_check_forms_no_matrix_of_the_size_of_e(self):
+        E = np.random.default_rng(7).standard_normal((2000, 2000))
+        E += E.T
+        # a first call outside the trace, so nothing it imports or caches is counted
+        RiccatiSolution(E=E[:3, :3] + E[:3, :3].T, horizon=1.0, residual=0.0, method="dre")
+        tracemalloc.start()
+        try:
+            RiccatiSolution(E=E, horizon=np.inf, residual=0.0, method="newton_kleinman")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < E.nbytes / 4
+
+    @pytest.mark.parametrize("at", [(1, 2), (250, 10), (10, 250)])
+    def test_asymmetry_of_twice_the_tolerance_raises(self, at):
+        # 300 rows span more than one band of the check
+        E = np.random.default_rng(8).uniform(-1.0, 1.0, (300, 300))
+        E += E.T
+        E[0, 0] = 5.0
+        tol = 1e-10 * (1.0 + 5.0)
+        RiccatiSolution(E=E, horizon=np.inf, residual=0.0, method="newton_kleinman")
+        near = E.copy()
+        near[at] += 0.5 * tol
+        RiccatiSolution(E=near, horizon=np.inf, residual=0.0, method="newton_kleinman")
+        E[at] += 2.0 * tol
+        with pytest.raises(DomainError):
+            RiccatiSolution(E=E, horizon=np.inf, residual=0.0, method="newton_kleinman")
 
 
 class TestValue:
@@ -460,7 +515,10 @@ def test_block_dispatch_matches_monolithic_oracles(case):
     assert sol.backward_error == pytest.approx(sol.residual / (
         np.linalg.norm(Q) + 2.0 * np.linalg.norm(A) * nE + nE**2 * np.linalg.norm(BBT)),
         rel=1e-12)
-    worst = max(solve_are(sys_.restrict(modes)).backward_error for modes in sys_.blocks)
+    # each block alone, from the dense matrices rather than its record
+    worst = max(solve_are(SpectralSystem.from_dense(
+        sys_.lambdas[m], sys_.B_mod[m], sys_.Q_obs[np.ix_(m, m)], bbt=sys_.bbt[np.ix_(m, m)]
+    )).backward_error for m in sys_.blocks)
     assert sol.backward_error <= worst * (1.0 + 1e-12)
 
     taus = [0.7, 2.0]
