@@ -26,7 +26,6 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .models import (SpectralSystem, apply_free_flow, controllability_gramian, energy_index,
                      fit_line, stacked_blocks)
@@ -280,9 +279,9 @@ def hum_null_control(system: SpectralSystem, x0, t0: float, n_samples: int = 257
 
     ``x0`` is one state, or a stack with one state per row, for which a list
     with one HumControl per row is returned; the Gramian is built, its
-    condition number taken and its Cholesky factor formed once for the whole
-    stack.  The Gramian is evaluated in closed form; if its condition number
-    exceeds 1e12 the solve is Tikhonov-regularized and flagged as not
+    condition number taken from its eigenvalues and the whole stack solved in
+    one LU solve.  The Gramian is evaluated in closed form; if its condition
+    number exceeds 1e12 the solve is Tikhonov-regularized and flagged as not
     certified (a zero state is always certified).  ``terminal_residual`` is
     the state-space norm of the reached terminal state.
     """
@@ -294,15 +293,13 @@ def hum_null_control(system: SpectralSystem, x0, t0: float, n_samples: int = 257
         raise DimensionError("state dimension mismatch")
 
     W = controllability_gramian(system, t0)
-    cond = float(np.linalg.cond(W))
-    if cond < 1e12:
-        factor = scipy.linalg.cho_factor(W)
-    else:
-        eps = 1e-14 * np.trace(W) / W.shape[0]
-        factor = scipy.linalg.cho_factor(W + eps * np.eye(W.shape[0]))
+    w = np.abs(np.linalg.eigvalsh(W))  # the singular values of the symmetric W
+    with np.errstate(divide="ignore"):
+        cond = float(w.max() / w.min())
     states = np.atleast_2d(x0)
     y = apply_free_flow(lam, t0, states)
-    gamma = scipy.linalg.cho_solve(factor, y.T).T
+    shift = 0.0 if cond < 1e12 else 1e-14 * np.trace(W) / W.shape[0]  # Tikhonov
+    gamma = np.linalg.solve(W + shift * np.eye(W.shape[0]), y.T).T
     Wgamma = gamma @ W
     costs = np.einsum("ij,ij->i", Wgamma, gamma)
     residuals = np.linalg.norm(y - Wgamma, axis=1)

@@ -18,6 +18,7 @@ its modes, the controls that act on it with its rows of ``B_mod``, and its
 pieces of ``B B*`` and ``Q_obs``.  The dense ``B_mod``, ``Q_obs`` and ``bbt``
 are assembled from the records on first access, for serialization, HUM,
 tracking and the stationary problem; nothing else of size n x n is held.
+The observation factor ``Q_obs^(1/2)`` is one square root per record.
 Builders that know their blocks pass them: the rectangle with strip control
 one block per x2 index, the synthetic families one block per mode.  The
 interval, the stars, loaded and hand-built systems enter through
@@ -34,7 +35,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .spectral import DomainError, DimensionError, as_frequencies
 
@@ -72,10 +72,10 @@ def cosine_product_integral(freqs_row, freqs_col, a: float, b: float) -> np.ndar
 
 
 def psd_sqrt(M: np.ndarray) -> np.ndarray:
-    """Symmetric PSD square root (negative eigenvalue noise clipped at 0)."""
-    w, V = scipy.linalg.eigh(0.5 * (M + M.T))
+    """Symmetric PSD square root (negative eigenvalue noise clipped at 0), of a matrix or a stack."""
+    w, V = np.linalg.eigh(0.5 * (M + np.swapaxes(M, -1, -2)))
     w = np.clip(w, 0.0, None)
-    return (V * np.sqrt(w)) @ V.T
+    return (V * np.sqrt(w)[..., None, :]) @ np.swapaxes(V, -1, -2)
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +263,16 @@ class SpectralSystem:
         return self.Q_obs * np.outer(inv, inv)
 
     def observation_factor(self) -> np.ndarray:
-        """A modal factor C with C^T C = Q_obs (symmetric PSD square root)."""
-        return psd_sqrt(self.Q_obs)
+        """A modal factor C with C^T C = Q_obs (symmetric PSD square root).
+
+        Q_obs is block diagonal over the records, so its square root is too:
+        one ``psd_sqrt`` per stack of equal-size records' ``Q``, put in place.
+        """
+        C = np.zeros((self.n_modes, self.n_modes))
+        for stack in stacked_blocks(self):
+            for r, root in zip(stack, psd_sqrt(np.stack([r.Q for r in stack])), strict=True):
+                C[np.ix_(r.modes, r.modes)] = root
+        return C
 
 
 def stacked_blocks(system: SpectralSystem) -> list[list[Block]]:
@@ -388,7 +396,7 @@ def _star_eigenpairs(lengths: np.ndarray, lambda_max: float):
         # constraint sum_j A_j cos(lam l_j) = 0 on the member edges; build an
         # orthonormal basis in the L2 inner product (Gram = diag(weights))
         row = (np.cos(pos * lengths[mem]) / np.sqrt(weights))[None, :]
-        basis = scipy.linalg.null_space(row)  # (q, q-1), orthonormal in c-coords
+        basis = np.linalg.svd(row)[2][1:].T  # (q, q-1), orthonormal in c-coords
         for col in range(basis.shape[1]):
             amp = np.zeros(n_edges)
             amp[mem] = basis[:, col] / np.sqrt(weights)
@@ -665,7 +673,7 @@ def shell_constant(system: SpectralSystem, shell_lo: float, shell_hi: float,
         if part.size:
             cut = np.ix_(part, part)
             W = _gramian(system.lambdas[r.modes[part]], r.bbt[cut], r.Q[cut], horizon, use_control)
-            lo_eig = min(lo_eig, scipy.linalg.eigh(W, eigvals_only=True, subset_by_index=[0, 0])[0])
+            lo_eig = min(lo_eig, np.linalg.eigvalsh(W)[0])
     return float(max(lo_eig, 0.0) / (horizon / 2.0))
 
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .closed_loop import Trajectory
 from .models import SpectralSystem, energy_index, stacked_blocks
@@ -79,7 +78,7 @@ def solve_stationary(system: SpectralSystem, z) -> StationarySolution:
     Cm = system.observation_factor()
     G = Cm @ (system.B_mod / lam2[:, None])
     m = G.shape[1]
-    u = scipy.linalg.solve(np.eye(m) + G.T @ G, G.T @ z, assume_a="pos")
+    u = np.linalg.solve(np.eye(m) + G.T @ G, G.T @ z)
     a_bar = (system.B_mod @ u) / lam2
     obs_gap = Cm @ a_bar - z
     p_bar = (Cm.T @ obs_gap) / lam2
@@ -355,7 +354,7 @@ def tracking_os_residual(sol: TrackingSolution) -> float:
     dim = A.shape[0]
     X, q, V = sol.deviation_states, sol.deviation_adjoints, sol.deviation_controls
     dt = sol.horizon / (sol.times.size - 1)
-    Phi = scipy.linalg.expm(hamiltonian_matrix(A, B, Q) * dt)
+    Phi, _ = step_map(hamiltonian_matrix(A, B, Q), dt)
     Y = np.hstack([X, q])
     D = Y[1:] - Y[:-1] @ Phi.T
     x0_dev = sol.x0 - _lift_position(system, sol.stationary.w_bar.a)

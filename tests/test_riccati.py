@@ -26,6 +26,7 @@ from wavelq.models import (
 from wavelq.riccati import (
     RiccatiSolution,
     StabilizabilityError,
+    _expm,
     block_matrices,
     bounds_report,
     closed_loop_matrix,
@@ -148,6 +149,81 @@ DRE_ORACLE_CASES = {
                              [3.0]),
     "off_grid_snapshots": (lambda: build_synthetic(2.0, 2.0, 4), [0.37, 1.0, 2.9, np.e]),
 }
+
+
+# ---------------------------------------------------------------------------
+# the numpy matrix exponential against scipy.linalg.expm
+
+
+def relative_error(X, ref):
+    return np.linalg.norm(X - ref) / np.linalg.norm(ref)
+
+
+def expm_stacks():
+    """(name, stack) of the generators the library exponentiates, at the steps it takes."""
+    rect = build_rectangle(1.0, 2.0, 12.0)
+    for stack in stacked_blocks(rect):
+        M = hamiltonian_matrix(*stack_matrices(rect.lambdas, stack))
+        for h in (np.pi / (4.0 * 12.0), 0.05, 0.4):
+            yield f"rectangle Hamiltonians {M.shape}, h={h:.3g}", M * h
+    interval = build_interval_wave(64, control=("subinterval", 0.4, 1.9))
+    A, B, _ = block_matrices(interval.lambdas, interval.records[0])
+    BBT = B @ B.T
+    d = A.shape[0]
+    Z = np.zeros((2 * d, 2 * d))
+    Z[:d, :d], Z[:d, d:], Z[d:, d:] = -(A - BBT).T, BBT, A - BBT
+    for h in (np.pi / (8.0 * 64.0), 8.0 * np.pi / (8.0 * 64.0), 0.05):
+        yield f"interval Van Loan {Z.shape}, h={h:.3g}", (Z * h)[None]
+    syn = build_synthetic(2.0, 2.0, 12)
+    (stack,) = stacked_blocks(syn)
+    A, B, Q = stack_matrices(syn.lambdas, stack)
+    for h in (0.02, 0.16):
+        yield f"synthetic closed loops {A.shape}, h={h:.3g}", (A - B @ B.swapaxes(-1, -2)) * h
+        yield f"synthetic Hamiltonians {A.shape}, h={h:.3g}", hamiltonian_matrix(A, B, Q) * h
+
+
+def norm_sweep_stack(norm):
+    """2x2 synthetic closed loops and Hamiltonians and 6x6 skew matrices, each of 1-norm ``norm``."""
+    syn = build_synthetic(2.0, 2.0, 12)
+    A, B, Q = stack_matrices(syn.lambdas, stacked_blocks(syn)[0])
+    S = np.random.default_rng(5).standard_normal((4, 6, 6))
+    out = []
+    for G in (A - B @ B.swapaxes(-1, -2), hamiltonian_matrix(A, B, Q), S - S.swapaxes(-1, -2)):
+        out.extend(G * (norm / np.abs(G).sum(axis=-2).max(axis=-1))[:, None, None])
+    return out
+
+
+class TestExpm:
+    @pytest.mark.parametrize("name,stack", list(expm_stacks()), ids=lambda v: v if isinstance(v, str) else "")
+    def test_library_generators_match_scipy(self, name, stack):
+        got = _expm(stack)
+        for X, G in zip(got, stack):
+            assert relative_error(X, scipy.linalg.expm(G)) <= 1e-13, name
+
+    @pytest.mark.parametrize("norm", [1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e3])
+    def test_norm_sweep_matches_scipy(self, norm):
+        # The exponential's relative condition number grows like ||A||, so two evaluations
+        # agree only to about u ||A||: against 50-digit mpmath on these matrices at norm 1e3,
+        # scipy 1.17's expm erred by up to 9e-12 and _expm by up to 1e-13.
+        for G in norm_sweep_stack(norm):
+            assert relative_error(_expm(G), scipy.linalg.expm(G)) <= 1e-13 * max(1.0, norm)
+
+    def test_a_slice_has_the_bits_it_has_alone(self):
+        syn = build_synthetic(2.0, 2.0, 12)
+        A, B, Q = stack_matrices(syn.lambdas, stacked_blocks(syn)[0])
+        M = hamiltonian_matrix(A, B, Q)
+        # per slice norms that take every degree from 3 to 13 and several scalings
+        norms = np.resize([1e-3, 0.1, 0.5, 1.5, 3.0, 30.0, 1e3], len(M))
+        mixed = M * (norms / np.abs(M).sum(axis=-2).max(axis=-1))[:, None, None]
+        for stack in (mixed, next(expm_stacks())[1]):
+            got = _expm(stack)
+            for X, G in zip(got, stack):
+                assert np.array_equal(X, _expm(G))
+        assert np.array_equal(_expm(mixed.reshape(3, 4, 4, 4)), _expm(mixed).reshape(3, 4, 4, 4))
+
+    def test_zero_matrix_gives_the_identity_exactly(self):
+        assert np.array_equal(_expm(np.zeros((3, 5, 5))), np.broadcast_to(np.eye(5), (3, 5, 5)))
+        assert np.array_equal(_expm(np.zeros((1, 1))), np.ones((1, 1)))
 
 
 class TestDre:
