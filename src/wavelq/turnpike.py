@@ -340,6 +340,11 @@ def _track_stack(lam, stack, P, x0_dev, h_T, horizon, sub, X, q, values, int_y) 
     return j_dev
 
 
+# multiply-adds of a product that OpenBLAS runs on the calling thread; a larger
+# one wakes its worker thread, which then spins on another core for about 0.1 s
+_SERIAL_PRODUCT = 1 << 18
+
+
 def tracking_os_residual(sol: TrackingSolution) -> float:
     """Defect of the recorded grid against the exact optimality system.
 
@@ -348,6 +353,8 @@ def tracking_os_residual(sol: TrackingSolution) -> float:
     also checked are v_k = -B^T q_k at every grid point and the boundary
     values x_0 = x0 - lift(w_bar) and q_N = h_T.  Each defect is relative to
     1 plus the largest entry of the quantity it checks; the worst is returned.
+    The grid is stepped in row bands of at most ``_SERIAL_PRODUCT``
+    multiply-adds, so no BLAS worker thread is left spinning after the call.
     """
     system = sol.system
     A, B, Q = first_order_matrices(system)
@@ -356,7 +363,10 @@ def tracking_os_residual(sol: TrackingSolution) -> float:
     dt = sol.horizon / (sol.times.size - 1)
     Phi, _ = step_map(hamiltonian_matrix(A, B, Q), dt)
     Y = np.hstack([X, q])
-    D = Y[1:] - Y[:-1] @ Phi.T
+    D, prev = Y[1:].copy(), Y[:-1]
+    rows = max(1, _SERIAL_PRODUCT // Phi.size)
+    for a in range(0, D.shape[0], rows):
+        D[a:a + rows] -= prev[a:a + rows] @ Phi.T
     x0_dev = sol.x0 - _lift_position(system, sol.stationary.w_bar.a)
     h_T = _terminal_feedforward(system, sol.stationary)
 

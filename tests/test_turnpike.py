@@ -143,6 +143,18 @@ class TestTracking:
         values[mid, 0] += 1e-4 * np.abs(values).max()
         assert tracking_os_residual(dataclasses.replace(sol, **{field: values})) > 1e-6
 
+    @pytest.mark.parametrize("row", [1, 112, 113, 114, 300, 499, 500])
+    def test_os_residual_checks_every_row_band(self, row):
+        # 12 modes: a 48 x 48 step map, stepped in bands of 113 rows of the 501-point grid
+        sys_ = build_synthetic(2.0, 2.0, 12)
+        rng = np.random.default_rng(11)
+        sol = solve_tracking(sys_, rng.standard_normal(12), rng.standard_normal(24), 10.0,
+                             dt_record=0.02)
+        assert tracking_os_residual(sol) <= 1e-6
+        X = sol.deviation_states.copy()
+        X[row, 3] += 1e-4 * np.abs(X).max()
+        assert tracking_os_residual(dataclasses.replace(sol, deviation_states=X)) > 1e-6
+
     def test_terminal_adjoint_matches_stationary_lift(self):
         sys_ = build_synthetic(2.0, 2.0, 4)
         rng = np.random.default_rng(5)
