@@ -19,9 +19,7 @@ import numpy as np
 from wavelq import (
     build_synthetic,
     build_synthetic_exponential,
-    closed_loop_matrix,
     default_decay_window,
-    first_order_matrices,
     fit_decay,
     simulate_backward_observer,
     simulate_collocated,
@@ -35,11 +33,10 @@ def collocated_rates():
     print("== collocated loop: fitted exponent vs k*rho ==")
     rho = 2.0
     sys_ = build_synthetic(rho, 2.0, 96)
-    A, B, _ = first_order_matrices(sys_)
-    window = default_decay_window(A - B @ B.T, 60.0)
     for k in (0.5, 1.0, 1.5):
         x0 = smooth_initial_state(sys_.lambdas, k + 0.5 + 0.1, signs="alternating")
         traj = simulate_collocated(sys_, x0, 60.0, dt=0.01)
+        window = default_decay_window(traj)
         fit = fit_decay(traj, window)
         print(f"  k = {k:3.1f}: fitted {fit.exponent:6.3f}  vs  k*rho = {k * rho:4.1f} "
               f"(r2 = {fit.r2:.4f})")
@@ -62,7 +59,7 @@ def riccati_rate():
     signs = np.where(np.arange(128) % 2 == 0, 1.0, -1.0)
     rough = to_energy(ModalVector(a=lam**-3.1 * signs, b=lam**-3.1 * signs), lam)
     traj2 = simulate_riccati_feedback(sys_, sol, rough, 40.0, dt=0.01)
-    fit2 = fit_decay(traj2, default_decay_window(closed_loop_matrix(sys_, sol), 40.0))
+    fit2 = fit_decay(traj2, default_decay_window(traj2))
     print(f"  class-tail data (upper-bound regime): fitted {fit2.exponent:.3f} "
           f">= {predicted:.1f} (bound, not tight)\n")
 
@@ -73,10 +70,7 @@ def observer_rate():
     sys_ = build_synthetic(2.0, eta, 64)
     term = smooth_initial_state(sys_.lambdas, 1.6, signs="alternating")
     traj = simulate_backward_observer(sys_, term, 310.0)
-    A, _, _ = first_order_matrices(sys_)
-    D = np.zeros_like(A)
-    D[np.ix_(range(1, 128, 2), range(1, 128, 2))] = sys_.Q_obs
-    fit = fit_decay(traj, default_decay_window(A - D, 310.0))
+    fit = fit_decay(traj, default_decay_window(traj))
     print(f"  fitted {fit.exponent:.3f} vs k*eta = {1.0 * eta:.1f} "
           "(lemma-type lower threshold 0.85*k*eta)\n")
 

@@ -46,7 +46,6 @@ from .riccati import (  # noqa: F401
     RiccatiSolution,
     StabilizabilityError,
     bounds_report,
-    closed_loop_matrix,
     first_order_matrices,
     integrate_dre,
     solve_are,

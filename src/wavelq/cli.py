@@ -293,16 +293,15 @@ def _default_scales(system):
 
 
 def _run_bounds(system, exp, outdir, rng):
+    # exp["n_random"] is still validated but no longer read: the constants are exact
     sol = rc.solve_are(system)
     weak, strong = _default_scales(system)
-    report = rc.bounds_report(sol, system, weak, strong, n_random=exp["n_random"], rng=rng)
+    report = rc.bounds_report(sol, system, weak, strong)
     io.save_riccati(sol, os.path.join(outdir, "riccati.json"))
     return {
         "experiment": "bounds",
         "c1_hat": report.c1_hat,
         "c2_hat": report.c2_hat,
-        "probe_count": report.probe_count,
-        "excluded_probes": report.excluded,
         "weak_scale": _scale_payload(weak),
         "strong_scale": _scale_payload(strong),
         "are_residual": sol.residual,
@@ -317,17 +316,10 @@ def _run_decay(system, exp, outdir, rng, riccati: bool):
     horizon = exp["horizon"]
     dt = exp.get("dt")  # None: the simulator's own step
     if riccati:
-        sol = rc.solve_are(system)
-        traj = cl.simulate_riccati_feedback(system, sol, x0, horizon, dt=dt)
+        traj = cl.simulate_riccati_feedback(system, rc.solve_are(system), x0, horizon, dt=dt)
     else:
         traj = cl.simulate_collocated(system, x0, horizon, dt=dt)
-    if "window" in exp:
-        window = tuple(exp["window"])
-    elif riccati:
-        window = cl.default_decay_window(rc.closed_loop_matrix(system, sol), horizon)
-    else:
-        A, B, _ = rc.first_order_matrices(system)
-        window = cl.default_decay_window(A - B @ B.T, horizon)
+    window = tuple(exp["window"]) if "window" in exp else cl.default_decay_window(traj)
     fit = cl.fit_decay(traj, window)
     io.trajectory_to_csv(traj, os.path.join(outdir, "trajectory.csv"))
     summary = {

@@ -8,8 +8,10 @@ the system's decoupled blocks, and blocks of equal size advance as one stack
 chunks of 8 steps, each chunk from its own exponential.  Each loop's generator
 maps a stack's records, energy positions and ``riccati.stack_matrices`` to the
 stacked closed-loop matrix, dissipation weight, recorded forms and gain.
-No dense propagator or gain is assembled, and no (steps, d) array is held
-besides the states and the controls: the recorded quadratic forms come from
+No dense propagator, gain or generator is assembled; the run keeps each
+stack's generator, from which ``default_decay_window`` reads the closed-loop
+spectrum one stack at a time.  No (steps, d) array is held besides the states
+and the controls: the recorded quadratic forms come from
 per-block weights over bounded row chunks, and each block's controls from its
 own gain, written into the columns of the controls that act on it.
 
@@ -42,7 +44,8 @@ class Trajectory:
     ``states`` has one row per sample; ``energies`` are the squared
     state-space norms.  ``dissipation`` holds the exact time integral over the
     whole horizon of the dissipation density in the run's energy identity,
-    independent of the sampling grid.
+    independent of the sampling grid.  ``generators`` holds the closed-loop
+    generators of the run's stacks of equal-sized blocks, one stacked array each.
     """
 
     times: np.ndarray
@@ -55,6 +58,7 @@ class Trajectory:
     control_power: np.ndarray | None = None  # ||u||^2 samples
     obs_power: np.ndarray | None = None  # ||C w||^2-type samples
     dissipation: float | None = None
+    generators: list | None = None
 
     @property
     def n_samples(self) -> int:
@@ -97,10 +101,10 @@ def _simulate_lti(system: SpectralSystem, generator, x0: np.ndarray, horizon: fl
                 for stack in stacked_blocks(system)]
 
     traj = Trajectory(times=times, states=X, energies=np.einsum("ij,ij->i", X, X),
-                      lambdas=lam, kind=kind, dissipation=float(sum(d for d, _ in advanced)),
-                      **series)
-    if advanced[0][1] is not None:
-        traj.controls = _recorded_controls(X, [g for _, g in advanced], system.n_controls)
+                      lambdas=lam, kind=kind, dissipation=float(sum(d for _, d, _ in advanced)),
+                      generators=[A_cl for A_cl, _, _ in advanced], **series)
+    if advanced[0][2] is not None:
+        traj.controls = _recorded_controls(X, [g for _, _, g in advanced], system.n_controls)
         traj.control_power = np.einsum("ij,ij->i", traj.controls, traj.controls)
     return traj
 
@@ -131,9 +135,9 @@ def _advance_stack(system, generator, stack, h, x0, X, series):
     _CHUNK_STEPS-th sample comes from the one before through the latter; the
     samples between from it through the powers of Phi, in one batched product
     per row chunk.  Adds the stack's share of each form to ``series``.
-    Returns its share of the dissipation sum over the steps, x^T W x at each
-    step's start, and its gains as ``_recorded_controls`` takes them (None
-    when the loop records no controls).
+    Returns the stack's closed-loop generator, its share of the dissipation
+    sum over the steps, x^T W x at each step's start, and its gains as
+    ``_recorded_controls`` takes them (None when the loop records no controls).
     """
     k = _CHUNK_STEPS
     e = energy_index(np.array([r.modes for r in stack]))
@@ -168,9 +172,10 @@ def _advance_stack(system, generator, stack, h, x0, X, series):
         Y = Y[:, :n - 1 - start]
         dissipation += np.einsum("brs,brs->", Y @ W, Y)
     if gain is None:
-        return dissipation, None
+        return A_cl, dissipation, None
     filled = np.arange(gain.shape[1]) < np.array([[r.controls.size] for r in stack])
-    return dissipation, (e, gain.swapaxes(-1, -2), filled, np.concatenate([r.controls for r in stack]))
+    return A_cl, dissipation, (e, gain.swapaxes(-1, -2), filled,
+                               np.concatenate([r.controls for r in stack]))
 
 
 def simulate_collocated(system: SpectralSystem, x0, horizon: float,
@@ -355,17 +360,20 @@ def fit_decay(traj: Trajectory, window) -> DecayFit:
                     n_samples=int(pos.sum()))
 
 
-def default_decay_window(A_cl: np.ndarray, horizon: float) -> tuple:
-    """Window [10, min(300, 0.5 * T_trunc, horizon)] for rate fits.
+def default_decay_window(traj: Trajectory) -> tuple:
+    """Window [10, min(300, 0.5 * T_trunc, T)] for rate fits of a closed-loop run of horizon T.
 
     T_trunc is the energy e-folding time of the slowest damped closed-loop
     mode (1 / (2 min |Re eig|)); ending the window at half that time keeps the
-    truncation-induced exponential tail out of the fit.
+    truncation-induced exponential tail out of the fit.  The eigenvalues are
+    those of the run's stacked generators, one ``eigvals`` per stack.
     """
-    re = np.abs(np.linalg.eigvals(A_cl).real)
+    if traj.generators is None:
+        raise DomainError("trajectory lacks its closed-loop generators")
+    re = np.abs(np.concatenate([np.linalg.eigvals(A).real.ravel() for A in traj.generators]))
     damped = re[re > 1e-12]
     t_trunc = np.inf if damped.size == 0 else 1.0 / (2.0 * damped.min())
-    end = min(300.0, 0.5 * t_trunc, horizon)
+    end = min(300.0, 0.5 * t_trunc, float(traj.times[-1]))
     if end <= 10.0:
         raise DomainError("horizon too short for the default decay window")
     return (10.0, end)

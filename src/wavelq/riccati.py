@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .models import Block, SpectralSystem
+from .models import Block, SpectralSystem, energy_index, stacked_blocks
 from .spectral import DimensionError, DomainError, as_energy_vector
 
 
@@ -433,7 +433,9 @@ def solve_are(system: SpectralSystem) -> RiccatiSolution:
     """Solve ``Q + E A + A^T E - E B B^T E = 0`` for the truncated system.
 
     Each block is solved on its own and the results are assembled.  A block
-    runs Newton-Kleinman's Lyapunov solves from the identity when A - B B^T is
+    with Q exactly 0 has no stabilizing solution, as A is skew, and gets its
+    minimal solution 0 at once (kind ``dre_limit``).  A block runs
+    Newton-Kleinman's Lyapunov solves from the identity when A - B B^T is
     stable.  Otherwise its iterates are the DRE snapshots at horizons doubling
     from max(1, 10/lambda_min), and Newton-Kleinman continues from the first
     snapshot that stabilizes; when none does, the snapshots converge to the
@@ -473,6 +475,8 @@ def _solve_block(lam: np.ndarray, A, B, Q):
     """
     BBT = B @ B.T
     q, a, g = np.linalg.norm(Q), np.linalg.norm(A), np.linalg.norm(BBT)
+    if not Q.any():
+        return np.zeros_like(A), (0.0, q, a, 0.0, g), "dre_limit"
     kept, kept_err = None, np.inf
     for X, kind in _are_iterates(lam, A, B, Q, BBT):
         if not np.all(np.isfinite(X)):
@@ -511,12 +515,6 @@ def _spectral_abscissa(M: np.ndarray) -> float:
     return float(np.max(np.linalg.eigvals(M).real))
 
 
-def closed_loop_matrix(system: SpectralSystem, solution: RiccatiSolution) -> np.ndarray:
-    """A - B B^T E, the generator of the optimally controlled flow."""
-    A, B, _ = first_order_matrices(system)
-    return A - B @ (B.T @ solution.E)
-
-
 def value(solution: RiccatiSolution, x0) -> float:
     """Quadratic-form value x0^T E x0 (the optimal cost from x0)."""
     x = as_energy_vector(x0)
@@ -527,45 +525,37 @@ def value(solution: RiccatiSolution, x0) -> float:
 
 @dataclass
 class BoundsReport:
-    """Empirical two-sided bounds of the quadratic form against two norms.
+    """The sharp two-sided bounds of the quadratic form against two norms.
 
-    ``c1_hat * ||x||^2_weak <= x^T E x <= c2_hat * ||x||^2_strong`` holds on
-    every probe used; the scales are stored so the claim is self-describing.
+    ``c1_hat * ||x||^2_weak <= x^T E x <= c2_hat * ||x||^2_strong`` holds for
+    every state of the truncation, and each constant is attained by a state;
+    the scales are stored so the claim is self-describing.
     """
 
     c1_hat: float
     c2_hat: float
-    probe_count: int
     weak_scale: object
     strong_scale: object
-    excluded: int = 0
 
 
-def bounds_report(E_hat: RiccatiSolution, system: SpectralSystem, weak, strong,
-                  n_random: int = 100, rng=None) -> BoundsReport:
-    """Probe the ARE form with the canonical and ``n_random`` random unit vectors.
+def bounds_report(E_hat: RiccatiSolution, system: SpectralSystem, weak, strong) -> BoundsReport:
+    """The exact constants of the two-sided bounds, from one ``eigvalsh`` per stack of blocks.
 
-    c1_hat is the largest constant valid in the lower bound over the probe
-    set (min of value/weak norm), c2_hat the smallest valid upper constant.
-    Probes with vanishing weak norm but positive value are excluded and
-    counted.
+    With D_w and D_s the density weights of the scales on each mode's (xi,
+    zeta) pair, c1_hat is the least eigenvalue of D_w^-1/2 E D_w^-1/2 and
+    c2_hat the largest of D_s^-1/2 E D_s^-1/2.  E_hat is read on the blocks
+    of ``system`` only, as the Riccati solutions of the system are block
+    diagonal over them.  ``sobolev_state`` has no density weight and raises
+    DomainError.
     """
-    from .spectral import energy_norm_squared
-
-    dim = E_hat.dim
-    if rng is None:
-        rng = np.random.default_rng(0)
-    raw = rng.standard_normal((int(n_random), dim))
-    probes = np.vstack([np.eye(dim), raw / np.linalg.norm(raw, axis=1, keepdims=True)])
-    vals = np.einsum("ij,ij->i", probes @ E_hat.E, probes)
-    wn = energy_norm_squared(probes, system.lambdas, weak)
-    sn = energy_norm_squared(probes, system.lambdas, strong)
-    excluded = (wn <= 0.0) & (vals > 0.0)
-    lower = np.isfinite(wn) & (wn > 0.0)
-    upper = ~excluded & (sn > 0.0)
-    c1 = np.min(vals[lower] / wn[lower], initial=np.inf)
-    c2 = np.max(vals[upper] / sn[upper], initial=0.0)
-    n_excluded = int(excluded.sum())
-    return BoundsReport(c1_hat=float(max(c1, 0.0)), c2_hat=float(c2),
-                        probe_count=len(probes) - n_excluded,
-                        weak_scale=weak, strong_scale=strong, excluded=n_excluded)
+    if E_hat.dim != 2 * system.n_modes:
+        raise DimensionError("Riccati solution dimension does not match the system")
+    lam = system.lambdas
+    weights = [np.repeat(scale.density_weights(lam), 2) ** -0.5 for scale in (weak, strong)]
+    c1, c2 = np.inf, -np.inf
+    for stack in stacked_blocks(system):
+        e = energy_index(np.array([r.modes for r in stack]))
+        E_b = E_hat.E[e[:, :, None], e[:, None, :]]
+        lo, hi = (np.linalg.eigvalsh(E_b * w[e][:, :, None] * w[e][:, None, :]) for w in weights)
+        c1, c2 = min(c1, lo[:, 0].min()), max(c2, hi[:, -1].max())
+    return BoundsReport(c1_hat=float(c1), c2_hat=float(c2), weak_scale=weak, strong_scale=strong)

@@ -139,7 +139,7 @@ class NormScale:
         return cls("exp_weight", float(alpha))
 
     # the only kind whose norm vanishes on nonzero states (those at rest in
-    # position), which bounds_report's ``excluded`` count exists for
+    # position), so it has no density weight and no bounds_report
     @classmethod
     def sobolev_state(cls, beta: float) -> "NormScale":
         return cls("sobolev_state", float(beta))

@@ -17,13 +17,34 @@ from wavelq.closed_loop import (
     simulate_riccati_feedback,
     smooth_initial_state,
 )
-from wavelq.models import SpectralSystem, build_interval_wave, build_synthetic
+from wavelq.models import (SpectralSystem, build_interval_wave, build_rectangle,
+                           build_star_network, build_synthetic)
 from wavelq.riccati import first_order_matrices, solve_are, step_map
 from wavelq.spectral import DomainError, NormScale, energy_norm_squared
 
 
 def single_mode_system(lam=1.0, gain=1.0, q=1.0):
     return SpectralSystem.from_dense([lam], np.array([[gain]]), np.array([[q]]))
+
+
+def dense_generator(sys_, loop, sol=None):
+    """The d x d closed-loop generator of ``loop`` on the whole system."""
+    A, B, _ = first_order_matrices(sys_)
+    if loop == "collocated":
+        return A - B @ B.T
+    if loop == "riccati":
+        return A - B @ (B.T @ sol.E)
+    D = np.zeros_like(A)
+    D[1::2, 1::2] = sys_.Q_obs  # C*C on the velocities
+    return A - D
+
+
+def dense_window(A_cl, horizon):
+    """[10, min(300, T_trunc / 2, horizon)] from one eigvals of the whole generator, or None."""
+    re = np.abs(np.linalg.eigvals(A_cl).real)
+    damped = re[re > 1e-12]
+    end = min(300.0, 0.25 / damped.min() if damped.size else np.inf, horizon)
+    return (10.0, end) if end > 10.0 else None
 
 
 class TestCollocated:
@@ -52,8 +73,7 @@ class TestCollocated:
         sys_ = build_synthetic(2.0, 2.0, 64)
         x0 = smooth_initial_state(sys_.lambdas, 1.6, signs="alternating")
         traj = simulate_collocated(sys_, x0, 40.0)
-        A, B, _ = first_order_matrices(sys_)
-        window = default_decay_window(A - B @ B.T, 40.0)
+        window = default_decay_window(traj)
         fit = fit_decay(traj, window)
         assert fit.exponent >= 0.85 * 1.0 * 2.0
 
@@ -81,8 +101,7 @@ class TestRiccatiFeedback:
     def test_single_mode_stable_and_lyapunov_decreasing(self):
         sys_ = single_mode_system()
         sol = solve_are(sys_)
-        from wavelq.riccati import closed_loop_matrix
-        eigs = np.linalg.eigvals(closed_loop_matrix(sys_, sol))
+        eigs = np.linalg.eigvals(dense_generator(sys_, "riccati", sol))
         assert eigs.real.max() < 0.0
         traj = simulate_riccati_feedback(sys_, sol, np.array([1.0, 0.0]), 20.0)
         assert np.all(np.diff(traj.values) <= 1e-8)
@@ -105,10 +124,66 @@ class TestRiccatiFeedback:
         from wavelq.spectral import ModalVector, to_energy
         x0 = to_energy(ModalVector(a=lam**-3.1 * signs, b=lam**-3.1 * signs[::-1]), lam)
         traj = simulate_riccati_feedback(sys_, sol, x0, 40.0)
-        from wavelq.riccati import closed_loop_matrix
-        window = default_decay_window(closed_loop_matrix(sys_, sol), 40.0)
+        window = default_decay_window(traj)
         fit = fit_decay(traj, window)
         assert fit.exponent >= 0.75 * 1.0
+
+
+WINDOW_SYSTEMS = {
+    "rectangle_16": lambda: build_rectangle(1.0, 2.0, 16.0),
+    "interval_32": lambda: build_interval_wave(32, control=("subinterval", 0.4, 1.9)),
+    "star": lambda: build_star_network([1.0, np.pi / 2.0, np.sqrt(2.0)], 0, 0, 16.0),
+    "synthetic_64": lambda: build_synthetic(2.0, 2.0, 64),
+    # a one-mode block, then a weakly damped two-mode block: the slowest mode is in the second stack
+    "two_stacks": lambda: SpectralSystem.from_dense(
+        [1.0, 1.5, 2.5], np.array([[0.5, 0.0], [0.0, 0.2], [0.0, 0.15]]),
+        np.array([[0.25, 0.0, 0.0], [0.0, 0.02, 0.01], [0.0, 0.01, 0.02]])),
+}
+
+
+def run_loop(sys_, loop, sol, x0, horizon):
+    if loop == "collocated":
+        return simulate_collocated(sys_, x0, horizon)
+    if loop == "riccati":
+        return simulate_riccati_feedback(sys_, sol, x0, horizon)
+    return simulate_backward_observer(sys_, x0, horizon)
+
+
+class TestDecayWindow:
+    @pytest.mark.parametrize("loop", ["collocated", "riccati", "observer"])
+    @pytest.mark.parametrize("name", sorted(WINDOW_SYSTEMS))
+    def test_per_stack_spectrum_and_window_match_dense_generator(self, name, loop):
+        sys_ = WINDOW_SYSTEMS[name]()
+        sol = solve_are(sys_) if loop == "riccati" else None
+        x0 = smooth_initial_state(sys_.lambdas, 1.6, rng=np.random.default_rng(4))
+        traj = run_loop(sys_, loop, sol, x0, 40.0)
+        A_cl = dense_generator(sys_, loop, sol)
+        per_stack = np.concatenate([np.linalg.eigvals(G).ravel() for G in traj.generators])
+        assert per_stack.size == A_cl.shape[0]
+        dense = np.sort(np.abs(np.linalg.eigvals(A_cl).real))
+        assert np.abs(np.sort(np.abs(per_stack.real)) - dense).max() <= 1e-12
+        expected = dense_window(A_cl, 40.0)
+        if expected is None:
+            with pytest.raises(DomainError):
+                default_decay_window(traj)
+        else:
+            window = default_decay_window(traj)
+            assert window[0] == 10.0
+            assert window[1] == pytest.approx(expected[1], rel=1e-12)
+
+    def test_rectangle_above_lambda_16_has_no_window(self):
+        sys_ = build_rectangle(1.0, 2.0, 24.0)
+        x0 = smooth_initial_state(sys_.lambdas, 1.6, rng=np.random.default_rng(5))
+        traj = simulate_riccati_feedback(sys_, solve_are(sys_), x0, 40.0)
+        with pytest.raises(DomainError):
+            default_decay_window(traj)
+
+    def test_horizon_is_read_from_the_run(self):
+        sys_ = build_synthetic(2.0, 2.0, 64)
+        x0 = smooth_initial_state(sys_.lambdas, 1.6, signs="alternating")
+        for horizon in (12.0, 20.0):
+            window = default_decay_window(simulate_collocated(sys_, x0, horizon))
+            assert window == (10.0, horizon)
 
 
 class TestBackwardObserver:
@@ -139,10 +214,7 @@ class TestBackwardObserver:
         sys_ = build_synthetic(2.0, eta, 64)
         term = smooth_initial_state(sys_.lambdas, 1.6, signs="alternating")
         traj = simulate_backward_observer(sys_, term, 310.0)
-        A, _, _ = first_order_matrices(sys_)
-        D = np.zeros_like(A)
-        D[np.ix_(range(1, 128, 2), range(1, 128, 2))] = sys_.Q_obs
-        window = default_decay_window(A - D, 310.0)
+        window = default_decay_window(traj)
         fit = fit_decay(traj, window)
         assert fit.exponent >= 0.85 * 1.0 * eta
 

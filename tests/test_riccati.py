@@ -29,7 +29,6 @@ from wavelq.riccati import (
     _expm,
     block_matrices,
     bounds_report,
-    closed_loop_matrix,
     first_order_matrices,
     hamiltonian_matrix,
     integrate_dre,
@@ -287,6 +286,13 @@ class TestAre:
         sol = solve_are(sys_)
         assert np.abs(sol.E).max() <= 1e-12
 
+    def test_zero_cost_blocks_return_exact_zero(self):
+        # A is skew, so without cost no solution stabilizes: the minimal one, 0, is returned
+        sys_ = SpectralSystem.from_dense([1.0, 2.0], np.eye(2), np.zeros((2, 2)))
+        sol = solve_are(sys_)
+        assert not sol.E.any()
+        assert (sol.backward_error, sol.residual, sol.method) == (0.0, 0.0, "dre_limit")
+
     def test_block_diagonal_decoupling(self):
         sys_ = build_synthetic(2.0, 2.0, 4)
         E = solve_are(sys_).E
@@ -318,7 +324,8 @@ class TestAre:
                         lambda: build_interval_wave(6, control=("subinterval", 0.4, 2.0))):
             sys_ = builder()
             sol = solve_are(sys_)
-            eigs = np.linalg.eigvals(closed_loop_matrix(sys_, sol))
+            A, B, _ = first_order_matrices(sys_)
+            eigs = np.linalg.eigvals(A - B @ (B.T @ sol.E))
             assert eigs.real.max() <= 1e-8
 
 
@@ -404,28 +411,11 @@ class TestValue:
         assert value(snap, x0) == pytest.approx(x0 @ W @ x0, rel=1e-8)
 
 
-def per_probe_bounds(E_hat, system, weak, strong, n_random, rng):
-    """(c1, c2, used, excluded) from one value and two norm calls per probe, as a loop."""
-    dim = E_hat.dim
-    probes = [np.eye(dim)[:, k] for k in range(dim)]
-    raw = rng.standard_normal((int(n_random), dim))
-    probes += [r / np.linalg.norm(r) for r in raw]
-    c1, c2, excluded, used = np.inf, 0.0, 0, 0
-    for x in probes:
-        val = value(E_hat, x)
-        wn = energy_norm_squared(x, system.lambdas, weak)
-        sn = energy_norm_squared(x, system.lambdas, strong)
-        if wn <= 0.0:
-            if val > 0.0:
-                excluded += 1
-                continue
-            wn = np.nan
-        used += 1
-        if np.isfinite(wn):
-            c1 = min(c1, val / wn)
-        if sn > 0.0:
-            c2 = max(c2, val / sn)
-    return max(c1, 0.0), c2, used, excluded
+def dense_bounds(E_hat, system, weak, strong):
+    """(c1, c2, x1, x2): the extreme generalized eigenpairs of E against diag(w) on the whole system."""
+    w1, v1 = scipy.linalg.eigh(E_hat.E, np.diag(np.repeat(weak.density_weights(system.lambdas), 2)))
+    w2, v2 = scipy.linalg.eigh(E_hat.E, np.diag(np.repeat(strong.density_weights(system.lambdas), 2)))
+    return w1[0], w2[-1], v1[:, 0], v2[:, -1]
 
 
 BOUNDS_ORACLE_CASES = {
@@ -435,60 +425,67 @@ BOUNDS_ORACLE_CASES = {
                   NormScale.energy(), NormScale.graded(0.5)),
     "exp_weight": (lambda: build_synthetic_exponential(0.3, 0.2, 12),
                    NormScale.exp_weight(0.2), NormScale.energy()),
-    "sobolev_excluded": (lambda: build_synthetic(2.0, 2.0, 8),
-                         NormScale.sobolev_state(0.25), NormScale.graded(0.5)),
+    "star": (lambda: build_star_network([1.0, np.pi / 2.0, np.sqrt(2.0)], 0, 0, 16.0),
+             NormScale.energy(), NormScale.energy()),
     "zero_cost": (lambda: SpectralSystem.from_dense([1.0, 2.0], np.eye(2), np.zeros((2, 2))),
                   NormScale.energy(), NormScale.energy()),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BOUNDS_ORACLE_CASES))
-def test_bounds_report_matches_per_probe_oracle(case):
+def test_bounds_report_matches_dense_oracle(case):
     build, weak, strong = BOUNDS_ORACLE_CASES[case]
     sys_ = build()
-    # with zero cost the DRE stays exactly at the minimal solution 0; Newton-Kleinman nears it
-    sol = integrate_dre(sys_, 10.0)[0] if case == "zero_cost" else solve_are(sys_)
-    rep = bounds_report(sol, sys_, weak, strong, n_random=40, rng=np.random.default_rng(9))
-    c1, c2, used, excluded = per_probe_bounds(sol, sys_, weak, strong, 40,
-                                              np.random.default_rng(9))
-    assert rep.c1_hat == pytest.approx(c1, rel=1e-14, abs=0.0)
-    assert rep.c2_hat == pytest.approx(c2, rel=1e-14, abs=0.0)
-    assert (rep.probe_count, rep.excluded) == (used, excluded)
-    if case == "sobolev_excluded":
-        assert excluded == sol.dim // 2  # the canonical zeta probes
+    sol = solve_are(sys_)
+    rep = bounds_report(sol, sys_, weak, strong)
+    c1, c2, x1, x2 = dense_bounds(sol, sys_, weak, strong)
+    scale = max(abs(c1), abs(c2))
+    assert rep.c1_hat == pytest.approx(c1, rel=1e-12, abs=1e-12 * scale)
+    assert rep.c2_hat == pytest.approx(c2, rel=1e-12, abs=1e-12 * scale)
+    # the extreme eigenvectors attain the constants
+    lam = sys_.lambdas
+    assert value(sol, x1) == pytest.approx(rep.c1_hat * energy_norm_squared(x1, lam, weak),
+                                           rel=1e-12, abs=1e-12 * scale)
+    assert value(sol, x2) == pytest.approx(rep.c2_hat * energy_norm_squared(x2, lam, strong),
+                                           rel=1e-12, abs=1e-12 * scale)
+    # and every random state's ratios lie between them
+    probes = np.random.default_rng(9).standard_normal((200, sol.dim))
+    vals = np.einsum("ij,ij->i", probes @ sol.E, probes)
+    assert (vals / energy_norm_squared(probes, lam, weak)).min() >= rep.c1_hat - 1e-12 * scale
+    assert (vals / energy_norm_squared(probes, lam, strong)).max() <= rep.c2_hat + 1e-12 * scale
     if case == "zero_cost":
-        assert c1 == 0.0
+        assert (rep.c1_hat, rep.c2_hat) == (0.0, 0.0)
 
 
 class TestBounds:
     def test_synthetic_two_sided(self):
         sys_ = build_synthetic(2.0, 2.0, 16)
         sol = solve_are(sys_)
-        rep = bounds_report(sol, sys_, NormScale.graded(-0.5), NormScale.graded(0.5),
-                            rng=np.random.default_rng(3))
+        rep = bounds_report(sol, sys_, NormScale.graded(-0.5), NormScale.graded(0.5))
         assert rep.c1_hat > 0.0
         assert np.isfinite(rep.c2_hat)
-        assert rep.probe_count >= 32 + 100
 
-    def test_probe_count_is_canonical_plus_n_random(self):
-        sys_ = build_synthetic(2.0, 2.0, 4)
-        sol = solve_are(sys_)
-        rep = bounds_report(sol, sys_, NormScale.energy(), NormScale.energy(), n_random=5,
-                            rng=np.random.default_rng(7))
-        assert rep.probe_count == sol.dim + 5
+    @pytest.mark.parametrize("build, weak, strong, c1, c2", [
+        pytest.param(lambda: build_synthetic(2.0, 2.0, 32), NormScale.graded(-0.5),
+                     NormScale.graded(0.5), 0.64359, 1.55377, id="synthetic_32"),
+        pytest.param(lambda: build_rectangle(1.0, 2.0, 12.0), NormScale.energy(),
+                     NormScale.energy(), 0.98415, 3.94351, id="rectangle_12"),
+    ])
+    def test_exact_constants(self, build, weak, strong, c1, c2):
+        sys_ = build()
+        rep = bounds_report(solve_are(sys_), sys_, weak, strong)
+        assert (round(rep.c1_hat, 5), round(rep.c2_hat, 5)) == (c1, c2)
 
     def test_zero_cost_gives_zero_lower_constant(self):
         sys_ = SpectralSystem.from_dense([1.0, 2.0], np.eye(2), np.zeros((2, 2)))
-        sol = integrate_dre(sys_, 10.0)[0]  # the minimal solution 0, exactly
-        rep = bounds_report(sol, sys_, NormScale.energy(), NormScale.energy(),
-                            rng=np.random.default_rng(4))
+        sol = solve_are(sys_)  # the minimal solution 0, exactly
+        rep = bounds_report(sol, sys_, NormScale.energy(), NormScale.energy())
         assert rep.c1_hat == 0.0
 
     def test_exactly_observable_energy_scales(self):
         sys_ = build_synthetic(np.inf, np.inf, 8)
         sol = solve_are(sys_)
-        rep = bounds_report(sol, sys_, NormScale.energy(), NormScale.energy(),
-                            rng=np.random.default_rng(5))
+        rep = bounds_report(sol, sys_, NormScale.energy(), NormScale.energy())
         assert rep.c1_hat > 0.0
         assert np.isfinite(rep.c2_hat)
 
@@ -496,7 +493,7 @@ class TestBounds:
         sys_ = build_synthetic(2.0, 2.0, 8)
         sol = solve_are(sys_)
         weak, strong = NormScale.graded(-0.5), NormScale.graded(0.5)
-        rep = bounds_report(sol, sys_, weak, strong, rng=np.random.default_rng(6))
+        rep = bounds_report(sol, sys_, weak, strong)
         rng = np.random.default_rng(6)
         probes = [np.eye(16)[:, k] for k in range(16)]
         raw = rng.standard_normal((100, 16))
@@ -505,6 +502,12 @@ class TestBounds:
             val = value(sol, x)
             assert rep.c1_hat * energy_norm_squared(x, sys_.lambdas, weak) <= val * (1 + 1e-12)
             assert val <= rep.c2_hat * energy_norm_squared(x, sys_.lambdas, strong) * (1 + 1e-12)
+
+    def test_position_only_scale_has_no_bounds(self):
+        sys_ = build_synthetic(2.0, 2.0, 8)
+        with pytest.raises(DomainError):
+            bounds_report(solve_are(sys_), sys_, NormScale.sobolev_state(0.25),
+                          NormScale.graded(0.5))
 
 
 class TestExponentialWeightScales:
@@ -515,9 +518,8 @@ class TestExponentialWeightScales:
         sol = solve_are(sys_)
         # weak side: the planted observation weight exp(-2*0.2*lambda); the
         # exp-weight family only covers weak norms (alpha >= 0), so the upper
-        # probe uses the energy norm (finite at any truncation)
-        rep = bounds_report(sol, sys_, NormScale.exp_weight(0.2), NormScale.energy(),
-                            rng=np.random.default_rng(8))
+        # bound uses the energy norm (finite at any truncation)
+        rep = bounds_report(sol, sys_, NormScale.exp_weight(0.2), NormScale.energy())
         assert rep.c1_hat > 0.0 and np.isfinite(rep.c2_hat)
 
     def test_are_solution_is_psd(self):

@@ -10,7 +10,7 @@ from tracking_oracle import solve_tracking_collocation, solve_tracking_sweep
 from wavelq.closed_loop import smooth_initial_state
 from wavelq.models import (SpectralSystem, build_interval_wave, build_rectangle,
                            build_star_network, build_synthetic)
-from wavelq.riccati import closed_loop_matrix, solve_are
+from wavelq.riccati import first_order_matrices, solve_are
 from wavelq.spectral import DomainError
 from wavelq.turnpike import (
     averaged_metrics,
@@ -334,7 +334,8 @@ def test_tracking_without_a_stabilizing_are_solution():
     x0 = np.ones(2 * sys_.n_modes)
     are = solve_are(sys_)
     assert are.method == "dre_limit"
-    assert np.linalg.eigvals(closed_loop_matrix(sys_, are)).real.max() > -1e-12
+    A, B, _ = first_order_matrices(sys_)
+    assert np.linalg.eigvals(A - B @ (B.T @ are.E)).real.max() > -1e-12
     assert np.all(np.isfinite(solve_tracking(sys_, z, x0, 5.0, are=are).deviation_states))
 
 
