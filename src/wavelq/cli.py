@@ -16,8 +16,9 @@ changes nothing; errors name the offending field.  Numbers must be finite JSON
 numbers, not booleans; the string ``"inf"`` is accepted only for ``rho``/``eta``.
 Every experiment writes CSV results, a ``summary.json`` with the fitted constants
 and residuals, and a ``manifest.json`` with the hash of the config as given,
-library version, seed, wall time and checksums of the produced files (a run
-unlinks those of the previous manifest that it does not write again).  One seed
+library version, seed, wall time, checksums of the produced files (a run
+unlinks those of the previous manifest that it does not write again), the
+numpy version, and the name, version and current thread count of its BLAS.  One seed
 drives all random draws through a counter-based generator, so re-running a config
 with the same seed reproduces the CSV and summary bytes exactly.
 
@@ -29,12 +30,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import functools
 import hashlib
 import json
 import os
 import sys
 import time
+from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -440,11 +443,39 @@ def run_experiment(cfg: dict, outdir: str, seed: int, threads: int, quiet: bool)
         "seed": seed,
         "wall_time_s": time.time() - t_start,
         "files": {name: _sha256_file(os.path.join(outdir, name)) for name in files},
+        "numpy": np.__version__,
+        "blas": _blas_facts(),
     }
     io.write_json(os.path.join(outdir, "manifest.json"), manifest)
     if not quiet:
         print(f"[wavelq] {kind} on {system.label}: wrote {', '.join(files)} to {outdir}")
     return summary
+
+
+def _blas_facts() -> dict:
+    """Name and version of numpy's BLAS build, and the thread count its OpenBLAS runs now.
+
+    The last bits of some outputs depend on the thread count.  Each entry is
+    None where it cannot be read.
+    """
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    get_threads = _openblas_thread_getter()
+    return {"name": blas.get("name"), "version": blas.get("version"),
+            "threads": get_threads() if get_threads else None}
+
+
+@functools.cache
+def _openblas_thread_getter():
+    """The ``*openblas_get_num_threads*`` function of the OpenBLAS bundled with numpy, or None."""
+    for lib in sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("*openblas*")):
+        handle = ctypes.CDLL(str(lib))
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            fn = getattr(handle, symbol, None)
+            if fn is not None:
+                fn.restype = ctypes.c_int
+                return fn
+    return None
 
 
 def _unlink_stale_outputs(outdir: str, files: list):

@@ -18,25 +18,28 @@ them), with the Van Loan integral of a quadratic cost over the step (Van Loan
 and tracking read their steps and exact integrals from it.  Its exponentials
 come from ``_expm``, a numpy scaling-and-squaring Pade method (Al-Mohy &
 Higham 2009) that chooses each slice's degree and scaling from that slice
-alone, so the library's dense kernels share numpy's one BLAS thread pool
-(all but Newton-Kleinman's Lyapunov solves).  The DRE alone is
-swept step by step through the blocks of ``e^{M h}`` (Davison-Maki 1973), so
-no ODE integrator is involved and each step is exact up to rounding.  One
-sweep per block gives the DRE snapshots, and ``solve_are`` runs one iteration
-per block: Newton-Kleinman from the identity when it stabilizes, else from
-the first stabilizing DRE snapshot at doubling horizons, else the snapshots
-themselves; it stops on the backward error.  Tracking uses the ARE solution
-instead (``turnpike.solve_tracking``).  Each block is read from its record:
-``block_matrices`` and ``stack_matrices`` are the per-block and per-stack forms
-of ``first_order_matrices``, built by the same lift.
+alone.  Newton-Kleinman's Lyapunov solves come from ``_lyapunov``, which
+diagonalizes the closed loops of a stack with one ``eig``, so the library's
+dense kernels all share numpy's one BLAS thread pool and no scipy module is
+loaded.  The DRE alone is swept step by step through the blocks of
+``e^{M h}`` (Davison-Maki 1973), so no ODE integrator is involved and each
+step is exact up to rounding.  One sweep per block gives the DRE snapshots,
+and ``solve_are`` runs one iteration per stack of equal-sized blocks:
+Newton-Kleinman from the identity for the blocks it stabilizes, all together,
+else from each block's first stabilizing DRE snapshot at doubling horizons,
+else the snapshots themselves; each block stops on its backward error.
+Tracking uses the ARE solution instead (``turnpike.solve_tracking``).  Each
+block is read from its record: ``block_matrices`` and ``stack_matrices`` are
+the per-block and per-stack forms of ``first_order_matrices``, built by the
+same lift.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .models import Block, SpectralSystem, energy_index, stacked_blocks
 from .spectral import DimensionError, DomainError, as_energy_vector
@@ -129,12 +132,12 @@ def _lift(lam: np.ndarray, B_mod: np.ndarray, Q_obs: np.ndarray):
 
 
 def _riccati_rhs(E: np.ndarray, lam: np.ndarray, B: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """Q + E A + A^T E - E B B^T E, with E A from the per-mode rotation structure (O(n^2))."""
+    """Q + E A + A^T E - E B B^T E, with E A from the per-mode rotation structure (stacks too)."""
     EA = np.empty_like(E)
-    EA[:, 0::2] = -E[:, 1::2] * lam
-    EA[:, 1::2] = E[:, 0::2] * lam
+    EA[..., 0::2] = -E[..., 1::2] * lam[..., None, :]
+    EA[..., 1::2] = E[..., 0::2] * lam[..., None, :]
     EB = E @ B
-    return Q + EA + EA.T - EB @ EB.T
+    return Q + EA + np.swapaxes(EA, -1, -2) - EB @ np.swapaxes(EB, -1, -2)
 
 
 def hamiltonian_matrix(A: np.ndarray, B: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -432,16 +435,19 @@ def _check_stabilizable(system: SpectralSystem):
 def solve_are(system: SpectralSystem) -> RiccatiSolution:
     """Solve ``Q + E A + A^T E - E B B^T E = 0`` for the truncated system.
 
-    Each block is solved on its own and the results are assembled.  A block
-    with Q exactly 0 has no stabilizing solution, as A is skew, and gets its
-    minimal solution 0 at once (kind ``dre_limit``).  A block runs
-    Newton-Kleinman's Lyapunov solves from the identity when A - B B^T is
-    stable.  Otherwise its iterates are the DRE snapshots at horizons doubling
-    from max(1, 10/lambda_min), and Newton-Kleinman continues from the first
-    snapshot that stabilizes; when none does, the snapshots converge to the
-    minimal solution, whose closed loop is then only marginally stable (modes
-    that neither control nor observation sees stay free).  ``method`` is
-    ``newton_kleinman`` when every block kept a Newton step, else ``dre_limit``.
+    Each stack of equal-sized blocks (``models.stacked_blocks``) is solved
+    together, and the blocks' solutions are put in place.  A block with Q
+    exactly 0 has no stabilizing solution, as A is skew, and gets its minimal
+    solution 0 at once (kind ``dre_limit``).  The blocks whose A - B B^T is
+    stable, found by one ``eigvals`` per stack, run Newton-Kleinman together
+    from the identity, one ``_lyapunov`` solve of the stack per step.  Each
+    other block is swept alone: its iterates are the DRE snapshots at horizons
+    doubling from max(1, 10/lambda_min), and it joins the Newton-Kleinman steps
+    from the first snapshot that stabilizes; when none does, the snapshots
+    converge to the minimal solution, whose closed loop is then only marginally
+    stable (modes that neither control nor observation sees stay free).
+    ``method`` is ``newton_kleinman`` when every block kept a Newton step, else
+    ``dre_limit``.
 
     A block stops on its backward error ||R|| / (||Q|| + 2 ||A|| ||X|| + ||X||^2 ||B B^T||)
     in Frobenius norms (Kleinman 1968; Laub 1979): at the first iterate at or
@@ -453,66 +459,115 @@ def solve_are(system: SpectralSystem) -> RiccatiSolution:
     """
     _check_stabilizable(system)
     lam = system.lambdas
-    parts, norms, kinds = zip(*(_solve_block(lam[r.modes], *block_matrices(lam, r))
-                                for r in system.records))
-    norms = np.linalg.norm(norms, axis=0)
-    method = "newton_kleinman" if set(kinds) == {"newton_kleinman"} else "dre_limit"
-    return RiccatiSolution(E=system.assemble(parts), horizon=np.inf, residual=float(norms[0]),
-                           method=method, backward_error=_backward_error(norms))
+    E = np.zeros((2 * system.n_modes, 2 * system.n_modes))
+    norms, newton = [], []
+    for stack in stacked_blocks(system):
+        modes = np.array([r.modes for r in stack])
+        X, stack_norms, stack_newton = _solve_stack(lam[modes], *stack_matrices(lam, stack))
+        e = energy_index(modes)
+        E[e[:, :, None], e[:, None, :]] = X
+        norms.append(stack_norms)
+        newton.append(stack_newton)
+    norms = np.linalg.norm(np.concatenate(norms), axis=0)
+    return RiccatiSolution(E=E, horizon=np.inf, residual=float(norms[0]),
+                           method="newton_kleinman" if np.concatenate(newton).all() else "dre_limit",
+                           backward_error=float(_backward_error(norms)))
 
 
-def _backward_error(norms) -> float:
-    """Backward error from the norms (||R||, ||Q||, ||A||, ||X||, ||B B^T||); 0 when R = 0."""
-    r, q, a, x, g = norms
-    return float(r / (q + 2.0 * a * x + x * x * g)) if r else 0.0
+def _backward_error(norms):
+    """Backward errors from the norms (||R||, ||Q||, ||A||, ||X||, ||B B^T||) along the last axis.
 
-
-def _solve_block(lam: np.ndarray, A, B, Q):
-    """The ARE iterates of a block (``lam``, ``block_matrices``), stopped on their backward error.
-
-    Returns the kept iterate X, its norms (||R||, ||Q||, ||A||, ||X||, ||B B^T||)
-    and the name of the iteration it came from.
+    0 where R = 0.
     """
-    BBT = B @ B.T
-    q, a, g = np.linalg.norm(Q), np.linalg.norm(A), np.linalg.norm(BBT)
-    if not Q.any():
-        return np.zeros_like(A), (0.0, q, a, 0.0, g), "dre_limit"
-    kept, kept_err = None, np.inf
-    for X, kind in _are_iterates(lam, A, B, Q, BBT):
-        if not np.all(np.isfinite(X)):
-            raise MethodError(f"{kind} produced a non-finite iterate")
-        norms = (np.linalg.norm(_riccati_rhs(X, lam, B, Q)), q, a, np.linalg.norm(X), g)
-        err = _backward_error(norms)
-        if kept_err <= 1e-10 and err >= kept_err:
-            return kept
-        kept, kept_err = (X, norms, kind), err
-        if err <= 1e-14:
-            return kept
-    raise MethodError("the ARE did not converge within 14 horizons and 60 Newton steps")
+    r, q, a, x, g = norms.T
+    return np.divide(r, q + 2.0 * a * x + x * x * g, out=np.zeros_like(r), where=r != 0.0)
 
 
-def _are_iterates(lam: np.ndarray, A, B, Q, BBT):
-    """Yield (X, iteration name): DRE snapshots until one stabilizes, then Newton-Kleinman.
+def _solve_stack(lam: np.ndarray, A, B, Q):
+    """The ARE iterates of a stack of blocks (``lam``, ``stack_matrices``), each stopped on its own.
 
-    The snapshots are skipped when the identity stabilizes; Newton-Kleinman
-    takes at most 60 steps, and is skipped when no snapshot stabilizes.
+    Returns the kept iterates, their norms (||R||, ||Q||, ||A||, ||X||, ||B B^T||)
+    and whether each block's kept iterate is a Newton step.
     """
-    X = np.eye(A.shape[0])
-    if _spectral_abscissa(A - BBT) >= -1e-12:
-        for X in _dre_flow(lam, A, B, Q, max(1.0, 10.0 / lam.min()) * 2.0 ** np.arange(14)):
-            yield X, "dre_limit"
-            if _spectral_abscissa(A - BBT @ X) < -1e-12:
+    k = A.shape[0]
+    BBT = B @ np.swapaxes(B, -1, -2)
+    X = np.zeros_like(A)
+    fro = functools.partial(np.linalg.norm, axis=(-2, -1))
+    norms = np.stack([np.zeros(k), fro(Q), fro(A), np.zeros(k), fro(BBT)], axis=-1)
+    err, newton = np.full(k, np.inf), np.zeros(k, dtype=bool)
+
+    def keep(i, X_i, newton_step: bool):
+        """Judge the iterates X_i of the blocks i by the stop rule; return which blocks go on."""
+        if not np.all(np.isfinite(X_i)):
+            raise MethodError(f"{'newton_kleinman' if newton_step else 'dre_limit'} "
+                              "produced a non-finite iterate")
+        n = norms[i]
+        n[:, 0], n[:, 3] = fro(_riccati_rhs(X_i, lam[i], B[i], Q[i])), fro(X_i)
+        e = _backward_error(n)
+        kept = ~((err[i] <= 1e-10) & (e >= err[i]))
+        j = i[kept]
+        X[j], norms[j], err[j], newton[j] = X_i[kept], n[kept], e[kept], newton_step
+        return kept & (e > 1e-14)
+
+    costly = np.flatnonzero(Q.any(axis=(-2, -1)))
+    stable = costly[_spectral_abscissa(A[costly] - BBT[costly]) < -1e-12]
+    go, starts = [stable], [np.broadcast_to(np.eye(A.shape[-1]), (stable.size,) + A.shape[1:])]
+    for b in np.setdiff1d(costly, stable):
+        i, horizons = np.array([b]), max(1.0, 10.0 / lam[b].min()) * 2.0 ** np.arange(14)
+        for X_b in _dre_flow(lam[b], A[b], B[b], Q[b], horizons):
+            if not keep(i, X_b[None], False)[0]:
+                break
+            if _spectral_abscissa(A[b] - BBT[b] @ X_b) < -1e-12:
+                go.append(i)
+                starts.append(X_b[None])
                 break
         else:
-            return
+            raise MethodError("the ARE did not converge within 14 horizons and 60 Newton steps")
+    go, X_go = np.concatenate(go), np.concatenate(starts)
     for _ in range(60):
-        X = scipy.linalg.solve_continuous_lyapunov((A - BBT @ X).T, -(Q + X @ BBT @ X))
-        X = 0.5 * (X + X.T)
-        yield X, "newton_kleinman"
+        if not go.size:
+            break
+        BX = BBT[go] @ X_go
+        X_go = _lyapunov(A[go] - BX, Q[go] + X_go @ BX)
+        X_go = 0.5 * (X_go + np.swapaxes(X_go, -1, -2))
+        on = keep(go, X_go, True)
+        go, X_go = go[on], X_go[on]
+    if go.size:
+        raise MethodError("the ARE did not converge within 14 horizons and 60 Newton steps")
+    return X, norms, newton
 
 
-def _spectral_abscissa(M: np.ndarray) -> float:
-    return float(np.max(np.linalg.eigvals(M).real))
+def _spectral_abscissa(M: np.ndarray) -> np.ndarray:
+    """The largest real part of the eigenvalues of a matrix, or of each matrix of a stack."""
+    return np.linalg.eigvals(M).real.max(axis=-1)
+
+
+# an eigenbasis whose 1-norm condition number exceeds this is taken as singular
+_EIGENBASIS_COND_MAX = 1e12
+
+
+def _lyapunov(F: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """The solution X of ``F^T X + X F = -C`` for a stable diagonalizable F, or a stack of them.
+
+    With F = V diag(w) V^-1, Y = V^T X V solves (w_i + w_j) Y_ij = -(V^T C V)_ij,
+    so X = Re[V^-T Y V^-1].  numpy's eigensolver, inverse and products run
+    slice by slice, so a slice's result has the same bits as its own.  Raises
+    MethodError when some F has an eigenvalue with real part >= 0, or an
+    eigenbasis that is singular (1-norm condition number above 1e12).
+    """
+    try:
+        w, V = np.linalg.eig(F)
+        if not (w.real < 0.0).all():
+            raise MethodError("a Lyapunov operator F has an eigenvalue with real part >= 0")
+        w, V = w.astype(complex, copy=False), V.astype(complex, copy=False)
+        V_inv = np.linalg.inv(V)
+    except np.linalg.LinAlgError as exc:
+        raise MethodError(f"a Lyapunov operator F has no eigenbasis: {exc}") from None
+    if (_norm1(V) * _norm1(V_inv) > _EIGENBASIS_COND_MAX).any():
+        raise MethodError("a Lyapunov operator F has a singular eigenbasis")
+    Y = np.swapaxes(V, -1, -2) @ C @ V
+    Y /= -(w[..., :, None] + w[..., None, :])
+    return (np.swapaxes(V_inv, -1, -2) @ Y @ V_inv).real
 
 
 def value(solution: RiccatiSolution, x0) -> float:

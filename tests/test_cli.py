@@ -8,6 +8,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -145,6 +146,10 @@ class TestRun:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 5
         assert set(manifest["files"]) == {"trajectory.csv", "fit.json", "summary.json"}
+        # the BLAS facts the last bits of some outputs depend on
+        assert manifest["numpy"] == np.__version__
+        assert set(manifest["blas"]) == {"name", "version", "threads"}
+        assert manifest["blas"]["threads"] is None or manifest["blas"]["threads"] >= 1
 
     def test_decay_subcommand_accepts_both_kinds(self, tmp_path):
         out = tmp_path / "out2"

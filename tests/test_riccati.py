@@ -24,9 +24,11 @@ from wavelq.models import (
     stacked_blocks,
 )
 from wavelq.riccati import (
+    MethodError,
     RiccatiSolution,
     StabilizabilityError,
     _expm,
+    _lyapunov,
     block_matrices,
     bounds_report,
     first_order_matrices,
@@ -223,6 +225,99 @@ class TestExpm:
     def test_zero_matrix_gives_the_identity_exactly(self):
         assert np.array_equal(_expm(np.zeros((3, 5, 5))), np.broadcast_to(np.eye(5), (3, 5, 5)))
         assert np.array_equal(_expm(np.zeros((1, 1))), np.ones((1, 1)))
+
+
+# ---------------------------------------------------------------------------
+# Newton-Kleinman's numpy Lyapunov solve against scipy's Bartels-Stewart solve
+
+
+LYAPUNOV_SYSTEMS = {
+    "rectangle_12": lambda: build_rectangle(1.0, 2.0, 12.0),
+    "star_generic": lambda: build_star_network([1.0, np.pi / 2.0, np.sqrt(2.0)], 0, 0, 16.0),
+    "interval_32": lambda: build_interval_wave(32, control=("subinterval", 0.4, 1.9)),
+    "synthetic_12": lambda: build_synthetic(2.0, 2.0, 12),
+}
+
+
+def lyapunov_stacks():
+    """(name, F, C) of Newton-Kleinman steps per stack: from the identity and at the ARE solution."""
+    for name, build in LYAPUNOV_SYSTEMS.items():
+        sys_ = build()
+        E = solve_are(sys_).E
+        for stack in stacked_blocks(sys_):
+            A, B, Q = stack_matrices(sys_.lambdas, stack)
+            BBT = B @ B.swapaxes(-1, -2)
+            e = energy_index(np.array([r.modes for r in stack]))
+            for start, X in (("identity", np.eye(A.shape[-1])), ("solution", E[e[:, :, None], e[:, None, :]])):
+                yield f"{name} {A.shape} from the {start}", A - BBT @ X, Q + X @ BBT @ X
+
+
+def two_control_widths():
+    """Two 2-mode blocks of one stack, acting through two controls and through one."""
+    B = np.array([[1.0, 0.3, 0.0], [0.2, 0.8, 0.0], [0.0, 0.0, 0.7], [0.0, 0.0, 0.4]])
+    Q = np.zeros((4, 4))
+    Q[:2, :2] = [[1.0, 0.4], [0.4, 2.0]]
+    Q[2:, 2:] = [[0.5, 0.1], [0.1, 1.5]]
+    return SpectralSystem.from_dense([1.0, 1.5, 2.5, 3.0], B, Q)
+
+
+class TestLyapunov:
+    @pytest.mark.parametrize("name,F,C", list(lyapunov_stacks()),
+                             ids=lambda v: v if isinstance(v, str) else "")
+    def test_closed_loops_match_scipy(self, name, F, C):
+        got = _lyapunov(F, C)
+        for X, F_b, C_b in zip(got, F, C):
+            assert relative_error(X, scipy.linalg.solve_continuous_lyapunov(F_b.T, -C_b)) <= 1e-12, name
+
+    def test_a_slice_has_the_bits_it_has_alone(self):
+        sys_ = build_rectangle(1.0, 2.0, 12.0)
+        stack = max(stacked_blocks(sys_), key=len)
+        A, B, Q = stack_matrices(sys_.lambdas, stack)
+        BBT = B @ B.swapaxes(-1, -2)
+        F, C = A - BBT, Q + BBT
+        got = _lyapunov(F, C)
+        for k in range(len(F)):
+            assert np.array_equal(got[k], _lyapunov(F[k], C[k]))
+            assert np.array_equal(got[k], _lyapunov(F[k:k + 1], C[k:k + 1])[0])
+
+    def test_a_jordan_block_first_closed_loop_still_converges(self):
+        # b^2 = 2 on one mode of frequency 1 makes A - B B^T a Jordan block at -1
+        sys_ = single_mode_system(gain=np.sqrt(2.0))
+        A, B, Q = first_order_matrices(sys_)
+        w, V = np.linalg.eig(A - B @ B.T)
+        assert np.abs(w + 1.0).max() <= 1e-7 and np.linalg.cond(V) >= 1e6
+        sol = solve_are(sys_)
+        assert sol.method == "newton_kleinman"
+        assert sol.backward_error <= 1e-14
+        assert dense_backward_error(sol, sys_) <= 1e-14
+        X = scipy.linalg.solve_continuous_are(A, B, Q, np.eye(1))
+        assert np.abs(sol.E - X).max() <= 1e-13 * np.abs(X).max()
+
+    @pytest.mark.parametrize("F", [
+        np.array([[0.1, 1.0], [-1.0, 0.1]]),  # unstable
+        np.array([[0.0, 1.0], [-1.0, 0.0]]),  # marginal
+        np.array([[-1.0, 1.0], [0.0, -1.0]]),  # defective
+        np.array([[-2.0, 1.0, 0.0], [0.0, -2.0, 1.0], [0.0, 0.0, -2.0]]),  # defective
+    ], ids=["unstable", "marginal", "defective_2", "defective_3"])
+    def test_an_unstable_or_defective_closed_loop_raises(self, F):
+        C = np.eye(F.shape[0])
+        with pytest.raises(MethodError):
+            _lyapunov(F, C)
+        # one bad slice fails the stack
+        good = -np.diag(np.arange(1.0, F.shape[0] + 1.0)) + 0.1 * np.tri(F.shape[0], k=-1)
+        assert np.all(np.isfinite(_lyapunov(good, C)))
+        with pytest.raises(MethodError):
+            _lyapunov(np.stack([good, F]), np.stack([C, C]))
+
+    def test_blocks_of_one_stack_with_different_control_widths(self):
+        sys_ = two_control_widths()
+        assert [[r.controls.size for r in stack] for stack in stacked_blocks(sys_)] == [[2, 1]]
+        sol = solve_are(sys_)
+        for r in sys_.records:
+            alone = SpectralSystem.from_dense(sys_.lambdas[r.modes], r.B, r.Q)
+            e = energy_index(r.modes)
+            assert np.abs(sol.E[np.ix_(e, e)] - solve_are(alone).E).max() <= 1e-14 * np.abs(sol.E).max()
+        assert dense_backward_error(sol, sys_) <= 1e-14
 
 
 class TestDre:
@@ -593,11 +688,15 @@ def test_block_dispatch_matches_monolithic_oracles(case):
     assert sol.backward_error == pytest.approx(sol.residual / (
         np.linalg.norm(Q) + 2.0 * np.linalg.norm(A) * nE + nE**2 * np.linalg.norm(BBT)),
         rel=1e-12)
-    # each block alone, from the dense matrices rather than its record
-    worst = max(solve_are(SpectralSystem.from_dense(
+    # each block alone, from the dense matrices rather than its record: the stacked solve
+    # gives each block the solution it has alone
+    alone = [solve_are(SpectralSystem.from_dense(
         sys_.lambdas[m], sys_.B_mod[m], sys_.Q_obs[np.ix_(m, m)], bbt=sys_.bbt[np.ix_(m, m)]
-    )).backward_error for m in sys_.blocks)
-    assert sol.backward_error <= worst * (1.0 + 1e-12)
+    )) for m in sys_.blocks]
+    for m, part in zip(sys_.blocks, alone):
+        e = energy_index(m)
+        assert np.array_equal(sol.E[np.ix_(e, e)], part.E)
+    assert sol.backward_error <= max(part.backward_error for part in alone) * (1.0 + 1e-12)
 
     taus = [0.7, 2.0]
     for snap, E_ref in zip(integrate_dre(sys_, 2.0, snapshot_times=taus), mono_dre(sys_, taus)):
