@@ -66,9 +66,9 @@ class Trajectory:
 
 
 # steps between two states advanced by their own exponential, and the numbers in
-# one row chunk of a stack's recorded samples
+# one row chunk of a stack's recorded samples (and in each product formed from it)
 _CHUNK_STEPS = 8
-_CHUNK_ELEMENTS = 1 << 15
+_CHUNK_ELEMENTS = 1 << 14
 
 
 def _simulate_lti(system: SpectralSystem, generator, x0: np.ndarray, horizon: float,
@@ -93,38 +93,17 @@ def _simulate_lti(system: SpectralSystem, generator, x0: np.ndarray, horizon: fl
         dt = min(0.1, np.pi / (8.0 * lam.max()))
     steps = max(1, int(np.ceil(horizon / dt)))
     h = horizon / steps
-    times = np.linspace(0.0, horizon, steps + 1)
 
     X = np.empty((steps + 1, x0.size))
     series = {}
     advanced = [_advance_stack(system, generator, stack, h, x0, X, series)
                 for stack in stacked_blocks(system)]
-
-    traj = Trajectory(times=times, states=X, energies=np.einsum("ij,ij->i", X, X),
-                      lambdas=lam, kind=kind, dissipation=float(sum(d for _, d, _ in advanced)),
-                      generators=[A_cl for A_cl, _, _ in advanced], **series)
-    if advanced[0][2] is not None:
-        traj.controls = _recorded_controls(X, [g for _, _, g in advanced], system.n_controls)
-        traj.control_power = np.einsum("ij,ij->i", traj.controls, traj.controls)
-    return traj
-
-
-def _recorded_controls(X: np.ndarray, stacks, n_controls: int) -> np.ndarray:
-    """The recorded controls u = F x, each block's into its own columns.
-
-    ``stacks`` holds per stack the blocks' energy positions e (blocks, s),
-    their transposed gains F^T padded with zero columns to the widest, the
-    mask of the columns that are not padding, and the blocks' control
-    indices in that order.  The states are read in bounded row chunks, once
-    every stack's step maps are freed.
-    """
-    U = np.zeros((X.shape[0], n_controls))
-    for e, gains, filled, controls in stacks:
-        rows = max(1, _CHUNK_ELEMENTS // e.size)
-        for start in range(0, X.shape[0], rows):
-            Y = np.swapaxes(X[start:start + rows, e], 0, 1)
-            U[start:start + rows, controls] = np.swapaxes(Y @ gains, 0, 1)[:, filled]
-    return U
+    if "controls" in series:
+        series["control_power"] = np.einsum("ij,ij->i", series["controls"], series["controls"])
+    return Trajectory(times=np.linspace(0.0, horizon, steps + 1), states=X,
+                      energies=np.einsum("ij,ij->i", X, X), lambdas=lam, kind=kind,
+                      dissipation=float(sum(d for _, d in advanced)),
+                      generators=[A_cl for A_cl, _ in advanced], **series)
 
 
 def _advance_stack(system, generator, stack, h, x0, X, series):
@@ -134,10 +113,10 @@ def _advance_stack(system, generator, stack, h, x0, X, series):
     Gramians W, another their _CHUNK_STEPS-step propagators.  Every
     _CHUNK_STEPS-th sample comes from the one before through the latter; the
     samples between from it through the powers of Phi, in one batched product
-    per row chunk.  Adds the stack's share of each form to ``series``.
-    Returns the stack's closed-loop generator, its share of the dissipation
-    sum over the steps, x^T W x at each step's start, and its gains as
-    ``_recorded_controls`` takes them (None when the loop records no controls).
+    per row chunk.  Adds the stack's share of each form to ``series``, and,
+    given a gain, writes its blocks' controls into their columns of
+    ``series["controls"]``.  Returns the stack's closed-loop generator and its
+    share of the dissipation sum over the steps, x^T W x at each step's start.
     """
     k = _CHUNK_STEPS
     e = energy_index(np.array([r.modes for r in stack]))
@@ -152,11 +131,17 @@ def _advance_stack(system, generator, stack, h, x0, X, series):
     powers[:, :, :s] = np.eye(s)
     for j in range(1, k):
         powers[:, :, j * s:(j + 1) * s] = powers[:, :, (j - 1) * s:j * s] @ Phi.swapaxes(-1, -2)
+    del Phi, G  # the loop needs neither, and Phi holds step_map's whole Van Loan exponential
     rows = max(1, _CHUNK_ELEMENTS // (k * nb * s))  # coarse samples per row chunk
     coarse = np.empty((nb, rows, s))
     cols = e.ravel()
     for name in forms:
         series.setdefault(name, np.zeros(n))
+    if gain is not None:
+        U = series.setdefault("controls", np.zeros((n, system.n_controls)))
+        gain_T = gain.swapaxes(-1, -2)
+        filled = np.arange(gain.shape[1]) < np.array([[r.controls.size] for r in stack])
+        controls = np.concatenate([r.controls for r in stack])
     state = x0[e][:, None, :]
     dissipation = 0.0
     for start in range(0, n, k * rows):
@@ -169,13 +154,11 @@ def _advance_stack(system, generator, stack, h, x0, X, series):
         X[start:stop, cols] = np.swapaxes(Y, 0, 1).reshape(-1, nb * s)
         for name, M in forms.items():
             series[name][start:stop] += np.einsum("brs,brs->r", Y @ M, Y)
+        if gain is not None:
+            U[start:stop, controls] = np.swapaxes(Y @ gain_T, 0, 1)[:, filled]
         Y = Y[:, :n - 1 - start]
         dissipation += np.einsum("brs,brs->", Y @ W, Y)
-    if gain is None:
-        return A_cl, dissipation, None
-    filled = np.arange(gain.shape[1]) < np.array([[r.controls.size] for r in stack])
-    return A_cl, dissipation, (e, gain.swapaxes(-1, -2), filled,
-                               np.concatenate([r.controls for r in stack]))
+    return A_cl, dissipation
 
 
 def simulate_collocated(system: SpectralSystem, x0, horizon: float,

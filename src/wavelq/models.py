@@ -664,6 +664,8 @@ def shell_constant(system: SpectralSystem, shell_lo: float, shell_hi: float,
     blocks that meet the shell, each Gramian built from the shell's rows and
     columns of the block's record.
     """
+    if horizon <= 0.0:
+        raise DomainError("horizon must be positive")
     in_shell = (system.lambdas >= shell_lo) & (system.lambdas < shell_hi)
     if not in_shell.any():
         raise DomainError("empty shell")
@@ -702,6 +704,8 @@ def fit_weak_observability(system: SpectralSystem, horizon: float, shells,
     shells = np.atleast_1d(np.asarray(shells, dtype=float))
     if shells.size < 3:
         raise DomainError("need at least 3 shells")
+    if horizon <= 0.0:
+        raise DomainError("horizon must be positive")
     notes = []
     edges, consts = [], []
     for lo in shells:

@@ -16,12 +16,12 @@ of the state/adjoint pair or of any other LTI generator (or of a stack of
 them), with the Van Loan integral of a quadratic cost over the step (Van Loan
 1978).  It is the library's only block-exponential construction: closed loops
 and tracking read their steps and exact integrals from it.  Its exponentials
-come from ``_expm``, a numpy scaling-and-squaring Pade method (Al-Mohy &
-Higham 2009) that chooses each slice's degree and scaling from that slice
-alone.  Newton-Kleinman's Lyapunov solves come from ``_lyapunov``, which
-diagonalizes the closed loops of a stack with one ``eig``, so the library's
-dense kernels all share numpy's one BLAS thread pool and no scipy module is
-loaded.  The DRE alone is swept step by step through the blocks of
+come from ``_expm``, numpy scaling and squaring of the degree-13 Pade
+approximant (Al-Mohy & Higham 2009) that chooses each slice's scaling from
+that slice alone.  Newton-Kleinman's Lyapunov solves come from
+``_lyapunov``, which diagonalizes the closed loops of a stack with one
+``eig``, so the library's dense kernels all share numpy's one BLAS thread
+pool and no scipy module is loaded.  The DRE alone is swept step by step through the blocks of
 ``e^{M h}`` (Davison-Maki 1973), so no ODE integrator is involved and each
 step is exact up to rounding.  One sweep per block gives the DRE snapshots,
 and ``solve_are`` runs one iteration per stack of equal-sized blocks:
@@ -76,7 +76,10 @@ class RiccatiSolution:
     def __post_init__(self):
         # checked in row bands, so no temporary of E's size is formed
         E = self.E = np.asarray(self.E, dtype=float)
-        tol = 1e-10 * (1.0 + (max(E.max(), -E.min()) if E.size else 0.0))
+        scale = np.maximum(E.max(), -E.min()) if E.size else 0.0  # nan or inf if any entry is
+        if not np.isfinite(scale):
+            raise DomainError("Riccati solution must be finite")
+        tol = 1e-10 * (1.0 + scale)
         rows = max(1, _BAND_ELEMENTS // max(1, E.shape[0]))
         for start in range(0, E.shape[0], rows):
             if np.abs(E[start:start + rows] - E[:, start:start + rows].T).max() > tol:
@@ -179,23 +182,14 @@ def step_map(M: np.ndarray, h: float, cost: np.ndarray | None = None):
     return Phi, np.swapaxes(Phi, -1, -2) @ F[..., :n, n:]
 
 
-# Pade coefficients b_0..b_m of degree m (Higham 2005), the bounds theta_m on the
-# power-norm parameter within which degree m needs no scaling, and 1/|c_{2m+1}|, the
-# reciprocal leading coefficient of its backward error series (Al-Mohy & Higham 2009)
-_PADE = {
-    3: (120., 60., 12., 1.),
-    5: (30240., 15120., 3360., 420., 30., 1.),
-    7: (17297280., 8648640., 1995840., 277200., 25200., 1512., 56., 1.),
-    9: (17643225600., 8821612800., 2075673600., 302702400., 30270240., 2162160., 110880.,
-        3960., 90., 1.),
-    13: (64764752532480000., 32382376266240000., 7771770303897600., 1187353796428800.,
+# Pade coefficients b_0..b_13 of the degree-13 approximant (Higham 2005), the bound
+# theta_13 on the power-norm parameter within which it needs no scaling, and 1/|c_27|,
+# the reciprocal leading coefficient of its backward error series (Al-Mohy & Higham 2009)
+_PADE = (64764752532480000., 32382376266240000., 7771770303897600., 1187353796428800.,
          129060195264000., 10559470521600., 670442572800., 33522128640., 1323241920.,
-         40840800., 960960., 16380., 182., 1.),
-}
-_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1, 7: 9.504178996162932e-1,
-          9: 2.097847961257068, 13: 4.25}
-_C_RECIP = {3: 100800., 5: 10059033600., 7: 4487938430976000., 9: 5914384781877411840000.,
-            13: 113250775606021113483283660800000000.}
+         40840800., 960960., 16380., 182., 1.)
+_THETA = 4.25
+_C_RECIP = 113250775606021113483283660800000000.
 
 
 def _norm1(X: np.ndarray) -> np.ndarray:
@@ -204,14 +198,14 @@ def _norm1(X: np.ndarray) -> np.ndarray:
 
 
 def _expm(A: np.ndarray) -> np.ndarray:
-    """e^A by scaling and squaring of a Pade approximant, for a matrix or a stack of them.
+    """e^A by scaling and squaring of the degree-13 Pade approximant, for a matrix or a stack.
 
-    The algorithm of Al-Mohy & Higham (2009, SIAM J. Matrix Anal. Appl. 31)
-    with exact 1-norms of powers: each slice takes its own Pade degree and,
-    at degree 13, its own scaling (``_pade_structure``).  The slices of one
-    degree go through numpy's products and solves together, which compute
-    each slice as they would alone, so a slice's result has the same bits as
-    its own ``_expm``.  The zero matrix gives the identity exactly.
+    The degree-13 branch of Al-Mohy & Higham (2009, SIAM J. Matrix Anal. Appl.
+    31, Algorithm 3.1), which keeps the backward error at unit roundoff for
+    every norm (Higham 2005), with exact 1-norms of powers: each slice takes
+    its own scaling (``_squarings``).  numpy's products and solves compute each
+    slice of a stack as they would alone, so a slice's result has the same bits
+    as its own ``_expm``.  The zero matrix gives the identity exactly.
     """
     A = np.asarray(A, dtype=float)
     shape, n = A.shape, A.shape[-1]
@@ -219,124 +213,27 @@ def _expm(A: np.ndarray) -> np.ndarray:
     A2 = A @ A
     A4 = A2 @ A2
     A6 = A4 @ A2
-    degree, s = _pade_structure(A, A2, A4, A6)
-    out = None
-    for m in _PADE:
-        g = np.flatnonzero(degree == m)
-        if not g.size:
-            continue
-        whole = g.size == degree.size
-        X = _pade(m, s[g], *(P if whole else P[g] for P in (A, A2, A4, A6)))
-        for i in range(s[g].max()):
-            j = np.flatnonzero(s[g] > i)
-            if j.size == g.size:
-                X = X @ X
-            else:
-                X[j] = X[j] @ X[j]
-        if whole:
-            return X.reshape(shape)
-        if out is None:
-            out = np.empty_like(A)
-        out[g] = X
-    return out.reshape(shape)
-
-
-def _pade_structure(A, A2, A4, A6):
-    """Each slice's Pade degree and scaling exponent s (Al-Mohy & Higham 2009, Algorithm 3.1).
-
-    The lowest of the degrees 3, 5, 7, 9 whose theta bounds the slice's
-    power-norm parameter eta and whose backward error bound needs no extra
-    squaring (``ell`` = 0) is taken, with s = 0; else degree 13 with the
-    smallest s that brings eta under theta_13, plus ``ell``'s squarings.
-    """
-    ell = _backward_error_terms(A)
-    degree = np.full(A.shape[0], 13)
-    s = np.zeros(A.shape[0], dtype=int)
-    d6 = _norm1(A6) ** (1.0 / 6.0)
-    eta = np.maximum(_norm1(A4) ** 0.25, d6)
-    for m in (3, 5, 7, 9):
-        if m == 7:
-            if not (degree == 13).any():
-                break
-            d8 = _norm1(A4 @ A4) ** 0.125
-            eta = np.maximum(d6, d8)
-        fits = (degree == 13) & (eta < _THETA[m])
-        if fits.any():
-            degree[fits & (ell(m) == 0)] = m
-    k = np.flatnonzero(degree == 13)
-    if k.size:
-        eta = np.minimum(eta[k], np.maximum(d8[k], _norm1(A4[k] @ A6[k]) ** 0.1))
-        with np.errstate(divide="ignore"):
-            s[k] = np.maximum(np.ceil(np.log2(eta / _THETA[13])), 0.0)
-        s[k] += ell(13, s[k], k)
-    return degree, s
-
-
-def _backward_error_terms(A: np.ndarray):
-    """The function ``ell(m, s=0, k=all)`` of Al-Mohy & Higham (2009) for the slices k of A.
-
-    ell(m, s) is the number of extra squarings that keep the backward error of
-    the degree-m approximant of 2^-s A at unit roundoff, from
-    ||(2^-s |A|)^(2m+1)||_1 / (||2^-s A||_1 |c_(2m+1)|).  The norms of powers
-    of |A| are computed, not estimated, as they are first needed: with
-    |A| = ||A||_1 N, ||N^p||_1 is the largest entry of 1^T N^p, and N has
-    1-norm 1, so no power overflows.  As ||N^p||_1 <= 1, ell is 0 without
-    them wherever the rest of the exponent is negative.
-    """
-    a = _norm1(A)
-    with np.errstate(divide="ignore"):
-        log_a = np.log2(a)
-    N, rows = None, []  # rows: 1^T N^p for p = 0, 1, ...
-
-    def ell(m: int, s=0, k=slice(None)):
-        nonlocal N
-        rest = 2 * m * (log_a[k] - s) - np.log2(_C_RECIP[m]) + 53.0
-        if (rest < 0.0).all():
-            return np.zeros(rest.shape, dtype=int)
-        if N is None:
-            N = np.abs(A) / np.where(a > 0.0, a, 1.0)[:, None, None]
-            rows.append(np.ones((A.shape[0], 1, A.shape[-1])))
-        p = 2 * m + 1
-        while len(rows) <= p:
-            rows.append(rows[-1] @ N)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = (np.log2(rows[p][k].max(axis=(-2, -1))) + rest) / (2 * m)
-        return np.where(a[k] > 0.0, np.maximum(np.ceil(t), 0.0), 0.0).astype(int)
-
-    return ell
-
-
-def _pade(m: int, s: np.ndarray, A, A2, A4, A6):
-    """The degree-m diagonal Pade approximant of e^(2^-s A) from A's even powers (stacks).
-
-    Scales A2, A4 and A6 in place.
-    """
-    b = _PADE[m]
+    s = _squarings(A, A4, A6)
     if s.any():
         c = 0.5 ** s[:, None, None]
         A = A * c
         A2 *= c**2
         A4 *= c**4
         A6 *= c**6
-    if m == 13:
-        W = b[13] * A6
-        W += b[11] * A4
-        W += b[9] * A2
-        U = A6 @ W
-        np.multiply(A6, b[12], out=W)
-        W += b[10] * A4
-        W += b[8] * A2
-        V = A6 @ W
-        del W
-        lower = (A2, A4, A6)
-    else:
-        evens = (A2, A4, A6)[:m // 2] if m < 9 else (A2, A4, A6, A4 @ A4)  # A^2, ..., A^(m-1)
-        U, V = b[m] * evens[-1], b[m - 1] * evens[-1]
-        lower = evens[:-1]
-    for i, P in enumerate(lower):  # P = A^(2i+2)
+    b = _PADE
+    W = b[13] * A6
+    W += b[11] * A4
+    W += b[9] * A2
+    U = A6 @ W
+    np.multiply(A6, b[12], out=W)
+    W += b[10] * A4
+    W += b[8] * A2
+    V = A6 @ W
+    del W
+    for i, P in enumerate((A2, A4, A6)):  # P = A^(2i+2)
         U += b[2 * i + 3] * P
         V += b[2 * i + 2] * P
-    diag = (slice(None),) + np.diag_indices(A.shape[-1])
+    diag = (slice(None),) + np.diag_indices(n)
     U[diag] += b[1]
     V[diag] += b[0]
     U = A @ U
@@ -345,7 +242,48 @@ def _pade(m: int, s: np.ndarray, A, A2, A4, A6):
     U *= 2.0
     X = np.linalg.solve(V, U)
     X[diag] += 1.0
-    return X
+    for i in range(s.max()):
+        j = np.flatnonzero(s > i)
+        if j.size == s.size:
+            X = X @ X
+        else:
+            X[j] = X[j] @ X[j]
+    return X.reshape(shape)
+
+
+def _squarings(A, A4, A6) -> np.ndarray:
+    """Each slice's scaling exponent s (Al-Mohy & Higham 2009, Algorithm 3.1, degree 13).
+
+    s is the smallest exponent that brings the power-norm parameter
+    eta = min(max(d_6, d_8), max(d_8, d_10)), d_p = ||A^p||_1^(1/p), under
+    theta_13, plus ell, the squarings that keep the backward error of the
+    approximant of 2^-s A at unit roundoff, from
+    ||(2^-s |A|)^27||_1 / (||2^-s A||_1 |c_27|).  As d_8 <= d_4 and
+    d_10 <= max(d_4, d_6), s is 0 without d_8 and d_10 where max(d_4, d_6) is
+    under theta_13.  The norms of |A|^27 are computed, not estimated, and only
+    where ell can be positive: with |A| = ||A||_1 N, ||N^27||_1 is the largest
+    entry of 1^T N^27, and N has 1-norm 1, so no power overflows and ell is 0
+    wherever the rest of its exponent is negative.
+    """
+    d6 = _norm1(A6) ** (1.0 / 6.0)
+    eta = np.maximum(_norm1(A4) ** 0.25, d6)
+    k = np.flatnonzero(eta > _THETA)
+    if k.size:
+        d8 = _norm1(A4[k] @ A4[k]) ** 0.125
+        eta[k] = np.minimum(np.maximum(d6[k], d8), np.maximum(d8, _norm1(A4[k] @ A6[k]) ** 0.1))
+    a = _norm1(A)
+    with np.errstate(divide="ignore"):
+        s = np.maximum(np.ceil(np.log2(eta / _THETA)), 0.0).astype(int)
+        rest = 26.0 * (np.log2(a) - s) - np.log2(_C_RECIP) + 53.0
+        k = np.flatnonzero(rest >= 0.0)
+        if k.size:
+            row = np.ones((k.size, 1, A.shape[-1]))
+            N = np.abs(A[k]) / a[k, None, None]
+            for _ in range(27):
+                row = row @ N
+            t = (np.log2(row.max(axis=(-2, -1))) + rest[k]) / 26.0
+            s[k] += np.maximum(np.ceil(t), 0.0).astype(int)
+    return s
 
 
 def riccati_step(E: np.ndarray, Phi: np.ndarray) -> np.ndarray:

@@ -20,6 +20,7 @@ from wavelq.models import (
     fit_line,
     fit_weak_observability,
     observability_gramian,
+    shell_constant,
 )
 from wavelq.spectral import DomainError
 
@@ -369,6 +370,11 @@ class TestWeakObservabilityFit:
         sys_ = build_synthetic(2.0, 2.0, 16)
         with pytest.raises(DomainError):
             fit_weak_observability(sys_, 10.0, [2.0, 4.0])
+        for horizon in (0.0, -1.0):
+            with pytest.raises(DomainError, match="horizon"):
+                fit_weak_observability(sys_, horizon, [2.0, 4.0, 8.0])
+            with pytest.raises(DomainError, match="horizon"):
+                shell_constant(sys_, 2.0, 4.0, horizon)
 
     def test_rectangle_strip_trend_nonpositive(self):
         sys_ = build_rectangle(1.0, 2.0, 32.0)

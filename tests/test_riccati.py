@@ -29,6 +29,7 @@ from wavelq.riccati import (
     StabilizabilityError,
     _expm,
     _lyapunov,
+    _squarings,
     block_matrices,
     bounds_report,
     first_order_matrices,
@@ -213,14 +214,21 @@ class TestExpm:
         syn = build_synthetic(2.0, 2.0, 12)
         A, B, Q = stack_matrices(syn.lambdas, stacked_blocks(syn)[0])
         M = hamiltonian_matrix(A, B, Q)
-        # per slice norms that take every degree from 3 to 13 and several scalings
+        # per slice norms from 1e-3 to 1e3, which take from 0 to 8 squarings
         norms = np.resize([1e-3, 0.1, 0.5, 1.5, 3.0, 30.0, 1e3], len(M))
         mixed = M * (norms / np.abs(M).sum(axis=-2).max(axis=-1))[:, None, None]
+        # and a dense slice of 1-norm 67.1 whose backward-error term adds 2 squarings to eta's 1
+        dense = np.array([[-20.6, -9.1, -1.3, -16.7], [3.7, -1.0, -4.4, -9.0],
+                          [24.1, 13.8, 14.5, 35.1], [7.5, 3.5, -1.6, 6.3]])
+        powers = np.linalg.matrix_power(dense, 4)[None], np.linalg.matrix_power(dense, 6)[None]
+        assert _squarings(dense[None], *powers)[0] == 3
+        mixed = np.concatenate([mixed, dense[None]])
         for stack in (mixed, next(expm_stacks())[1]):
             got = _expm(stack)
             for X, G in zip(got, stack):
                 assert np.array_equal(X, _expm(G))
-        assert np.array_equal(_expm(mixed.reshape(3, 4, 4, 4)), _expm(mixed).reshape(3, 4, 4, 4))
+        twelve = mixed[1:]
+        assert np.array_equal(_expm(twelve.reshape(3, 4, 4, 4)), _expm(twelve).reshape(3, 4, 4, 4))
 
     def test_zero_matrix_gives_the_identity_exactly(self):
         assert np.array_equal(_expm(np.zeros((3, 5, 5))), np.broadcast_to(np.eye(5), (3, 5, 5)))

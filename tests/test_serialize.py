@@ -12,12 +12,15 @@ from wavelq.serialize import (
     load_riccati,
     load_system,
     observability_to_csv,
+    riccati_from_dict,
+    riccati_to_dict,
     save_riccati,
     save_system,
     trajectory_to_csv,
     turnpike_to_csv,
     write_json,
 )
+from wavelq.spectral import DomainError
 from wavelq.turnpike import TurnpikeReport
 
 
@@ -50,6 +53,15 @@ def test_riccati_round_trip(tmp_path):
     assert np.array_equal(back.E, sol.E)
     assert np.isinf(back.horizon)
     assert back.method == sol.method
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_riccati_payload_with_a_non_finite_entry_is_rejected(bad):
+    # json.load reads NaN and Infinity, and a NaN passes every comparison of the symmetry check
+    payload = riccati_to_dict(solve_are(build_synthetic(2.0, 2.0, 3)))
+    payload["E"]["data_row_major"][7] = bad
+    with pytest.raises(DomainError, match="finite"):
+        riccati_from_dict(payload)
 
 
 def test_trajectory_csv_schema(tmp_path):
@@ -90,7 +102,7 @@ def test_float_precision_survives_round_trip(tmp_path):
 def test_riccati_json_matches_streamed_reference(tmp_path):
     # one-piece encoding writes the bytes a streamed json.dump of the same floats writes
     big = 1.7976931348623157e308
-    E = np.array([[np.nan, -0.0, 5e-324], [-0.0, big, -1.0 / 3.0], [5e-324, -1.0 / 3.0, 0.0]])
+    E = np.array([[0.1, -0.0, 5e-324], [-0.0, big, -1.0 / 3.0], [5e-324, -1.0 / 3.0, 0.0]])
     sol = RiccatiSolution(E=E, horizon=np.inf, residual=2.5e-310, method="newton_kleinman")
     path, ref = tmp_path / "riccati.json", tmp_path / "reference.json"
     save_riccati(sol, path)
