@@ -32,7 +32,7 @@ import numpy as np
 from .models import (SpectralSystem, apply_free_flow, controllability_gramian, energy_index,
                      fit_line, stacked_blocks)
 from .riccati import RiccatiSolution, stack_matrices, step_map
-from .spectral import DimensionError, DomainError, EnergyState, as_energy_vector
+from .spectral import DimensionError, DomainError, EnergyState, as_energy_vector, require_positive
 # unused here, but perfbench/tracing.py wraps closed_loop.energy_norm_squared by name
 from .spectral import energy_norm_squared  # noqa: F401
 
@@ -87,8 +87,7 @@ def _simulate_lti(system: SpectralSystem, generator, x0: np.ndarray, horizon: fl
     x0 = as_energy_vector(x0)
     if x0.size != 2 * lam.size:
         raise DimensionError("initial state dimension mismatch")
-    if horizon <= 0.0:
-        raise DomainError("horizon must be positive")
+    require_positive(horizon=horizon, dt=dt)
     if dt is None:
         dt = min(0.1, np.pi / (8.0 * lam.max()))
     steps = max(1, int(np.ceil(horizon / dt)))
@@ -273,8 +272,7 @@ def hum_null_control(system: SpectralSystem, x0, t0: float, n_samples: int = 257
     certified (a zero state is always certified).  ``terminal_residual`` is
     the state-space norm of the reached terminal state.
     """
-    if t0 <= 0.0:
-        raise DomainError("steering time must be positive")
+    require_positive(t0=t0)
     x0 = as_energy_vector(x0)
     lam = system.lambdas
     if x0.shape[-1] != 2 * lam.size or x0.ndim > 2:
@@ -399,8 +397,7 @@ def sequence_lemma_check(C: float, alpha: float, m_max: int, a0: float = 1.0):
     ``violations`` collects indices past the burn-in max(10, m_max // 20)
     where b_m still increases, which would be evidence against boundedness.
     """
-    if C <= 0.0:
-        raise DomainError("C must be positive")
+    require_positive(C=C)
     if alpha <= -1.0:
         raise DomainError("alpha must exceed -1")
     if m_max < 10:

@@ -8,16 +8,19 @@ coefficients, so ``||C w||^2 = a^T Q_obs a``.
 Distributed controls/observations on subregions are realized through the
 exact modal overlap matrix K of the indicator multiplier (closed-form
 integrals of eigenfunction products); ``B_mod`` is the symmetric PSD square
-root of K, so ``B_mod B_mod^T = K`` holds exactly.
+root of K, so ``B_mod B_mod^T`` equals K to rounding.  ``B_mod`` is the only
+stored form of the control: the Gramians, the Riccati solvers and the closed
+loops all form ``B B*`` from its rows, so a system reloaded from ``B_mod``
+gives the same numbers as the one that was saved.
 
 The modes split into decoupled blocks: the groups that the control and the
 observation couple.  The free flow is per-mode, so every Gramian, Riccati
 solution and closed loop of the system is block diagonal over them.  A
 ``SpectralSystem`` stores only ``lambdas`` and one ``Block`` record per block:
 its modes, the controls that act on it with its rows of ``B_mod``, and its
-pieces of ``B B*`` and ``Q_obs``.  The dense ``B_mod``, ``Q_obs`` and ``bbt``
-are assembled from the records on first access, for serialization, HUM,
-tracking and the stationary problem; nothing else of size n x n is held.
+piece of ``Q_obs``.  The dense ``B_mod`` and ``Q_obs`` are assembled from the
+records on first access, for serialization, HUM, tracking and the stationary
+problem; nothing else of size n x n is held.
 The observation factor ``Q_obs^(1/2)`` is one square root per record.
 Builders that know their blocks pass them: the rectangle with strip control
 one block per x2 index, the synthetic families one block per mode.  The
@@ -36,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import DomainError, DimensionError, as_frequencies
+from .spectral import DomainError, DimensionError, as_frequencies, require_positive
 
 
 class ConsistencyError(RuntimeError):
@@ -90,42 +93,35 @@ def energy_index(modes: np.ndarray) -> np.ndarray:
     return np.stack([2 * modes, 2 * modes + 1], axis=-1).reshape(*modes.shape[:-1], -1)
 
 
-def _symmetrized(Q: np.ndarray, scale: float) -> np.ndarray:
-    """0.5 (Q + Q^T), once Q is checked symmetric to 1e-12 of ``scale``."""
-    if np.abs(Q - Q.T).max() > 1e-12 * scale:
-        raise DomainError("Q_obs must be symmetric")
-    return 0.5 * (Q + Q.T)
-
-
 @dataclass(eq=False)
 class Block:
     """The record of one decoupled block of a system.
 
     ``modes`` are the block's mode indices, increasing.  ``controls`` are the
     indices of the control columns that act on it, increasing; no other block
-    uses them.  ``B`` is B_mod on the block's rows and those columns, ``bbt``
-    and ``Q`` are B B* and Q_obs on its rows and columns.  Columns of ``B``
+    uses them.  ``B`` is B_mod on the block's rows and those columns, ``Q`` is
+    Q_obs on its rows and columns; both must be finite.  Columns of ``B``
     that are zero are dropped with their index.
     """
 
     modes: np.ndarray
     controls: np.ndarray
     B: np.ndarray
-    bbt: np.ndarray
     Q: np.ndarray
 
     def __post_init__(self):
         self.modes = np.asarray(self.modes, dtype=int)
         controls = np.asarray(self.controls, dtype=int)
         B = np.asarray(self.B, dtype=float)
-        self.bbt = np.asarray(self.bbt, dtype=float)
         self.Q = np.asarray(self.Q, dtype=float)
         k = self.modes.size
         if (self.modes.ndim != 1 or not k or B.shape != (k, controls.size)
-                or self.bbt.shape != (k, k) or self.Q.shape != (k, k)):
-            raise DimensionError("a block's B, bbt and Q must match its modes and controls")
+                or self.Q.shape != (k, k)):
+            raise DimensionError("a block's B and Q must match its modes and controls")
         if (self.modes[1:] <= self.modes[:-1]).any() or (controls[1:] <= controls[:-1]).any():
             raise DimensionError("a block's modes and controls must be increasing")
+        if not (np.isfinite(B).all() and np.isfinite(self.Q).all()):
+            raise DomainError("a block's B and Q must be finite")
         keep = B.any(axis=0)
         self.controls, self.B = (controls, B) if keep.all() else (controls[keep], B[:, keep])
 
@@ -154,8 +150,8 @@ class SpectralSystem:
     """Truncated modal system: frequencies and one ``Block`` record per decoupled block.
 
     ``records`` are ordered by first mode and hold every mode once; each
-    control acts on at most one of them.  ``B_mod``, ``bbt`` and ``Q_obs`` are
-    the dense matrices assembled from them on first access.
+    control acts on at most one of them.  ``B_mod`` and ``Q_obs`` are the
+    dense matrices assembled from them on first access.
     """
 
     lambdas: np.ndarray
@@ -175,21 +171,25 @@ class SpectralSystem:
         controls = np.concatenate([r.controls for r in records])
         if np.unique(controls).size < controls.size or np.any(controls >= self.n_controls):
             raise DimensionError("each control must act on one block and lie below n_controls")
-        # exactly symmetric, so the Gramians built from it are too (a no-op on shared records)
+        # Q_obs symmetric to 1e-12 of its largest entry, then made exactly symmetric, so the
+        # Gramians built from it are too (a no-op on shared records)
         scale = max(1.0, max(np.abs(r.Q).max() for r in records))
         for r in records:
-            r.Q = _symmetrized(r.Q, scale)
+            if np.abs(r.Q - r.Q.T).max() > 1e-12 * scale:
+                raise DomainError("Q_obs must be symmetric")
+            r.Q = 0.5 * (r.Q + r.Q.T)
         self.records = tuple(records)
 
     @classmethod
     def from_dense(cls, lambdas, B_mod, Q_obs, label: str = "", rho: float | None = None,
-                   eta: float | None = None, bbt=None) -> SpectralSystem:
+                   eta: float | None = None) -> SpectralSystem:
         """The system of a dense ``B_mod`` (n_modes x n_controls) and ``Q_obs``, split into blocks.
 
-        ``bbt`` is ``B_mod B_mod^T`` unless given.  Two modes share a block
-        when a chain of exact nonzeros of ``bbt`` or ``Q_obs``, or of control
-        columns acting on both, links them; any nonzero coupling, however
-        small, counts.
+        Two modes share a block when a chain of exact nonzeros of ``Q_obs``
+        (either triangle), or of control columns acting on both, links them;
+        any nonzero coupling, however small, counts.  (A nonzero of
+        ``B_mod B_mod^T`` needs a column acting on both modes.)  The records
+        check ``Q_obs`` for finiteness and symmetry.
         """
         lam = as_frequencies(lambdas)
         B = np.atleast_2d(np.asarray(B_mod, dtype=float))
@@ -199,13 +199,10 @@ class SpectralSystem:
             raise DimensionError("B_mod must have one row per mode")
         if Q.shape != (n, n):
             raise DimensionError("Q_obs must be n_modes x n_modes")
-        Q = _symmetrized(Q, max(1.0, np.abs(Q).max()))
-        bbt = B @ B.T if bbt is None else np.asarray(bbt, dtype=float)
         acts = (B != 0.0).astype(float)
-        linked = (bbt != 0.0) | (Q != 0.0) | (acts @ acts.T != 0.0)
+        linked = (Q != 0.0) | (Q.T != 0.0) | (acts @ acts.T != 0.0)
         columns = np.arange(B.shape[1])
-        records = [Block(m, columns, B[m], bbt[np.ix_(m, m)], Q[np.ix_(m, m)])
-                   for m in _components(linked)]
+        records = [Block(m, columns, B[m], Q[np.ix_(m, m)]) for m in _components(linked)]
         return cls(lam, records, B.shape[1], label=label, rho=rho, eta=eta)
 
     @property
@@ -234,11 +231,6 @@ class SpectralSystem:
         return self._dense("B")
 
     @property
-    def bbt(self) -> np.ndarray:
-        """Modal matrix of B B* (assembled on first access)."""
-        return self._dense("bbt")
-
-    @property
     def Q_obs(self) -> np.ndarray:
         """Modal observation form (assembled on first access)."""
         return self._dense("Q")
@@ -256,11 +248,6 @@ class SpectralSystem:
             e = energy_index(modes)
             out[np.ix_(e, e)] = part
         return out
-
-    def observation_energy_form(self) -> np.ndarray:
-        """Q_obs lifted to energy coordinates: D^-1 Q_obs D^-1 with D = diag(lambda)."""
-        inv = 1.0 / self.lambdas
-        return self.Q_obs * np.outer(inv, inv)
 
     def observation_factor(self) -> np.ndarray:
         """A modal factor C with C^T C = Q_obs (symmetric PSD square root).
@@ -314,11 +301,9 @@ def build_interval_wave(n_modes: int, control="full_domain", observation="full_d
     ctrl = _parse_region(control, "control")
     if ctrl is None:
         B = np.eye(n_modes)
-        bbt = np.eye(n_modes)
     else:
         a, b = ctrl
-        bbt = (2.0 / np.pi) * sine_product_integral(lam, lam, a, b)
-        B = psd_sqrt(bbt)
+        B = psd_sqrt((2.0 / np.pi) * sine_product_integral(lam, lam, a, b))
 
     obs = _parse_region(observation, "observation")
     if obs is None:
@@ -326,9 +311,7 @@ def build_interval_wave(n_modes: int, control="full_domain", observation="full_d
     else:
         a, b = obs
         Q = (2.0 / np.pi) * np.outer(lam, lam) * cosine_product_integral(lam, lam, a, b)
-        Q = 0.5 * (Q + Q.T)
-
-    return SpectralSystem.from_dense(lam, B, Q, label=f"interval(n={n_modes})", bbt=bbt)
+    return SpectralSystem.from_dense(lam, B, Q, label=f"interval(n={n_modes})")
 
 
 def _star_secular(lam: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -430,12 +413,11 @@ def build_star_network(lengths, controlled_edge: int, observed_edge: int,
     lengths = np.asarray(lengths, dtype=float)
     if lengths.ndim != 1 or lengths.size < 2:
         raise DomainError("a star network needs at least two edges")
-    if np.any(lengths <= 0.0):
-        raise DomainError("edge lengths must be positive")
+    if not np.all((lengths > 0.0) & (lengths < np.inf)):
+        raise DomainError("edge lengths must be positive and finite")
     if not (0 <= controlled_edge < lengths.size and 0 <= observed_edge < lengths.size):
         raise DomainError("edge index out of range")
-    if lambda_max <= 0.0:
-        raise DomainError("lambda_max must be positive")
+    require_positive(lambda_max=lambda_max)
 
     lams, amps = _star_eigenpairs(lengths, float(lambda_max))
     if lams.size == 0:
@@ -452,20 +434,14 @@ def build_star_network(lengths, controlled_edge: int, observed_edge: int,
             f"eigenvalue count {lams.size} is outside [{lo}, {hi}], "
             "the interlacing bound from the decoupled edges")
 
-    le = lengths[controlled_edge]
     ae = amps[:, controlled_edge]
-    K = np.outer(ae, ae) * sine_product_integral(lams, lams, 0.0, le)
-    K = 0.5 * (K + K.T)
-    B = psd_sqrt(K)
-
-    lo = lengths[observed_edge]
+    B = psd_sqrt(np.outer(ae, ae)
+                 * sine_product_integral(lams, lams, 0.0, lengths[controlled_edge]))
     ao = amps[:, observed_edge]
     Q = (np.outer(ao, ao) * np.outer(lams, lams)
-         * cosine_product_integral(lams, lams, 0.0, lo))
-    Q = 0.5 * (Q + Q.T)
-
+         * cosine_product_integral(lams, lams, 0.0, lengths[observed_edge]))
     label = f"star(lengths={np.array2string(lengths, precision=4)}, ctrl={controlled_edge}, obs={observed_edge})"
-    return SpectralSystem.from_dense(lams, B, Q, label=label, bbt=K)
+    return SpectralSystem.from_dense(lams, B, Q, label=label)
 
 
 def _rectangle_modes(max_frequency: float) -> np.ndarray:
@@ -497,17 +473,15 @@ def build_rectangle(a: float, b: float, max_frequency: float) -> SpectralSystem:
     records = []
     for n in np.unique(idx[:, 1]):
         rows = np.flatnonzero(idx[:, 1] == n)
-        ms = idx[rows, 0].astype(float)
-        K = (2.0 / np.pi) * sine_product_integral(ms, ms, a, b)
-        K = 0.5 * (K + K.T)
-        records.append(Block(rows, rows, psd_sqrt(K), K, np.diag(lam[rows] ** 2)))
+        K = (2.0 / np.pi) * sine_product_integral(idx[rows, 0], idx[rows, 0], a, b)
+        records.append(Block(rows, rows, psd_sqrt(K), np.diag(lam[rows] ** 2)))
     return SpectralSystem(lam, records, lam.size,
                           label=f"rectangle(strip=({a:g},{b:g}), lmax={max_frequency:g})")
 
 
 def _mode_records(b: np.ndarray, q: np.ndarray) -> list[Block]:
     """One record per mode k: control k acts on it alone with weight b[k]; Q_obs weight q[k]."""
-    return [Block([k], [k], [[bk]], [[bk * bk]], [[qk]]) for k, (bk, qk) in enumerate(zip(b, q))]
+    return [Block([k], [k], [[bk]], [[qk]]) for k, (bk, qk) in enumerate(zip(b, q))]
 
 
 def build_synthetic(rho: float, eta: float, n_modes: int) -> SpectralSystem:
@@ -517,8 +491,7 @@ def build_synthetic(rho: float, eta: float, n_modes: int) -> SpectralSystem:
     density is ``lambda**(-2/eta)`` (``Q_obs = diag(lambda**(2 - 2/eta))``).
     ``rho = eta = inf`` gives the exactly observable case (weights one).
     """
-    if rho <= 0.0 or eta <= 0.0:
-        raise DomainError("rho and eta must be positive (inf allowed)")
+    require_positive(rho=rho, eta=eta)  # inf allowed
     lam = np.arange(1, n_modes + 1, dtype=float)
     inv_rho = 0.0 if np.isinf(rho) else 1.0 / rho
     inv_eta = 0.0 if np.isinf(eta) else 1.0 / eta
@@ -591,11 +564,11 @@ def _rotation_gramian(lam: np.ndarray, M11, M22, horizon: float, reverse: bool =
     return W
 
 
-def _gramian(lam: np.ndarray, bbt: np.ndarray, Q: np.ndarray, horizon: float,
+def _gramian(lam: np.ndarray, B: np.ndarray, Q: np.ndarray, horizon: float,
              use_control: bool, reverse: bool = False) -> np.ndarray:
-    """Free-flow Gramian of one block (or shell of one) from its frequencies, B B* and Q_obs."""
+    """Free-flow Gramian of one block (or shell of one) from its frequencies, B_mod rows and Q_obs."""
     if use_control:
-        return _rotation_gramian(lam, None, bbt, horizon, reverse=reverse)
+        return _rotation_gramian(lam, None, B @ B.T, horizon, reverse=reverse)
     inv = 1.0 / lam
     return _rotation_gramian(lam, Q * np.outer(inv, inv), None, horizon)
 
@@ -607,17 +580,15 @@ def observability_gramian(system: SpectralSystem, horizon: float, use_control: b
     ``use_control=False`` observes C w (M is C*C lifted to energy coordinates).
     Built block by block from ``system.records``.
     """
-    if horizon <= 0.0:
-        raise DomainError("horizon must be positive")
-    return system.assemble([_gramian(system.lambdas[r.modes], r.bbt, r.Q, horizon, use_control)
+    require_positive(horizon=horizon)
+    return system.assemble([_gramian(system.lambdas[r.modes], r.B, r.Q, horizon, use_control)
                             for r in system.records])
 
 
 def controllability_gramian(system: SpectralSystem, horizon: float) -> np.ndarray:
     """Gramian int_0^T Phi(s) B B^T Phi(s)^T ds used by minimum-norm steering."""
-    if horizon <= 0.0:
-        raise DomainError("horizon must be positive")
-    return system.assemble([_gramian(system.lambdas[r.modes], r.bbt, r.Q, horizon, True,
+    require_positive(horizon=horizon)
+    return system.assemble([_gramian(system.lambdas[r.modes], r.B, r.Q, horizon, True,
                                      reverse=True) for r in system.records])
 
 
@@ -664,8 +635,7 @@ def shell_constant(system: SpectralSystem, shell_lo: float, shell_hi: float,
     blocks that meet the shell, each Gramian built from the shell's rows and
     columns of the block's record.
     """
-    if horizon <= 0.0:
-        raise DomainError("horizon must be positive")
+    require_positive(horizon=horizon)
     in_shell = (system.lambdas >= shell_lo) & (system.lambdas < shell_hi)
     if not in_shell.any():
         raise DomainError("empty shell")
@@ -674,7 +644,7 @@ def shell_constant(system: SpectralSystem, shell_lo: float, shell_hi: float,
         part = np.flatnonzero(in_shell[r.modes])
         if part.size:
             cut = np.ix_(part, part)
-            W = _gramian(system.lambdas[r.modes[part]], r.bbt[cut], r.Q[cut], horizon, use_control)
+            W = _gramian(system.lambdas[r.modes[part]], r.B[part], r.Q[cut], horizon, use_control)
             lo_eig = min(lo_eig, np.linalg.eigvalsh(W)[0])
     return float(max(lo_eig, 0.0) / (horizon / 2.0))
 
@@ -704,8 +674,7 @@ def fit_weak_observability(system: SpectralSystem, horizon: float, shells,
     shells = np.atleast_1d(np.asarray(shells, dtype=float))
     if shells.size < 3:
         raise DomainError("need at least 3 shells")
-    if horizon <= 0.0:
-        raise DomainError("horizon must be positive")
+    require_positive(horizon=horizon)
     notes = []
     edges, consts = [], []
     for lo in shells:

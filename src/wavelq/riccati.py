@@ -20,7 +20,8 @@ come from ``_expm``, numpy scaling and squaring of the degree-13 Pade
 approximant (Al-Mohy & Higham 2009) that chooses each slice's scaling from
 that slice alone.  Newton-Kleinman's Lyapunov solves come from
 ``_lyapunov``, which diagonalizes the closed loops of a stack with one
-``eig``, so the library's dense kernels all share numpy's one BLAS thread
+``eig`` (the first solve reuses the ``eig`` that tested its start for
+stability), so the library's dense kernels all share numpy's one BLAS thread
 pool and no scipy module is loaded.  The DRE alone is swept step by step through the blocks of
 ``e^{M h}`` (Davison-Maki 1973), so no ODE integrator is involved and each
 step is exact up to rounding.  One sweep per block gives the DRE snapshots,
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import Block, SpectralSystem, energy_index, stacked_blocks
-from .spectral import DimensionError, DomainError, as_energy_vector
+from .spectral import DimensionError, DomainError, as_energy_vector, require_positive
 
 
 class StabilizabilityError(RuntimeError):
@@ -321,12 +322,11 @@ def integrate_dre(system: SpectralSystem, horizon: float, snapshot_times=None):
     consecutive snapshot times, so every snapshot falls on the step grid.
     The quadratic form is monotone nondecreasing in the time-to-go.
     """
-    if horizon <= 0.0:
-        raise DomainError("horizon must be positive")
+    require_positive(horizon=horizon)
     if snapshot_times is None:
         snapshot_times = [horizon]
     taus = np.atleast_1d(np.asarray(snapshot_times, dtype=float))
-    if np.any(taus < 0.0) or np.any(taus > horizon + 1e-12):
+    if not np.all((taus >= 0.0) & (taus <= horizon + 1e-12)):
         raise DomainError("snapshot times must lie in [0, horizon]")
 
     unique = np.unique(taus)
@@ -377,8 +377,9 @@ def solve_are(system: SpectralSystem) -> RiccatiSolution:
     together, and the blocks' solutions are put in place.  A block with Q
     exactly 0 has no stabilizing solution, as A is skew, and gets its minimal
     solution 0 at once (kind ``dre_limit``).  The blocks whose A - B B^T is
-    stable, found by one ``eigvals`` per stack, run Newton-Kleinman together
-    from the identity, one ``_lyapunov`` solve of the stack per step.  Each
+    stable, found by one ``eig`` per stack, run Newton-Kleinman together from
+    the identity, one ``_lyapunov`` solve of the stack per step; the first
+    solve reuses that ``eig``, so each step takes one per block.  Each
     other block is swept alone: its iterates are the DRE snapshots at horizons
     doubling from max(1, 10/lambda_min), and it joins the Newton-Kleinman steps
     from the first snapshot that stabilizes; when none does, the snapshots
@@ -427,12 +428,11 @@ def _solve_stack(lam: np.ndarray, A, B, Q):
     Returns the kept iterates, their norms (||R||, ||Q||, ||A||, ||X||, ||B B^T||)
     and whether each block's kept iterate is a Newton step.
     """
-    k = A.shape[0]
     BBT = B @ np.swapaxes(B, -1, -2)
     X = np.zeros_like(A)
     fro = functools.partial(np.linalg.norm, axis=(-2, -1))
-    norms = np.stack([np.zeros(k), fro(Q), fro(A), np.zeros(k), fro(BBT)], axis=-1)
-    err, newton = np.full(k, np.inf), np.zeros(k, dtype=bool)
+    norms = np.stack([np.zeros(len(A)), fro(Q), fro(A), np.zeros(len(A)), fro(BBT)], axis=-1)
+    err, newton = np.full(len(A), np.inf), np.zeros(len(A), dtype=bool)
 
     def keep(i, X_i, newton_step: bool):
         """Judge the iterates X_i of the blocks i by the stop rule; return which blocks go on."""
@@ -448,26 +448,27 @@ def _solve_stack(lam: np.ndarray, A, B, Q):
         return kept & (e > 1e-14)
 
     costly = np.flatnonzero(Q.any(axis=(-2, -1)))
-    stable = costly[_spectral_abscissa(A[costly] - BBT[costly]) < -1e-12]
-    go, starts = [stable], [np.broadcast_to(np.eye(A.shape[-1]), (stable.size,) + A.shape[1:])]
-    for b in np.setdiff1d(costly, stable):
+    w, V = np.linalg.eig(A[costly] - BBT[costly])  # the stability test's, reused by the first solve
+    ok = w.real.max(axis=-1) < -1e-12
+    starts = [(costly[ok], np.broadcast_to(np.eye(A.shape[-1]), V[ok].shape), w[ok], V[ok])]
+    for b in costly[~ok]:
         i, horizons = np.array([b]), max(1.0, 10.0 / lam[b].min()) * 2.0 ** np.arange(14)
         for X_b in _dre_flow(lam[b], A[b], B[b], Q[b], horizons):
             if not keep(i, X_b[None], False)[0]:
                 break
-            if _spectral_abscissa(A[b] - BBT[b] @ X_b) < -1e-12:
-                go.append(i)
-                starts.append(X_b[None])
+            w, V = np.linalg.eig(A[i] - BBT[i] @ X_b)
+            if w.real.max() < -1e-12:
+                starts.append((i, X_b[None], w, V))
                 break
         else:
             raise MethodError("the ARE did not converge within 14 horizons and 60 Newton steps")
-    go, X_go = np.concatenate(go), np.concatenate(starts)
+    go, X_go, *eig = map(np.concatenate, zip(*starts))
     for _ in range(60):
         if not go.size:
             break
         BX = BBT[go] @ X_go
-        X_go = _lyapunov(A[go] - BX, Q[go] + X_go @ BX)
-        X_go = 0.5 * (X_go + np.swapaxes(X_go, -1, -2))
+        X_go = _lyapunov(A[go] - BX, Q[go] + X_go @ BX, eig)
+        X_go, eig = 0.5 * (X_go + np.swapaxes(X_go, -1, -2)), None
         on = keep(go, X_go, True)
         go, X_go = go[on], X_go[on]
     if go.size:
@@ -475,16 +476,11 @@ def _solve_stack(lam: np.ndarray, A, B, Q):
     return X, norms, newton
 
 
-def _spectral_abscissa(M: np.ndarray) -> np.ndarray:
-    """The largest real part of the eigenvalues of a matrix, or of each matrix of a stack."""
-    return np.linalg.eigvals(M).real.max(axis=-1)
-
-
 # an eigenbasis whose 1-norm condition number exceeds this is taken as singular
 _EIGENBASIS_COND_MAX = 1e12
 
 
-def _lyapunov(F: np.ndarray, C: np.ndarray) -> np.ndarray:
+def _lyapunov(F: np.ndarray, C: np.ndarray, eig=None) -> np.ndarray:
     """The solution X of ``F^T X + X F = -C`` for a stable diagonalizable F, or a stack of them.
 
     With F = V diag(w) V^-1, Y = V^T X V solves (w_i + w_j) Y_ij = -(V^T C V)_ij,
@@ -492,9 +488,10 @@ def _lyapunov(F: np.ndarray, C: np.ndarray) -> np.ndarray:
     slice by slice, so a slice's result has the same bits as its own.  Raises
     MethodError when some F has an eigenvalue with real part >= 0, or an
     eigenbasis that is singular (1-norm condition number above 1e12).
+    ``eig`` is ``np.linalg.eig(F)`` when the caller already has it.
     """
     try:
-        w, V = np.linalg.eig(F)
+        w, V = np.linalg.eig(F) if eig is None else eig
         if not (w.real < 0.0).all():
             raise MethodError("a Lyapunov operator F has an eigenvalue with real part >= 0")
         w, V = w.astype(complex, copy=False), V.astype(complex, copy=False)

@@ -23,6 +23,13 @@ class DomainError(ValueError):
     """Parameter outside the admissible domain (frequencies, intervals, ...)."""
 
 
+def require_positive(**values) -> None:
+    """Raise DomainError unless each given value is > 0 (so NaN fails); None passes."""
+    for name, value in values.items():
+        if value is not None and not value > 0.0:
+            raise DomainError(f"{name} must be positive")
+
+
 def as_frequencies(lambdas) -> np.ndarray:
     """Validate and return a frequency array: strictly positive, nondecreasing."""
     lam = np.atleast_1d(np.asarray(lambdas, dtype=float))

@@ -32,7 +32,7 @@ from .closed_loop import Trajectory
 from .models import SpectralSystem, energy_index, stacked_blocks
 from .riccati import (RiccatiSolution, first_order_matrices, hamiltonian_matrix, solve_are,
                       stack_matrices, step_map)
-from .spectral import DimensionError, DomainError, ModalVector, as_energy_vector
+from .spectral import DimensionError, DomainError, ModalVector, as_energy_vector, require_positive
 
 
 def g_weight(T: float, k: float, exponent: float) -> float:
@@ -41,10 +41,7 @@ def g_weight(T: float, k: float, exponent: float) -> float:
     Evaluated through expm1 so the crossover is smooth; an infinite exponent
     returns 0 (the formula's limit).
     """
-    if T <= 0.0:
-        raise DomainError("T must be positive")
-    if k <= 0.0 or exponent <= 0.0:
-        raise DomainError("k and exponent must be positive")
+    require_positive(T=T, k=k, exponent=exponent)
     kappa = k * exponent
     if np.isinf(kappa):
         return 0.0
@@ -159,8 +156,7 @@ def solve_tracking(system: SpectralSystem, z, x0, horizon: float,
     Van Loan integrals; the ``value`` column is x^T E(T - t) x with
     E(tau) = P - F_tau^T (I - P G_tau)^{-1} P F_tau.
     """
-    if horizon <= 0.0:
-        raise DomainError("horizon must be positive")
+    require_positive(horizon=horizon, dt_record=dt_record)
     z = np.asarray(z, dtype=float)
     if stationary is None:
         stationary = solve_stationary(system, z)

@@ -17,10 +17,12 @@ from wavelq.closed_loop import (
     simulate_riccati_feedback,
     smooth_initial_state,
 )
-from wavelq.models import (SpectralSystem, build_interval_wave, build_rectangle,
-                           build_star_network, build_synthetic)
-from wavelq.riccati import first_order_matrices, solve_are, step_map
+from wavelq.models import (SpectralSystem, build_interval_wave, build_rectangle, build_star_network,
+                           build_synthetic, controllability_gramian, fit_weak_observability,
+                           observability_gramian, shell_constant)
+from wavelq.riccati import first_order_matrices, integrate_dre, solve_are, step_map
 from wavelq.spectral import DomainError, NormScale, energy_norm_squared
+from wavelq.turnpike import g_weight, solve_tracking
 
 
 def single_mode_system(lam=1.0, gain=1.0, q=1.0):
@@ -357,8 +359,9 @@ class TestSequenceLemma:
                 assert holds == should_hold
 
     def test_parameter_validation(self):
-        with pytest.raises(DomainError):
-            sequence_lemma_check(0.0, 0.0, 100)
+        for C in (0.0, np.nan):
+            with pytest.raises(DomainError):
+                sequence_lemma_check(C, 0.0, 100)
         with pytest.raises(DomainError):
             sequence_lemma_check(1.0, -1.5, 100)
         with pytest.raises(DomainError):
@@ -498,3 +501,40 @@ class TestExponentialWeightRegime:
         ptraj = simulate_collocated(poly, x0, 200.0)
         p_early = fit_decay(ptraj, (10.0, 50.0))
         assert late.exponent < 0.5 * p_early.exponent
+
+
+# each entry point with the name of the value it checks, and a call that passes it v
+STEP_OR_HORIZON = {
+    "simulate_collocated": ("horizon", lambda s, are, x0, v: simulate_collocated(s, x0, v)),
+    "simulate_collocated_dt": ("dt", lambda s, are, x0, v: simulate_collocated(s, x0, 1.0, dt=v)),
+    "simulate_riccati_feedback": ("horizon",
+                                  lambda s, are, x0, v: simulate_riccati_feedback(s, are, x0, v)),
+    "simulate_riccati_feedback_dt": ("dt", lambda s, are, x0, v: simulate_riccati_feedback(
+        s, are, x0, 1.0, dt=v)),
+    "simulate_backward_observer": ("horizon",
+                                   lambda s, are, x0, v: simulate_backward_observer(s, x0, v)),
+    "simulate_backward_observer_dt": ("dt", lambda s, are, x0, v: simulate_backward_observer(
+        s, x0, 1.0, dt=v)),
+    "hum_null_control": ("t0", lambda s, are, x0, v: hum_null_control(s, x0, v)),
+    "solve_tracking": ("horizon",
+                       lambda s, are, x0, v: solve_tracking(s, np.ones(3), x0, v, are=are)),
+    "solve_tracking_dt_record": ("dt_record", lambda s, are, x0, v: solve_tracking(
+        s, np.ones(3), x0, 1.0, dt_record=v, are=are)),
+    "integrate_dre": ("horizon", lambda s, are, x0, v: integrate_dre(s, v)),
+    "observability_gramian": ("horizon", lambda s, are, x0, v: observability_gramian(s, v)),
+    "controllability_gramian": ("horizon", lambda s, are, x0, v: controllability_gramian(s, v)),
+    "shell_constant": ("horizon", lambda s, are, x0, v: shell_constant(s, 1.0, 2.0, v)),
+    "fit_weak_observability": ("horizon", lambda s, are, x0, v: fit_weak_observability(
+        s, v, [1.0, 2.0, 4.0])),
+    "g_weight": ("T", lambda s, are, x0, v: g_weight(v, 1.0, 1.0)),
+}
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
+@pytest.mark.parametrize("entry", STEP_OR_HORIZON)
+def test_entry_points_reject_a_step_or_horizon_that_is_not_positive(entry, bad):
+    # a NaN fails every comparison, so only "not value > 0" catches it
+    name, call = STEP_OR_HORIZON[entry]
+    sys_ = build_synthetic(2.0, 2.0, 3)
+    with pytest.raises(DomainError, match=f"^{name} must be positive"):
+        call(sys_, solve_are(sys_), np.ones(6), bad)

@@ -22,6 +22,7 @@ from wavelq.models import (
     observability_gramian,
     shell_constant,
 )
+from wavelq.riccati import first_order_matrices
 from wavelq.spectral import DomainError
 
 
@@ -71,13 +72,13 @@ class TestInterval:
 
     def test_subinterval_full_equals_identity(self):
         sys_ = build_interval_wave(4, control=("subinterval", 0.0, np.pi))
-        assert np.abs(sys_.bbt - np.eye(4)).max() <= 1e-12
+        assert np.abs(sys_.B_mod @ sys_.B_mod.T - np.eye(4)).max() <= 1e-12
 
     def test_overlap_matches_quadrature(self):
         a, b = 0.3, 1.7
         sys_ = build_interval_wave(6, control=("subinterval", a, b),
                                    observation=("subinterval", a, b))
-        K = sys_.bbt
+        K = sys_.B_mod @ sys_.B_mod.T
         Q = sys_.Q_obs
         for n in range(1, 7):
             for m in range(1, 7):
@@ -91,7 +92,7 @@ class TestInterval:
     def test_full_observation_is_energy_identity(self):
         sys_ = build_interval_wave(5)
         assert np.abs(sys_.Q_obs - np.diag(sys_.lambdas**2)).max() == 0.0
-        assert np.abs(sys_.observation_energy_form() - np.eye(5)).max() <= 1e-14
+        assert np.abs(first_order_matrices(sys_)[2][0::2, 0::2] - np.eye(5)).max() <= 1e-14
 
     def test_invalid_subinterval(self):
         with pytest.raises(DomainError):
@@ -141,7 +142,7 @@ class TestStarNetwork:
         # all-irrational ratios: every gain positive, with deep dips along a
         # subsequence (modes concentrating on the uncontrolled edges)
         st = build_star_network([1.0, np.pi, np.pi**2], 0, 1, 60.0)
-        gains = np.diag(st.bbt)
+        gains = np.diag(st.B_mod @ st.B_mod.T)
         assert np.all(gains > 0.0)
         assert gains.min() < 0.01 * np.median(gains)
 
@@ -149,7 +150,7 @@ class TestStarNetwork:
         # uncontrolled edges with ratio 2 support modes that vanish on the
         # controlled edge entirely
         st = build_star_network([1.0, np.pi, 2 * np.pi], 0, 1, 20.0)
-        gains = np.diag(st.bbt)
+        gains = np.diag(st.B_mod @ st.B_mod.T)
         assert gains.min() <= 1e-12
 
     def test_weyl_consistency_guard(self):
@@ -195,6 +196,8 @@ class TestStarNetwork:
             build_star_network([np.pi], 0, 0, 5.0)
         with pytest.raises(DomainError):
             build_star_network([np.pi, 1.0], 5, 0, 5.0)
+        with pytest.raises(DomainError, match="edge lengths"):
+            build_star_network([np.inf, 1.0], 0, 1, 5.0)
 
     def test_lambda_max_below_first_eigenfrequency(self):
         with pytest.raises(DomainError, match="no eigenfrequency"):
@@ -204,13 +207,13 @@ class TestStarNetwork:
 class TestRectangle:
     def test_full_strip_is_identity(self):
         sys_ = build_rectangle(0.0, np.pi, 6.0)
-        assert np.abs(sys_.bbt - np.eye(sys_.n_modes)).max() <= 1e-12
+        assert np.abs(sys_.B_mod @ sys_.B_mod.T - np.eye(sys_.n_modes)).max() <= 1e-12
 
     def test_overlaps_match_quadrature(self):
         a, b = 1.0, 2.0
         sys_ = build_rectangle(a, b, 5.0)
         idx = _rectangle_modes(5.0)
-        K = sys_.bbt
+        K = sys_.B_mod @ sys_.B_mod.T
         for i in range(sys_.n_modes):
             for j in range(sys_.n_modes):
                 mi, ni = idx[i]
@@ -230,7 +233,7 @@ class TestRectangle:
             m = idx[i, 0]
             expected = (2 / np.pi) * ((b - a) / 2
                                       - (np.sin(2 * m * b) - np.sin(2 * m * a)) / (4 * m))
-            assert sys_.bbt[i, i] == pytest.approx(expected, rel=1e-12)
+            assert sys_.B_mod[i] @ sys_.B_mod[i] == pytest.approx(expected, rel=1e-12)
 
     def test_frequencies_sorted_with_multiplicity(self):
         sys_ = build_rectangle(1.0, 2.0, 8.0)
@@ -250,18 +253,18 @@ class TestSynthetic:
         lam = sys_.lambdas
         assert np.allclose(np.diag(sys_.B_mod), lam**-1.0)
         assert np.allclose(np.diag(sys_.Q_obs), lam**2 * lam**-1.0)
-        assert np.allclose(np.diag(sys_.observation_energy_form()), lam**-1.0)
+        assert np.allclose(np.diag(first_order_matrices(sys_)[2][0::2, 0::2]), lam**-1.0)
 
     def test_infinite_exponents_give_unit_weights(self):
         sys_ = build_synthetic(np.inf, np.inf, 3)
         assert np.array_equal(sys_.B_mod, np.eye(3))
-        assert np.allclose(sys_.observation_energy_form(), np.eye(3))
+        assert np.allclose(first_order_matrices(sys_)[2][0::2, 0::2], np.eye(3))
 
     def test_exponential_weights(self):
         sys_ = build_synthetic_exponential(0.5, 0.25, 3)
         lam = sys_.lambdas
         assert np.allclose(np.diag(sys_.B_mod), np.exp(-0.5 * lam))
-        assert np.allclose(np.diag(sys_.observation_energy_form()), np.exp(-0.5 * lam))
+        assert np.allclose(np.diag(first_order_matrices(sys_)[2][0::2, 0::2]), np.exp(-0.5 * lam))
 
 
 class TestGramians:
@@ -304,7 +307,7 @@ class TestGramians:
         T = 3.0
         W = observability_gramian(sys_, T, use_control=True)
         M = np.zeros((8, 8))
-        M[np.ix_(range(1, 8, 2), range(1, 8, 2))] = sys_.bbt
+        M[np.ix_(range(1, 8, 2), range(1, 8, 2))] = sys_.B_mod @ sys_.B_mod.T
         ts = np.linspace(0.0, T, 4001)
         acc = np.zeros((8, 8))
         for t in ts:
@@ -320,7 +323,7 @@ class TestGramians:
         T = 2.0
         W = controllability_gramian(sys_, T)
         M = np.zeros((6, 6))
-        M[np.ix_(range(1, 6, 2), range(1, 6, 2))] = sys_.bbt
+        M[np.ix_(range(1, 6, 2), range(1, 6, 2))] = sys_.B_mod @ sys_.B_mod.T
         ts = np.linspace(0.0, T, 4001)
         acc = np.zeros((6, 6))
         for t in ts:
@@ -477,7 +480,7 @@ class TestBlocks:
         assert blocks() == [[0], [1], [2]]
         Q[0, 2] = Q[2, 0] = 1e-300
         assert blocks() == [[0, 2], [1]]
-        B[1, 0] = 1e-160  # bbt[0, 1] = 1e-160, a nonzero product
+        B[1, 0] = 1e-160  # modes 0 and 1 share control 0: (B B*)[0, 1] = 1e-160
         assert blocks() == [[0, 1, 2]]
 
     def test_gramians_are_assembled_block_diagonal(self):
@@ -490,8 +493,20 @@ class TestBlocks:
                 if i == j:
                     # the block alone, from the dense matrices rather than its record
                     alone = SpectralSystem.from_dense(sys_.lambdas[a], sys_.B_mod[a],
-                                                      sys_.Q_obs[np.ix_(a, a)],
-                                                      bbt=sys_.bbt[np.ix_(a, a)])
+                                                      sys_.Q_obs[np.ix_(a, a)])
                     assert np.array_equal(sub, observability_gramian(alone, 2.5))
                 else:
                     assert not sub.any()
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
+@pytest.mark.parametrize("name, build", [
+    ("lambda_max", lambda v: build_star_network([1.0, 2.0], 0, 1, v)),
+    ("rho", lambda v: build_synthetic(v, 2.0, 4)),
+    ("eta", lambda v: build_synthetic(2.0, v, 4)),
+    ("edge lengths", lambda v: build_star_network([1.0, v], 0, 1, 5.0)),
+], ids=["lambda_max", "rho", "eta", "edge_lengths"])
+def test_builders_reject_a_parameter_that_is_not_positive(name, build, bad):
+    # a NaN fails every comparison, so only "not value > 0" catches it
+    with pytest.raises(DomainError, match=f"^{name} must be positive"):
+        build(bad)

@@ -3,7 +3,8 @@
 The oracles here are the dense constructions the library used before systems
 were stored per block: each builder filled n x n matrices ``B_mod``, ``Q_obs``
 and ``B B*``, and a frontier search over their exact nonzeros found the
-blocks.  Every record and every assembled matrix must equal them bit for bit.
+blocks.  Every record (its B_mod and Q_obs pieces; no record holds B B*) and
+every assembled matrix must equal them bit for bit.
 """
 
 import dataclasses
@@ -126,7 +127,7 @@ def dense_from_config(model):
 
 
 def search_records(B, Q, bbt):
-    """(modes, controls, B, bbt, Q) per block: the frontier search over exact nonzeros."""
+    """(modes, controls, B, Q) per block: the frontier search over exact nonzeros of bbt and Q."""
     Q = 0.5 * (Q + Q.T)
     linked = (bbt != 0.0) | (Q != 0.0)
     n = Q.shape[0]
@@ -145,7 +146,7 @@ def search_records(B, Q, bbt):
         modes = np.flatnonzero(member)
         rows = np.ix_(modes, modes)
         controls = np.flatnonzero(B[modes].any(axis=0))
-        out.append((modes, controls, B[np.ix_(modes, controls)], bbt[rows], Q[rows]))
+        out.append((modes, controls, B[np.ix_(modes, controls)], Q[rows]))
     return out
 
 
@@ -154,11 +155,10 @@ def assert_matches_dense(sys_, lam, B, Q, bbt):
     expected = search_records(B, Q, bbt)
     assert len(sys_.records) == len(expected)
     for r, want in zip(sys_.records, expected, strict=True):
-        for got, ref in zip((r.modes, r.controls, r.B, r.bbt, r.Q), want, strict=True):
+        for got, ref in zip((r.modes, r.controls, r.B, r.Q), want, strict=True):
             assert got.shape == ref.shape and np.array_equal(got, ref)
     assert np.array_equal(sys_.B_mod, B)
     assert np.array_equal(sys_.Q_obs, 0.5 * (Q + Q.T))
-    assert np.array_equal(sys_.bbt, bbt)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +226,6 @@ def test_dense_round_trip_is_exact(case):
     sys_ = SpectralSystem.from_dense(lam, B, Q)
     assert np.array_equal(sys_.B_mod, B) and sys_.B_mod.shape == B.shape
     assert np.array_equal(sys_.Q_obs, Q)
-    assert np.array_equal(sys_.bbt, B @ B.T)
     assert np.array_equal(np.sort(np.concatenate(sys_.blocks)), np.arange(lam.size))
     controls = np.concatenate([r.controls for r in sys_.records])
     assert np.unique(controls).size == controls.size  # each control acts on one block
@@ -251,7 +250,7 @@ def test_modes_sharing_a_control_share_a_block(B):
 @given(a=st.floats(0.0, 2.5), width=st.floats(0.3, 3.0), max_frequency=st.floats(1.5, 14.0))
 def test_rectangle_blocks_equal_the_search_on_its_matrices(a, width, max_frequency):
     sys_ = build_rectangle(a, min(a + width, np.pi), max_frequency)
-    searched = SpectralSystem.from_dense(sys_.lambdas, sys_.B_mod, sys_.Q_obs, bbt=sys_.bbt)
+    searched = SpectralSystem.from_dense(sys_.lambdas, sys_.B_mod, sys_.Q_obs)
     assert [m.tolist() for m in searched.blocks] == [m.tolist() for m in sys_.blocks]
 
 
@@ -268,10 +267,10 @@ def test_synthetic_blocks_equal_the_search_on_their_matrices(sys_):
 
 def test_system_rebuilt_with_a_new_control_follows_it():
     sys_ = build_synthetic(2.0, 2.0, 3)
-    sys_.bbt  # assembled and cached before the rebuild
+    sys_.B_mod  # assembled and cached before the rebuild
     B = np.array([[1.0], [1.0], [0.0]])
     new = SpectralSystem.from_dense(sys_.lambdas, B, sys_.Q_obs)
-    assert np.array_equal(new.bbt, B @ B.T)
+    assert np.array_equal(new.B_mod, B)
     assert [m.tolist() for m in new.blocks] == [[0, 1], [2]]
     T = 2.0
     W = observability_gramian(new, T)
@@ -285,7 +284,7 @@ def test_system_rebuilt_with_a_new_control_follows_it():
 
 def test_cached_dense_matrices_are_read_only():
     sys_ = build_rectangle(1.0, 2.0, 6.0)
-    for M in (sys_.B_mod, sys_.Q_obs, sys_.bbt):
+    for M in (sys_.B_mod, sys_.Q_obs):
         with pytest.raises(ValueError):
             M[0, 0] = 1.0
 

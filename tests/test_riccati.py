@@ -338,6 +338,11 @@ class TestDre:
             assert snap.horizon == tau
             assert np.abs(snap.E - E_ref).max() <= 1e-8 * np.abs(E_ref).max()
 
+    @pytest.mark.parametrize("tau", [-0.5, 1.5, np.nan])
+    def test_snapshot_times_outside_the_horizon_are_rejected(self, tau):
+        with pytest.raises(DomainError, match="snapshot times"):
+            integrate_dre(build_synthetic(2.0, 2.0, 3), 1.0, snapshot_times=[0.5, tau])
+
     def test_starts_at_zero_exactly(self):
         sys_ = build_synthetic(2.0, 2.0, 3)
         snaps = integrate_dre(sys_, 1.0, snapshot_times=[0.0, 1.0])
@@ -699,8 +704,7 @@ def test_block_dispatch_matches_monolithic_oracles(case):
     # each block alone, from the dense matrices rather than its record: the stacked solve
     # gives each block the solution it has alone
     alone = [solve_are(SpectralSystem.from_dense(
-        sys_.lambdas[m], sys_.B_mod[m], sys_.Q_obs[np.ix_(m, m)], bbt=sys_.bbt[np.ix_(m, m)]
-    )) for m in sys_.blocks]
+        sys_.lambdas[m], sys_.B_mod[m], sys_.Q_obs[np.ix_(m, m)])) for m in sys_.blocks]
     for m, part in zip(sys_.blocks, alone):
         e = energy_index(m)
         assert np.array_equal(sol.E[np.ix_(e, e)], part.E)

@@ -4,8 +4,9 @@ import os
 import numpy as np
 import pytest
 
-from wavelq.closed_loop import Trajectory, simulate_collocated, smooth_initial_state
-from wavelq.models import build_interval_wave, build_synthetic
+from wavelq.closed_loop import Trajectory, hum_null_control, simulate_collocated, smooth_initial_state
+from wavelq.models import (build_interval_wave, build_rectangle, build_star_network, build_synthetic,
+                           controllability_gramian, observability_gramian, shell_constant)
 from wavelq.riccati import RiccatiSolution, solve_are
 from wavelq.serialize import (
     controls_to_csv,
@@ -16,6 +17,8 @@ from wavelq.serialize import (
     riccati_to_dict,
     save_riccati,
     save_system,
+    system_from_dict,
+    system_to_dict,
     trajectory_to_csv,
     turnpike_to_csv,
     write_json,
@@ -34,6 +37,45 @@ def test_system_round_trip(tmp_path):
     assert np.array_equal(back.Q_obs, sys_.Q_obs)
     assert back.label == sys_.label
     assert back.rho is None and back.eta is None
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_interval_wave(12, control=("subinterval", 0.4, 1.9)),
+    lambda: build_star_network([1.0, np.pi / 2, np.sqrt(2.0)], 0, 1, 12.0),
+    lambda: build_rectangle(1.0, 2.0, 12.0),
+    lambda: build_synthetic(2.0, 2.0, 16),
+], ids=["interval", "star", "rectangle", "synthetic"])
+def test_reloaded_system_computes_the_same_bits(build, tmp_path):
+    # the file holds B_mod and Q_obs only, and every solver forms B B* from the records' B
+    sys_ = build()
+    save_system(sys_, tmp_path / "system.json")
+    back = load_system(tmp_path / "system.json")
+    assert len(back.records) == len(sys_.records)
+    for r, s in zip(back.records, sys_.records, strict=True):
+        for got, ref in ((r.modes, s.modes), (r.controls, s.controls), (r.B, s.B), (r.Q, s.Q)):
+            assert got.shape == ref.shape and np.array_equal(got, ref)
+    T = 2.0 * np.pi
+    x0 = np.random.default_rng(3).standard_normal(2 * sys_.n_modes) / sys_.lambdas.repeat(2)
+    runs = []
+    for s in (sys_, back):
+        hum = hum_null_control(s, x0, T)
+        shells = [shell_constant(s, lo, 2.0 * lo, T, use_control=side)
+                  for lo in (2.0, 4.0) for side in (True, False)]
+        runs.append((observability_gramian(s, T), observability_gramian(s, T, use_control=False),
+                     controllability_gramian(s, T), shells, hum.cost, hum.terminal_residual,
+                     solve_are(s).E))
+    for got, ref in zip(*runs, strict=True):
+        assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("name, bad", [("B_mod", np.nan), ("Q_obs", np.inf)])
+def test_system_payload_with_a_non_finite_entry_is_rejected(name, bad):
+    # json reads NaN and Infinity; on the diagonal an Infinity would also pass Q_obs's
+    # symmetry check, as inf - inf is nan
+    payload = system_to_dict(build_interval_wave(3, control=("subinterval", 0.4, 2.0)))
+    payload[name]["data_row_major"][4] = bad  # entry (1, 1)
+    with pytest.raises(DomainError, match="finite"):
+        system_from_dict(json.loads(json.dumps(payload)))
 
 
 def test_synthetic_round_trip_keeps_exponents(tmp_path):
