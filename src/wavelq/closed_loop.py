@@ -96,7 +96,7 @@ def _simulate_lti(system: SpectralSystem, generator, x0: np.ndarray, horizon: fl
     X = np.empty((steps + 1, x0.size))
     series = {}
     advanced = [_advance_stack(system, generator, stack, h, x0, X, series)
-                for stack in stacked_blocks(system)]
+                for stack in stacked_blocks(system.records)]
     if "controls" in series:
         series["control_power"] = np.einsum("ij,ij->i", series["controls"], series["controls"])
     return Trajectory(times=np.linspace(0.0, horizon, steps + 1), states=X,

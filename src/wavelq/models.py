@@ -8,10 +8,11 @@ coefficients, so ``||C w||^2 = a^T Q_obs a``.
 Distributed controls/observations on subregions are realized through the
 exact modal overlap matrix K of the indicator multiplier (closed-form
 integrals of eigenfunction products); ``B_mod`` is the symmetric PSD square
-root of K, so ``B_mod B_mod^T`` equals K to rounding.  ``B_mod`` is the only
-stored form of the control: the Gramians, the Riccati solvers and the closed
-loops all form ``B B*`` from its rows, so a system reloaded from ``B_mod``
-gives the same numbers as the one that was saved.
+root of K, or for a star a QR factor of a quadrature of K that keeps its
+null space to rounding, so ``B_mod B_mod^T`` equals K to rounding.
+``B_mod`` is the only stored form of the control: the Gramians, the Riccati
+solvers and the closed loops all form ``B B*`` from its rows, so a system
+reloaded from ``B_mod`` gives the same numbers as the one that was saved.
 
 The modes split into decoupled blocks: the groups that the control and the
 observation couple.  The free flow is per-mode, so every Gramian, Riccati
@@ -256,16 +257,16 @@ class SpectralSystem:
         one ``psd_sqrt`` per stack of equal-size records' ``Q``, put in place.
         """
         C = np.zeros((self.n_modes, self.n_modes))
-        for stack in stacked_blocks(self):
+        for stack in stacked_blocks(self.records):
             for r, root in zip(stack, psd_sqrt(np.stack([r.Q for r in stack])), strict=True):
                 C[np.ix_(r.modes, r.modes)] = root
         return C
 
 
-def stacked_blocks(system: SpectralSystem) -> list[list[Block]]:
-    """The system's records grouped by block size, one list per size in order of first use."""
+def stacked_blocks(records) -> list[list[Block]]:
+    """Records (a system's, say) grouped by block size, one list per size in order of first use."""
     by_size = {}
-    for r in system.records:
+    for r in records:
         by_size.setdefault(r.modes.size, []).append(r)
     return list(by_size.values())
 
@@ -434,9 +435,14 @@ def build_star_network(lengths, controlled_edge: int, observed_edge: int,
             f"eigenvalue count {lams.size} is outside [{lo}, {hi}], "
             "the interlacing bound from the decoupled edges")
 
-    ae = amps[:, controlled_edge]
-    B = psd_sqrt(np.outer(ae, ae)
-                 * sine_product_integral(lams, lams, 0.0, lengths[controlled_edge]))
+    # B^T from a QR of the controlled edge's eigenfunctions at weighted Gauss-Legendre nodes,
+    # half the products' phase span plus a margin growing like its cube root: B B^T is K
+    # to rounding, and a combination that vanishes on the edge gets a singular value ~ eps
+    ell = lengths[controlled_edge]
+    x, w = np.polynomial.legendre.leggauss(int(lambda_max * ell / 2.0 + 3.0 * np.cbrt(lambda_max * ell)) + 40)
+    u = 0.5 * ell * (x + 1.0)
+    F = np.sqrt(0.5 * ell * w)[:, None] * np.sin(np.outer(u, lams)) * amps[:, controlled_edge]
+    B = np.linalg.qr(F, mode="r").T
     ao = amps[:, observed_edge]
     Q = (np.outer(ao, ao) * np.outer(lams, lams)
          * cosine_product_integral(lams, lams, 0.0, lengths[observed_edge]))

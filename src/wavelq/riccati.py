@@ -20,15 +20,13 @@ come from ``_expm``, numpy scaling and squaring of the degree-13 Pade
 approximant (Al-Mohy & Higham 2009) that chooses each slice's scaling from
 that slice alone.  Newton-Kleinman's Lyapunov solves come from
 ``_lyapunov``, which diagonalizes the closed loops of a stack with one
-``eig`` (the first solve reuses the ``eig`` that tested its start for
-stability), so the library's dense kernels all share numpy's one BLAS thread
-pool and no scipy module is loaded.  The DRE alone is swept step by step through the blocks of
-``e^{M h}`` (Davison-Maki 1973), so no ODE integrator is involved and each
-step is exact up to rounding.  One sweep per block gives the DRE snapshots,
-and ``solve_are`` runs one iteration per stack of equal-sized blocks:
-Newton-Kleinman from the identity for the blocks it stabilizes, all together,
-else from each block's first stabilizing DRE snapshot at doubling horizons,
-else the snapshots themselves; each block stops on its backward error.
+``eig``, so the library's dense kernels all share numpy's one BLAS thread
+pool and no scipy module is loaded.  The DRE alone is swept step by step
+through the blocks of ``e^{M h}`` (Davison-Maki 1973), so no ODE integrator
+is involved and each step is exact up to rounding; one sweep per block gives
+its snapshots.  ``solve_are`` takes one route: the free directions split off
+with the solution 0, then Newton-Kleinman per stack of equal-sized blocks
+from the stable invariant subspace of each block's Hamiltonian (Laub 1979).
 Tracking uses the ARE solution instead (``turnpike.solve_tracking``).  Each
 block is read from its record: ``block_matrices`` and ``stack_matrices`` are
 the per-block and per-stack forms of ``first_order_matrices``, built by the
@@ -51,7 +49,7 @@ class StabilizabilityError(RuntimeError):
 
 
 class MethodError(RuntimeError):
-    """The ARE iteration hit its cap or produced a non-finite iterate."""
+    """The ARE iteration hit its cap, or its start or an iterate was unusable."""
 
 
 # numbers in one row band of RiccatiSolution's symmetry check
@@ -337,21 +335,27 @@ def integrate_dre(system: SpectralSystem, horizon: float, snapshot_times=None):
             for tau in taus]
 
 
-def _check_stabilizable(system: SpectralSystem):
-    """Raise when an uncontrollable mode group carries observation cost.
+def _split_free(system: SpectralSystem):
+    """The records with the free directions split off, the frequencies to solve them at, the rotations.
 
     Within each block, frequencies are grouped by near-equality; within a
     group the controllable subspace is the row space of B_mod restricted to
-    the group.  Rows of different blocks act through different controls, so
-    the check splits exactly over the records; its thresholds are those of
-    the whole system.
+    the group.  A direction outside it that carries observation cost raises
+    StabilizabilityError.  Otherwise a record with such directions is rotated
+    by the left singular vectors of each group's rows and B and Q are set
+    exactly 0 on them, so they form a record of their own with Q = 0; each
+    rotated group is solved at its first frequency, so that U commutes with
+    A.  The records are labelled with the modes they rotate, and each
+    rotation is (modes, orthogonal U).  The thresholds are the whole system's.
     """
     inv = 1.0 / system.lambdas
     forms = [r.Q * np.outer(inv[r.modes], inv[r.modes]) for r in system.records]
     scale = max(1.0, max(np.abs(r.B).max(initial=0.0) for r in system.records))
     cost_floor = 1e-10 * max(1.0, max(np.abs(Qe).max() for Qe in forms))
+    records, rotations, lam_split = [], [], system.lambdas.copy()
     for r, Qe in zip(system.records, forms):
         lam = system.lambdas[r.modes]
+        U, free = np.eye(lam.size), np.zeros(lam.size, dtype=bool)
         start = 0
         for i in range(1, lam.size + 1):
             if i < lam.size and lam[i] - lam[start] <= 1e-9 * max(1.0, lam[start]):
@@ -368,119 +372,120 @@ def _check_stabilizable(system: SpectralSystem):
                 raise StabilizabilityError(
                     f"modes near lambda={lam[g[0]]:.6g} are uncontrollable but carry "
                     f"observation cost {worst:.2e}")
+            U[np.ix_(g, g)], free[g[rank:]], lam_split[r.modes[g]] = u, True, lam[g[0]]
+        on, Q = ~free, U.T @ r.Q @ U
+        if on.all():
+            records.append(r)
+        elif on.any():
+            records.append(Block(r.modes[on], r.controls, (U.T @ r.B)[on], Q[np.ix_(on, on)]))
+            rotations.append((r.modes, U))
+        if free.any():
+            records.append(Block(r.modes[free], [], np.zeros((free.sum(), 0)), np.zeros((free.sum(),) * 2)))
+    return records, lam_split, rotations
 
 
 def solve_are(system: SpectralSystem) -> RiccatiSolution:
     """Solve ``Q + E A + A^T E - E B B^T E = 0`` for the truncated system.
 
-    Each stack of equal-sized blocks (``models.stacked_blocks``) is solved
-    together, and the blocks' solutions are put in place.  A block with Q
-    exactly 0 has no stabilizing solution, as A is skew, and gets its minimal
-    solution 0 at once (kind ``dre_limit``).  The blocks whose A - B B^T is
-    stable, found by one ``eig`` per stack, run Newton-Kleinman together from
-    the identity, one ``_lyapunov`` solve of the stack per step; the first
-    solve reuses that ``eig``, so each step takes one per block.  Each
-    other block is swept alone: its iterates are the DRE snapshots at horizons
-    doubling from max(1, 10/lambda_min), and it joins the Newton-Kleinman steps
-    from the first snapshot that stabilizes; when none does, the snapshots
-    converge to the minimal solution, whose closed loop is then only marginally
-    stable (modes that neither control nor observation sees stay free).
-    ``method`` is ``newton_kleinman`` when every block kept a Newton step, else
-    ``dre_limit``.
+    The directions that neither control nor observation sees are split off
+    first (``_split_free``), and the solution is rotated back onto the modes
+    of their records.  Each stack of equal-sized blocks
+    (``models.stacked_blocks``) is solved together.  A block with Q exactly 0
+    has no stabilizing solution, as A is skew, and gets its minimal solution
+    0 at once; its closed loop stays neutral.  Every other block runs
+    Newton-Kleinman from Re U_2 U_1^-1, with [U_1; U_2] the eigenvectors of the
+    d most stable eigenvalues of its ``hamiltonian_matrix`` (Laub 1979), one
+    ``eig`` per stack, and each step one ``_lyapunov`` solve of the stack.
+    ``method`` is ``newton_kleinman`` when every block carries cost, else
+    ``dre_limit`` (the DRE's limit on the zero blocks is their 0).
 
     A block stops on its backward error ||R|| / (||Q|| + 2 ||A|| ||X|| + ||X||^2 ||B B^T||)
     in Frobenius norms (Kleinman 1968; Laub 1979): at the first iterate at or
     below 1e-14, or, once below 1e-10, at the previous iterate when the next
-    fails to lower it; else MethodError after 14 horizons plus 60 Newton steps,
-    or at a non-finite iterate.  The assembled norms are root sums of squares
-    of the blocks', so the assembled ``backward_error`` is at most the worst
-    block's (Cauchy-Schwarz); ``residual`` is ||R|| of the whole system.
+    fails to lower it; else MethodError after 60 Newton steps, at a
+    non-finite iterate, or at a start whose closed loop is not stable.  The
+    reported norms are those of the system's own records at the returned E, so
+    they count what the split drops (B and Q below its thresholds, a group's
+    frequency spread); they are root sums of squares of the blocks', so
+    ``backward_error`` is at most the worst block's (Cauchy-Schwarz), and
+    ``residual`` is ||R|| of the whole system.
     """
-    _check_stabilizable(system)
-    lam = system.lambdas
+    records, lam, rotations = _split_free(system)
     E = np.zeros((2 * system.n_modes, 2 * system.n_modes))
-    norms, newton = [], []
-    for stack in stacked_blocks(system):
+    for stack in stacked_blocks(records):
         modes = np.array([r.modes for r in stack])
-        X, stack_norms, stack_newton = _solve_stack(lam[modes], *stack_matrices(lam, stack))
         e = energy_index(modes)
-        E[e[:, :, None], e[:, None, :]] = X
-        norms.append(stack_norms)
-        newton.append(stack_newton)
+        E[e[:, :, None], e[:, None, :]] = _solve_stack(lam[modes], *stack_matrices(lam, stack))
+    for modes, U in rotations:
+        e, T = np.ix_(energy_index(modes), energy_index(modes)), np.kron(U, np.eye(2))
+        X = T @ E[e] @ T.T
+        E[e] = 0.5 * (X + X.T)
+    lam, norms = system.lambdas, []
+    for stack in stacked_blocks(system.records):
+        modes = np.array([r.modes for r in stack])
+        e = energy_index(modes)
+        norms.append(_norms(E[e[:, :, None], e[:, None, :]], lam[modes], *stack_matrices(lam, stack)))
     norms = np.linalg.norm(np.concatenate(norms), axis=0)
     return RiccatiSolution(E=E, horizon=np.inf, residual=float(norms[0]),
-                           method="newton_kleinman" if np.concatenate(newton).all() else "dre_limit",
-                           backward_error=float(_backward_error(norms)))
+                           method="newton_kleinman" if all(r.Q.any() for r in records)
+                           else "dre_limit", backward_error=float(_backward_error(norms)))
 
 
 def _backward_error(norms):
-    """Backward errors from the norms (||R||, ||Q||, ||A||, ||X||, ||B B^T||) along the last axis.
-
-    0 where R = 0.
-    """
+    """Backward errors from the norms (||R||, ||Q||, ||A||, ||X||, ||B B^T||) along the last axis; 0 where R = 0."""
     r, q, a, x, g = norms.T
     return np.divide(r, q + 2.0 * a * x + x * x * g, out=np.zeros_like(r), where=r != 0.0)
 
 
-def _solve_stack(lam: np.ndarray, A, B, Q):
-    """The ARE iterates of a stack of blocks (``lam``, ``stack_matrices``), each stopped on its own.
+def _norms(X: np.ndarray, lam: np.ndarray, A, B, Q):
+    """(||R||, ||Q||, ||A||, ||X||, ||B B^T||) along the last axis for iterates X of a stack (``_lift``)."""
+    fro = functools.partial(np.linalg.norm, axis=(-2, -1))
+    return np.stack([fro(_riccati_rhs(X, lam, B, Q)), fro(Q), fro(A), fro(X),
+                     fro(B @ np.swapaxes(B, -1, -2))], axis=-1)
 
-    Returns the kept iterates, their norms (||R||, ||Q||, ||A||, ||X||, ||B B^T||)
-    and whether each block's kept iterate is a Newton step.
-    """
+
+def _solve_stack(lam: np.ndarray, A, B, Q):
+    """The ARE solutions of a stack of blocks (``lam``, ``stack_matrices``), each stopped on its own."""
     BBT = B @ np.swapaxes(B, -1, -2)
     X = np.zeros_like(A)
-    fro = functools.partial(np.linalg.norm, axis=(-2, -1))
-    norms = np.stack([np.zeros(len(A)), fro(Q), fro(A), np.zeros(len(A)), fro(BBT)], axis=-1)
-    err, newton = np.full(len(A), np.inf), np.zeros(len(A), dtype=bool)
+    err = np.full(len(A), np.inf)
 
-    def keep(i, X_i, newton_step: bool):
+    def keep(i, X_i):
         """Judge the iterates X_i of the blocks i by the stop rule; return which blocks go on."""
         if not np.all(np.isfinite(X_i)):
-            raise MethodError(f"{'newton_kleinman' if newton_step else 'dre_limit'} "
-                              "produced a non-finite iterate")
-        n = norms[i]
-        n[:, 0], n[:, 3] = fro(_riccati_rhs(X_i, lam[i], B[i], Q[i])), fro(X_i)
-        e = _backward_error(n)
+            raise MethodError("newton_kleinman produced a non-finite iterate")
+        e = _backward_error(_norms(X_i, lam[i], A[i], B[i], Q[i]))
         kept = ~((err[i] <= 1e-10) & (e >= err[i]))
         j = i[kept]
-        X[j], norms[j], err[j], newton[j] = X_i[kept], n[kept], e[kept], newton_step
+        X[j], err[j] = X_i[kept], e[kept]
         return kept & (e > 1e-14)
 
-    costly = np.flatnonzero(Q.any(axis=(-2, -1)))
-    w, V = np.linalg.eig(A[costly] - BBT[costly])  # the stability test's, reused by the first solve
-    ok = w.real.max(axis=-1) < -1e-12
-    starts = [(costly[ok], np.broadcast_to(np.eye(A.shape[-1]), V[ok].shape), w[ok], V[ok])]
-    for b in costly[~ok]:
-        i, horizons = np.array([b]), max(1.0, 10.0 / lam[b].min()) * 2.0 ** np.arange(14)
-        for X_b in _dre_flow(lam[b], A[b], B[b], Q[b], horizons):
-            if not keep(i, X_b[None], False)[0]:
-                break
-            w, V = np.linalg.eig(A[i] - BBT[i] @ X_b)
-            if w.real.max() < -1e-12:
-                starts.append((i, X_b[None], w, V))
-                break
-        else:
-            raise MethodError("the ARE did not converge within 14 horizons and 60 Newton steps")
-    go, X_go, *eig = map(np.concatenate, zip(*starts))
+    go = np.flatnonzero(Q.any(axis=(-2, -1)))
+    d = A.shape[-1]
+    w, V = np.linalg.eig(hamiltonian_matrix(A[go], B[go], Q[go]))
+    U = np.take_along_axis(V, np.argsort(w.real, axis=-1)[:, None, :d], axis=-1)
+    try:
+        X_go = (U[:, d:] @ np.linalg.inv(U[:, :d])).real
+    except np.linalg.LinAlgError as exc:
+        raise MethodError(f"a Hamiltonian's stable subspace has no graph: {exc}") from None
     for _ in range(60):
         if not go.size:
             break
         BX = BBT[go] @ X_go
-        X_go = _lyapunov(A[go] - BX, Q[go] + X_go @ BX, eig)
-        X_go, eig = 0.5 * (X_go + np.swapaxes(X_go, -1, -2)), None
-        on = keep(go, X_go, True)
+        X_go = _lyapunov(A[go] - BX, Q[go] + X_go @ BX)
+        X_go = 0.5 * (X_go + np.swapaxes(X_go, -1, -2))
+        on = keep(go, X_go)
         go, X_go = go[on], X_go[on]
     if go.size:
-        raise MethodError("the ARE did not converge within 14 horizons and 60 Newton steps")
-    return X, norms, newton
+        raise MethodError("the ARE did not converge within 60 Newton steps")
+    return X
 
 
 # an eigenbasis whose 1-norm condition number exceeds this is taken as singular
 _EIGENBASIS_COND_MAX = 1e12
 
 
-def _lyapunov(F: np.ndarray, C: np.ndarray, eig=None) -> np.ndarray:
+def _lyapunov(F: np.ndarray, C: np.ndarray) -> np.ndarray:
     """The solution X of ``F^T X + X F = -C`` for a stable diagonalizable F, or a stack of them.
 
     With F = V diag(w) V^-1, Y = V^T X V solves (w_i + w_j) Y_ij = -(V^T C V)_ij,
@@ -488,10 +493,9 @@ def _lyapunov(F: np.ndarray, C: np.ndarray, eig=None) -> np.ndarray:
     slice by slice, so a slice's result has the same bits as its own.  Raises
     MethodError when some F has an eigenvalue with real part >= 0, or an
     eigenbasis that is singular (1-norm condition number above 1e12).
-    ``eig`` is ``np.linalg.eig(F)`` when the caller already has it.
     """
     try:
-        w, V = np.linalg.eig(F) if eig is None else eig
+        w, V = np.linalg.eig(F)
         if not (w.real < 0.0).all():
             raise MethodError("a Lyapunov operator F has an eigenvalue with real part >= 0")
         w, V = w.astype(complex, copy=False), V.astype(complex, copy=False)
@@ -543,7 +547,7 @@ def bounds_report(E_hat: RiccatiSolution, system: SpectralSystem, weak, strong) 
     lam = system.lambdas
     weights = [np.repeat(scale.density_weights(lam), 2) ** -0.5 for scale in (weak, strong)]
     c1, c2 = np.inf, -np.inf
-    for stack in stacked_blocks(system):
+    for stack in stacked_blocks(system.records):
         e = energy_index(np.array([r.modes for r in stack]))
         E_b = E_hat.E[e[:, :, None], e[:, None, :]]
         lo, hi = (np.linalg.eigvalsh(E_b * w[e][:, :, None] * w[e][:, None, :]) for w in weights)

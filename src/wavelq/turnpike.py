@@ -185,7 +185,7 @@ def solve_tracking(system: SpectralSystem, z, x0, horizon: float,
     values = np.zeros(steps + 1)
     int_y = np.empty(2 * dim)
     j_dev_exact = 0.0
-    for stack in stacked_blocks(system):
+    for stack in stacked_blocks(system.records):
         j_dev_exact += _track_stack(lam, stack, are.E, x0_dev, h_T, horizon, sub, X, q,
                                     values, int_y)
 

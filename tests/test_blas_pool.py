@@ -81,7 +81,8 @@ sys.meta_path.insert(0, NoScipy())
 """
 
 # small configs through every solve_are path: a stacked Newton-Kleinman run
-# (synthetic and rectangle), a DRE-limit run (the star [1, 1, 1] on edge 0)
+# (synthetic and rectangle), a run with free directions split off (the star
+# [1, 1, 1] on edge 0)
 # and tracking
 BLOCKED_CONFIGS = {
     "bounds_rectangle": {"model": {"kind": "rectangle", "a": 1.0, "b": 2.0, "max_frequency": 8.0},

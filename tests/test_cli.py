@@ -274,8 +274,8 @@ class TestRun:
 
     def test_turnpike_without_a_stabilizing_are_solution_runs(self, tmp_path, capsys):
         # three equal edges with control and observation on one: the modes that
-        # vanish on that edge leave no stabilizing ARE solution, and tracking runs
-        # through the DRE limit instead
+        # vanish on that edge leave no stabilizing ARE solution; solve_are splits
+        # them off with the minimal solution 0, and tracking runs through it
         cfg = {
             "model": {"kind": "star", "lengths": [1.0, 1.0, 1.0], "controlled_edge": 0,
                       "observed_edge": 0, "lambda_max": 8.0},

@@ -21,6 +21,7 @@ from wavelq.models import (
     fit_weak_observability,
     observability_gramian,
     shell_constant,
+    sine_product_integral,
 )
 from wavelq.riccati import first_order_matrices
 from wavelq.spectral import DomainError
@@ -131,7 +132,6 @@ class TestStarNetwork:
         lams, amplitudes = _star_eigenpairs(lengths, 25.0)
         assert np.array_equal(lams, st.lambdas)
         # Gram matrix via the per-edge closed-form overlaps summed over edges
-        from wavelq.models import sine_product_integral
         G = np.zeros((st.n_modes, st.n_modes))
         for j, ell in enumerate(lengths):
             amps = amplitudes[:, j]
@@ -152,6 +152,27 @@ class TestStarNetwork:
         st = build_star_network([1.0, np.pi, 2 * np.pi], 0, 1, 20.0)
         gains = np.diag(st.B_mod @ st.B_mod.T)
         assert gains.min() <= 1e-12
+
+    @pytest.mark.parametrize("lengths", [[1.0, 1.0, 1.0], [1.0, np.pi, np.pi**2], [20.0, 1.0]],
+                             ids=["111", "1_pi_pi2", "long_controlled_edge"])
+    @pytest.mark.parametrize("lambda_max", [8.0, 40.0, 64.0])
+    def test_control_factors_the_closed_form_overlap(self, lengths, lambda_max):
+        st = build_star_network(lengths, 0, 1, lambda_max)
+        lams, amplitudes = _star_eigenpairs(np.asarray(lengths), lambda_max)
+        a = amplitudes[:, 0]
+        K = np.outer(a, a) * sine_product_integral(lams, lams, 0.0, lengths[0])
+        assert np.abs(st.B_mod @ st.B_mod.T - K).max() <= 1e-13 * np.abs(K).max()
+
+    @pytest.mark.parametrize("lambda_max", [8.0, 32.0, 64.0])
+    def test_free_directions_at_shared_poles_get_rounding_level_control(self, lambda_max):
+        # at each pole k pi of three unit edges one combination vanishes on edge 0;
+        # a square root of the overlap gave it a singular value of 1.5e-9 or more
+        st = build_star_network([1.0, 1.0, 1.0], 0, 0, lambda_max)
+        poles = np.pi * np.arange(1, int(lambda_max / np.pi) + 1)
+        for pole in poles:
+            g = np.flatnonzero(np.abs(st.lambdas - pole) <= 1e-9 * pole)
+            assert g.size == 2
+            assert np.linalg.svd(st.B_mod[g], compute_uv=False)[-1] <= 1e-15
 
     def test_weyl_consistency_guard(self):
         st = build_star_network([np.pi, 1.3], 0, 1, 30.0)

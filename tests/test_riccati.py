@@ -8,7 +8,8 @@ import scipy.integrate
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from wavelq.closed_loop import hum_null_control
+from wavelq import riccati
+from wavelq.closed_loop import hum_null_control, simulate_riccati_feedback
 from wavelq.cli import build_model
 from wavelq.models import (
     SpectralSystem,
@@ -88,7 +89,7 @@ class TestFirstOrderMatrices:
                              ids=lambda s: s.label)
     def test_block_and_stack_matrices_are_pieces_of_the_dense_ones(self, sys_):
         A, B, Q = first_order_matrices(sys_)
-        for stack in stacked_blocks(sys_):
+        for stack in stacked_blocks(sys_.records):
             A_s, B_s, Q_s = stack_matrices(sys_.lambdas, stack)
             for r, A_k, B_k, Q_k in zip(stack, A_s, B_s, Q_s):
                 e = energy_index(r.modes)
@@ -164,7 +165,7 @@ def relative_error(X, ref):
 def expm_stacks():
     """(name, stack) of the generators the library exponentiates, at the steps it takes."""
     rect = build_rectangle(1.0, 2.0, 12.0)
-    for stack in stacked_blocks(rect):
+    for stack in stacked_blocks(rect.records):
         M = hamiltonian_matrix(*stack_matrices(rect.lambdas, stack))
         for h in (np.pi / (4.0 * 12.0), 0.05, 0.4):
             yield f"rectangle Hamiltonians {M.shape}, h={h:.3g}", M * h
@@ -177,7 +178,7 @@ def expm_stacks():
     for h in (np.pi / (8.0 * 64.0), 8.0 * np.pi / (8.0 * 64.0), 0.05):
         yield f"interval Van Loan {Z.shape}, h={h:.3g}", (Z * h)[None]
     syn = build_synthetic(2.0, 2.0, 12)
-    (stack,) = stacked_blocks(syn)
+    (stack,) = stacked_blocks(syn.records)
     A, B, Q = stack_matrices(syn.lambdas, stack)
     for h in (0.02, 0.16):
         yield f"synthetic closed loops {A.shape}, h={h:.3g}", (A - B @ B.swapaxes(-1, -2)) * h
@@ -187,7 +188,7 @@ def expm_stacks():
 def norm_sweep_stack(norm):
     """2x2 synthetic closed loops and Hamiltonians and 6x6 skew matrices, each of 1-norm ``norm``."""
     syn = build_synthetic(2.0, 2.0, 12)
-    A, B, Q = stack_matrices(syn.lambdas, stacked_blocks(syn)[0])
+    A, B, Q = stack_matrices(syn.lambdas, stacked_blocks(syn.records)[0])
     S = np.random.default_rng(5).standard_normal((4, 6, 6))
     out = []
     for G in (A - B @ B.swapaxes(-1, -2), hamiltonian_matrix(A, B, Q), S - S.swapaxes(-1, -2)):
@@ -212,7 +213,7 @@ class TestExpm:
 
     def test_a_slice_has_the_bits_it_has_alone(self):
         syn = build_synthetic(2.0, 2.0, 12)
-        A, B, Q = stack_matrices(syn.lambdas, stacked_blocks(syn)[0])
+        A, B, Q = stack_matrices(syn.lambdas, stacked_blocks(syn.records)[0])
         M = hamiltonian_matrix(A, B, Q)
         # per slice norms from 1e-3 to 1e3, which take from 0 to 8 squarings
         norms = np.resize([1e-3, 0.1, 0.5, 1.5, 3.0, 30.0, 1e3], len(M))
@@ -252,7 +253,7 @@ def lyapunov_stacks():
     for name, build in LYAPUNOV_SYSTEMS.items():
         sys_ = build()
         E = solve_are(sys_).E
-        for stack in stacked_blocks(sys_):
+        for stack in stacked_blocks(sys_.records):
             A, B, Q = stack_matrices(sys_.lambdas, stack)
             BBT = B @ B.swapaxes(-1, -2)
             e = energy_index(np.array([r.modes for r in stack]))
@@ -279,7 +280,7 @@ class TestLyapunov:
 
     def test_a_slice_has_the_bits_it_has_alone(self):
         sys_ = build_rectangle(1.0, 2.0, 12.0)
-        stack = max(stacked_blocks(sys_), key=len)
+        stack = max(stacked_blocks(sys_.records), key=len)
         A, B, Q = stack_matrices(sys_.lambdas, stack)
         BBT = B @ B.swapaxes(-1, -2)
         F, C = A - BBT, Q + BBT
@@ -319,7 +320,7 @@ class TestLyapunov:
 
     def test_blocks_of_one_stack_with_different_control_widths(self):
         sys_ = two_control_widths()
-        assert [[r.controls.size for r in stack] for stack in stacked_blocks(sys_)] == [[2, 1]]
+        assert [[r.controls.size for r in stack] for stack in stacked_blocks(sys_.records)] == [[2, 1]]
         sol = solve_are(sys_)
         for r in sys_.records:
             alone = SpectralSystem.from_dense(sys_.lambdas[r.modes], r.B, r.Q)
@@ -452,7 +453,8 @@ BACKWARD_ERROR_SYSTEMS = {
         json.loads((CONFIG_DIR / "bounds_synthetic.json").read_text())["model"]),
     "rectangle_12": lambda: build_rectangle(1.0, 2.0, 12.0),
     "rectangle_16": lambda: build_rectangle(1.0, 2.0, 16.0),
-    # modes that vanish on edge 0 leave no stabilizing solution: the DRE limit
+    # modes that vanish on edge 0 leave no stabilizing solution: they are split off
+    # with the minimal solution 0, the DRE limit there
     "star_111": lambda: build_star_network([1.0, 1.0, 1.0], 0, 0, 8.0),
 }
 
@@ -466,6 +468,157 @@ def test_both_methods_reach_backward_error_1e_14(case, method):
     assert sol.method == method
     assert dense_backward_error(sol, sys_) <= 1e-14
     assert sol.backward_error <= 1e-14
+
+
+# ---------------------------------------------------------------------------
+# the forward error against the closed form of a single-mode block
+
+
+def single_mode_closed_form(lam, b, q):
+    """E = [[p, r], [r, s]] of one mode of frequency lam, control weight b on zeta, cost q on xi.
+
+    s^2 = 2q / (b^2 (1 + sqrt(1 + b^2 q / lam^2))), r = b^2 s^2 / (2 lam) and
+    p = s + b^2 r s / lam; every operation adds positive numbers, so each entry
+    is exact to a few ulps.  Also returns the closed loop's damping, the least
+    |Re mu| of the eigenvalues of A - B B^T E (mu^2 + b^2 s mu + lam (lam + b^2 r) = 0).
+    """
+    b2 = b * b
+    s = np.sqrt(2.0 * q / (b2 * (1.0 + np.sqrt(1.0 + b2 * q / lam**2))))
+    r = b2 * s * s / (2.0 * lam)
+    p = s + b2 * r * s / lam
+    disc = (b2 * s) ** 2 - 4.0 * lam * (lam + b2 * r)
+    damping = 0.5 * b2 * s if disc < 0.0 else 0.5 * (b2 * s - np.sqrt(disc))
+    return np.array([[p, r], [r, s]]), damping
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_synthetic(2.0, 2.0, 64), lambda: build_synthetic(0.5, 0.5, 256),
+    lambda: build_synthetic_exponential(0.3, 0.05, 50),
+    lambda: build_synthetic_exponential(0.3, 0.2, 50)],
+    ids=["synthetic_2_64", "synthetic_0.5_256", "exponential_0.05", "exponential_0.2"])
+def test_single_mode_blocks_match_the_closed_form_to_their_condition(build):
+    # the forward error is about the backward error times kappa = lambda / damping
+    # (Byers 1985; Sun 1998), and the stop rule holds the backward error to 1e-14
+    sys_ = build()
+    E = solve_are(sys_).E
+    for r in sys_.records:
+        (k,), lam = r.modes, sys_.lambdas[r.modes[0]]
+        want, damping = single_mode_closed_form(lam, r.B[0, 0], r.Q[0, 0] / lam**2)
+        err = np.abs(E[2 * k:2 * k + 2, 2 * k:2 * k + 2] - want).max() / np.abs(want).max()
+        assert err <= 1e-14 * lam / damping, (k, err)
+
+
+# ---------------------------------------------------------------------------
+# one route: a Hamiltonian start, Newton-Kleinman, and the free directions split off
+
+
+def count_riccati_steps(monkeypatch):
+    calls = []
+    step = riccati.riccati_step
+
+    def counted(*args):
+        calls.append(1)
+        return step(*args)
+
+    monkeypatch.setattr(riccati, "riccati_step", counted)
+    return calls
+
+
+@pytest.mark.parametrize("build, method", [
+    (lambda: build_star_network([1.0, 1.0, 1.0], 0, 0, 32.0), "dre_limit"),
+    (lambda: build_synthetic_exponential(0.3, 0.2, 50), "newton_kleinman")],
+    ids=["star_111_32", "exponential_0.2"])
+def test_solve_are_sweeps_no_dre(build, method, monkeypatch):
+    sys_ = build()
+    calls = count_riccati_steps(monkeypatch)
+    sol = solve_are(sys_)
+    assert calls == [] and sol.method == method
+    assert dense_backward_error(sol, sys_) <= 1e-14
+
+
+def test_weakly_controlled_exponential_family_raises_without_a_sweep(monkeypatch):
+    sys_ = build_synthetic_exponential(0.5, 0.1, 40)
+    calls = count_riccati_steps(monkeypatch)
+    with pytest.raises(MethodError):
+        solve_are(sys_)
+    assert calls == []
+
+
+def test_a_singular_stable_subspace_raises_method_error(monkeypatch):
+    # [[I, 0], [0, -I]]: the stable eigenvectors have no state part, so U_1 = 0
+    def no_graph(A, B, Q):
+        d = A.shape[-1]
+        return np.broadcast_to(np.diag(np.repeat([1.0, -1.0], d)), A.shape[:-2] + (2 * d, 2 * d))
+
+    monkeypatch.setattr(riccati, "hamiltonian_matrix", no_graph)
+    with pytest.raises(MethodError, match="stable subspace"):
+        solve_are(build_synthetic(2.0, 2.0, 3))
+
+
+def star_free_directions(sys_):
+    """Energy-coordinate bases of the directions at each shared pole that B_mod does not reach."""
+    lam, B = sys_.lambdas, sys_.B_mod
+    for pole in np.unique(lam[np.flatnonzero(np.diff(lam) == 0.0)]):
+        g = np.flatnonzero(lam == pole)
+        u, sv, _ = np.linalg.svd(B[g], full_matrices=True)
+        rank = int(np.sum(sv > 1e-10))
+        V = np.zeros((2 * lam.size, 2 * (g.size - rank)))
+        for j, v in enumerate(u[:, rank:].T):
+            V[2 * g, 2 * j], V[2 * g + 1, 2 * j + 1] = v, v
+        yield pole, V
+
+
+def test_star_matches_the_dre_at_a_converged_horizon():
+    sys_ = build_star_network([1.0, 1.0, 1.0], 0, 0, 8.0)
+    E = solve_are(sys_).E
+    dre = integrate_dre(sys_, 160.0)[0].E
+    assert np.abs(E - dre).max() <= 1e-11 * np.abs(dre).max()
+
+
+def test_split_off_directions_stay_neutral_in_the_closed_loop():
+    sys_ = build_star_network([1.0, 1.0, 1.0], 0, 0, 16.0)
+    sol = solve_are(sys_)
+    A, B, _ = first_order_matrices(sys_)
+    free = list(star_free_directions(sys_))
+    assert len(free) == 5
+    for pole, V in free:
+        # the minimal solution is 0 there, so the closed loop is the free flow on them
+        assert np.abs(sol.E @ V).max() <= 1e-14 * np.abs(sol.E).max()
+        assert np.abs(B @ (B.T @ sol.E @ V)).max() <= 1e-15 * pole
+        traj = simulate_riccati_feedback(sys_, sol, V[:, 0] + V[:, 1], 20.0)
+        assert np.abs(traj.energies - 2.0).max() <= 1e-13
+
+
+@pytest.mark.parametrize("build", [
+    lambda: SpectralSystem.from_dense([1.0, 2.0], np.zeros((2, 1)), np.zeros((2, 2))),
+    # the shared-pole modes that vanish on edge 2 have neither control nor cost
+    lambda: build_star_network([np.pi, np.pi, 1.0], 2, 2, 8.0)], ids=["from_dense", "star_pi_pi_1"])
+def test_records_with_every_direction_free_get_the_exact_zero(build):
+    sys_ = build()
+    free = [r.modes for r in sys_.records if not r.controls.size and not r.Q.any()]
+    assert free
+    sol = solve_are(sys_)
+    e = energy_index(np.concatenate(free))
+    assert sol.method == "dre_limit" and (sol.E[e] == 0.0).all()
+    assert sol.backward_error <= 1e-14
+    if sol.E.any():
+        assert sol.backward_error == pytest.approx(dense_backward_error(sol, sys_), rel=1e-3)
+
+
+def test_backward_error_is_that_of_the_system_not_of_its_split_records():
+    # modes 0 and 1 differ in frequency by 1e-10 and share their row of B_mod, so (1, -1)
+    # splits off as free; Q costs it 8e-12 (below the floor) and couples it to mode 2 by
+    # 2.8e-6, and the split solves the problem without either
+    d = 2e-6
+    v = np.array([1.0 + d, 1.0 - d, 1.0])
+    sys_ = SpectralSystem.from_dense([1.0, 1.0 + 1e-10, 2.0], [[1.0, 0.0], [1.0, 0.0], [0.3, 1.0]],
+                                     np.outer(v, v) + np.diag([0.0, 0.0, 1.0]))
+    sol = solve_are(sys_)
+    A, B, Q = first_order_matrices(sys_)
+    R = Q + sol.E @ A + A.T @ sol.E - sol.E @ B @ B.T @ sol.E
+    assert dense_backward_error(sol, sys_) > 1e-9
+    assert sol.backward_error == pytest.approx(dense_backward_error(sol, sys_), rel=1e-6)
+    assert sol.residual == pytest.approx(np.linalg.norm(R), rel=1e-6)
 
 
 class TestRiccatiSolution:

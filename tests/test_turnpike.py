@@ -327,8 +327,8 @@ def test_tracking_memory_stays_off_the_step_count():
 
 def test_tracking_without_a_stabilizing_are_solution():
     # three equal edges, control and observation on one: modes that vanish on that
-    # edge are free and nearly uncontrollable, so no DRE snapshot stabilizes and
-    # solve_are keeps the DRE limit, whose closed loop leaves those modes neutral
+    # edge are free, so solve_are splits them off with the minimal solution 0 (the
+    # DRE limit there), and its closed loop leaves those modes neutral
     sys_ = build_star_network([1.0, 1.0, 1.0], 0, 0, 8.0)
     z = np.zeros(sys_.n_modes)
     x0 = np.ones(2 * sys_.n_modes)
