@@ -14,7 +14,10 @@ closed form from the closed-loop step and Gramian of ``riccati.step_map``.
 The solve reads the system's block records, stacks blocks of equal size
 (``riccati.stack_matrices``, so no dense A or Q is formed), and walks the
 horizon in chunks of steps, so it has no per-step Python loop and stores
-nothing of size steps x d^2.  Costs and mean positions are sums of
+nothing of size steps x d^2.  Its stacks of steps are held blocks-first,
+(blocks, steps, s, s): a product whose factor all of a chunk's steps share
+is one GEMM or GEMV per block over the steps' stacked rows, not one BLAS
+call per step.  Costs and mean positions are sums of
 the Hamiltonian step's Van Loan integrals, and the averaged turnpike metrics
 read them instead of integrating the recorded grid.
 The tests hold two independent oracles: a dense collocation solve of the
@@ -149,12 +152,15 @@ def solve_tracking(system: SpectralSystem, z, x0, horizon: float,
 
     The record step is split into equal fine steps of at most
     pi/(4 lambda_max).  (F_1, G_1) comes from ``step_map``; (F_j, G_j) up to
-    a chunk length follow by doubling with G(s + t) = G(s) + F(s) G(t) F(s)^T,
-    and (F_N, G_N) by binary doubling.  Each stack of equal-sized blocks is
-    walked in chunks whose stacks hold about ``_STACK_ELEMENTS`` numbers.
-    Costs and the position average are exact sums of the Hamiltonian step's
-    Van Loan integrals; the ``value`` column is x^T E(T - t) x with
-    E(tau) = P - F_tau^T (I - P G_tau)^{-1} P F_tau.
+    a chunk length follow by doubling rounds of three GEMMs per block,
+    F_{k+j} = F_j F_k and G_{k+j} = G_k + F_k G_j F_k^T over the stacked
+    j = 1..n, and (F_N, G_N) by binary doubling.  Each stack of equal-sized
+    blocks is walked in chunks whose stacks hold about ``_STACK_ELEMENTS``
+    numbers.  Costs and the position average are exact sums of the
+    Hamiltonian step's Van Loan integrals; the ``value`` column is
+    x^T E(T - t) x with E(tau) = P - F_tau^T (I - P G_tau)^{-1} P F_tau,
+    read through F_tau x_r = x_N + G_tau y_N, so F_tau is never formed and
+    only the (I - G_tau P) solve is per record.
     """
     require_positive(horizon=horizon, dt_record=dt_record)
     z = np.asarray(z, dtype=float)
@@ -220,7 +226,7 @@ def solve_tracking(system: SpectralSystem, z, x0, horizon: float,
                             value_formula_cost=value_cost, system=system)
 
 
-# numbers in one (steps, blocks, s, s) stack of a chunk of the tracking sweep
+# numbers in one (blocks, steps, s, s) stack of a chunk of the tracking sweep
 _STACK_ELEMENTS = 1 << 16
 
 
@@ -231,6 +237,27 @@ def _mT(a: np.ndarray) -> np.ndarray:
 def _mv(M: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Stacked matrix-vector products M v."""
     return (M @ v[..., None])[..., 0]
+
+
+def _rows(S: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """S_j R for every slab S_j of a blocks-first stack (blocks, n, s, t) and its block's R.
+
+    R is (blocks, t, u), or (blocks, t) for products with a vector; each
+    block's slabs are one matrix of n s stacked rows, so this is one GEMM (or
+    GEMV) per block.
+    """
+    nb, n, s, t = S.shape
+    if R.ndim == 2:
+        return (S.reshape(nb, n * s, t) @ R[..., None]).reshape(nb, n, s)
+    return (S.reshape(nb, n * s, t) @ R).reshape(nb, n, s, R.shape[-1])
+
+
+def _congruence(F: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """F G_j F^T for every symmetric slab G_j of a blocks-first stack: two GEMMs per block.
+
+    The slabs of the first product are G_j F^T = (F G_j)^T.
+    """
+    return _rows(_mT(_rows(G, _mT(F))), _mT(F))
 
 
 def _compose(first, second):
@@ -252,15 +279,23 @@ def _power(pair, n: int):
 
 
 def _powers(pair, m: int):
-    """Stacks of the pairs (F_j, G_j) over j = 0..m steps, each (m + 1, blocks, s, s)."""
+    """Stacks of the pairs (F_j, G_j) over j = 0..m steps, each blocks-first (blocks, m + 1, s, s).
+
+    A doubling round extends the stacks from k to k + n steps. The F_j are
+    powers of F_1, so they commute, and the G_j are symmetric:
+    F_{k+j} = F_j F_k and G_{k+j} = G_k + F_k G_j F_k^T, three GEMMs per
+    block with F_k shared by the round's slabs.
+    """
     F1, G1 = pair
-    F = np.empty((m + 1,) + F1.shape)
+    nb, s = F1.shape[:2]
+    F = np.empty((nb, m + 1, s, s))
     G = np.empty_like(F)
-    F[0], G[0], F[1], G[1] = np.eye(F1.shape[-1]), 0.0, F1, G1
+    F[:, 0], G[:, 0], F[:, 1], G[:, 1] = np.eye(s), 0.0, F1, G1
     k = 1
     while k < m:
         n = min(k, m - k)
-        F[k + 1:k + n + 1], G[k + 1:k + n + 1] = _compose((F[k], G[k]), (F[1:n + 1], G[1:n + 1]))
+        F[:, k + 1:k + n + 1] = _rows(F[:, 1:n + 1], F[:, k])
+        G[:, k + 1:k + n + 1] = G[:, k, None] + _congruence(F[:, k], G[:, 1:n + 1])
         k += n
     return F, G
 
@@ -271,11 +306,14 @@ def _track_stack(lam, stack, P, x0_dev, h_T, horizon, sub, X, q, values, int_y) 
     ``stack`` holds the blocks' records and P is the whole ARE solution.
     Fills their columns of the recorded states X and adjoints q and of the
     integrals int_y of (x, q), adds their share to ``values``, and returns
-    their deviation cost.
+    their deviation cost.  Every stack of steps is blocks-first, so each
+    product with a factor shared by a chunk's steps is one GEMM or GEMV per
+    block over the steps' stacked rows.
     """
     e = energy_index(np.array([r.modes for r in stack]))
     A, B, Q = stack_matrices(lam, stack)
     P = P[e[:, :, None], e[:, None, :]]
+    PT = _mT(P)
     nb, s = e.shape
     steps = X.shape[0] - 1
     n_fine = steps * sub
@@ -286,6 +324,7 @@ def _track_stack(lam, stack, P, x0_dev, h_T, horizon, sub, X, q, values, int_y) 
     one = (_mT(FT), G1)
     m = min(n_fine, sub * max(1, _STACK_ELEMENTS // (sub * nb * s * s)))
     F, G = _powers(one, m)
+    FT = np.ascontiguousarray(_mT(F))
 
     M = hamiltonian_matrix(A, B, Q)
     cost = np.zeros((nb, 2 * s, 2 * s))
@@ -303,36 +342,42 @@ def _track_stack(lam, stack, P, x0_dev, h_T, horizon, sub, X, q, values, int_y) 
     starts = range(0, n_fine, m)
     y_at = [y_end]  # y at the chunk ends, last chunk first
     for a in reversed(starts[1:]):
-        y_at.append(_mv(_mT(F[min(m, n_fine - a)]), y_at[-1]))
+        y_at.append(_mv(FT[:, min(m, n_fine - a)], y_at[-1]))
 
     j_dev, y_sum = 0.0, np.zeros((nb, 2 * s))
     for a, y_b in zip(starts, reversed(y_at)):
         n = min(m, n_fine - a)
-        ys = _mv(_mT(F[n::-1]), y_b)             # y_{a+i} = F_{n-i}^T y_{a+n}
+        ys = _rows(FT[:, :n + 1], y_b)[:, ::-1]      # y_{a+i} = F_{n-i}^T y_{a+n}
         xs = np.empty_like(ys)
-        xs[0] = x
-        xs[1:] = _mv(F[1:n + 1], x) - _mv(G[1:n + 1], ys[1:])
-        qs = ys + _mv(P, xs)
-        Y = np.concatenate([xs[:-1], qs[:-1]], axis=-1)
-        j_dev += float(np.sum(_mv(W, Y) * Y))
-        y_sum += Y.sum(axis=0)
+        xs[:, 0] = x
+        xs[:, 1:] = _rows(F[:, 1:n + 1], x) - _mv(G[:, 1:n + 1], ys[:, 1:])
+        qs = ys + xs @ PT
+        Y = np.concatenate([xs[:, :-1], qs[:, :-1]], axis=-1)
+        j_dev += float(np.sum(W * (_mT(Y) @ Y)))  # sum_j Y_j^T W Y_j
+        y_sum += Y.sum(axis=1)
         rec = slice(a // sub, (a + n) // sub)
-        X[rec, e], q[rec, e] = xs[:-1:sub], qs[:-1:sub]
-        x = xs[-1]
+        X[rec, e], q[rec, e] = np.swapaxes(xs[:, :-1:sub], 0, 1), np.swapaxes(qs[:, :-1:sub], 0, 1)
+        x = xs[:, -1]
     X[-1, e], q[-1, e] = x, y_end + _mv(P, x)
     int_y[e], int_y[e + X.shape[1]] = np.split(_mv(L, y_sum), 2, axis=-1)
 
-    # values x^T E(tau) x, chunk by chunk backward; ``pair`` spans the time to go at the chunk's end
-    pair = (eye, np.zeros((nb, s, s)))
+    # values x^T E(tau) x, chunk by chunk backward.  The dichotomy gives
+    # w = F_tau x = x_N + G_tau y_N (x and y_end are x_N and y_N now), and
+    # x^T F_tau^T (I - P G_tau)^-1 P F_tau x = (P w)^T (I - G_tau P)^-1 w.  (F_p, G_p)
+    # spans the time to go at the chunk's end, composed on the outside:
+    # G_tau = G_p + F_p G_j F_p^T.
+    F_p, G_p = eye, np.zeros((nb, s, s))
     for a in reversed(starts):
         n = min(m, n_fine - a)
-        j = np.arange(n, 0, -sub)
-        F_tau, G_tau = _compose((F[j], G[j]), pair)
-        xr = X[a // sub:(a + n) // sub, e]
-        w = _mv(F_tau, xr)
-        zeta = np.linalg.solve(eye - P @ G_tau, _mv(P, w)[..., None])[..., 0]
-        values[a // sub:(a + n) // sub] += np.sum(xr * _mv(P, xr) - w * zeta, axis=(1, 2))
-        pair = _compose((F[n], G[n]), pair)
+        G_tau = G[:, n:0:-sub]
+        if a + n < n_fine:
+            G_tau = G_p[:, None] + _congruence(F_p, G_tau)
+        w = x[:, None] + _rows(G_tau, y_end)
+        xi = np.linalg.solve(eye - _rows(G_tau, P), w[..., None])[..., 0]
+        rec = slice(a // sub, (a + n) // sub)
+        xr = np.swapaxes(X[rec, e], 0, 1)
+        values[rec] += np.sum(xr * (xr @ PT) - (w @ PT) * xi, axis=(0, 2))
+        F_p, G_p = _compose((F_p, G_p), (F[:, n], G[:, n]))
     return j_dev
 
 

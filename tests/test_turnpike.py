@@ -9,10 +9,12 @@ from scipy.integrate import simpson
 from tracking_oracle import solve_tracking_collocation, solve_tracking_sweep
 from wavelq.closed_loop import smooth_initial_state
 from wavelq.models import (SpectralSystem, build_interval_wave, build_rectangle,
-                           build_star_network, build_synthetic)
-from wavelq.riccati import first_order_matrices, solve_are
+                           build_star_network, build_synthetic, energy_index, stacked_blocks)
+from wavelq.riccati import first_order_matrices, solve_are, stack_matrices, step_map
 from wavelq.spectral import DomainError
 from wavelq.turnpike import (
+    _STACK_ELEMENTS,
+    _powers,
     averaged_metrics,
     g_weight,
     solve_stationary,
@@ -265,24 +267,76 @@ def _assert_matches_sweep(sys_, z, x0, horizon, dt_record=None, tol=1e-10):
     return sol
 
 
-@pytest.mark.parametrize("build, horizon, dt_record", [
-    (lambda: build_synthetic(2.0, 2.0, 12), 25.0, 0.01),
-    (lambda: build_synthetic(2.0, 2.0, 12), 200.0, 0.01),
-    (lambda: build_synthetic(np.inf, np.inf, 12), 200.0, 0.01),
-    (lambda: build_rectangle(1.0, 2.0, 8.0), 10.0, None),  # blocks of four sizes
-    (lambda: build_interval_wave(16, control=("subinterval", 0.4, 1.9)), 10.0, None),  # one block
-    (lambda: build_synthetic(2.0, 2.0, 12), 20.0, 0.3),  # sub = 5 fine steps per record step
+def _chunk_counts(sys_, horizon, dt_record):
+    """Fine steps per record step, and the chunks each stack's walk spans, by the rule of
+    ``solve_tracking``."""
+    lam_max = sys_.lambdas.max()
+    if dt_record is None:
+        dt_record = min(0.02, np.pi / (8.0 * lam_max))
+    steps = max(2, int(np.ceil(horizon / dt_record)))
+    sub = int(np.ceil(horizon / steps / (np.pi / (4.0 * lam_max))))
+    counts = []
+    for stack in stacked_blocks(sys_.records):
+        elements = len(stack) * (2 * stack[0].modes.size) ** 2
+        counts.append(-(-steps // max(1, _STACK_ELEMENTS // (sub * elements))))
+    return sub, counts
+
+
+@pytest.mark.parametrize("build, horizon, dt_record, chunked_stacks", [
+    (lambda: build_synthetic(2.0, 2.0, 12), 25.0, 0.01, 0),
+    (lambda: build_synthetic(2.0, 2.0, 12), 200.0, 0.01, 0),
+    (lambda: build_synthetic(np.inf, np.inf, 12), 200.0, 0.01, 0),
+    (lambda: build_rectangle(1.0, 2.0, 8.0), 10.0, None, 0),  # blocks of four sizes
+    (lambda: build_interval_wave(16, control=("subinterval", 0.4, 1.9)), 10.0, None, 0),  # one block
+    (lambda: build_synthetic(2.0, 2.0, 12), 20.0, 0.3, 0),  # sub = 5 fine steps per record step
     # free modes vanishing on the controlled edge: no stabilizing ARE solution
-    (lambda: build_star_network([1.0, 1.0, 1.0], 0, 0, 8.0), 50.0, None),
-], ids=["synthetic-T25", "synthetic-T200", "exact-T200", "rectangle", "interval", "sub5",
-        "star_111"])
-def test_dichotomy_matches_sweep_oracle(build, horizon, dt_record):
+    (lambda: build_star_network([1.0, 1.0, 1.0], 0, 0, 8.0), 50.0, None, 0),
+    # sub = 3; the stacks of 14- and 12-coordinate blocks span 6 and 3 chunks, so the
+    # value column composes the time to go outside blocks larger than 2 x 2
+    (lambda: build_rectangle(1.0, 2.0, 8.0), 60.0, 0.3, 2),
+], ids=["synthetic-T25", "synthetic-T200", "exact-T200", "rectangle",
+        "interval", "sub5", "star_111", "rectangle-chunks"])
+def test_dichotomy_matches_sweep_oracle(build, horizon, dt_record, chunked_stacks):
     sys_ = build()
+    if chunked_stacks:
+        sub, counts = _chunk_counts(sys_, horizon, dt_record)
+        assert sub > 1 and sum(c >= 3 for c in counts) >= chunked_stacks
     rng = np.random.default_rng(12)
     x0 = smooth_initial_state(sys_.lambdas, 2.5, rng=rng).to_vector()
     z = sys_.lambdas**-2.0 * rng.choice([-1.0, 1.0], size=sys_.n_modes)
     sol = _assert_matches_sweep(sys_, z, x0, horizon, dt_record)
     assert tracking_os_residual(sol) <= 1e-6
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_synthetic(2.0, 2.0, 12),
+    lambda: build_rectangle(1.0, 2.0, 8.0),  # blocks of four sizes
+    lambda: build_star_network([1.0, 1.0, 1.0], 0, 0, 8.0),  # neutral free modes in A_cl
+], ids=["synthetic", "rectangle", "star_111"])
+def test_powers_match_step_map_at_every_multiple(build):
+    # every j of the chunk of a horizon-10 walk at h = 0.02 (sub = 1 on all three); over
+    # longer spans the Van Loan reference itself loses digits as e^{-A_cl^T t} grows
+    sys_ = build()
+    E = solve_are(sys_).E
+    h, n_fine = 0.02, 500
+    for stack in stacked_blocks(sys_.records):
+        e = energy_index(np.array([r.modes for r in stack]))
+        A, B, _ = stack_matrices(sys_.lambdas, stack)
+        BBT = B @ np.swapaxes(B, -1, -2)
+        A_clT = np.swapaxes(A - BBT @ E[e[:, :, None], e[:, None, :]], -1, -2)
+        nb, s = e.shape
+        m = min(n_fine, _STACK_ELEMENTS // (nb * s * s))
+        FT, G1 = step_map(A_clT, h, cost=BBT)
+        F, G = _powers((np.swapaxes(FT, -1, -2), G1), m)
+        assert F.shape == G.shape == (nb, m + 1, s, s)
+        assert np.array_equal(F[:, 0], np.broadcast_to(np.eye(s), (nb, s, s)))
+        assert not G[:, 0].any()
+        t = h * np.arange(1, m + 1)[:, None, None, None]
+        FT_ref, G_ref = step_map(A_clT * t, 1.0, cost=BBT * t)  # over j h, j = 1..m
+        for got, want in ((np.swapaxes(F[:, 1:], -1, -2), FT_ref), (G[:, 1:], G_ref)):
+            want = np.swapaxes(want, 0, 1)
+            err = np.abs(got - want).max(axis=(-1, -2))
+            assert np.all(err <= 1e-13 * np.abs(want).max(axis=(-1, -2)))
 
 
 @st.composite
