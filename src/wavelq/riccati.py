@@ -21,16 +21,16 @@ approximant (Al-Mohy & Higham 2009) that chooses each slice's scaling from
 that slice alone.  Newton-Kleinman's Lyapunov solves come from
 ``_lyapunov``, which diagonalizes the closed loops of a stack with one
 ``eig``, so the library's dense kernels all share numpy's one BLAS thread
-pool and no scipy module is loaded.  The DRE alone is swept step by step
-through the blocks of ``e^{M h}`` (Davison-Maki 1973), so no ODE integrator
-is involved and each step is exact up to rounding; one sweep per block gives
-its snapshots.  ``solve_are`` takes one route: the free directions split off
-with the solution 0, then Newton-Kleinman per stack of equal-sized blocks
-from the stable invariant subspace of each block's Hamiltonian (Laub 1979).
-Tracking uses the ARE solution instead (``turnpike.solve_tracking``).  Each
-block is read from its record: ``block_matrices`` and ``stack_matrices`` are
-the per-block and per-stack forms of ``first_order_matrices``, built by the
-same lift.
+pool and no scipy module is loaded.  The DRE maps E across each step by a
+linear-fractional triple read off the blocks of ``e^{M h}``, composed over
+many steps by ``binary_power``, the library's one binary-doubling loop, so no
+ODE integrator is involved and each step is exact up to rounding.
+``solve_are`` takes one route: the free directions split off with the
+solution 0, then Newton-Kleinman from the stable invariant subspace of each
+block's Hamiltonian (Laub 1979).  Tracking uses the ARE solution instead
+(``turnpike.solve_tracking``).  Both solvers work per stack of equal-sized
+blocks, read from their records by ``stack_matrices``, the per-stack form of
+``first_order_matrices`` built by the same lift.
 """
 
 from __future__ import annotations
@@ -99,13 +99,8 @@ def first_order_matrices(system: SpectralSystem):
     return _lift(system.lambdas, system.B_mod, system.Q_obs)
 
 
-def block_matrices(lambdas: np.ndarray, record: Block):
-    """``first_order_matrices`` of one block, from its record, in its modes' coordinates."""
-    return _lift(lambdas[record.modes], record.B, record.Q)
-
-
 def stack_matrices(lambdas: np.ndarray, stack):
-    """``block_matrices`` of a stack of equal-sized records (``models.stacked_blocks``).
+    """``first_order_matrices`` of each of a stack of equal-sized records (``models.stacked_blocks``).
 
     Each block's B is padded with zero columns to the widest record's.
     """
@@ -285,40 +280,43 @@ def _squarings(A, A4, A6) -> np.ndarray:
     return s
 
 
-def riccati_step(E: np.ndarray, Phi: np.ndarray) -> np.ndarray:
-    """Carry ``q = E x`` one step back across the step map Phi.
+def binary_power(step, n: int, compose):
+    """n >= 1 copies of ``step`` composed by binary doubling, with ``compose(first, second)``."""
+    acc = None
+    while True:
+        if n & 1:
+            acc = step if acc is None else compose(acc, step)
+        n >>= 1
+        if not n:
+            return acc
+        step = compose(step, step)
 
-    With S = Phi22 - E Phi12: E <- S^{-1} (E Phi11 - Phi21), symmetrized.
+
+def _compose_triples(first, second):
+    """The DRE step triple (F, G, H) of ``first`` then ``second`` (stacks too).
+
+    With S = I + G_2 H_1: F = F_1 S^-1 F_2, G = G_1 + F_1 S^-1 G_2 F_1^T and
+    H = H_2 + F_2^T H_1 S^-1 F_2 (Chu, Fan & Lin 2005).
     """
-    d = E.shape[0]
-    S = Phi[d:, d:] - E @ Phi[:d, d:]
-    E = np.linalg.solve(S, E @ Phi[:d, :d] - Phi[d:, :d])
-    return 0.5 * (E + E.T)
-
-
-def _dre_flow(lam: np.ndarray, A, B, Q, taus):
-    """Yield the DRE of a block (``lam``, ``block_matrices``) from 0 at each time of ``taus``."""
-    M = hamiltonian_matrix(A, B, Q)
-    max_step = np.pi / (4.0 * lam.max())
-    E, t_now = np.zeros_like(A), 0.0
-    for tau in taus:
-        steps = int(np.ceil((tau - t_now) / max_step))
-        if steps:
-            Phi, _ = step_map(M, (tau - t_now) / steps)
-            for _ in range(steps):
-                E = riccati_step(E, Phi)
-        t_now = tau
-        yield E
+    (F1, G1, H1), (F2, G2, H2) = first, second
+    d = F1.shape[-1]
+    X = np.linalg.solve(np.eye(d) + G2 @ H1, np.concatenate([F2, G2 @ np.swapaxes(F1, -1, -2)], -1))
+    return F1 @ X[..., :d], G1 + F1 @ X[..., d:], H2 + np.swapaxes(F2, -1, -2) @ H1 @ X[..., :d]
 
 
 def integrate_dre(system: SpectralSystem, horizon: float, snapshot_times=None):
     """Solve the matrix Riccati equation forward in time-to-go from E(0) = 0.
 
     Returns one RiccatiSolution per requested snapshot (default: the horizon
-    only).  Each block of the system is swept with the exact Hamiltonian step
-    map, in equal steps of at most pi/(4 lambda_max) of the block between
-    consecutive snapshot times, so every snapshot falls on the step grid.
-    The quadratic form is monotone nondecreasing in the time-to-go.
+    only).  Each stack of equal-sized blocks splits each interval between
+    snapshot times into equal steps of at most pi/(4 lambda_max) of the stack.
+    With e^{M h} = [[P11, P12], [P21, P22]] from one ``step_map`` of its
+    Hamiltonians, a step maps E to H + F^T (I + E G)^-1 E F, with the
+    symmetric G = -P12 P22^-1 = -P22^-T P12^T, H = -P22^-1 P21 and
+    F = P11 + G P21.  Binary doubling of that triple (Anderson 1978; Chu, Fan
+    & Lin 2005) gives the interval's, which maps the stack's E across it: the
+    cost grows with the logarithm of the steps.  The quadratic form is
+    monotone nondecreasing in the time-to-go.
     """
     require_positive(horizon=horizon)
     if snapshot_times is None:
@@ -327,12 +325,26 @@ def integrate_dre(system: SpectralSystem, horizon: float, snapshot_times=None):
     if not np.all((taus >= 0.0) & (taus <= horizon + 1e-12)):
         raise DomainError("snapshot times must lie in [0, horizon]")
 
-    unique = np.unique(taus)
-    lam = system.lambdas
-    flows = [_dre_flow(lam[r.modes], *block_matrices(lam, r), unique) for r in system.records]
-    by_tau = {float(tau): system.assemble(parts) for tau, parts in zip(unique, zip(*flows))}
-    return [RiccatiSolution(E=by_tau[float(tau)], horizon=float(tau), residual=0.0, method="dre")
-            for tau in taus]
+    unique, lam = np.unique(taus), system.lambdas
+    snaps = np.zeros((unique.size, 2 * lam.size, 2 * lam.size))
+    for stack in stacked_blocks(system.records):
+        modes = np.array([r.modes for r in stack])
+        e = energy_index(modes)
+        M, d = hamiltonian_matrix(*stack_matrices(lam, stack)), e.shape[-1]
+        E, t_now = np.zeros(e.shape + (d,)), 0.0
+        for snap, tau in zip(snaps, unique):
+            steps = int(np.ceil((tau - t_now) / (np.pi / (4.0 * lam[modes].max()))))
+            if steps:
+                P = step_map(M, (tau - t_now) / steps)[0]
+                G = -np.linalg.solve(P[:, d:, d:].swapaxes(-1, -2), P[:, :d, d:].swapaxes(-1, -2))
+                step = (P[:, :d, :d] + G @ P[:, d:, :d], G, -np.linalg.solve(P[:, d:, d:], P[:, d:, :d]))
+                F, G, H = binary_power(step, steps, _compose_triples)
+                E = H + np.swapaxes(F, -1, -2) @ np.linalg.solve(np.eye(d) + E @ G, E) @ F
+                E = 0.5 * (E + np.swapaxes(E, -1, -2))
+            snap[e[:, :, None], e[:, None, :]] = E
+            t_now = tau
+    return [RiccatiSolution(E=snaps[i], horizon=float(tau), residual=0.0, method="dre")
+            for i, tau in zip(np.searchsorted(unique, taus), taus)]
 
 
 def _split_free(system: SpectralSystem):

@@ -33,8 +33,8 @@ import numpy as np
 
 from .closed_loop import Trajectory
 from .models import SpectralSystem, energy_index, stacked_blocks
-from .riccati import (RiccatiSolution, first_order_matrices, hamiltonian_matrix, solve_are,
-                      stack_matrices, step_map)
+from .riccati import (RiccatiSolution, binary_power, first_order_matrices, hamiltonian_matrix,
+                      solve_are, stack_matrices, step_map)
 from .spectral import DimensionError, DomainError, ModalVector, as_energy_vector, require_positive
 
 
@@ -154,7 +154,7 @@ def solve_tracking(system: SpectralSystem, z, x0, horizon: float,
     pi/(4 lambda_max).  (F_1, G_1) comes from ``step_map``; (F_j, G_j) up to
     a chunk length follow by doubling rounds of three GEMMs per block,
     F_{k+j} = F_j F_k and G_{k+j} = G_k + F_k G_j F_k^T over the stacked
-    j = 1..n, and (F_N, G_N) by binary doubling.  Each stack of equal-sized
+    j = 1..n, and (F_N, G_N) by ``binary_power``.  Each stack of equal-sized
     blocks is walked in chunks whose stacks hold about ``_STACK_ELEMENTS``
     numbers.  Costs and the position average are exact sums of the
     Hamiltonian step's Van Loan integrals; the ``value`` column is
@@ -266,18 +266,6 @@ def _compose(first, second):
     return F1 @ F2, G1 + F1 @ G2 @ _mT(F1)
 
 
-def _power(pair, n: int):
-    """The pair over n >= 1 steps, by binary doubling of the one-step pair."""
-    acc = None
-    while True:
-        if n & 1:
-            acc = pair if acc is None else _compose(acc, pair)
-        n >>= 1
-        if not n:
-            return acc
-        pair = _compose(pair, pair)
-
-
 def _powers(pair, m: int):
     """Stacks of the pairs (F_j, G_j) over j = 0..m steps, each blocks-first (blocks, m + 1, s, s).
 
@@ -334,7 +322,7 @@ def _track_stack(lam, stack, P, x0_dev, h_T, horizon, sub, X, q, values, int_y) 
     gen[:, :2 * s, :2 * s], gen[:, :2 * s, 2 * s:] = M, np.eye(2 * s)
     L = step_map(gen, h)[0][:, :2 * s, 2 * s:]
 
-    F_N, G_N = _power(one, n_fine)
+    F_N, G_N = binary_power(one, n_fine, _compose)
     x = x0_dev[e]
     eye = np.eye(s)
     y_end = np.linalg.solve(eye - P @ G_N, (h_T[e] - _mv(P, _mv(F_N, x)))[..., None])[..., 0]

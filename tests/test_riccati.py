@@ -31,12 +31,10 @@ from wavelq.riccati import (
     _expm,
     _lyapunov,
     _squarings,
-    block_matrices,
     bounds_report,
     first_order_matrices,
     hamiltonian_matrix,
     integrate_dre,
-    riccati_step,
     solve_are,
     stack_matrices,
     step_map,
@@ -93,11 +91,9 @@ class TestFirstOrderMatrices:
             A_s, B_s, Q_s = stack_matrices(sys_.lambdas, stack)
             for r, A_k, B_k, Q_k in zip(stack, A_s, B_s, Q_s):
                 e = energy_index(r.modes)
-                A_b, B_b, Q_b = block_matrices(sys_.lambdas, r)
-                assert np.array_equal(A_b, A[np.ix_(e, e)]) and np.array_equal(A_k, A_b)
-                assert np.array_equal(Q_b, Q[np.ix_(e, e)]) and np.array_equal(Q_k, Q_b)
-                assert np.array_equal(B_b, B[np.ix_(e, r.controls)])
-                assert np.array_equal(B_k[:, :r.controls.size], B_b)
+                assert np.array_equal(A_k, A[np.ix_(e, e)])
+                assert np.array_equal(Q_k, Q[np.ix_(e, e)])
+                assert np.array_equal(B_k[:, :r.controls.size], B[np.ix_(e, r.controls)])
                 assert not B_k[:, r.controls.size:].any()
                 # the other controls do not act on the block
                 assert not np.delete(B[e], r.controls, axis=1).any()
@@ -170,7 +166,8 @@ def expm_stacks():
         for h in (np.pi / (4.0 * 12.0), 0.05, 0.4):
             yield f"rectangle Hamiltonians {M.shape}, h={h:.3g}", M * h
     interval = build_interval_wave(64, control=("subinterval", 0.4, 1.9))
-    A, B, _ = block_matrices(interval.lambdas, interval.records[0])
+    assert len(interval.records) == 1
+    A, B, _ = first_order_matrices(interval)
     BBT = B @ B.T
     d = A.shape[0]
     Z = np.zeros((2 * d, 2 * d))
@@ -373,6 +370,56 @@ class TestDre:
         assert np.abs(E40 - exact_single_mode_are()).max() <= 1e-6
 
 
+DRE_CLOSED_FORM_SYSTEMS = {
+    "rectangle_16": lambda: build_rectangle(1.0, 2.0, 16.0),
+    "synthetic_2_32": lambda: build_synthetic(2.0, 2.0, 32),
+    "star_generic_16": lambda: build_star_network([1.0, np.pi / 2.0, np.sqrt(2.0)], 0, 0, 16.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DRE_CLOSED_FORM_SYSTEMS))
+def test_dre_matches_the_closed_form_from_the_are(case):
+    # with the ARE solution P and A_cl = A - B B^T P, E(tau) = P - Phi^T P (I - W P)^-1 Phi,
+    # Phi = e^{A_cl tau} and W the Gramian of B under A_cl over [0, tau]: one Van Loan
+    # exponential per tau, with neither the step grid nor the doubling of integrate_dre
+    sys_ = DRE_CLOSED_FORM_SYSTEMS[case]()
+    A, B, _ = first_order_matrices(sys_)
+    P = solve_are(sys_).E
+    A_cl = A - B @ (B.T @ P)
+    taus = [0.1, 1.0, 5.0, 20.0]
+    for snap, tau in zip(integrate_dre(sys_, 20.0, snapshot_times=taus), taus, strict=True):
+        PhiT, W = step_map(A_cl.T, tau, cost=B @ B.T)
+        # Phi^T P (I - W P)^-1 Phi = Phi^T (I - P W)^-1 P Phi
+        want = P - PhiT @ np.linalg.solve(np.eye(P.shape[0]) - P @ W, P @ PhiT.T)
+        assert np.abs(snap.E - want).max() <= 1e-11 * np.abs(snap.E).max(), tau
+
+
+def test_dre_cost_is_logarithmic_in_the_steps(monkeypatch):
+    # every stack crosses each interval between snapshots with one binary power of its step
+    # triple, in steps of at most pi/(4 lambda_max): about 2 log2(steps) compositions, where
+    # a sweep takes one Riccati step per step (13038 on the last interval here)
+    sys_ = build_synthetic(2.0, 2.0, 32)
+    taus = [10.0, 20.0, 40.0, 80.0, 160.0, 320.0, 640.0]
+    calls, powers = count_riccati_steps(monkeypatch), []
+    power = riccati.binary_power
+
+    def counted(step, n, compose):
+        before = len(calls)
+        out = power(step, n, compose)
+        powers.append((n, len(calls) - before))
+        return out
+
+    monkeypatch.setattr(riccati, "binary_power", counted)
+    integrate_dre(sys_, 640.0, snapshot_times=taus)
+    assert len(stacked_blocks(sys_.records)) == 1  # so the stack's largest frequency is the system's
+    max_step = np.pi / (4.0 * sys_.lambdas.max())
+    assert len(powers) == len(taus)
+    for (steps, composed), lo, hi in zip(powers, [0.0] + taus, taus):
+        assert steps == int(np.ceil((hi - lo) / max_step))
+        assert composed <= 2 * int(np.ceil(np.log2(steps)))
+    assert len(calls) == sum(composed for _, composed in powers)
+
+
 class TestAre:
     def test_single_mode_closed_form_both_methods(self):
         # the Newton-Kleinman solve and the DRE at a converged horizon
@@ -513,14 +560,15 @@ def test_single_mode_blocks_match_the_closed_form_to_their_condition(build):
 
 
 def count_riccati_steps(monkeypatch):
+    """Record every composition of DRE step triples, the DRE's only kernel call."""
     calls = []
-    step = riccati.riccati_step
+    compose = riccati._compose_triples
 
     def counted(*args):
         calls.append(1)
-        return step(*args)
+        return compose(*args)
 
-    monkeypatch.setattr(riccati, "riccati_step", counted)
+    monkeypatch.setattr(riccati, "_compose_triples", counted)
     return calls
 
 
@@ -825,12 +873,15 @@ def mono_dre(sys_, taus):
     """Davison-Maki sweep of the whole system in steps of at most pi/(4 lambda_max)."""
     A, B, Q = first_order_matrices(sys_)
     M = hamiltonian_matrix(A, B, Q)
+    d = A.shape[0]
     E, t_now, out = np.zeros_like(A), 0.0, []
     for tau in taus:
         steps = int(np.ceil((tau - t_now) / (np.pi / (4.0 * sys_.lambdas.max()))))
         Phi, _ = step_map(M, (tau - t_now) / steps)
         for _ in range(steps):
-            E = riccati_step(E, Phi)
+            # q = E x carried one step back: (Phi22 - E Phi12) E_new = E Phi11 - Phi21
+            E = np.linalg.solve(Phi[d:, d:] - E @ Phi[:d, d:], E @ Phi[:d, :d] - Phi[d:, :d])
+            E = 0.5 * (E + E.T)
         out.append(E)
         t_now = tau
     return out
