@@ -10,10 +10,10 @@ maps a stack's records, energy positions and ``riccati.stack_matrices`` to the
 stacked closed-loop matrix, dissipation weight, recorded forms and gain.
 No dense propagator, gain or generator is assembled; the run keeps each
 stack's generator, from which ``default_decay_window`` reads the closed-loop
-spectrum one stack at a time.  No (steps, d) array is held besides the states
-and the controls: the recorded quadratic forms come from
-per-block weights over bounded row chunks, and each block's controls from its
-own gain, written into the columns of the controls that act on it.
+spectrum one stack at a time.  No (steps, d) array is held: neither states nor
+controls are kept, and each bounded row chunk of a stack's states adds its
+share of every recorded series (energies, quadratic forms from per-block
+weights, control power from the stack's gain) straight into 1-D arrays.
 
 The dissipation integral of each loop's energy identity, such as
 ``int ||B^T x||^2 dt``, is accumulated exactly from the step Gramian
@@ -39,21 +39,20 @@ from .spectral import energy_norm_squared  # noqa: F401
 
 @dataclass
 class Trajectory:
-    """Recorded closed-loop run in energy coordinates.
+    """Recorded closed-loop run in energy coordinates: scalar series, one entry per sample.
 
-    ``states`` has one row per sample; ``energies`` are the squared
-    state-space norms.  ``dissipation`` holds the exact time integral over the
-    whole horizon of the dissipation density in the run's energy identity,
+    ``energies`` are the squared state-space norms, ``values``, ``control_power``
+    and ``obs_power`` the recorded quadratic forms; the states and controls
+    themselves are not kept.  ``dissipation`` holds the exact time integral over
+    the whole horizon of the dissipation density in the run's energy identity,
     independent of the sampling grid.  ``generators`` holds the closed-loop
     generators of the run's stacks of equal-sized blocks, one stacked array each.
     """
 
     times: np.ndarray
-    states: np.ndarray
     energies: np.ndarray
     lambdas: np.ndarray
     kind: str
-    controls: np.ndarray | None = None
     values: np.ndarray | None = None  # x^T E x along Riccati-feedback runs
     control_power: np.ndarray | None = None  # ||u||^2 samples
     obs_power: np.ndarray | None = None  # ||C w||^2-type samples
@@ -66,14 +65,14 @@ class Trajectory:
 
 
 # steps between two states advanced by their own exponential, and the numbers in
-# one row chunk of a stack's recorded samples (and in each product formed from it)
+# one row chunk of a stack's states (and in each product formed from it)
 _CHUNK_STEPS = 8
 _CHUNK_ELEMENTS = 1 << 14
 
 
 def _simulate_lti(system: SpectralSystem, generator, x0: np.ndarray, horizon: float,
                   dt: float | None, kind: str) -> Trajectory:
-    """Advance x' = A_cl x exactly over equal steps of at most dt.
+    """Advance x' = A_cl x exactly over equal steps of at most dt, recording its series.
 
     ``generator(stack, e, A, B, Q)`` returns the stacked ``(A_cl, G, forms,
     gain)`` of the records ``stack`` at energy positions ``e`` (blocks, s),
@@ -81,7 +80,8 @@ def _simulate_lti(system: SpectralSystem, generator, x0: np.ndarray, horizon: fl
     x^T G x of the run's energy identity; its exact time integral becomes
     ``Trajectory.dissipation``.  ``forms`` maps the names of recorded
     Trajectory series to the weights M of x^T M x.  ``gain`` is the F of the
-    recorded controls u = F x on the padded B's columns, or None.
+    controls u = F x on the padded B's columns, whose ||u||^2 is recorded as
+    ``control_power``, or None.  Only the 1-D series are allocated per sample.
     """
     lam = system.lambdas
     x0 = as_energy_vector(x0)
@@ -93,29 +93,26 @@ def _simulate_lti(system: SpectralSystem, generator, x0: np.ndarray, horizon: fl
     steps = max(1, int(np.ceil(horizon / dt)))
     h = horizon / steps
 
-    X = np.empty((steps + 1, x0.size))
-    series = {}
-    advanced = [_advance_stack(system, generator, stack, h, x0, X, series)
+    series = {"energies": np.zeros(steps + 1)}
+    advanced = [_advance_stack(system, generator, stack, h, x0, series)
                 for stack in stacked_blocks(system.records)]
-    if "controls" in series:
-        series["control_power"] = np.einsum("ij,ij->i", series["controls"], series["controls"])
-    return Trajectory(times=np.linspace(0.0, horizon, steps + 1), states=X,
-                      energies=np.einsum("ij,ij->i", X, X), lambdas=lam, kind=kind,
+    return Trajectory(times=np.linspace(0.0, horizon, steps + 1), lambdas=lam, kind=kind,
                       dissipation=float(sum(d for _, d in advanced)),
                       generators=[A_cl for A_cl, _ in advanced], **series)
 
 
-def _advance_stack(system, generator, stack, h, x0, X, series):
-    """Fill the columns of X of one stack of equal-sized blocks, given by their records.
+def _advance_stack(system, generator, stack, h, x0, series):
+    """Add one stack of equal-sized blocks' share of every series, given by their records.
 
     One ``step_map`` gives the blocks' one-step propagators Phi and step
     Gramians W, another their _CHUNK_STEPS-step propagators.  Every
-    _CHUNK_STEPS-th sample comes from the one before through the latter; the
-    samples between from it through the powers of Phi, in one batched product
-    per row chunk.  Adds the stack's share of each form to ``series``, and,
-    given a gain, writes its blocks' controls into their columns of
-    ``series["controls"]``.  Returns the stack's closed-loop generator and its
-    share of the dissipation sum over the steps, x^T W x at each step's start.
+    _CHUNK_STEPS-th state comes from the one before through the latter and is
+    written into its row of the chunk buffer; the states between follow from
+    it through the powers of Phi, in one batched product per row chunk into
+    the rest of the buffer.  Each chunk adds its share of the energies, of each
+    form and, given a gain, of ``control_power`` to ``series``.  Returns the
+    stack's closed-loop generator and its share of the dissipation sum over
+    the steps, x^T W x at each step's start.
     """
     k = _CHUNK_STEPS
     e = energy_index(np.array([r.modes for r in stack]))
@@ -124,37 +121,36 @@ def _advance_stack(system, generator, stack, h, x0, X, series):
     chunk_T = step_map(A_cl, k * h)[0].swapaxes(-1, -2)
 
     nb, s = e.shape
-    n = X.shape[0]
-    # right factors [I, Phi^T, ..., (Phi^(k-1))^T] for states stored as rows
-    powers = np.empty((nb, s, k * s))
-    powers[:, :, :s] = np.eye(s)
-    for j in range(1, k):
+    n = series["energies"].size
+    # right factors [Phi^T, ..., (Phi^(k-1))^T] for states stored as rows
+    powers = np.empty((nb, s, (k - 1) * s))
+    powers[:, :, :s] = Phi.swapaxes(-1, -2)
+    for j in range(1, k - 1):
         powers[:, :, j * s:(j + 1) * s] = powers[:, :, (j - 1) * s:j * s] @ Phi.swapaxes(-1, -2)
     del Phi, G  # the loop needs neither, and Phi holds step_map's whole Van Loan exponential
-    rows = max(1, _CHUNK_ELEMENTS // (k * nb * s))  # coarse samples per row chunk
-    coarse = np.empty((nb, rows, s))
-    cols = e.ravel()
+    rows = max(1, _CHUNK_ELEMENTS // (k * nb * s))  # coarse states per row chunk
+    chunk = np.empty((nb, rows, k * s))  # per row: a coarse state, then the k - 1 after it
     for name in forms:
         series.setdefault(name, np.zeros(n))
     if gain is not None:
-        U = series.setdefault("controls", np.zeros((n, system.n_controls)))
+        series.setdefault("control_power", np.zeros(n))
         gain_T = gain.swapaxes(-1, -2)
-        filled = np.arange(gain.shape[1]) < np.array([[r.controls.size] for r in stack])
-        controls = np.concatenate([r.controls for r in stack])
     state = x0[e][:, None, :]
     dissipation = 0.0
     for start in range(0, n, k * rows):
         m = min(rows, -(-(n - start) // k))
         for i in range(m):
-            coarse[:, i] = state[:, 0]
+            chunk[:, i, :s] = state[:, 0]
             state = state @ chunk_T
-        Y = (coarse[:, :m] @ powers).reshape(nb, m * k, s)[:, :n - start]
+        np.matmul(chunk[:, :m, :s], powers, out=chunk[:, :m, s:])
+        Y = chunk[:, :m].reshape(nb, m * k, s)[:, :n - start]
         stop = start + Y.shape[1]
-        X[start:stop, cols] = np.swapaxes(Y, 0, 1).reshape(-1, nb * s)
+        series["energies"][start:stop] += np.einsum("brs,brs->r", Y, Y)
         for name, M in forms.items():
             series[name][start:stop] += np.einsum("brs,brs->r", Y @ M, Y)
         if gain is not None:
-            U[start:stop, controls] = np.swapaxes(Y @ gain_T, 0, 1)[:, filled]
+            U = Y @ gain_T
+            series["control_power"][start:stop] += np.einsum("brc,brc->r", U, U)
         Y = Y[:, :n - 1 - start]
         dissipation += np.einsum("brs,brs->", Y @ W, Y)
     return A_cl, dissipation

@@ -114,10 +114,12 @@ class TrackingSolution:
 
     ``deviation_states`` are x(t) = lift(w^T - w_bar, w_t^T),
     ``deviation_adjoints`` the deviation adjoints q(t), and
-    ``deviation_controls`` are v = u^T - u_bar = -B^T q.  ``trajectory`` holds
-    the full state/control pair for export and ``x0`` the initial state as
-    given.  The exact integrals of the deviation running cost and of the
-    deviation position are the averaged turnpike metrics' inputs.
+    ``deviation_controls`` are v = u^T - u_bar = -B^T q; the OS residual reads
+    these three.  ``trajectory`` holds the recorded series of the full
+    state/control pair for export (neither the full states nor the full
+    controls are kept) and ``x0`` the initial state as given.  The exact
+    integrals of the deviation running cost and of the deviation position are
+    the averaged turnpike metrics' inputs.
     """
 
     times: np.ndarray
@@ -211,12 +213,12 @@ def solve_tracking(system: SpectralSystem, z, x0, horizon: float,
                   + 2.0 * float(p_bar @ x0_dev[1::2]) + horizon * stationary_rate)
 
     full = X + x_bar_lift
+    U = V + u_bar
     obs_dev_series = (X[:, 0::2] / lam) @ Cm.T
     obs_full = obs_dev_series + obs_stationary_gap
-    traj = Trajectory(times=times, states=full,
-                      energies=np.einsum("ij,ij->i", full, full), lambdas=lam,
-                      kind="tracking", controls=V + u_bar, values=values,
-                      control_power=np.einsum("ij,ij->i", V + u_bar, V + u_bar),
+    traj = Trajectory(times=times, energies=np.einsum("ij,ij->i", full, full), lambdas=lam,
+                      kind="tracking", values=values,
+                      control_power=np.einsum("ij,ij->i", U, U),
                       obs_power=np.einsum("ij,ij->i", obs_full, obs_full))
 
     return TrackingSolution(times=times, deviation_states=X, deviation_adjoints=q,

@@ -18,8 +18,9 @@ from wavelq.closed_loop import (
     smooth_initial_state,
 )
 from wavelq.models import (SpectralSystem, build_interval_wave, build_rectangle, build_star_network,
-                           build_synthetic, controllability_gramian, fit_weak_observability,
-                           observability_gramian, shell_constant)
+                           build_synthetic, controllability_gramian, energy_index,
+                           fit_weak_observability, observability_gramian, shell_constant,
+                           stacked_blocks)
 from wavelq.riccati import first_order_matrices, integrate_dre, solve_are, step_map
 from wavelq.spectral import DomainError, NormScale, energy_norm_squared
 from wavelq.turnpike import g_weight, solve_tracking
@@ -80,7 +81,9 @@ class TestCollocated:
         assert fit.exponent >= 0.85 * 1.0 * 2.0
 
     def test_propagation_methods_agree(self):
-        # the exact expm propagator against an adaptive RK oracle
+        # the exact expm propagator against an adaptive RK oracle: the oracle's states agree
+        # to 1e-6 per coordinate, which carries over to the recorded x^T M x by
+        # |x^T M x - y^T M y| <= ||M|| (||x|| + ||y||) ||x - y||, ||x - y|| <= sqrt(d) 1e-6
         sys_ = single_mode_system()
         x0 = np.array([1.0, 0.3])
         te = simulate_collocated(sys_, x0, horizon=5.0, dt=0.002)
@@ -90,7 +93,11 @@ class TestCollocated:
                                        method="DOP853", t_eval=te.times,
                                        rtol=1e-11, atol=1e-13, max_step=np.pi / 8.0)
         assert tr.success
-        assert np.abs(tr.y.T - te.states).max() <= 1e-6
+        X = tr.y.T
+        bound = (np.linalg.norm(X, axis=1) + np.sqrt(te.energies)) * np.sqrt(x0.size) * 1e-6
+        for got, M in ((te.energies, np.eye(2)), (te.control_power, B @ B.T)):
+            want = np.einsum("ij,jk,ik->i", X, M, X)
+            assert np.all(np.abs(got - want) <= np.linalg.norm(M, 2) * bound)
 
 
 class TestRiccatiFeedback:
@@ -98,7 +105,9 @@ class TestRiccatiFeedback:
         sys_ = single_mode_system()
         sol = solve_are(sys_)
         traj = simulate_riccati_feedback(sys_, sol, np.zeros(2), 5.0)
-        assert np.abs(traj.states).max() == 0.0
+        # the energies are sums of squares of the states, so 0 only where every state is 0
+        for series in (traj.energies, traj.values, traj.control_power, traj.obs_power):
+            assert not series.any()
 
     def test_single_mode_stable_and_lyapunov_decreasing(self):
         sys_ = single_mode_system()
@@ -202,12 +211,17 @@ class TestBackwardObserver:
 
     def test_mirror_of_collocated_on_full_observation_mode(self):
         # lambda = 1 with Q_obs = 1: the reversed-time observer equals the
-        # collocated loop, so trajectories coincide sample by sample
+        # collocated loop, so trajectories coincide sample by sample.  States within
+        # 1e-8 per coordinate bound x^T M x by |x^T M x - y^T M y| <= ||M|| (||x|| + ||y||)
+        # ||x - y||, ||x - y|| <= sqrt(2) 1e-8; both the energy and the velocity square
+        # (the collocated control power, the observer's observation power) have ||M|| = 1
         sys_ = single_mode_system()
         x = np.array([1.0, 0.3])
         fwd = simulate_collocated(sys_, x, 30.0)
         bwd = simulate_backward_observer(sys_, x, 30.0)
-        assert np.abs(fwd.states - bwd.states).max() <= 1e-8
+        bound = (np.sqrt(fwd.energies) + np.sqrt(bwd.energies)) * np.sqrt(2.0) * 1e-8
+        assert np.all(np.abs(fwd.energies - bwd.energies) <= bound)
+        assert np.all(np.abs(fwd.control_power - bwd.obs_power) <= bound)
 
     def test_polynomial_regime_rate(self):
         # eta < 1 puts the observer loop in the weakly damped regime; the
@@ -300,8 +314,7 @@ class TestFitDecay:
     def _power_law_traj(self, exponent, t_end=100.0, n=3000):
         ts = np.linspace(0.0, t_end, n)
         xi = (ts + 1.0) ** (-exponent / 2.0)
-        states = np.stack([xi, np.zeros_like(xi)], axis=1)
-        return Trajectory(times=ts, states=states, energies=xi**2,
+        return Trajectory(times=ts, energies=xi**2,
                           lambdas=np.array([1.0]), kind="synthetic")
 
     def test_exact_power_law(self):
@@ -313,8 +326,7 @@ class TestFitDecay:
     def test_exponential_signal_flagged_by_r2(self):
         ts = np.linspace(0.0, 10.0, 500)
         xi = np.exp(-ts / 2.0)
-        traj = Trajectory(times=ts, states=np.stack([xi, 0 * xi], axis=1),
-                          energies=xi**2, lambdas=np.array([1.0]), kind="synthetic")
+        traj = Trajectory(times=ts, energies=xi**2, lambdas=np.array([1.0]), kind="synthetic")
         fit = fit_decay(traj, (1.0, 10.0))
         assert fit.r2 < 0.999
 
@@ -370,18 +382,30 @@ class TestSequenceLemma:
 
 class TestTrajectoryInvariants:
     def test_energies_recomputable_from_states(self):
+        # the states from the assembled step map, one product per step
         sys_ = build_synthetic(2.0, 2.0, 8)
-        x0 = smooth_initial_state(sys_.lambdas, 1.3, rng=np.random.default_rng(5))
+        x0 = smooth_initial_state(sys_.lambdas, 1.3, rng=np.random.default_rng(5)).to_vector()
         traj = simulate_collocated(sys_, x0, 20.0)
-        recomputed = np.einsum("ij,ij->i", traj.states, traj.states)
+        X, _, _ = dense_loop(sys_, "collocated", x0, 20.0, traj.n_samples - 1, None)
+        recomputed = np.einsum("ij,ij->i", X, X)
         assert np.abs(recomputed - traj.energies).max() <= 1e-10 * traj.energies[0]
 
     def test_controls_recorded_with_sign(self):
+        # u = -B^T w_t gives d/dt E/2 = -||u||^2, so each step's energy drop is the
+        # trapezoid sum of the recorded control power up to its rule's error
+        # dt^3/12 max|f''|, where f = ||B^T x||^2 has |f''| <= 4 ||B||^2 ||A - BB^T||^2 E(0);
+        # at dt = 0.01 every step's sum exceeds that, so the opposite sign fails each step
         sys_ = build_synthetic(2.0, 2.0, 4)
         x0 = smooth_initial_state(sys_.lambdas, 1.3, rng=np.random.default_rng(6))
-        traj = simulate_collocated(sys_, x0, 5.0)
-        expected = -(traj.states[:, 1::2] @ sys_.B_mod)
-        assert np.abs(traj.controls - expected).max() <= 1e-12
+        traj = simulate_collocated(sys_, x0, 5.0, dt=0.01)
+        A, B, _ = first_order_matrices(sys_)
+        dt = np.diff(traj.times)
+        drop = -0.5 * np.diff(traj.energies)
+        trapezoid = 0.5 * dt * (traj.control_power[:-1] + traj.control_power[1:])
+        bound = (dt**3 / 12.0 * 4.0 * np.linalg.norm(B, 2) ** 2
+                 * np.linalg.norm(A - B @ B.T, 2) ** 2 * traj.energies[0])
+        assert np.all(trapezoid > bound)
+        assert np.all(np.abs(drop - trapezoid) <= bound)
 
     def test_recorded_quadratic_forms_match_per_row_reference(self):
         # 151 samples: 18 full 8-step chunks and a partial one
@@ -391,8 +415,9 @@ class TestTrajectoryInvariants:
         traj = simulate_riccati_feedback(sys_, sol, x0, 14.95, dt=0.1)
         assert traj.n_samples == 151
         _, _, Q = first_order_matrices(sys_)
+        X, _, _ = dense_loop(sys_, "riccati_feedback", x0.to_vector(), 14.95, 150, sol.E)
         for got, M in ((traj.values, sol.E), (traj.obs_power, Q)):
-            ref = np.array([x @ M @ x for x in traj.states])
+            ref = np.array([x @ M @ x for x in X])
             assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
@@ -421,7 +446,7 @@ def stacked_systems(draw):
 
 
 def dense_loop(sys_, kind, x0, horizon, steps, E):
-    """The recorded outputs of a loop from the assembled step map, one product per step."""
+    """The states, dense generator and recorded outputs of a loop, one step-map product per step."""
     A, B, Q = first_order_matrices(sys_)
     D = np.zeros_like(A)
     D[1::2, 1::2] = sys_.Q_obs
@@ -438,15 +463,15 @@ def dense_loop(sys_, kind, x0, horizon, steps, E):
     X[0] = x0
     for k in range(steps):
         X[k + 1] = P @ X[k]
-    out = {"states": X, "energies": np.einsum("ij,ij->i", X, X),
+    out = {"energies": np.einsum("ij,ij->i", X, X),
            "obs_power": np.einsum("ij,jk,ik->i", X, obs, X),
            "dissipation": np.einsum("ij,jk,ik->", X[:-1], W, X[:-1])}
     if gain is not None:
-        out["controls"] = -X @ gain.T
-        out["control_power"] = np.einsum("ij,ij->i", out["controls"], out["controls"])
+        U = -X @ gain.T
+        out["control_power"] = np.einsum("ij,ij->i", U, U)
     if kind == "riccati_feedback":
         out["values"] = np.einsum("ij,jk,ik->i", X, E, X)
-    return out
+    return X, A_cl, out
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)
@@ -461,24 +486,39 @@ def test_stacked_loops_match_dense_per_step_oracle(case):
                  simulate_riccati_feedback(sys_, sol, x0, horizon, dt),
                  simulate_backward_observer(sys_, x0, horizon, dt)):
         assert traj.n_samples == steps + 1
-        for name, want in dense_loop(sys_, traj.kind, x0, horizon, steps, sol.E).items():
+        _, A_cl, want_series = dense_loop(sys_, traj.kind, x0, horizon, steps, sol.E)
+        for name, want in want_series.items():
             got = getattr(traj, name)
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (traj.kind, name)
+        # the stacked generators are the dense generator's blocks, and it is zero off them
+        assembled = np.zeros_like(A_cl)
+        for stack, A_stack in zip(stacked_blocks(sys_.records), traj.generators, strict=True):
+            e = energy_index(np.array([r.modes for r in stack]))
+            assembled[e[:, :, None], e[:, None, :]] = A_stack
+        assert np.abs(assembled - A_cl).max() <= 1e-14 * np.abs(A_cl).max(), traj.kind
 
 
 def test_collocated_loop_holds_no_state_sized_temporaries():
-    # 9779 steps of the 64-mode interval: 10 MB of states, to which the loop adds only its
-    # step maps and bounded row chunks (full-size per-stack temporaries would not fit)
+    # 9779 and 19557 steps of the 64-mode interval: the loop keeps its 1-D series and adds
+    # only its step maps and bounded row chunks, so no (steps, d) array (the states alone
+    # would be 10 MB at T = 60).  Of the allowance, step_map's Van Loan exponential of the
+    # 128-coordinate block and its temporaries take about 3.6 MiB; doubling the horizon
+    # may add only the longer series
     sys_ = build_interval_wave(64, control=("subinterval", 0.4, 1.9))
     x0 = smooth_initial_state(sys_.lambdas, 1.6, rng=np.random.default_rng(8)).to_vector()
-    tracemalloc.start()
-    try:
-        traj = simulate_collocated(sys_, x0, 60.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert traj.n_samples == 9780
-    assert peak <= traj.states.nbytes + traj.controls.nbytes + 2 * 2**20
+    peaks, series = [], []
+    for horizon, samples in ((60.0, 9780), (120.0, 19558)):
+        tracemalloc.start()
+        try:
+            traj = simulate_collocated(sys_, x0, horizon)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert traj.n_samples == samples
+        series.append(sum(a.nbytes for a in (traj.times, traj.energies, traj.control_power,
+                                             traj.obs_power)))
+    assert peaks[0] <= series[0] + 5 * 2**20
+    assert peaks[1] <= peaks[0] + series[1] - series[0] + 64 * 2**10
 
 
 class TestExponentialWeightRegime:

@@ -379,9 +379,11 @@ def test_a_trailing_zero_control_column_changes_no_bit():
         collocated = simulate_collocated(sys_, x0, 3.0)
         feedback = simulate_riccati_feedback(sys_, are, x0, 3.0)
         tracking = solve_tracking(sys_, z, x0, 3.0, are=are)
-        runs.append((are.E, collocated.states, feedback.states, tracking.deviation_states,
-                     tracking.trajectory.states, collocated.controls[:, :2],
-                     feedback.controls[:, :2]))
-    for a, b in zip(*runs):
+        runs.append([are.E, tracking.deviation_states, tracking.deviation_controls[:, :2]]
+                    + [getattr(traj, name) for traj in (collocated, feedback, tracking.trajectory)
+                       for name in ("energies", "values", "control_power", "obs_power")
+                       if getattr(traj, name) is not None]
+                    + [collocated.dissipation, feedback.dissipation])
+    for a, b in zip(*runs, strict=True):
         assert np.array_equal(a, b)
-    assert not collocated.controls[:, 2].any() and not feedback.controls[:, 2].any()
+    assert not tracking.deviation_controls[:, 2].any()

@@ -164,8 +164,8 @@ def _fmt_reference(x) -> str:
 def test_csv_rows_match_per_value_formatting(tmp_path):
     special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0 / 3.0, -2.5e-310, 1.7976931348623157e308]
     n = len(special)
-    traj = Trajectory(times=np.linspace(0.0, 1.0, n), states=np.zeros((n, 2)),
-                      energies=np.array(special), lambdas=np.ones(1), kind="collocated",
+    traj = Trajectory(times=np.linspace(0.0, 1.0, n), energies=np.array(special),
+                      lambdas=np.ones(1), kind="collocated",
                       values=np.array(special[::-1]), control_power=np.roll(special, 3))
     path = tmp_path / "trajectory.csv"
     trajectory_to_csv(traj, path)
