@@ -379,19 +379,17 @@ def _run_turnpike(system, exp, outdir, rng):
     report = tp.averaged_metrics(runs, stationary, k=k, ktilde=ktilde)
     io.turnpike_to_csv(report, os.path.join(outdir, "turnpike.csv"))
     io.trajectory_to_csv(runs[-1].trajectory, os.path.join(outdir, "trajectory.csv"))
-    log_h = np.log(report.horizons)
-    track_rate = float(np.polyfit(log_h, np.log(report.avg_tracking), 1)[0]) \
-        if np.all(report.avg_tracking > 0.0) else None
-    gap_rate = float(np.polyfit(log_h, np.log(report.avg_state_gap), 1)[0]) \
-        if np.all(report.avg_state_gap > 0.0) else None
+
+    def rate(values):  # the slope of log(values) against log(T); None unless all are positive
+        return float(md.fit_line(np.log(report.horizons), np.log(values))[0]) if np.all(values > 0.0) else None
     return {
         "experiment": "turnpike",
         "horizons": horizons,
         "avg_tracking": [float(v) for v in report.avg_tracking],
         "avg_state_gap": [float(v) for v in report.avg_state_gap],
         "bound_proxy": [float(v) for v in report.bound_values],
-        "avg_tracking_rate": track_rate,
-        "avg_state_gap_rate": gap_rate,
+        "avg_tracking_rate": rate(report.avg_tracking),
+        "avg_state_gap_rate": rate(report.avg_state_gap),
         "stationary_residual": stationary.optimality_residual,
         "os_residual_last_run": tp.tracking_os_residual(runs[-1]),
         "cost_identity_rel_defect_last_run": abs(runs[-1].cost_quadrature

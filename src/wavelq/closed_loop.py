@@ -6,9 +6,9 @@ by the exact matrix exponential of the closed-loop generator over a fixed step
 the system's decoupled blocks, and blocks of equal size advance as one stack
 (``models.stacked_blocks``; a single-block system is one stack of one) in
 chunks of 8 steps, each chunk from its own exponential.  Each loop's generator
-maps a stack's records, energy positions and ``riccati.stack_matrices`` to the
-stacked closed-loop matrix, dissipation weight, recorded forms and gain.
-No dense propagator, gain or generator is assembled; the run keeps each
+maps a stack's records, modes and ``riccati.stack_matrices`` to the stacked
+closed-loop matrix, dissipation weight, recorded forms and gain.
+No dense propagator, gain, generator or E is assembled; the run keeps each
 stack's generator, from which ``default_decay_window`` reads the closed-loop
 spectrum one stack at a time.  No (steps, d) array is held: neither states nor
 controls are kept, and each bounded row chunk of a stack's states adds its
@@ -29,8 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import (SpectralSystem, apply_free_flow, controllability_gramian, energy_index,
-                     fit_line, stacked_blocks)
+from .models import SpectralSystem, apply_free_flow, controllability_gramian, fit_line, stacked_blocks
 from .riccati import RiccatiSolution, stack_matrices, step_map
 from .spectral import DimensionError, DomainError, EnergyState, as_energy_vector, require_positive
 # unused here, but perfbench/tracing.py wraps closed_loop.energy_norm_squared by name
@@ -74,8 +73,8 @@ def _simulate_lti(system: SpectralSystem, generator, x0: np.ndarray, horizon: fl
                   dt: float | None, kind: str) -> Trajectory:
     """Advance x' = A_cl x exactly over equal steps of at most dt, recording its series.
 
-    ``generator(stack, e, A, B, Q)`` returns the stacked ``(A_cl, G, forms,
-    gain)`` of the records ``stack`` at energy positions ``e`` (blocks, s),
+    ``generator(stack, modes, A, B, Q)`` returns the stacked ``(A_cl, G,
+    forms, gain)`` of the records ``stack`` with modes ``modes`` (blocks, k),
     given their ``riccati.stack_matrices``.  G is the dissipation density
     x^T G x of the run's energy identity; its exact time integral becomes
     ``Trajectory.dissipation``.  ``forms`` maps the names of recorded
@@ -115,8 +114,9 @@ def _advance_stack(system, generator, stack, h, x0, series):
     the steps, x^T W x at each step's start.
     """
     k = _CHUNK_STEPS
-    e = energy_index(np.array([r.modes for r in stack]))
-    A_cl, G, forms, gain = generator(stack, e, *stack_matrices(system.lambdas, stack))
+    modes, e, lift = stack_matrices(system.lambdas, stack)
+    A_cl, G, forms, gain = generator(stack, modes, *lift)
+    del lift  # what the generator does not keep is freed before the exponentials
     Phi, W = step_map(A_cl, h, cost=G)
     chunk_T = step_map(A_cl, k * h)[0].swapaxes(-1, -2)
 
@@ -164,7 +164,7 @@ def simulate_collocated(system: SpectralSystem, x0, horizon: float,
     ``E(0)/2 - E(T)/2 = int ||B^T x||^2 dt`` holds at integrator precision
     (see energy_identity_defect).
     """
-    def generator(stack, e, A, B, Q):
+    def generator(stack, modes, A, B, Q):
         BBT = B @ B.swapaxes(-1, -2)
         return A - BBT, BBT, {"obs_power": Q}, -B.swapaxes(-1, -2)
 
@@ -177,14 +177,10 @@ def simulate_riccati_feedback(system: SpectralSystem, solution: RiccatiSolution,
 
     Records the Lyapunov values V = x^T E x; when E solves the algebraic
     equation, V is nonincreasing with V(0) - V(T) = int (||B^T E x||^2 +
-    ||C w||^2) dt.
+    ||C w||^2) dt.  A solution off the system's blocks raises DimensionError.
     """
-    E = solution.E
-    if E.shape[0] != 2 * system.n_modes:
-        raise DimensionError("Riccati solution dimension does not match the system")
-
-    def generator(stack, e, A, B, Q):
-        E_b = E[e[:, :, None], e[:, None, :]]
+    def generator(stack, modes, A, B, Q):
+        E_b = solution.on(modes)
         gain = B.swapaxes(-1, -2) @ E_b
         return (A - B @ gain, gain.swapaxes(-1, -2) @ gain + Q, {"obs_power": Q, "values": E_b},
                 -gain)
@@ -200,7 +196,7 @@ def simulate_backward_observer(system: SpectralSystem, terminal_state, horizon: 
     forward system with velocity damping C*C; ``times`` are tau values
     (0 = terminal time, horizon = initial time t = 0).
     """
-    def generator(stack, e, A, B, Q):
+    def generator(stack, modes, A, B, Q):
         D = np.zeros_like(A)
         D[:, 1::2, 1::2] = [r.Q for r in stack]  # C*C acting on velocities
         return A - D, D, {"obs_power": D}, None

@@ -26,11 +26,11 @@ The observation factor ``Q_obs^(1/2)`` is one square root per record.
 Builders that know their blocks pass them: the rectangle with strip control
 one block per x2 index, the synthetic families one block per mode.  The
 interval, the stars, loaded and hand-built systems enter through
-``SpectralSystem.from_dense``, which finds the blocks once.  The solvers read
-the records, one block at a time, and put the pieces back with ``assemble``;
-a system with one block is the one-record case.  Tracking and the closed
-loops advance ``stacked_blocks``, the records grouped by size, one stack at a
-time.
+``SpectralSystem.from_dense``, which finds the blocks once.  Every solver
+advances ``stacked_blocks``, the records grouped by size, one stack at a
+time; a system with one block is the one-record case.  ``assemble`` puts
+per-block results in place where a dense matrix is asked for (the Gramians,
+``RiccatiSolution.E``).
 """
 
 from __future__ import annotations
@@ -210,11 +210,6 @@ class SpectralSystem:
     def n_modes(self) -> int:
         return self.lambdas.size
 
-    @property
-    def blocks(self) -> list[np.ndarray]:
-        """Mode-index arrays of the decoupled blocks, ordered by first mode."""
-        return [r.modes for r in self.records]
-
     def _dense(self, name: str) -> np.ndarray:
         """The records' pieces ``name`` put in place in one read-only matrix (cached)."""
         if name not in self._cache:
@@ -236,20 +231,6 @@ class SpectralSystem:
         """Modal observation form (assembled on first access)."""
         return self._dense("Q")
 
-    def assemble(self, parts) -> np.ndarray:
-        """The block-diagonal energy-coordinate matrix with one part per block.
-
-        ``parts[k]`` is in the interleaved coordinates of ``blocks[k]``; with
-        a single block it is returned as it is.
-        """
-        if len(parts) == 1:
-            return parts[0]
-        out = np.zeros((2 * self.n_modes, 2 * self.n_modes))
-        for modes, part in zip(self.blocks, parts, strict=True):
-            e = energy_index(modes)
-            out[np.ix_(e, e)] = part
-        return out
-
     def observation_factor(self) -> np.ndarray:
         """A modal factor C with C^T C = Q_obs (symmetric PSD square root).
 
@@ -261,6 +242,18 @@ class SpectralSystem:
             for r, root in zip(stack, psd_sqrt(np.stack([r.Q for r in stack])), strict=True):
                 C[np.ix_(r.modes, r.modes)] = root
         return C
+
+
+def assemble(n_modes: int, pairs) -> np.ndarray:
+    """The block-diagonal energy-coordinate matrix of ``n_modes`` modes with parts at their modes.
+
+    ``pairs`` holds (modes, part): a block's (k,) and (2k, 2k), or a stack's (blocks, k) and (blocks, 2k, 2k).
+    """
+    out = np.zeros((2 * n_modes, 2 * n_modes))
+    for modes, part in pairs:
+        e = energy_index(modes)
+        out[e[..., :, None], e[..., None, :]] = part
+    return out
 
 
 def stacked_blocks(records) -> list[list[Block]]:
@@ -587,15 +580,15 @@ def observability_gramian(system: SpectralSystem, horizon: float, use_control: b
     Built block by block from ``system.records``.
     """
     require_positive(horizon=horizon)
-    return system.assemble([_gramian(system.lambdas[r.modes], r.B, r.Q, horizon, use_control)
-                            for r in system.records])
+    return assemble(system.n_modes, [(r.modes, _gramian(system.lambdas[r.modes], r.B, r.Q, horizon,
+                                                         use_control)) for r in system.records])
 
 
 def controllability_gramian(system: SpectralSystem, horizon: float) -> np.ndarray:
     """Gramian int_0^T Phi(s) B B^T Phi(s)^T ds used by minimum-norm steering."""
     require_positive(horizon=horizon)
-    return system.assemble([_gramian(system.lambdas[r.modes], r.B, r.Q, horizon, True,
-                                     reverse=True) for r in system.records])
+    return assemble(system.n_modes, [(r.modes, _gramian(system.lambdas[r.modes], r.B, r.Q, horizon,
+                                                         True, reverse=True)) for r in system.records])
 
 
 def apply_free_flow(lam: np.ndarray, t: float, x: np.ndarray) -> np.ndarray:

@@ -29,8 +29,8 @@ ODE integrator is involved and each step is exact up to rounding.
 solution 0, then Newton-Kleinman from the stable invariant subspace of each
 block's Hamiltonian (Laub 1979).  Tracking uses the ARE solution instead
 (``turnpike.solve_tracking``).  Both solvers work per stack of equal-sized
-blocks, read from their records by ``stack_matrices``, the per-stack form of
-``first_order_matrices`` built by the same lift.
+blocks from ``stack_matrices`` (the per-stack ``first_order_matrices``), and a
+``RiccatiSolution`` keeps their forms so: one (modes, forms) pair per stack.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import Block, SpectralSystem, energy_index, stacked_blocks
+from .models import Block, SpectralSystem, assemble, energy_index, stacked_blocks
 from .spectral import DimensionError, DomainError, as_energy_vector, require_positive
 
 
@@ -58,35 +58,53 @@ _BAND_ELEMENTS = 1 << 16
 
 @dataclass
 class RiccatiSolution:
-    """Symmetric PSD quadratic form on the truncated state space.
+    """Symmetric PSD quadratic form on the truncated state space, zero off its blocks.
 
-    ``horizon`` is the time-to-go of a DRE snapshot, or ``inf`` for a solution
-    of the algebraic equation.  ``residual`` is the ARE residual norm (zero by
-    convention for DRE snapshots), ``backward_error`` its normalization by
-    ``solve_are`` (nan elsewhere; ``riccati.json`` does not store it).
+    ``stacks`` holds one pair of modes (blocks, k) and forms (blocks, 2k, 2k)
+    per stack of equal-sized blocks (``models.stacked_blocks``); ``E`` is the
+    dense matrix.  ``horizon`` is the time-to-go of a DRE snapshot, or ``inf``
+    for a solution of the algebraic equation.  ``residual`` is the ARE residual
+    norm (zero by convention for DRE snapshots), ``backward_error`` its
+    normalization by ``solve_are`` (nan elsewhere; ``riccati.json`` does not
+    store it).
     """
 
-    E: np.ndarray
+    stacks: list
     horizon: float
     residual: float
     method: str
     backward_error: float = np.nan
 
     def __post_init__(self):
-        # checked in row bands, so no temporary of E's size is formed
-        E = self.E = np.asarray(self.E, dtype=float)
-        scale = np.maximum(E.max(), -E.min()) if E.size else 0.0  # nan or inf if any entry is
-        if not np.isfinite(scale):
+        self.stacks = [(np.asarray(m), np.asarray(E, dtype=float)) for m, E in self.stacks]
+        scale = np.max([np.maximum(E.max(), -E.min()) for _, E in self.stacks if E.size], initial=0.0)
+        if not np.isfinite(scale):  # nan or inf if any entry is
             raise DomainError("Riccati solution must be finite")
         tol = 1e-10 * (1.0 + scale)
-        rows = max(1, _BAND_ELEMENTS // max(1, E.shape[0]))
-        for start in range(0, E.shape[0], rows):
-            if np.abs(E[start:start + rows] - E[:, start:start + rows].T).max() > tol:
-                raise DomainError("Riccati solution must be symmetric")
+        for m, E in self.stacks:
+            if E.shape != m.shape[:-1] + (2 * m.shape[-1],) * 2:
+                raise DimensionError("a stack's forms must be (blocks, 2k, 2k) for its modes (blocks, k)")
+            # checked in row bands, so no temporary of the stack's size is formed
+            rows = max(1, _BAND_ELEMENTS // max(1, E.shape[0] * E.shape[-1]))
+            for start in range(0, E.shape[-1], rows):
+                if np.abs(E[:, start:start + rows] - E[:, :, start:start + rows].swapaxes(-1, -2)).max() > tol:
+                    raise DomainError("Riccati solution must be symmetric")
 
     @property
     def dim(self) -> int:
-        return self.E.shape[0]
+        return 2 * sum(m.size for m, _ in self.stacks)
+
+    @property
+    def E(self) -> np.ndarray:
+        """The dense matrix, assembled on each access."""
+        return assemble(self.dim // 2, self.stacks)
+
+    def on(self, modes: np.ndarray) -> np.ndarray:
+        """The forms of the stack of blocks with these ``modes``; DimensionError if there is none."""
+        for m, E in self.stacks:
+            if np.array_equal(m, modes):
+                return E
+        raise DimensionError("the Riccati solution does not lie on the system's blocks")
 
 
 def first_order_matrices(system: SpectralSystem):
@@ -100,14 +118,15 @@ def first_order_matrices(system: SpectralSystem):
 
 
 def stack_matrices(lambdas: np.ndarray, stack):
-    """``first_order_matrices`` of each of a stack of equal-sized records (``models.stacked_blocks``).
+    """``(modes, energy_index(modes), first_order_matrices)`` of a stack of equal-sized records.
 
     Each block's B is padded with zero columns to the widest record's.
     """
-    B = np.zeros((len(stack), stack[0].modes.size, max(r.controls.size for r in stack)))
+    modes = np.array([r.modes for r in stack])
+    B = np.zeros((len(stack), modes.shape[1], max(r.controls.size for r in stack)))
     for b, r in zip(B, stack):
         b[:, :r.controls.size] = r.B
-    return _lift(lambdas[np.array([r.modes for r in stack])], B, np.array([r.Q for r in stack]))
+    return modes, energy_index(modes), _lift(lambdas[modes], B, np.array([r.Q for r in stack]))
 
 
 def _lift(lam: np.ndarray, B_mod: np.ndarray, Q_obs: np.ndarray):
@@ -326,11 +345,10 @@ def integrate_dre(system: SpectralSystem, horizon: float, snapshot_times=None):
         raise DomainError("snapshot times must lie in [0, horizon]")
 
     unique, lam = np.unique(taus), system.lambdas
-    snaps = np.zeros((unique.size, 2 * lam.size, 2 * lam.size))
+    snaps = [[] for _ in unique]
     for stack in stacked_blocks(system.records):
-        modes = np.array([r.modes for r in stack])
-        e = energy_index(modes)
-        M, d = hamiltonian_matrix(*stack_matrices(lam, stack)), e.shape[-1]
+        modes, e, lift = stack_matrices(lam, stack)
+        M, d = hamiltonian_matrix(*lift), e.shape[-1]
         E, t_now = np.zeros(e.shape + (d,)), 0.0
         for snap, tau in zip(snaps, unique):
             steps = int(np.ceil((tau - t_now) / (np.pi / (4.0 * lam[modes].max()))))
@@ -341,9 +359,9 @@ def integrate_dre(system: SpectralSystem, horizon: float, snapshot_times=None):
                 F, G, H = binary_power(step, steps, _compose_triples)
                 E = H + np.swapaxes(F, -1, -2) @ np.linalg.solve(np.eye(d) + E @ G, E) @ F
                 E = 0.5 * (E + np.swapaxes(E, -1, -2))
-            snap[e[:, :, None], e[:, None, :]] = E
+            snap.append((modes, E))
             t_now = tau
-    return [RiccatiSolution(E=snaps[i], horizon=float(tau), residual=0.0, method="dre")
+    return [RiccatiSolution(snaps[i], horizon=float(tau), residual=0.0, method="dre")
             for i, tau in zip(np.searchsorted(unique, taus), taus)]
 
 
@@ -357,8 +375,8 @@ def _split_free(system: SpectralSystem):
     by the left singular vectors of each group's rows and B and Q are set
     exactly 0 on them, so they form a record of their own with Q = 0; each
     rotated group is solved at its first frequency, so that U commutes with
-    A.  The records are labelled with the modes they rotate, and each
-    rotation is (modes, orthogonal U).  The thresholds are the whole system's.
+    A.  Each rotation is (modes, orthogonal U, mask of the costly modes).
+    The thresholds are the whole system's.
     """
     inv = 1.0 / system.lambdas
     forms = [r.Q * np.outer(inv[r.modes], inv[r.modes]) for r in system.records]
@@ -390,7 +408,7 @@ def _split_free(system: SpectralSystem):
             records.append(r)
         elif on.any():
             records.append(Block(r.modes[on], r.controls, (U.T @ r.B)[on], Q[np.ix_(on, on)]))
-            rotations.append((r.modes, U))
+            rotations.append((r.modes, U, on))
         if free.any():
             records.append(Block(r.modes[free], [], np.zeros((free.sum(), 0)), np.zeros((free.sum(),) * 2)))
     return records, lam_split, rotations
@@ -400,8 +418,8 @@ def solve_are(system: SpectralSystem) -> RiccatiSolution:
     """Solve ``Q + E A + A^T E - E B B^T E = 0`` for the truncated system.
 
     The directions that neither control nor observation sees are split off
-    first (``_split_free``), and the solution is rotated back onto the modes
-    of their records.  Each stack of equal-sized blocks
+    first (``_split_free``), and each rotated record's solution is rotated
+    back in its own coordinates.  Each stack of equal-sized blocks
     (``models.stacked_blocks``) is solved together.  A block with Q exactly 0
     has no stabilizing solution, as A is skew, and gets its minimal solution
     0 at once; its closed loop stays neutral.  Every other block runs
@@ -423,22 +441,21 @@ def solve_are(system: SpectralSystem) -> RiccatiSolution:
     ``residual`` is ||R|| of the whole system.
     """
     records, lam, rotations = _split_free(system)
-    E = np.zeros((2 * system.n_modes, 2 * system.n_modes))
+    parts = {}  # each block's solution, by its first mode
     for stack in stacked_blocks(records):
-        modes = np.array([r.modes for r in stack])
-        e = energy_index(modes)
-        E[e[:, :, None], e[:, None, :]] = _solve_stack(lam[modes], *stack_matrices(lam, stack))
-    for modes, U in rotations:
-        e, T = np.ix_(energy_index(modes), energy_index(modes)), np.kron(U, np.eye(2))
-        X = T @ E[e] @ T.T
-        E[e] = 0.5 * (X + X.T)
-    lam, norms = system.lambdas, []
+        modes, _, lift = stack_matrices(lam, stack)
+        parts.update(zip(modes[:, 0], _solve_stack(lam[modes], *lift)))
+    for modes, U, on in rotations:
+        T = np.kron(U, np.eye(2))
+        X = T @ assemble(modes.size, [(np.flatnonzero(on), parts[modes[on][0]])]) @ T.T
+        parts[modes[0]] = 0.5 * (X + X.T)
+    lam, stacks, norms = system.lambdas, [], []
     for stack in stacked_blocks(system.records):
-        modes = np.array([r.modes for r in stack])
-        e = energy_index(modes)
-        norms.append(_norms(E[e[:, :, None], e[:, None, :]], lam[modes], *stack_matrices(lam, stack)))
+        modes, _, lift = stack_matrices(lam, stack)
+        stacks.append((modes, np.stack([parts[m] for m in modes[:, 0]])))
+        norms.append(_norms(stacks[-1][1], lam[modes], *lift))
     norms = np.linalg.norm(np.concatenate(norms), axis=0)
-    return RiccatiSolution(E=E, horizon=np.inf, residual=float(norms[0]),
+    return RiccatiSolution(stacks, horizon=np.inf, residual=float(norms[0]),
                            method="newton_kleinman" if all(r.Q.any() for r in records)
                            else "dre_limit", backward_error=float(_backward_error(norms)))
 
@@ -549,19 +566,18 @@ def bounds_report(E_hat: RiccatiSolution, system: SpectralSystem, weak, strong) 
 
     With D_w and D_s the density weights of the scales on each mode's (xi,
     zeta) pair, c1_hat is the least eigenvalue of D_w^-1/2 E D_w^-1/2 and
-    c2_hat the largest of D_s^-1/2 E D_s^-1/2.  E_hat is read on the blocks
-    of ``system`` only, as the Riccati solutions of the system are block
-    diagonal over them.  ``sobolev_state`` has no density weight and raises
-    DomainError.
+    c2_hat the largest of D_s^-1/2 E D_s^-1/2.  Each stack of E_hat is one
+    batch, so a solution on coarser blocks than the system's, such as one
+    reloaded from ``riccati.json``, gives the same constants to rounding.
+    ``sobolev_state`` has no density weight and raises DomainError.
     """
     if E_hat.dim != 2 * system.n_modes:
         raise DimensionError("Riccati solution dimension does not match the system")
     lam = system.lambdas
     weights = [np.repeat(scale.density_weights(lam), 2) ** -0.5 for scale in (weak, strong)]
     c1, c2 = np.inf, -np.inf
-    for stack in stacked_blocks(system.records):
-        e = energy_index(np.array([r.modes for r in stack]))
-        E_b = E_hat.E[e[:, :, None], e[:, None, :]]
+    for modes, E_b in E_hat.stacks:
+        e = energy_index(modes)
         lo, hi = (np.linalg.eigvalsh(E_b * w[e][:, :, None] * w[e][:, None, :]) for w in weights)
         c1, c2 = min(c1, lo[:, 0].min()), max(c2, hi[:, -1].max())
     return BoundsReport(c1_hat=float(c1), c2_hat=float(c2), weak_scale=weak, strong_scale=strong)

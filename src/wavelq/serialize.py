@@ -114,8 +114,8 @@ def riccati_to_dict(sol: RiccatiSolution) -> dict:
 def riccati_from_dict(payload: dict) -> RiccatiSolution:
     if payload.get("schema") != "wavelq-riccati-v1":
         raise ValueError("not a wavelq-riccati-v1 payload")
-    horizon = payload["horizon"]
-    return RiccatiSolution(E=_matrix_from_payload(payload["E"]),
+    horizon, E = payload["horizon"], _matrix_from_payload(payload["E"])
+    return RiccatiSolution([(np.arange(E.shape[0] // 2)[None], E[None])],
                            horizon=np.inf if horizon == "inf" else float(horizon),
                            residual=float(payload["residual"]),
                            method=payload["method"])

@@ -12,12 +12,12 @@ y = q - P x runs backward and the state forward along two decoupled flows,
 stable but for modes that neither control nor observation sees, each in
 closed form from the closed-loop step and Gramian of ``riccati.step_map``.
 The solve reads the system's block records, stacks blocks of equal size
-(``riccati.stack_matrices``, so no dense A or Q is formed), and walks the
-horizon in chunks of steps, so it has no per-step Python loop and stores
-nothing of size steps x d^2.  Its stacks of steps are held blocks-first,
-(blocks, steps, s, s): a product whose factor all of a chunk's steps share
-is one GEMM or GEMV per block over the steps' stacked rows, not one BLAS
-call per step.  Costs and mean positions are sums of
+(``riccati.stack_matrices``, ``RiccatiSolution.on``: no dense A, Q or P),
+and walks the horizon in chunks of steps, so it has no per-step Python loop
+and stores nothing of size steps x d^2.  Its stacks of steps are held
+blocks-first, (blocks, steps, s, s): a product whose factor all of a chunk's
+steps share is one GEMM or GEMV per block over the steps' stacked rows, not
+one BLAS call per step.  Costs and mean positions are sums of
 the Hamiltonian step's Van Loan integrals, and the averaged turnpike metrics
 read them instead of integrating the recorded grid.
 The tests hold two independent oracles: a dense collocation solve of the
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_loop import Trajectory
-from .models import SpectralSystem, energy_index, stacked_blocks
+from .models import SpectralSystem, stacked_blocks
 from .riccati import (RiccatiSolution, binary_power, first_order_matrices, hamiltonian_matrix,
                       solve_are, stack_matrices, step_map)
 from .spectral import DimensionError, DomainError, ModalVector, as_energy_vector, require_positive
@@ -162,7 +162,8 @@ def solve_tracking(system: SpectralSystem, z, x0, horizon: float,
     Hamiltonian step's Van Loan integrals; the ``value`` column is
     x^T E(T - t) x with E(tau) = P - F_tau^T (I - P G_tau)^{-1} P F_tau,
     read through F_tau x_r = x_N + G_tau y_N, so F_tau is never formed and
-    only the (I - G_tau P) solve is per record.
+    only the (I - G_tau P) solve is per record.  An ``are`` off the system's
+    blocks raises DimensionError.
     """
     require_positive(horizon=horizon, dt_record=dt_record)
     z = np.asarray(z, dtype=float)
@@ -172,9 +173,6 @@ def solve_tracking(system: SpectralSystem, z, x0, horizon: float,
         are = solve_are(system)
     lam = system.lambdas
     dim = 2 * lam.size
-    if are.dim != dim:
-        raise DimensionError("ARE solution dimension mismatch")
-
     x0 = as_energy_vector(x0)
     if x0.size != dim:
         raise DimensionError("initial state dimension mismatch")
@@ -194,8 +192,7 @@ def solve_tracking(system: SpectralSystem, z, x0, horizon: float,
     int_y = np.empty(2 * dim)
     j_dev_exact = 0.0
     for stack in stacked_blocks(system.records):
-        j_dev_exact += _track_stack(lam, stack, are.E, x0_dev, h_T, horizon, sub, X, q,
-                                    values, int_y)
+        j_dev_exact += _track_stack(lam, stack, are, x0_dev, h_T, horizon, sub, X, q, values, int_y)
 
     Cm = system.observation_factor()
     obs_stationary_gap = Cm @ stationary.w_bar.a - z  # C w_bar - z
@@ -290,19 +287,18 @@ def _powers(pair, m: int):
     return F, G
 
 
-def _track_stack(lam, stack, P, x0_dev, h_T, horizon, sub, X, q, values, int_y) -> float:
+def _track_stack(lam, stack, are, x0_dev, h_T, horizon, sub, X, q, values, int_y) -> float:
     """Solve the tracking dichotomy on one stack of equal-sized blocks.
 
-    ``stack`` holds the blocks' records and P is the whole ARE solution.
+    ``stack`` holds the blocks' records, and ``are.on`` gives their ARE solutions P.
     Fills their columns of the recorded states X and adjoints q and of the
     integrals int_y of (x, q), adds their share to ``values``, and returns
     their deviation cost.  Every stack of steps is blocks-first, so each
     product with a factor shared by a chunk's steps is one GEMM or GEMV per
     block over the steps' stacked rows.
     """
-    e = energy_index(np.array([r.modes for r in stack]))
-    A, B, Q = stack_matrices(lam, stack)
-    P = P[e[:, :, None], e[:, None, :]]
+    modes, e, (A, B, Q) = stack_matrices(lam, stack)
+    P = are.on(modes)
     PT = _mT(P)
     nb, s = e.shape
     steps = X.shape[0] - 1

@@ -479,7 +479,7 @@ def dense_loop(sys_, kind, x0, horizon, steps, E):
 def test_stacked_loops_match_dense_per_step_oracle(case):
     # 1, 7, 8, 9, 17 and 151 steps: the last 8-step chunk full or partial
     sys_, sizes, x0, steps = case
-    assert sorted(modes.size for modes in sys_.blocks) == sizes
+    assert sorted(r.modes.size for r in sys_.records) == sizes
     horizon, dt = 0.05 * steps, 0.05 * (1.0 + 1e-9)
     sol = solve_are(sys_)
     for traj in (simulate_collocated(sys_, x0, horizon, dt),

@@ -475,28 +475,29 @@ class TestBlocks:
     def test_rectangle_one_block_per_x2_index(self):
         sys_ = build_rectangle(1.0, 2.0, 12.0)
         x2 = _rectangle_modes(12.0)[:, 1]
-        assert len(sys_.blocks) == np.unique(x2).size
-        for modes in sys_.blocks:
+        assert len(sys_.records) == np.unique(x2).size
+        for modes in (r.modes for r in sys_.records):
             assert np.unique(x2[modes]).size == 1
-        assert np.array_equal(np.sort(np.concatenate(sys_.blocks)), np.arange(sys_.n_modes))
+        held = np.concatenate([r.modes for r in sys_.records])
+        assert np.array_equal(np.sort(held), np.arange(sys_.n_modes))
 
     @pytest.mark.parametrize("sys_", [build_synthetic(2.0, 2.0, 9),
                                       build_synthetic_exponential(0.3, 0.5, 7),
                                       build_interval_wave(6)], ids=lambda s: s.label)
     def test_decoupled_families_are_singletons(self, sys_):
-        assert [m.tolist() for m in sys_.blocks] == [[k] for k in range(sys_.n_modes)]
+        assert [r.modes.tolist() for r in sys_.records] == [[k] for k in range(sys_.n_modes)]
 
     def test_interval_subinterval_control_is_one_block(self):
         sys_ = build_interval_wave(10, control=("subinterval", 0.4, 1.9))
-        assert len(sys_.blocks) == 1
-        assert np.array_equal(sys_.blocks[0], np.arange(10))
+        assert len(sys_.records) == 1
+        assert np.array_equal(sys_.records[0].modes, np.arange(10))
 
     def test_tiny_nonzero_coupling_keeps_modes_together(self):
         B = np.diag([1.0, 1.0, 1.0])
         Q = np.diag([1.0, 2.0, 3.0])
 
         def blocks():
-            return [m.tolist() for m in SpectralSystem.from_dense([1.0, 2.0, 3.0], B, Q).blocks]
+            return [r.modes.tolist() for r in SpectralSystem.from_dense([1.0, 2.0, 3.0], B, Q).records]
 
         assert blocks() == [[0], [1], [2]]
         Q[0, 2] = Q[2, 0] = 1e-300
@@ -508,8 +509,8 @@ class TestBlocks:
         sys_ = build_rectangle(1.0, 2.0, 7.0)
         from wavelq.models import energy_index
         W = observability_gramian(sys_, 2.5)
-        for i, a in enumerate(sys_.blocks):
-            for j, b in enumerate(sys_.blocks):
+        for i, a in enumerate(r.modes for r in sys_.records):
+            for j, b in enumerate(r.modes for r in sys_.records):
                 sub = W[np.ix_(energy_index(a), energy_index(b))]
                 if i == j:
                     # the block alone, from the dense matrices rather than its record

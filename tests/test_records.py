@@ -241,11 +241,11 @@ def test_dense_round_trip_is_exact(case):
     sys_ = SpectralSystem.from_dense(lam, B, Q)
     assert np.array_equal(sys_.B_mod, B) and sys_.B_mod.shape == B.shape
     assert np.array_equal(sys_.Q_obs, Q)
-    assert np.array_equal(np.sort(np.concatenate(sys_.blocks)), np.arange(lam.size))
+    assert np.array_equal(np.sort(np.concatenate([r.modes for r in sys_.records])), np.arange(lam.size))
     controls = np.concatenate([r.controls for r in sys_.records])
     assert np.unique(controls).size == controls.size  # each control acts on one block
-    for i, a in enumerate(sys_.blocks):
-        for j, b in enumerate(sys_.blocks):
+    for i, a in enumerate(r.modes for r in sys_.records):
+        for j, b in enumerate(r.modes for r in sys_.records):
             if i != j:
                 assert not Q[np.ix_(a, b)].any() and not (B[a] @ B[b].T).any()
 
@@ -257,7 +257,7 @@ def test_modes_sharing_a_control_share_a_block(B):
     B = np.array(B)
     assert not (B @ B.T)[0, 1]
     sys_ = SpectralSystem.from_dense([1.0, 2.0], B, np.eye(2))
-    assert [m.tolist() for m in sys_.blocks] == [[0, 1]]
+    assert [r.modes.tolist() for r in sys_.records] == [[0, 1]]
     assert np.array_equal(sys_.B_mod, B)
 
 
@@ -266,14 +266,14 @@ def test_modes_sharing_a_control_share_a_block(B):
 def test_rectangle_blocks_equal_the_search_on_its_matrices(a, width, max_frequency):
     sys_ = build_rectangle(a, min(a + width, np.pi), max_frequency)
     searched = SpectralSystem.from_dense(sys_.lambdas, sys_.B_mod, sys_.Q_obs)
-    assert [m.tolist() for m in searched.blocks] == [m.tolist() for m in sys_.blocks]
+    assert [r.modes.tolist() for r in searched.records] == [r.modes.tolist() for r in sys_.records]
 
 
 @pytest.mark.parametrize("sys_", [build_synthetic(2.0, 2.0, 9), build_synthetic(np.inf, 1.0, 5),
                                   build_synthetic_exponential(0.3, 0.5, 7)], ids=lambda s: s.label)
 def test_synthetic_blocks_equal_the_search_on_their_matrices(sys_):
     searched = SpectralSystem.from_dense(sys_.lambdas, sys_.B_mod, sys_.Q_obs)
-    assert [m.tolist() for m in searched.blocks] == [m.tolist() for m in sys_.blocks]
+    assert [r.modes.tolist() for r in searched.records] == [r.modes.tolist() for r in sys_.records]
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +286,7 @@ def test_system_rebuilt_with_a_new_control_follows_it():
     B = np.array([[1.0], [1.0], [0.0]])
     new = SpectralSystem.from_dense(sys_.lambdas, B, sys_.Q_obs)
     assert np.array_equal(new.B_mod, B)
-    assert [m.tolist() for m in new.blocks] == [[0, 1], [2]]
+    assert [r.modes.tolist() for r in new.records] == [[0, 1], [2]]
     T = 2.0
     W = observability_gramian(new, T)
     ref = SpectralSystem.from_dense(sys_.lambdas[:2], B[:2], np.diag(sys_.lambdas[:2]))

@@ -9,7 +9,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from wavelq import riccati
-from wavelq.closed_loop import hum_null_control, simulate_riccati_feedback
+from wavelq.closed_loop import hum_null_control, simulate_riccati_feedback, smooth_initial_state
 from wavelq.cli import build_model
 from wavelq.models import (
     SpectralSystem,
@@ -88,7 +88,7 @@ class TestFirstOrderMatrices:
     def test_block_and_stack_matrices_are_pieces_of_the_dense_ones(self, sys_):
         A, B, Q = first_order_matrices(sys_)
         for stack in stacked_blocks(sys_.records):
-            A_s, B_s, Q_s = stack_matrices(sys_.lambdas, stack)
+            _, _, (A_s, B_s, Q_s) = stack_matrices(sys_.lambdas, stack)
             for r, A_k, B_k, Q_k in zip(stack, A_s, B_s, Q_s):
                 e = energy_index(r.modes)
                 assert np.array_equal(A_k, A[np.ix_(e, e)])
@@ -162,7 +162,7 @@ def expm_stacks():
     """(name, stack) of the generators the library exponentiates, at the steps it takes."""
     rect = build_rectangle(1.0, 2.0, 12.0)
     for stack in stacked_blocks(rect.records):
-        M = hamiltonian_matrix(*stack_matrices(rect.lambdas, stack))
+        M = hamiltonian_matrix(*stack_matrices(rect.lambdas, stack)[2])
         for h in (np.pi / (4.0 * 12.0), 0.05, 0.4):
             yield f"rectangle Hamiltonians {M.shape}, h={h:.3g}", M * h
     interval = build_interval_wave(64, control=("subinterval", 0.4, 1.9))
@@ -176,7 +176,7 @@ def expm_stacks():
         yield f"interval Van Loan {Z.shape}, h={h:.3g}", (Z * h)[None]
     syn = build_synthetic(2.0, 2.0, 12)
     (stack,) = stacked_blocks(syn.records)
-    A, B, Q = stack_matrices(syn.lambdas, stack)
+    _, _, (A, B, Q) = stack_matrices(syn.lambdas, stack)
     for h in (0.02, 0.16):
         yield f"synthetic closed loops {A.shape}, h={h:.3g}", (A - B @ B.swapaxes(-1, -2)) * h
         yield f"synthetic Hamiltonians {A.shape}, h={h:.3g}", hamiltonian_matrix(A, B, Q) * h
@@ -185,7 +185,7 @@ def expm_stacks():
 def norm_sweep_stack(norm):
     """2x2 synthetic closed loops and Hamiltonians and 6x6 skew matrices, each of 1-norm ``norm``."""
     syn = build_synthetic(2.0, 2.0, 12)
-    A, B, Q = stack_matrices(syn.lambdas, stacked_blocks(syn.records)[0])
+    _, _, (A, B, Q) = stack_matrices(syn.lambdas, stacked_blocks(syn.records)[0])
     S = np.random.default_rng(5).standard_normal((4, 6, 6))
     out = []
     for G in (A - B @ B.swapaxes(-1, -2), hamiltonian_matrix(A, B, Q), S - S.swapaxes(-1, -2)):
@@ -210,7 +210,7 @@ class TestExpm:
 
     def test_a_slice_has_the_bits_it_has_alone(self):
         syn = build_synthetic(2.0, 2.0, 12)
-        A, B, Q = stack_matrices(syn.lambdas, stacked_blocks(syn.records)[0])
+        _, _, (A, B, Q) = stack_matrices(syn.lambdas, stacked_blocks(syn.records)[0])
         M = hamiltonian_matrix(A, B, Q)
         # per slice norms from 1e-3 to 1e3, which take from 0 to 8 squarings
         norms = np.resize([1e-3, 0.1, 0.5, 1.5, 3.0, 30.0, 1e3], len(M))
@@ -251,7 +251,7 @@ def lyapunov_stacks():
         sys_ = build()
         E = solve_are(sys_).E
         for stack in stacked_blocks(sys_.records):
-            A, B, Q = stack_matrices(sys_.lambdas, stack)
+            _, _, (A, B, Q) = stack_matrices(sys_.lambdas, stack)
             BBT = B @ B.swapaxes(-1, -2)
             e = energy_index(np.array([r.modes for r in stack]))
             for start, X in (("identity", np.eye(A.shape[-1])), ("solution", E[e[:, :, None], e[:, None, :]])):
@@ -278,7 +278,7 @@ class TestLyapunov:
     def test_a_slice_has_the_bits_it_has_alone(self):
         sys_ = build_rectangle(1.0, 2.0, 12.0)
         stack = max(stacked_blocks(sys_.records), key=len)
-        A, B, Q = stack_matrices(sys_.lambdas, stack)
+        _, _, (A, B, Q) = stack_matrices(sys_.lambdas, stack)
         BBT = B @ B.swapaxes(-1, -2)
         F, C = A - BBT, Q + BBT
         got = _lyapunov(F, C)
@@ -669,19 +669,44 @@ def test_backward_error_is_that_of_the_system_not_of_its_split_records():
     assert sol.residual == pytest.approx(np.linalg.norm(R), rel=1e-6)
 
 
+def one_stack(E):
+    """The solution stacks of a dense E as one stack of one block of every mode."""
+    return [(np.arange(E.shape[0] // 2)[None], E[None])]
+
+
 class TestRiccatiSolution:
     def test_symmetry_check_forms_no_matrix_of_the_size_of_e(self):
         E = np.random.default_rng(7).standard_normal((2000, 2000))
         E += E.T
         # a first call outside the trace, so nothing it imports or caches is counted
-        RiccatiSolution(E=E[:3, :3] + E[:3, :3].T, horizon=1.0, residual=0.0, method="dre")
+        RiccatiSolution(one_stack(E[:4, :4] + E[:4, :4].T), horizon=1.0, residual=0.0, method="dre")
         tracemalloc.start()
         try:
-            RiccatiSolution(E=E, horizon=np.inf, residual=0.0, method="newton_kleinman")
+            RiccatiSolution(one_stack(E), horizon=np.inf, residual=0.0, method="newton_kleinman")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < E.nbytes / 4
+
+    def test_solvers_and_readers_form_no_matrix_of_the_size_of_e(self):
+        # d = 1540: one d x d array is 18.1 MiB, and each call peaks below half of it
+        sys_ = build_rectangle(1.0, 2.0, 32.0)
+        d = 2 * sys_.n_modes
+        x0 = smooth_initial_state(sys_.lambdas, 1.5, rng=np.random.default_rng(0)).to_vector()
+        sol, energy = solve_are(sys_), NormScale.energy()
+        calls = {"solve_are": lambda: solve_are(sys_),
+                 "integrate_dre": lambda: integrate_dre(sys_, 1.0),
+                 "simulate_riccati_feedback": lambda: simulate_riccati_feedback(sys_, sol, x0, 0.5),
+                 "bounds_report": lambda: bounds_report(sol, sys_, energy, energy)}
+        for name, call in calls.items():
+            call()  # a first call outside the trace, so nothing it imports or caches is counted
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 0.5 * d * d * 8, (name, peak / 2**20)
 
     @pytest.mark.parametrize("at", [(1, 2), (250, 10), (10, 250)])
     def test_asymmetry_of_twice_the_tolerance_raises(self, at):
@@ -690,13 +715,37 @@ class TestRiccatiSolution:
         E += E.T
         E[0, 0] = 5.0
         tol = 1e-10 * (1.0 + 5.0)
-        RiccatiSolution(E=E, horizon=np.inf, residual=0.0, method="newton_kleinman")
+        RiccatiSolution(one_stack(E), horizon=np.inf, residual=0.0, method="newton_kleinman")
         near = E.copy()
         near[at] += 0.5 * tol
-        RiccatiSolution(E=near, horizon=np.inf, residual=0.0, method="newton_kleinman")
+        RiccatiSolution(one_stack(near), horizon=np.inf, residual=0.0, method="newton_kleinman")
         E[at] += 2.0 * tol
         with pytest.raises(DomainError):
-            RiccatiSolution(E=E, horizon=np.inf, residual=0.0, method="newton_kleinman")
+            RiccatiSolution(one_stack(E), horizon=np.inf, residual=0.0, method="newton_kleinman")
+
+    @pytest.mark.parametrize("at", [(0, 2, 150, 10), (0, 1, 10, 150), (1, 0, 1, 2)])
+    def test_asymmetry_in_any_block_of_any_stack_raises(self, at):
+        # a stack of four 200-coordinate blocks spans three bands; the tolerance is the whole
+        # solution's, set by the 5.0 in the second stack
+        rng = np.random.default_rng(9)
+        big, small = rng.uniform(-1.0, 1.0, (4, 200, 200)), rng.uniform(-1.0, 1.0, (2, 4, 4))
+        big += big.swapaxes(-1, -2)
+        small += small.swapaxes(-1, -2)
+        small[0, 0, 0] = 5.0
+        tol = 1e-10 * (1.0 + 5.0)
+
+        def solution(forms):
+            return RiccatiSolution([(np.arange(400).reshape(4, 100), forms[0]),
+                                    (np.arange(400, 404).reshape(2, 2), forms[1])],
+                                   horizon=np.inf, residual=0.0, method="newton_kleinman")
+
+        solution((big, small))
+        near = [big.copy(), small.copy()]
+        near[at[0]][at[1:]] += 0.5 * tol
+        solution(near)
+        near[at[0]][at[1:]] += 1.5 * tol
+        with pytest.raises(DomainError):
+            solution(near)
 
 
 class TestValue:
@@ -891,7 +940,7 @@ def mono_dre(sys_, taus):
 @given(case=block_systems())
 def test_block_dispatch_matches_monolithic_oracles(case):
     sys_, n_blocks, x0 = case
-    assert len(sys_.blocks) == n_blocks
+    assert len(sys_.records) == n_blocks
     A, B, Q = first_order_matrices(sys_)
     BBT = B @ B.T
 
@@ -908,8 +957,8 @@ def test_block_dispatch_matches_monolithic_oracles(case):
     # each block alone, from the dense matrices rather than its record: the stacked solve
     # gives each block the solution it has alone
     alone = [solve_are(SpectralSystem.from_dense(
-        sys_.lambdas[m], sys_.B_mod[m], sys_.Q_obs[np.ix_(m, m)])) for m in sys_.blocks]
-    for m, part in zip(sys_.blocks, alone):
+        sys_.lambdas[m], sys_.B_mod[m], sys_.Q_obs[np.ix_(m, m)])) for m in (r.modes for r in sys_.records)]
+    for m, part in zip((r.modes for r in sys_.records), alone):
         e = energy_index(m)
         assert np.array_equal(sol.E[np.ix_(e, e)], part.E)
     assert sol.backward_error <= max(part.backward_error for part in alone) * (1.0 + 1e-12)

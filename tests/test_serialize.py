@@ -4,10 +4,11 @@ import os
 import numpy as np
 import pytest
 
-from wavelq.closed_loop import Trajectory, hum_null_control, simulate_collocated, smooth_initial_state
+from wavelq.closed_loop import (Trajectory, hum_null_control, simulate_collocated,
+                                simulate_riccati_feedback, smooth_initial_state)
 from wavelq.models import (build_interval_wave, build_rectangle, build_star_network, build_synthetic,
                            controllability_gramian, observability_gramian, shell_constant)
-from wavelq.riccati import RiccatiSolution, solve_are
+from wavelq.riccati import RiccatiSolution, bounds_report, solve_are
 from wavelq.serialize import (
     controls_to_csv,
     load_riccati,
@@ -23,8 +24,8 @@ from wavelq.serialize import (
     turnpike_to_csv,
     write_json,
 )
-from wavelq.spectral import DomainError
-from wavelq.turnpike import TurnpikeReport
+from wavelq.spectral import DimensionError, DomainError, NormScale
+from wavelq.turnpike import TurnpikeReport, solve_tracking
 
 
 def test_system_round_trip(tmp_path):
@@ -106,6 +107,45 @@ def test_riccati_payload_with_a_non_finite_entry_is_rejected(bad):
         riccati_from_dict(payload)
 
 
+def test_riccati_payload_of_odd_dimension_is_rejected():
+    payload = riccati_to_dict(solve_are(build_synthetic(2.0, 2.0, 3)))
+    payload["E"] = {"rows": 5, "cols": 5, "data_row_major": np.eye(5).ravel().tolist()}
+    with pytest.raises(DimensionError, match="2k"):
+        riccati_from_dict(payload)
+
+
+def test_reloaded_solution_serves_bounds_but_not_a_reader_on_other_blocks(tmp_path):
+    # riccati.json holds one block of every mode; the rectangle has one block per x2 index
+    sys_ = build_rectangle(1.0, 2.0, 8.0)
+    assert len(sys_.records) > 1
+    sol = solve_are(sys_)
+    save_riccati(sol, tmp_path / "riccati.json")
+    back = load_riccati(tmp_path / "riccati.json")
+    assert np.array_equal(back.E, sol.E)
+    x0 = smooth_initial_state(sys_.lambdas, 1.5, rng=np.random.default_rng(0)).to_vector()
+    with pytest.raises(DimensionError):
+        simulate_riccati_feedback(sys_, back, x0, 1.0)
+    with pytest.raises(DimensionError):
+        solve_tracking(sys_, np.zeros(sys_.n_modes), x0, 1.0, are=back)
+    for weak, strong in ((NormScale.energy(), NormScale.energy()),
+                         (NormScale.graded(-0.5), NormScale.graded(0.5))):
+        got, want = bounds_report(back, sys_, weak, strong), bounds_report(sol, sys_, weak, strong)
+        assert got.c1_hat == pytest.approx(want.c1_hat, rel=1e-12)
+        assert got.c2_hat == pytest.approx(want.c2_hat, rel=1e-12)
+
+
+def test_reloaded_solution_of_a_one_block_system_drives_the_same_loop(tmp_path):
+    sys_ = build_interval_wave(6, control=("subinterval", 0.4, 1.9))
+    assert len(sys_.records) == 1
+    sol = solve_are(sys_)
+    save_riccati(sol, tmp_path / "riccati.json")
+    back = load_riccati(tmp_path / "riccati.json")
+    x0 = smooth_initial_state(sys_.lambdas, 1.5, rng=np.random.default_rng(0)).to_vector()
+    want, got = simulate_riccati_feedback(sys_, sol, x0, 2.0), simulate_riccati_feedback(sys_, back, x0, 2.0)
+    for name in ("energies", "values", "control_power", "obs_power"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
 def test_trajectory_csv_schema(tmp_path):
     sys_ = build_synthetic(2.0, 2.0, 4)
     x0 = smooth_initial_state(sys_.lambdas, 1.5, rng=np.random.default_rng(0))
@@ -144,13 +184,15 @@ def test_float_precision_survives_round_trip(tmp_path):
 def test_riccati_json_matches_streamed_reference(tmp_path):
     # one-piece encoding writes the bytes a streamed json.dump of the same floats writes
     big = 1.7976931348623157e308
-    E = np.array([[0.1, -0.0, 5e-324], [-0.0, big, -1.0 / 3.0], [5e-324, -1.0 / 3.0, 0.0]])
-    sol = RiccatiSolution(E=E, horizon=np.inf, residual=2.5e-310, method="newton_kleinman")
+    E = np.array([[0.1, -0.0, 5e-324, 2.0], [-0.0, big, -1.0 / 3.0, 0.5],
+                  [5e-324, -1.0 / 3.0, 0.0, -7.0], [2.0, 0.5, -7.0, 1e-300]])
+    sol = RiccatiSolution([(np.arange(2)[None], E[None])], horizon=np.inf, residual=2.5e-310,
+                          method="newton_kleinman")
     path, ref = tmp_path / "riccati.json", tmp_path / "reference.json"
     save_riccati(sol, path)
     payload = {"schema": "wavelq-riccati-v1", "horizon": "inf", "residual": 2.5e-310,
                "method": "newton_kleinman",
-               "E": {"rows": 3, "cols": 3, "data_row_major": [float(v) for v in E.ravel()]}}
+               "E": {"rows": 4, "cols": 4, "data_row_major": [float(v) for v in E.ravel()]}}
     with open(ref, "w", encoding="utf-8", newline="\n") as f:
         json.dump(payload, f, sort_keys=True)
         f.write("\n")

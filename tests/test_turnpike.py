@@ -321,7 +321,7 @@ def test_powers_match_step_map_at_every_multiple(build):
     h, n_fine = 0.02, 500
     for stack in stacked_blocks(sys_.records):
         e = energy_index(np.array([r.modes for r in stack]))
-        A, B, _ = stack_matrices(sys_.lambdas, stack)
+        _, _, (A, B, _) = stack_matrices(sys_.lambdas, stack)
         BBT = B @ np.swapaxes(B, -1, -2)
         A_clT = np.swapaxes(A - BBT @ E[e[:, :, None], e[:, None, :]], -1, -2)
         nb, s = e.shape
