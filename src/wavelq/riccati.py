@@ -10,7 +10,7 @@ pairings are plain transposes, and the matrix Riccati equation
 is solved in the time-to-go variable.  The quadratic form of a solution at
 an initial state is the optimal cost of ``int (||u||^2 + ||C w||^2) dt``.
 
-Every finite-horizon solver shares one exact kernel, ``step_map``: the step
+Every Riccati solver shares one exact kernel, ``step_map``: the step
 transition ``e^{M h}`` of the Hamiltonian matrix ``M = [[A, -B B^T], [-Q, -A^T]]``
 of the state/adjoint pair or of any other LTI generator (or of a stack of
 them), with the Van Loan integral of a quadratic cost over the step (Van Loan
@@ -18,16 +18,15 @@ them), with the Van Loan integral of a quadratic cost over the step (Van Loan
 and tracking read their steps and exact integrals from it.  Its exponentials
 come from ``_expm``, numpy scaling and squaring of the degree-13 Pade
 approximant (Al-Mohy & Higham 2009) that chooses each slice's scaling from
-that slice alone.  Newton-Kleinman's Lyapunov solves come from
-``_lyapunov``, which diagonalizes the closed loops of a stack with one
-``eig``, so the library's dense kernels all share numpy's one BLAS thread
-pool and no scipy module is loaded.  The DRE maps E across each step by a
-linear-fractional triple read off the blocks of ``e^{M h}``, composed over
-many steps by ``binary_power``, the library's one binary-doubling loop, so no
-ODE integrator is involved and each step is exact up to rounding.
-``solve_are`` takes one route: the free directions split off with the
-solution 0, then Newton-Kleinman from the stable invariant subspace of each
-block's Hamiltonian (Laub 1979).  Tracking uses the ARE solution instead
+that slice alone, so the library's dense kernels all share numpy's one BLAS
+thread pool, no scipy module is loaded and no Riccati solve calls an
+eigensolver.  The DRE maps E across each step by a linear-fractional triple
+read off the blocks of ``e^{M h}`` (``_step_triple``), and
+``_compose_triples`` composes two triples exactly, so no ODE integrator is
+involved.  ``integrate_dre`` composes a step over a horizon by
+``binary_power``; ``solve_are`` composes each block's step with itself until
+the limit, the ARE's minimal solution, settles (the structure-preserving
+doubling of Chu, Fan & Lin 2005).  Tracking uses the ARE solution instead
 (``turnpike.solve_tracking``).  Both solvers work per stack of equal-sized
 blocks from ``stack_matrices`` (the per-stack ``first_order_matrices``), and a
 ``RiccatiSolution`` keeps their forms so: one (modes, forms) pair per stack.
@@ -49,7 +48,7 @@ class StabilizabilityError(RuntimeError):
 
 
 class MethodError(RuntimeError):
-    """The ARE iteration hit its cap, or its start or an iterate was unusable."""
+    """The ARE's doubling did not settle, reached a non-finite iterate, or left a backward error over 1e-10."""
 
 
 # numbers in one row band of RiccatiSolution's symmetry check
@@ -171,7 +170,7 @@ def hamiltonian_matrix(A: np.ndarray, B: np.ndarray, Q: np.ndarray) -> np.ndarra
     return M
 
 
-def step_map(M: np.ndarray, h: float, cost: np.ndarray | None = None):
+def step_map(M: np.ndarray, h, cost: np.ndarray | None = None):
     """Exact step of y' = M y over a step h, from one block matrix exponential.
 
     Returns ``(Phi, W)`` with ``Phi = e^{M h}``.  Given a symmetric cost weight
@@ -180,8 +179,10 @@ def step_map(M: np.ndarray, h: float, cost: np.ndarray | None = None):
     ``y^T W y``; without a weight W is None.  Stepping ``[[M, I], [0, 0]]``
     instead puts ``int_0^h e^{M s} ds`` in the top right block of its Phi.
     A stack of generators (and of weights) gives the stack of their steps,
-    each from ``_expm``, which returns the same bits for a slice as alone.
+    each from ``_expm``, which returns the same bits for a slice as alone; h
+    is a scalar or one step per slice.
     """
+    h = np.asarray(h, dtype=float)[..., None, None]
     if cost is None:
         return _expm(M * h), None
     n = M.shape[-1]
@@ -323,17 +324,26 @@ def _compose_triples(first, second):
     return F1 @ X[..., :d], G1 + F1 @ X[..., d:], H2 + np.swapaxes(F2, -1, -2) @ H1 @ X[..., :d]
 
 
+def _step_triple(M: np.ndarray, h):
+    """The DRE step triple (F, G, H) of a stack of Hamiltonians over a step h (scalar or one per slice).
+
+    With e^{M h} = [[P11, P12], [P21, P22]] from one ``step_map``, a step maps E
+    to H + F^T (I + E G)^-1 E F, with the symmetric G = -P12 P22^-1 =
+    -P22^-T P12^T, H = -P22^-1 P21 and F = P11 + G P21.
+    """
+    P, d = step_map(M, h)[0], M.shape[-1] // 2
+    G = -np.linalg.solve(P[..., d:, d:].swapaxes(-1, -2), P[..., :d, d:].swapaxes(-1, -2))
+    return P[..., :d, :d] + G @ P[..., d:, :d], G, -np.linalg.solve(P[..., d:, d:], P[..., d:, :d])
+
+
 def integrate_dre(system: SpectralSystem, horizon: float, snapshot_times=None):
     """Solve the matrix Riccati equation forward in time-to-go from E(0) = 0.
 
     Returns one RiccatiSolution per requested snapshot (default: the horizon
     only).  Each stack of equal-sized blocks splits each interval between
     snapshot times into equal steps of at most pi/(4 lambda_max) of the stack.
-    With e^{M h} = [[P11, P12], [P21, P22]] from one ``step_map`` of its
-    Hamiltonians, a step maps E to H + F^T (I + E G)^-1 E F, with the
-    symmetric G = -P12 P22^-1 = -P22^-T P12^T, H = -P22^-1 P21 and
-    F = P11 + G P21.  Binary doubling of that triple (Anderson 1978; Chu, Fan
-    & Lin 2005) gives the interval's, which maps the stack's E across it: the
+    Binary doubling of the step's ``_step_triple`` (Anderson 1978; Chu, Fan &
+    Lin 2005) gives the interval's, which maps the stack's E across it: the
     cost grows with the logarithm of the steps.  The quadratic form is
     monotone nondecreasing in the time-to-go.
     """
@@ -353,10 +363,7 @@ def integrate_dre(system: SpectralSystem, horizon: float, snapshot_times=None):
         for snap, tau in zip(snaps, unique):
             steps = int(np.ceil((tau - t_now) / (np.pi / (4.0 * lam[modes].max()))))
             if steps:
-                P = step_map(M, (tau - t_now) / steps)[0]
-                G = -np.linalg.solve(P[:, d:, d:].swapaxes(-1, -2), P[:, :d, d:].swapaxes(-1, -2))
-                step = (P[:, :d, :d] + G @ P[:, d:, :d], G, -np.linalg.solve(P[:, d:, d:], P[:, d:, :d]))
-                F, G, H = binary_power(step, steps, _compose_triples)
+                F, G, H = binary_power(_step_triple(M, (tau - t_now) / steps), steps, _compose_triples)
                 E = H + np.swapaxes(F, -1, -2) @ np.linalg.solve(np.eye(d) + E @ G, E) @ F
                 E = 0.5 * (E + np.swapaxes(E, -1, -2))
             snap.append((modes, E))
@@ -420,25 +427,25 @@ def solve_are(system: SpectralSystem) -> RiccatiSolution:
     The directions that neither control nor observation sees are split off
     first (``_split_free``), and each rotated record's solution is rotated
     back in its own coordinates.  Each stack of equal-sized blocks
-    (``models.stacked_blocks``) is solved together.  A block with Q exactly 0
-    has no stabilizing solution, as A is skew, and gets its minimal solution
-    0 at once; its closed loop stays neutral.  Every other block runs
-    Newton-Kleinman from Re U_2 U_1^-1, with [U_1; U_2] the eigenvectors of the
-    d most stable eigenvalues of its ``hamiltonian_matrix`` (Laub 1979), one
-    ``eig`` per stack, and each step one ``_lyapunov`` solve of the stack.
-    ``method`` is ``newton_kleinman`` when every block carries cost, else
-    ``dre_limit`` (the DRE's limit on the zero blocks is their 0).
+    (``models.stacked_blocks``) is solved together, each block on its own.  A
+    block with Q exactly 0 has no stabilizing solution, as A is skew, and gets
+    its minimal solution 0 at once; its closed loop stays neutral.  Every
+    other block gets the limit of the DRE from E(0) = 0, its minimal solution:
+    its ``_step_triple`` over h = pi/(4 lambda_max of the block) is composed
+    with itself, doubling the horizon each round (Chu, Fan & Lin 2005), until
+    ||H_{j+1} - H_j|| <= 1e-15 ||H_{j+1}||.  ``method`` is ``doubling``.
 
-    A block stops on its backward error ||R|| / (||Q|| + 2 ||A|| ||X|| + ||X||^2 ||B B^T||)
-    in Frobenius norms (Kleinman 1968; Laub 1979): at the first iterate at or
-    below 1e-14, or, once below 1e-10, at the previous iterate when the next
-    fails to lower it; else MethodError after 60 Newton steps, at a
-    non-finite iterate, or at a start whose closed loop is not stable.  The
-    reported norms are those of the system's own records at the returned E, so
-    they count what the split drops (B and Q below its thresholds, a group's
-    frequency spread); they are root sums of squares of the blocks', so
-    ``backward_error`` is at most the worst block's (Cauchy-Schwarz), and
-    ``residual`` is ||R|| of the whole system.
+    A block's backward error is ||R|| / (||Q|| + 2 ||A|| ||X|| + ||X||^2 ||B B^T||)
+    in Frobenius norms.  A block above 1e-14 takes one Newton step
+    (Kleinman 1968), X + D with A_cl^T D + D A_cl = -R(X), D the doubled limit
+    of the Lyapunov triple (e^{A_cl h}, 0, W) of ``step_map``, and keeps it
+    where it lowers the block's backward error.  MethodError when a doubling
+    does not settle within 80 rounds, at a non-finite iterate, or at a final
+    backward error above 1e-10.  The reported norms are those of the system's
+    own records at the returned E, so they count what the split drops (B and
+    Q below its thresholds, a group's frequency spread); they are root sums of
+    squares of the blocks', so ``backward_error`` is at most the worst
+    block's (Cauchy-Schwarz), and ``residual`` is ||R|| of the whole system.
     """
     records, lam, rotations = _split_free(system)
     parts = {}  # each block's solution, by its first mode
@@ -455,9 +462,8 @@ def solve_are(system: SpectralSystem) -> RiccatiSolution:
         stacks.append((modes, np.stack([parts[m] for m in modes[:, 0]])))
         norms.append(_norms(stacks[-1][1], lam[modes], *lift))
     norms = np.linalg.norm(np.concatenate(norms), axis=0)
-    return RiccatiSolution(stacks, horizon=np.inf, residual=float(norms[0]),
-                           method="newton_kleinman" if all(r.Q.any() for r in records)
-                           else "dre_limit", backward_error=float(_backward_error(norms)))
+    return RiccatiSolution(stacks, horizon=np.inf, residual=float(norms[0]), method="doubling",
+                           backward_error=float(_backward_error(norms)))
 
 
 def _backward_error(norms):
@@ -474,76 +480,67 @@ def _norms(X: np.ndarray, lam: np.ndarray, A, B, Q):
 
 
 def _solve_stack(lam: np.ndarray, A, B, Q):
-    """The ARE solutions of a stack of blocks (``lam``, ``stack_matrices``), each stopped on its own."""
-    BBT = B @ np.swapaxes(B, -1, -2)
+    """The ARE solutions of a stack of blocks (``lam``, ``stack_matrices``), each solved on its own."""
     X = np.zeros_like(A)
-    err = np.full(len(A), np.inf)
-
-    def keep(i, X_i):
-        """Judge the iterates X_i of the blocks i by the stop rule; return which blocks go on."""
-        if not np.all(np.isfinite(X_i)):
-            raise MethodError("newton_kleinman produced a non-finite iterate")
-        e = _backward_error(_norms(X_i, lam[i], A[i], B[i], Q[i]))
-        kept = ~((err[i] <= 1e-10) & (e >= err[i]))
-        j = i[kept]
-        X[j], err[j] = X_i[kept], e[kept]
-        return kept & (e > 1e-14)
-
-    go = np.flatnonzero(Q.any(axis=(-2, -1)))
-    d = A.shape[-1]
-    w, V = np.linalg.eig(hamiltonian_matrix(A[go], B[go], Q[go]))
-    U = np.take_along_axis(V, np.argsort(w.real, axis=-1)[:, None, :d], axis=-1)
-    try:
-        X_go = (U[:, d:] @ np.linalg.inv(U[:, :d])).real
-    except np.linalg.LinAlgError as exc:
-        raise MethodError(f"a Hamiltonian's stable subspace has no graph: {exc}") from None
-    for _ in range(60):
-        if not go.size:
-            break
-        BX = BBT[go] @ X_go
-        X_go = _lyapunov(A[go] - BX, Q[go] + X_go @ BX)
-        X_go = 0.5 * (X_go + np.swapaxes(X_go, -1, -2))
-        on = keep(go, X_go)
-        go, X_go = go[on], X_go[on]
-    if go.size:
-        raise MethodError("the ARE did not converge within 60 Newton steps")
+    i = np.flatnonzero(Q.any(axis=(-2, -1)))
+    if not i.size:
+        return X
+    lam, A, B, Q = lam[i], A[i], B[i], Q[i]
+    h = np.pi / (4.0 * lam.max(axis=-1))
+    E = _doubled_limit(*_step_triple(hamiltonian_matrix(A, B, Q), h))
+    if not np.isfinite(E).all():
+        raise MethodError(f"the ARE's doubling reached no finite limit within {_ROUNDS} rounds")
+    err = _backward_error(_norms(E, lam, A, B, Q))
+    c = np.flatnonzero(err > 1e-14)
+    if c.size:  # one Newton step, kept where it lowers the backward error
+        A_cl = A[c] - B[c] @ (np.swapaxes(B[c], -1, -2) @ E[c])
+        Phi, W = step_map(A_cl, h[c], cost=_riccati_rhs(E[c], lam[c], B[c], Q[c]))
+        E_c = E[c] + _doubled_limit(Phi, np.zeros_like(Phi), W)
+        err_c = _backward_error(_norms(E_c, lam[c], A[c], B[c], Q[c]))
+        better = err_c < err[c]
+        E[c[better]], err[c[better]] = E_c[better], err_c[better]
+    if (err > 1e-10).any():
+        raise MethodError(f"the ARE's doubling left a backward error of {err.max():.2e}")
+    X[i] = E
     return X
 
 
-# an eigenbasis whose 1-norm condition number exceeds this is taken as singular
-_EIGENBASIS_COND_MAX = 1e12
+# self-compositions of a step triple within which its limit must settle
+_ROUNDS = 80
 
 
-def _lyapunov(F: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """The solution X of ``F^T X + X F = -C`` for a stable diagonalizable F, or a stack of them.
+def _doubled_limit(F, G, H):
+    """The limits of H as a stack of DRE step triples (F, G, H) is composed with itself.
 
-    With F = V diag(w) V^-1, Y = V^T X V solves (w_i + w_j) Y_ij = -(V^T C V)_ij,
-    so X = Re[V^-T Y V^-1].  numpy's eigensolver, inverse and products run
-    slice by slice, so a slice's result has the same bits as its own.  Raises
-    MethodError when some F has an eigenvalue with real part >= 0, or an
-    eigenbasis that is singular (1-norm condition number above 1e12).
+    Each slice stops on its own at the first round with ||H_{j+1} - H_j||_F
+    <= 1e-15 ||H_{j+1}||_F and leaves the stack, so it gets the bits it gets
+    alone.  Each iterate is symmetrized.  A slice that reaches a non-finite
+    iterate, or has not stopped within ``_ROUNDS`` rounds, gets nan.
     """
-    try:
-        w, V = np.linalg.eig(F)
-        if not (w.real < 0.0).all():
-            raise MethodError("a Lyapunov operator F has an eigenvalue with real part >= 0")
-        w, V = w.astype(complex, copy=False), V.astype(complex, copy=False)
-        V_inv = np.linalg.inv(V)
-    except np.linalg.LinAlgError as exc:
-        raise MethodError(f"a Lyapunov operator F has no eigenbasis: {exc}") from None
-    if (_norm1(V) * _norm1(V_inv) > _EIGENBASIS_COND_MAX).any():
-        raise MethodError("a Lyapunov operator F has a singular eigenbasis")
-    Y = np.swapaxes(V, -1, -2) @ C @ V
-    Y /= -(w[..., :, None] + w[..., None, :])
-    return (np.swapaxes(V_inv, -1, -2) @ Y @ V_inv).real
+    fro = functools.partial(np.linalg.norm, axis=(-2, -1))
+    out, go = np.full_like(H, np.nan), np.arange(len(H))
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverging slice leaves with nan
+        for _ in range(_ROUNDS):
+            F, G, H_next = _compose_triples((F, G, H), (F, G, H))
+            H_next = 0.5 * (H_next + np.swapaxes(H_next, -1, -2))
+            size = fro(H_next)
+            finite = np.isfinite(size)
+            done = finite & (fro(H_next - H) <= 1e-15 * size)
+            out[go[done]] = H_next[done]
+            on = finite & ~done
+            go, F, G, H = go[on], F[on], G[on], H_next[on]
+            if not go.size:
+                break
+    return out
 
 
 def value(solution: RiccatiSolution, x0) -> float:
-    """Quadratic-form value x0^T E x0 (the optimal cost from x0)."""
+    """Quadratic-form value x0^T E x0 (the optimal cost from x0), summed over the stacks."""
     x = as_energy_vector(x0)
     if x.size != solution.dim:
         raise DimensionError("state dimension does not match the Riccati matrix")
-    return float(x @ solution.E @ x)
+    parts = [(x[energy_index(modes)], E) for modes, E in solution.stacks]
+    return float(sum(np.einsum("bi,bij,bj->", xe, E, xe) for xe, E in parts))
 
 
 @dataclass

@@ -7,8 +7,7 @@ libraries, the pools stall each other: on a 2-core host (numpy 2.4.6, scipy
 numpy products of the same size, took 304 ms interleaved and 33 ms with
 ``OPENBLAS_NUM_THREADS=1``.  Loading ``scipy.linalg`` also took about half of
 the start-up of a run.  So ``src/wavelq`` imports no scipy module at all:
-every factorization, product, exponential and Lyapunov solve goes through
-numpy.  scipy stays a test dependency, as an oracle.
+every factorization, product and exponential goes through numpy.  scipy stays a test dependency, as an oracle.
 """
 
 import ast
@@ -80,7 +79,7 @@ class NoScipy(importlib.abc.MetaPathFinder):
 sys.meta_path.insert(0, NoScipy())
 """
 
-# small configs through every solve_are path: a stacked Newton-Kleinman run
+# small configs through every solve_are path: a stacked doubling run
 # (synthetic and rectangle), a run with free directions split off (the star
 # [1, 1, 1] on edge 0)
 # and tracking

@@ -29,7 +29,6 @@ from wavelq.riccati import (
     RiccatiSolution,
     StabilizabilityError,
     _expm,
-    _lyapunov,
     _squarings,
     bounds_report,
     first_order_matrices,
@@ -234,7 +233,7 @@ class TestExpm:
 
 
 # ---------------------------------------------------------------------------
-# Newton-Kleinman's numpy Lyapunov solve against scipy's Bartels-Stewart solve
+# the Newton correction's Lyapunov solve, a doubled limit, against scipy's Bartels-Stewart solve
 
 
 LYAPUNOV_SYSTEMS = {
@@ -246,7 +245,7 @@ LYAPUNOV_SYSTEMS = {
 
 
 def lyapunov_stacks():
-    """(name, F, C) of Newton-Kleinman steps per stack: from the identity and at the ARE solution."""
+    """(name, F, C) of Newton steps per stack: from the identity and at the ARE solution."""
     for name, build in LYAPUNOV_SYSTEMS.items():
         sys_ = build()
         E = solve_are(sys_).E
@@ -256,6 +255,13 @@ def lyapunov_stacks():
             e = energy_index(np.array([r.modes for r in stack]))
             for start, X in (("identity", np.eye(A.shape[-1])), ("solution", E[e[:, :, None], e[:, None, :]])):
                 yield f"{name} {A.shape} from the {start}", A - BBT @ X, Q + X @ BBT @ X
+
+
+def lyapunov_limit(F, C, h=0.1):
+    """The solution X of F^T X + X F = -C as ``solve_are``'s Newton step forms it: the doubled
+    limit of the triple (e^{F h}, 0, W), W the Van Loan integral of C over the step."""
+    Phi, W = step_map(F, h, cost=C)
+    return riccati._doubled_limit(Phi, np.zeros_like(Phi), W)
 
 
 def two_control_widths():
@@ -271,7 +277,7 @@ class TestLyapunov:
     @pytest.mark.parametrize("name,F,C", list(lyapunov_stacks()),
                              ids=lambda v: v if isinstance(v, str) else "")
     def test_closed_loops_match_scipy(self, name, F, C):
-        got = _lyapunov(F, C)
+        got = lyapunov_limit(F, C)
         for X, F_b, C_b in zip(got, F, C):
             assert relative_error(X, scipy.linalg.solve_continuous_lyapunov(F_b.T, -C_b)) <= 1e-12, name
 
@@ -281,39 +287,47 @@ class TestLyapunov:
         _, _, (A, B, Q) = stack_matrices(sys_.lambdas, stack)
         BBT = B @ B.swapaxes(-1, -2)
         F, C = A - BBT, Q + BBT
-        got = _lyapunov(F, C)
+        got = lyapunov_limit(F, C)
         for k in range(len(F)):
-            assert np.array_equal(got[k], _lyapunov(F[k], C[k]))
-            assert np.array_equal(got[k], _lyapunov(F[k:k + 1], C[k:k + 1])[0])
+            assert np.array_equal(got[k], lyapunov_limit(F[k:k + 1], C[k:k + 1])[0])
 
-    def test_a_jordan_block_first_closed_loop_still_converges(self):
+    def test_a_jordan_block_closed_loop_converges(self):
         # b^2 = 2 on one mode of frequency 1 makes A - B B^T a Jordan block at -1
         sys_ = single_mode_system(gain=np.sqrt(2.0))
         A, B, Q = first_order_matrices(sys_)
         w, V = np.linalg.eig(A - B @ B.T)
         assert np.abs(w + 1.0).max() <= 1e-7 and np.linalg.cond(V) >= 1e6
         sol = solve_are(sys_)
-        assert sol.method == "newton_kleinman"
+        assert sol.method == "doubling"
         assert sol.backward_error <= 1e-14
         assert dense_backward_error(sol, sys_) <= 1e-14
         X = scipy.linalg.solve_continuous_are(A, B, Q, np.eye(1))
         assert np.abs(sol.E - X).max() <= 1e-13 * np.abs(X).max()
+        # and its Lyapunov limit matches Bartels-Stewart, where an eigenbasis is singular
+        F = A - B @ B.T
+        assert relative_error(lyapunov_limit(F[None], Q[None])[0],
+                              scipy.linalg.solve_continuous_lyapunov(F.T, -Q)) <= 1e-12
 
     @pytest.mark.parametrize("F", [
         np.array([[0.1, 1.0], [-1.0, 0.1]]),  # unstable
         np.array([[0.0, 1.0], [-1.0, 0.0]]),  # marginal
-        np.array([[-1.0, 1.0], [0.0, -1.0]]),  # defective
-        np.array([[-2.0, 1.0, 0.0], [0.0, -2.0, 1.0], [0.0, 0.0, -2.0]]),  # defective
-    ], ids=["unstable", "marginal", "defective_2", "defective_3"])
-    def test_an_unstable_or_defective_closed_loop_raises(self, F):
+    ], ids=["unstable", "marginal"])
+    def test_an_unstable_or_marginal_closed_loop_has_no_limit(self, F):
+        # the slice gets nan, and the other slices of its stack their own limits
         C = np.eye(F.shape[0])
-        with pytest.raises(MethodError):
-            _lyapunov(F, C)
-        # one bad slice fails the stack
-        good = -np.diag(np.arange(1.0, F.shape[0] + 1.0)) + 0.1 * np.tri(F.shape[0], k=-1)
-        assert np.all(np.isfinite(_lyapunov(good, C)))
-        with pytest.raises(MethodError):
-            _lyapunov(np.stack([good, F]), np.stack([C, C]))
+        assert np.isnan(lyapunov_limit(F[None], C[None])).all()
+        good = np.array([[-1.0, 1.0], [-1.0, -0.5]])
+        got = lyapunov_limit(np.stack([good, F]), np.stack([C, C]))
+        assert np.array_equal(got[0], lyapunov_limit(good[None], C[None])[0]) and np.isnan(got[1]).all()
+
+    @pytest.mark.parametrize("F", [
+        np.array([[-1.0, 1.0], [0.0, -1.0]]),
+        np.array([[-2.0, 1.0, 0.0], [0.0, -2.0, 1.0], [0.0, 0.0, -2.0]]),
+    ], ids=["defective_2", "defective_3"])
+    def test_a_defective_closed_loop_has_its_limit(self, F):
+        C = np.eye(F.shape[0])
+        want = scipy.linalg.solve_continuous_lyapunov(F.T, -C)
+        assert relative_error(lyapunov_limit(F[None], C[None])[0], want) <= 1e-12
 
     def test_blocks_of_one_stack_with_different_control_widths(self):
         sys_ = two_control_widths()
@@ -422,10 +436,10 @@ def test_dre_cost_is_logarithmic_in_the_steps(monkeypatch):
 
 class TestAre:
     def test_single_mode_closed_form_both_methods(self):
-        # the Newton-Kleinman solve and the DRE at a converged horizon
+        # the doubled limit and the DRE at a converged horizon
         sys_ = single_mode_system()
         sol = solve_are(sys_)
-        assert sol.method == "newton_kleinman"
+        assert sol.method == "doubling"
         assert sol.residual <= 1e-9 * (1.0 + np.linalg.norm(sol.E) ** 2)
         for E in (sol.E, integrate_dre(sys_, 80.0)[0].E):
             assert np.abs(E - exact_single_mode_are()).max() <= 1e-8
@@ -447,7 +461,7 @@ class TestAre:
         sys_ = SpectralSystem.from_dense([1.0, 2.0], np.eye(2), np.zeros((2, 2)))
         sol = solve_are(sys_)
         assert not sol.E.any()
-        assert (sol.backward_error, sol.residual, sol.method) == (0.0, 0.0, "dre_limit")
+        assert (sol.backward_error, sol.residual, sol.method) == (0.0, 0.0, "doubling")
 
     def test_block_diagonal_decoupling(self):
         sys_ = build_synthetic(2.0, 2.0, 4)
@@ -506,13 +520,11 @@ BACKWARD_ERROR_SYSTEMS = {
 }
 
 
-@pytest.mark.parametrize("case, method", [
-    ("bounds_synthetic", "newton_kleinman"), ("rectangle_12", "newton_kleinman"),
-    ("rectangle_16", "newton_kleinman"), ("star_111", "dre_limit")])
-def test_both_methods_reach_backward_error_1e_14(case, method):
+@pytest.mark.parametrize("case", sorted(BACKWARD_ERROR_SYSTEMS))
+def test_both_methods_reach_backward_error_1e_14(case):
     sys_ = BACKWARD_ERROR_SYSTEMS[case]()
     sol = solve_are(sys_)
-    assert sol.method == method
+    assert sol.method == "doubling"
     assert dense_backward_error(sol, sys_) <= 1e-14
     assert sol.backward_error <= 1e-14
 
@@ -541,11 +553,14 @@ def single_mode_closed_form(lam, b, q):
 @pytest.mark.parametrize("build", [
     lambda: build_synthetic(2.0, 2.0, 64), lambda: build_synthetic(0.5, 0.5, 256),
     lambda: build_synthetic_exponential(0.3, 0.05, 50),
-    lambda: build_synthetic_exponential(0.3, 0.2, 50)],
-    ids=["synthetic_2_64", "synthetic_0.5_256", "exponential_0.05", "exponential_0.2"])
+    lambda: build_synthetic_exponential(0.3, 0.2, 50),
+    # weakly controlled: the weakest block's damping is at the resolution of an eigensolver
+    lambda: build_synthetic_exponential(0.5, 0.1, 40)],
+    ids=["synthetic_2_64", "synthetic_0.5_256", "exponential_0.05", "exponential_0.2",
+         "exponential_0.5_0.1"])
 def test_single_mode_blocks_match_the_closed_form_to_their_condition(build):
     # the forward error is about the backward error times kappa = lambda / damping
-    # (Byers 1985; Sun 1998), and the stop rule holds the backward error to 1e-14
+    # (Byers 1985; Sun 1998), and solve_are holds the backward error to about 1e-14
     sys_ = build()
     E = solve_are(sys_).E
     for r in sys_.records:
@@ -556,51 +571,72 @@ def test_single_mode_blocks_match_the_closed_form_to_their_condition(build):
 
 
 # ---------------------------------------------------------------------------
-# one route: a Hamiltonian start, Newton-Kleinman, and the free directions split off
+# one route: the free directions split off, then each block's doubled DRE limit
 
 
 def count_riccati_steps(monkeypatch):
-    """Record every composition of DRE step triples, the DRE's only kernel call."""
+    """Record every composition of DRE step triples, the Riccati solvers' only kernel call."""
     calls = []
     compose = riccati._compose_triples
 
     def counted(*args):
-        calls.append(1)
+        calls.append(args[0][0].shape[-1])
         return compose(*args)
 
     monkeypatch.setattr(riccati, "_compose_triples", counted)
     return calls
 
 
-@pytest.mark.parametrize("build, method", [
-    (lambda: build_star_network([1.0, 1.0, 1.0], 0, 0, 32.0), "dre_limit"),
-    (lambda: build_synthetic_exponential(0.3, 0.2, 50), "newton_kleinman")],
+@pytest.mark.parametrize("build", [
+    lambda: build_star_network([1.0, 1.0, 1.0], 0, 0, 32.0),
+    lambda: build_synthetic_exponential(0.3, 0.2, 50)],
     ids=["star_111_32", "exponential_0.2"])
-def test_solve_are_sweeps_no_dre(build, method, monkeypatch):
+def test_solve_are_sweeps_no_dre(build, monkeypatch):
+    # each stack composes its triple with itself, once per round, then at most once per
+    # round for the Newton step: no sweep over a horizon's steps
     sys_ = build()
     calls = count_riccati_steps(monkeypatch)
     sol = solve_are(sys_)
-    assert calls == [] and sol.method == method
+    assert sol.method == "doubling" and calls
+    # the stacks have distinct block sizes, so the size of a call's triple names its stack
+    assert max(calls.count(d) for d in set(calls)) <= 2 * riccati._ROUNDS
     assert dense_backward_error(sol, sys_) <= 1e-14
 
 
-def test_weakly_controlled_exponential_family_raises_without_a_sweep(monkeypatch):
-    sys_ = build_synthetic_exponential(0.5, 0.1, 40)
-    calls = count_riccati_steps(monkeypatch)
-    with pytest.raises(MethodError):
-        solve_are(sys_)
-    assert calls == []
-
-
-def test_a_singular_stable_subspace_raises_method_error(monkeypatch):
-    # [[I, 0], [0, -I]]: the stable eigenvectors have no state part, so U_1 = 0
-    def no_graph(A, B, Q):
-        d = A.shape[-1]
-        return np.broadcast_to(np.diag(np.repeat([1.0, -1.0], d)), A.shape[:-2] + (2 * d, 2 * d))
-
-    monkeypatch.setattr(riccati, "hamiltonian_matrix", no_graph)
-    with pytest.raises(MethodError, match="stable subspace"):
+@pytest.mark.parametrize("compose, rounds", [
+    (lambda first, second: (first[0], first[1], 2.0 * first[2]), 80),
+    (lambda first, second: (first[0], first[1], np.full_like(first[2], np.nan)), 1)],
+    ids=["round_cap", "non_finite"])
+def test_a_doubling_that_does_not_settle_raises_method_error(compose, rounds, monkeypatch):
+    # H doubling every round never settles; a non-finite iterate leaves at once
+    calls = []
+    monkeypatch.setattr(riccati, "_compose_triples", lambda *args: calls.append(1) or compose(*args))
+    with pytest.raises(MethodError, match="no finite limit within 80 rounds"):
         solve_are(build_synthetic(2.0, 2.0, 3))
+    assert len(calls) == rounds
+
+
+def test_a_controlled_unobserved_direction_gets_the_minimal_solution():
+    # frequency 1 twice: (0, 1) is controlled but carries no cost, so no stabilizing solution
+    # exists; the doubled limit is the DRE's, the minimal solution, however weak the control
+    for b2 in (1.0, 1e-6, 1e-11):
+        b = np.sqrt(b2)
+        sys_ = SpectralSystem.from_dense([1.0, 1.0, 2.0], np.array([[1.0, 0.0], [b, b], [0.3, 0.0]]),
+                                         np.diag([1.0, 0.0, 1.0]))
+        sol = solve_are(sys_)
+        dre = integrate_dre(sys_, 2000.0)[0].E
+        assert np.abs(sol.E - dre).max() <= 1e-14 * np.abs(dre).max(), b2
+        assert sol.backward_error <= 1e-14
+
+
+@pytest.mark.parametrize("spread", [1e-8, 1e-7])
+def test_nearly_free_directions_report_their_backward_error(spread):
+    # frequencies closer than an eigensolver resolves but not grouped by the split: the
+    # difference direction is nearly free, and the closed loop's damping is about spread^2
+    sys_ = SpectralSystem.from_dense([1.0, 1.0 + spread], np.ones((2, 1)), np.ones((2, 2)))
+    sol = solve_are(sys_)
+    assert sol.backward_error <= 1e-10
+    assert sol.backward_error == pytest.approx(dense_backward_error(sol, sys_), rel=1e-6)
 
 
 def star_free_directions(sys_):
@@ -647,7 +683,7 @@ def test_records_with_every_direction_free_get_the_exact_zero(build):
     assert free
     sol = solve_are(sys_)
     e = energy_index(np.concatenate(free))
-    assert sol.method == "dre_limit" and (sol.E[e] == 0.0).all()
+    assert sol.method == "doubling" and (sol.E[e] == 0.0).all()
     assert sol.backward_error <= 1e-14
     if sol.E.any():
         assert sol.backward_error == pytest.approx(dense_backward_error(sol, sys_), rel=1e-3)
@@ -682,7 +718,7 @@ class TestRiccatiSolution:
         RiccatiSolution(one_stack(E[:4, :4] + E[:4, :4].T), horizon=1.0, residual=0.0, method="dre")
         tracemalloc.start()
         try:
-            RiccatiSolution(one_stack(E), horizon=np.inf, residual=0.0, method="newton_kleinman")
+            RiccatiSolution(one_stack(E), horizon=np.inf, residual=0.0, method="doubling")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -697,7 +733,8 @@ class TestRiccatiSolution:
         calls = {"solve_are": lambda: solve_are(sys_),
                  "integrate_dre": lambda: integrate_dre(sys_, 1.0),
                  "simulate_riccati_feedback": lambda: simulate_riccati_feedback(sys_, sol, x0, 0.5),
-                 "bounds_report": lambda: bounds_report(sol, sys_, energy, energy)}
+                 "bounds_report": lambda: bounds_report(sol, sys_, energy, energy),
+                 "value": lambda: value(sol, x0)}
         for name, call in calls.items():
             call()  # a first call outside the trace, so nothing it imports or caches is counted
             tracemalloc.start()
@@ -715,13 +752,13 @@ class TestRiccatiSolution:
         E += E.T
         E[0, 0] = 5.0
         tol = 1e-10 * (1.0 + 5.0)
-        RiccatiSolution(one_stack(E), horizon=np.inf, residual=0.0, method="newton_kleinman")
+        RiccatiSolution(one_stack(E), horizon=np.inf, residual=0.0, method="doubling")
         near = E.copy()
         near[at] += 0.5 * tol
-        RiccatiSolution(one_stack(near), horizon=np.inf, residual=0.0, method="newton_kleinman")
+        RiccatiSolution(one_stack(near), horizon=np.inf, residual=0.0, method="doubling")
         E[at] += 2.0 * tol
         with pytest.raises(DomainError):
-            RiccatiSolution(one_stack(E), horizon=np.inf, residual=0.0, method="newton_kleinman")
+            RiccatiSolution(one_stack(E), horizon=np.inf, residual=0.0, method="doubling")
 
     @pytest.mark.parametrize("at", [(0, 2, 150, 10), (0, 1, 10, 150), (1, 0, 1, 2)])
     def test_asymmetry_in_any_block_of_any_stack_raises(self, at):
@@ -737,7 +774,7 @@ class TestRiccatiSolution:
         def solution(forms):
             return RiccatiSolution([(np.arange(400).reshape(4, 100), forms[0]),
                                     (np.arange(400, 404).reshape(2, 2), forms[1])],
-                                   horizon=np.inf, residual=0.0, method="newton_kleinman")
+                                   horizon=np.inf, residual=0.0, method="doubling")
 
         solution((big, small))
         near = [big.copy(), small.copy()]
@@ -757,6 +794,13 @@ class TestValue:
         sol = solve_are(single_mode_system())
         e1 = np.sqrt(2.0) * np.sqrt(2.0 * (np.sqrt(2.0) - 1.0))
         assert value(sol, np.array([1.0, 0.0])) == pytest.approx(e1, abs=1e-8)
+
+    def test_value_summed_over_the_stacks_is_the_dense_form(self):
+        sys_ = build_rectangle(1.0, 2.0, 12.0)
+        sol = solve_are(sys_)
+        assert len(sol.stacks) > 1
+        for x in np.random.default_rng(3).standard_normal((5, sol.dim)):
+            assert value(sol, x) == pytest.approx(x @ sol.E @ x, rel=1e-13)
 
     def test_no_control_value_is_free_flow_cost(self):
         sys_ = build_synthetic(2.0, 2.0, 3)

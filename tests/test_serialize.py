@@ -187,11 +187,11 @@ def test_riccati_json_matches_streamed_reference(tmp_path):
     E = np.array([[0.1, -0.0, 5e-324, 2.0], [-0.0, big, -1.0 / 3.0, 0.5],
                   [5e-324, -1.0 / 3.0, 0.0, -7.0], [2.0, 0.5, -7.0, 1e-300]])
     sol = RiccatiSolution([(np.arange(2)[None], E[None])], horizon=np.inf, residual=2.5e-310,
-                          method="newton_kleinman")
+                          method="doubling")
     path, ref = tmp_path / "riccati.json", tmp_path / "reference.json"
     save_riccati(sol, path)
     payload = {"schema": "wavelq-riccati-v1", "horizon": "inf", "residual": 2.5e-310,
-               "method": "newton_kleinman",
+               "method": "doubling",
                "E": {"rows": 4, "cols": 4, "data_row_major": [float(v) for v in E.ravel()]}}
     with open(ref, "w", encoding="utf-8", newline="\n") as f:
         json.dump(payload, f, sort_keys=True)

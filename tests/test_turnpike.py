@@ -387,7 +387,7 @@ def test_tracking_without_a_stabilizing_are_solution():
     z = np.zeros(sys_.n_modes)
     x0 = np.ones(2 * sys_.n_modes)
     are = solve_are(sys_)
-    assert are.method == "dre_limit"
+    assert are.method == "doubling"
     A, B, _ = first_order_matrices(sys_)
     assert np.linalg.eigvals(A - B @ (B.T @ are.E)).real.max() > -1e-12
     assert np.all(np.isfinite(solve_tracking(sys_, z, x0, 5.0, are=are).deviation_states))
