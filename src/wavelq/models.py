@@ -20,9 +20,8 @@ solution and closed loop of the system is block diagonal over them.  A
 ``SpectralSystem`` stores only ``lambdas`` and one ``Block`` record per block:
 its modes, the controls that act on it with its rows of ``B_mod``, and its
 piece of ``Q_obs``.  The dense ``B_mod`` and ``Q_obs`` are assembled from the
-records on first access, for serialization, HUM, tracking and the stationary
-problem; nothing else of size n x n is held.
-The observation factor ``Q_obs^(1/2)`` is one square root per record.
+records on first access, for serialization and HUM; nothing else of size
+n x n is held.
 Builders that know their blocks pass them: the rectangle with strip control
 one block per x2 index, the synthetic families one block per mode.  The
 interval, the stars, loaded and hand-built systems enter through
@@ -230,18 +229,6 @@ class SpectralSystem:
     def Q_obs(self) -> np.ndarray:
         """Modal observation form (assembled on first access)."""
         return self._dense("Q")
-
-    def observation_factor(self) -> np.ndarray:
-        """A modal factor C with C^T C = Q_obs (symmetric PSD square root).
-
-        Q_obs is block diagonal over the records, so its square root is too:
-        one ``psd_sqrt`` per stack of equal-size records' ``Q``, put in place.
-        """
-        C = np.zeros((self.n_modes, self.n_modes))
-        for stack in stacked_blocks(self.records):
-            for r, root in zip(stack, psd_sqrt(np.stack([r.Q for r in stack])), strict=True):
-                C[np.ix_(r.modes, r.modes)] = root
-        return C
 
 
 def assemble(n_modes: int, pairs) -> np.ndarray:

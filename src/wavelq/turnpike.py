@@ -2,8 +2,9 @@
 
 The tracking cost is ``int_0^T (||u||^2 + ||C w - z||^2) dt``.  Targets z live
 in the observation space realized through the symmetric factor
-``C_mod = Q_obs**(1/2)`` acting on position coefficients, so z is a plain
-coefficient vector of length n_modes.
+``C = (C*C)**(1/2)`` acting on position coefficients, so z is a plain
+coefficient vector of length n_modes.  C is block diagonal over the system's
+records; nothing here forms it, the dense control map or a whole-system matrix.
 
 The finite-horizon optimality system is solved in deviation variables
 (state minus stationary state) through the Riccati dichotomy (Porretta-Zuazua
@@ -32,9 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_loop import Trajectory
-from .models import SpectralSystem, stacked_blocks
-from .riccati import (RiccatiSolution, binary_power, first_order_matrices, hamiltonian_matrix,
-                      solve_are, stack_matrices, step_map)
+from .models import SpectralSystem, psd_sqrt, stacked_blocks
+from .riccati import (RiccatiSolution, binary_power, hamiltonian_matrix, solve_are,
+                      stack_matrices, step_map)
 from .spectral import DimensionError, DomainError, ModalVector, as_energy_vector, require_positive
 
 
@@ -56,39 +57,48 @@ def g_weight(T: float, k: float, exponent: float) -> float:
 
 @dataclass
 class StationarySolution:
-    """Optimal stationary triple (w_bar, u_bar, p_bar) for a target z."""
+    """Optimal stationary triple (w_bar, u_bar, p_bar) for a target z, and ||C w_bar - z||^2."""
 
     w_bar: ModalVector
     u_bar: np.ndarray
     p_bar: ModalVector
     optimality_residual: float
+    obs_gap_sq: float
 
 
 def solve_stationary(system: SpectralSystem, z) -> StationarySolution:
     """Solve min_u ||u||^2 + ||C w - z||^2 subject to A w = B u.
 
     With G = C A^-1 B the optimal control solves (I + G^T G) u = G^T z; the
-    adjoint satisfies A p = C*(C w - z) and u = -B* p.
+    adjoint satisfies A p = C*(C w - z) and u = -B* p.  G is block diagonal over
+    the records: one batched solve per stack, with C = ``psd_sqrt`` of each
+    record's Q and B zero-padded as in ``stack_matrices`` (padded controls get 0).
     """
     z = np.asarray(z, dtype=float)
-    n = system.n_modes
-    if z.size != n:
+    if z.size != system.n_modes:
         raise DimensionError("target z must have one entry per mode")
-    lam2 = system.lambdas**2
-    Cm = system.observation_factor()
-    G = Cm @ (system.B_mod / lam2[:, None])
-    m = G.shape[1]
-    u = np.linalg.solve(np.eye(m) + G.T @ G, G.T @ z)
-    a_bar = (system.B_mod @ u) / lam2
-    obs_gap = Cm @ a_bar - z
-    p_bar = (Cm.T @ obs_gap) / lam2
+    lam = system.lambdas
+    a_bar, p_bar, u = np.zeros(lam.size), np.zeros(lam.size), np.zeros(system.n_controls)
+    sq = np.zeros(4)  # squared defects of A w = B u, A p = C*(C w - z), u = -B* p; ||C w - z||^2
+    for stack in stacked_blocks(system.records):
+        modes, _, (_, B, _) = stack_matrices(lam, stack)
+        B, C, lam2 = B[:, 1::2], psd_sqrt(np.array([r.Q for r in stack])), lam[modes] ** 2
+        G = C @ (B / lam2[..., None])
+        ub = np.linalg.solve(np.eye(G.shape[-1]) + _mT(G) @ G, _mv(_mT(G), z[modes])[..., None])[..., 0]
+        a = _mv(B, ub) / lam2
+        gap = _mv(C, a) - z[modes]
+        p = _mv(_mT(C), gap) / lam2
+        a_bar[modes], p_bar[modes] = a, p
+        for r, ur in zip(stack, ub):
+            u[r.controls] = ur[:r.controls.size]
+        sq += [np.sum((lam2 * a - _mv(B, ub)) ** 2), np.sum((lam2 * p - _mv(_mT(C), gap)) ** 2),
+               np.sum((ub + _mv(_mT(B), p)) ** 2), np.sum(gap**2)]
 
-    r1 = np.linalg.norm(lam2 * a_bar - system.B_mod @ u) / (1.0 + np.linalg.norm(u))
-    r2 = np.linalg.norm(lam2 * p_bar - Cm.T @ obs_gap) / (1.0 + np.linalg.norm(z))
-    r3 = np.linalg.norm(u + system.B_mod.T @ p_bar) / (1.0 + np.linalg.norm(u))
+    nu = np.linalg.norm(u)
+    r1, r2, r3 = np.sqrt(sq[:3]) / (1.0 + np.array([nu, np.linalg.norm(z), nu]))
     return StationarySolution(w_bar=ModalVector.position_only(a_bar), u_bar=u,
                               p_bar=ModalVector.position_only(p_bar),
-                              optimality_residual=float(max(r1, r2, r3)))
+                              optimality_residual=float(max(r1, r2, r3)), obs_gap_sq=float(sq[3]))
 
 
 def _lift_position(system: SpectralSystem, a: np.ndarray) -> np.ndarray:
@@ -112,20 +122,19 @@ def _terminal_feedforward(system: SpectralSystem, stationary: StationarySolution
 class TrackingSolution:
     """Finite-horizon tracking optimum, recorded on a uniform grid.
 
-    ``deviation_states`` are x(t) = lift(w^T - w_bar, w_t^T),
-    ``deviation_adjoints`` the deviation adjoints q(t), and
-    ``deviation_controls`` are v = u^T - u_bar = -B^T q; the OS residual reads
-    these three.  ``trajectory`` holds the recorded series of the full
-    state/control pair for export (neither the full states nor the full
-    controls are kept) and ``x0`` the initial state as given.  The exact
-    integrals of the deviation running cost and of the deviation position are
-    the averaged turnpike metrics' inputs.
+    ``deviation_states`` are x(t) = lift(w^T - w_bar, w_t^T) and
+    ``deviation_adjoints`` the deviation adjoints q(t), from which the
+    deviation control is v = u^T - u_bar = -B^T q; the OS residual reads the
+    two.  ``trajectory`` holds the recorded series of the full state/control
+    pair for export (neither the full states nor the controls are kept) and
+    ``x0`` the initial state as given.  The exact integrals of the deviation
+    running cost and of the deviation position are the averaged turnpike
+    metrics' inputs.
     """
 
     times: np.ndarray
     deviation_states: np.ndarray
     deviation_adjoints: np.ndarray
-    deviation_controls: np.ndarray
     trajectory: Trajectory
     stationary: StationarySolution
     z: np.ndarray
@@ -163,12 +172,14 @@ def solve_tracking(system: SpectralSystem, z, x0, horizon: float,
     x^T E(T - t) x with E(tau) = P - F_tau^T (I - P G_tau)^{-1} P F_tau,
     read through F_tau x_r = x_N + G_tau y_N, so F_tau is never formed and
     only the (I - G_tau P) solve is per record.  An ``are`` off the system's
-    blocks raises DimensionError.
+    blocks, or a ``z`` without one entry per mode, raises DimensionError.
     """
     require_positive(horizon=horizon, dt_record=dt_record)
     z = np.asarray(z, dtype=float)
     if stationary is None:
         stationary = solve_stationary(system, z)
+    if z.size != system.n_modes:
+        raise DimensionError("target z must have one entry per mode")
     if are is None:
         are = solve_are(system)
     lam = system.lambdas
@@ -177,6 +188,7 @@ def solve_tracking(system: SpectralSystem, z, x0, horizon: float,
     if x0.size != dim:
         raise DimensionError("initial state dimension mismatch")
     x_bar_lift = _lift_position(system, stationary.w_bar.a)
+    p_lift = _lift_position(system, stationary.p_bar.a)
     x0_dev = x0 - x_bar_lift
     h_T = _terminal_feedforward(system, stationary)
 
@@ -190,36 +202,36 @@ def solve_tracking(system: SpectralSystem, z, x0, horizon: float,
     q = np.empty((steps + 1, dim))
     values = np.zeros(steps + 1)
     int_y = np.empty(2 * dim)
-    j_dev_exact = 0.0
+    control_power = np.zeros(steps + 1)
+    obs_power = np.full(steps + 1, stationary.obs_gap_sq)
+    j_dev_exact = cross = 0.0
     for stack in stacked_blocks(system.records):
-        j_dev_exact += _track_stack(lam, stack, are, x0_dev, h_T, horizon, sub, X, q, values, int_y)
+        modes, e, (A, B, Q) = stack_matrices(lam, stack)
+        j_dev_exact += _track_stack((A, B, Q), are.on(modes), e, x0_dev, h_T, horizon, sub,
+                                    X, q, values, int_y)
+        # u_bar = -B^T p_bar and C^T (C w_bar - z) = lambda^2 p_bar, so the control is
+        # -B^T (q - h_T) and ||C w - z||^2 = x^T Q x + 2 lift(p_bar) x + ||C w_bar - z||^2
+        xs = np.swapaxes(X[:, e], 0, 1)
+        us = (np.swapaxes(q[:, e], 0, 1) - h_T[e][:, None]) @ B
+        control_power += np.einsum("btc,btc->t", us, us)
+        obs_power += np.einsum("bti,bti->t", xs @ Q + 2.0 * p_lift[e][:, None], xs)
+        cross -= 2.0 * float(np.sum(_mv(_mT(B), h_T[e]) * _mv(_mT(B), int_y[e + dim])))
 
-    Cm = system.observation_factor()
-    obs_stationary_gap = Cm @ stationary.w_bar.a - z  # C w_bar - z
-    u_bar = stationary.u_bar
-    int_a_dev = int_y[:dim][0::2] / lam
-    stationary_rate = float(u_bar @ u_bar) + float(obs_stationary_gap @ obs_stationary_gap)
-    j_full_exact = (j_dev_exact - 2.0 * float(u_bar @ (system.B_mod.T @ int_y[dim + 1::2]))
-                    + 2.0 * float(obs_stationary_gap @ (Cm @ int_a_dev))
-                    + horizon * stationary_rate)
-    mean_a = int_a_dev / horizon
-    V = -(q[:, 1::2] @ system.B_mod)
+    stationary_rate = float(stationary.u_bar @ stationary.u_bar) + stationary.obs_gap_sq
+    j_full_exact = j_dev_exact + cross + 2.0 * float(p_lift @ int_y[:dim]) + horizon * stationary_rate
+    mean_a = int_y[:dim][0::2] / lam / horizon
 
     p_bar = stationary.p_bar.a
     value_cost = (float(x0_dev @ q[0]) - float(p_bar @ X[-1][1::2])
                   + 2.0 * float(p_bar @ x0_dev[1::2]) + horizon * stationary_rate)
 
     full = X + x_bar_lift
-    U = V + u_bar
-    obs_dev_series = (X[:, 0::2] / lam) @ Cm.T
-    obs_full = obs_dev_series + obs_stationary_gap
     traj = Trajectory(times=times, energies=np.einsum("ij,ij->i", full, full), lambdas=lam,
-                      kind="tracking", values=values,
-                      control_power=np.einsum("ij,ij->i", U, U),
-                      obs_power=np.einsum("ij,ij->i", obs_full, obs_full))
+                      kind="tracking", values=values, control_power=control_power,
+                      obs_power=obs_power)
 
     return TrackingSolution(times=times, deviation_states=X, deviation_adjoints=q,
-                            deviation_controls=V, trajectory=traj, stationary=stationary,
+                            trajectory=traj, stationary=stationary,
                             z=z, x0=x0, horizon=float(horizon), cost_quadrature=j_full_exact,
                             deviation_cost_exact=j_dev_exact, mean_deviation_a=mean_a,
                             value_formula_cost=value_cost, system=system)
@@ -287,18 +299,17 @@ def _powers(pair, m: int):
     return F, G
 
 
-def _track_stack(lam, stack, are, x0_dev, h_T, horizon, sub, X, q, values, int_y) -> float:
+def _track_stack(matrices, P, e, x0_dev, h_T, horizon, sub, X, q, values, int_y) -> float:
     """Solve the tracking dichotomy on one stack of equal-sized blocks.
 
-    ``stack`` holds the blocks' records, and ``are.on`` gives their ARE solutions P.
+    ``matrices``, ``P`` and ``e`` are the stack's (A, B, Q), ARE solutions and energy positions.
     Fills their columns of the recorded states X and adjoints q and of the
     integrals int_y of (x, q), adds their share to ``values``, and returns
     their deviation cost.  Every stack of steps is blocks-first, so each
     product with a factor shared by a chunk's steps is one GEMM or GEMV per
     block over the steps' stacked rows.
     """
-    modes, e, (A, B, Q) = stack_matrices(lam, stack)
-    P = are.on(modes)
+    A, B, Q = matrices
     PT = _mT(P)
     nb, s = e.shape
     steps = X.shape[0] - 1
@@ -375,33 +386,34 @@ _SERIAL_PRODUCT = 1 << 18
 def tracking_os_residual(sol: TrackingSolution) -> float:
     """Defect of the recorded grid against the exact optimality system.
 
-    An independent matrix exponential of the Hamiltonian matrix over the record
-    step checks (x_{k+1}, q_{k+1}) = e^{M dt} (x_k, q_k) on every grid step;
-    also checked are v_k = -B^T q_k at every grid point and the boundary
-    values x_0 = x0 - lift(w_bar) and q_N = h_T.  Each defect is relative to
-    1 plus the largest entry of the quantity it checks; the worst is returned.
-    The grid is stepped in row bands of at most ``_SERIAL_PRODUCT``
+    Per stack of equal-sized blocks, an independent matrix exponential of its
+    Hamiltonian matrix over the record step checks (x_{k+1}, q_{k+1}) =
+    e^{M dt} (x_k, q_k) on every grid step of its columns; also checked are
+    the boundary values x_0 = x0 - lift(w_bar) and q_N = h_T.  Each defect is
+    relative to 1 plus the largest entry of the quantity it checks; the worst is returned.
+    Each stack's grid is stepped in row bands of at most ``_SERIAL_PRODUCT``
     multiply-adds, so no BLAS worker thread is left spinning after the call.
     """
     system = sol.system
-    A, B, Q = first_order_matrices(system)
-    dim = A.shape[0]
-    X, q, V = sol.deviation_states, sol.deviation_adjoints, sol.deviation_controls
+    X, q = sol.deviation_states, sol.deviation_adjoints
     dt = sol.horizon / (sol.times.size - 1)
-    Phi, _ = step_map(hamiltonian_matrix(A, B, Q), dt)
-    Y = np.hstack([X, q])
-    D, prev = Y[1:].copy(), Y[:-1]
-    rows = max(1, _SERIAL_PRODUCT // Phi.size)
-    for a in range(0, D.shape[0], rows):
-        D[a:a + rows] -= prev[a:a + rows] @ Phi.T
+    dx = dq = 0.0
+    for stack in stacked_blocks(system.records):
+        _, e, matrices = stack_matrices(system.lambdas, stack)
+        PhiT = _mT(step_map(hamiltonian_matrix(*matrices), dt)[0])
+        rows = max(1, _SERIAL_PRODUCT // PhiT.size)
+        for a in range(0, X.shape[0] - 1, rows):
+            band = slice(a, a + rows + 1)
+            Y = np.swapaxes(np.concatenate([X[band, e], q[band, e]], axis=-1), 0, 1)
+            D = np.abs(Y[:, 1:] - Y[:, :-1] @ PhiT)
+            dx, dq = max(dx, D[..., :e.shape[1]].max()), max(dq, D[..., e.shape[1]:].max())
     x0_dev = sol.x0 - _lift_position(system, sol.stationary.w_bar.a)
     h_T = _terminal_feedforward(system, sol.stationary)
 
     def rel(defect, ref):
         return float(np.abs(defect).max()) / (1.0 + np.abs(ref).max())
 
-    return max(rel(D[:, :dim], X), rel(D[:, dim:], q), rel(V + q @ B, V),
-               rel(X[0] - x0_dev, x0_dev), rel(q[-1] - h_T, h_T))
+    return max(rel(dx, X), rel(dq, q), rel(X[0] - x0_dev, x0_dev), rel(q[-1] - h_T, h_T))
 
 
 @dataclass

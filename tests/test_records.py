@@ -304,18 +304,6 @@ def test_cached_dense_matrices_are_read_only():
             M[0, 0] = 1.0
 
 
-@pytest.mark.parametrize("sys_", [build_rectangle(1.0, 2.0, 12.0),
-                                  build_star_network([1.0, 1.3, 0.7], 0, 1, 12.0),
-                                  build_synthetic(2.0, 2.0, 12)], ids=["rectangle", "star", "synthetic"])
-def test_observation_factor_is_the_square_root_of_q_obs(sys_):
-    # built per record: the dense square root of the block-diagonal Q_obs is its oracle
-    C = sys_.observation_factor()
-    Q = sys_.Q_obs
-    assert np.abs(C.T @ C - Q).max() <= 1e-13 * np.abs(Q).max()
-    ref = psd_sqrt(Q)
-    assert np.abs(C - ref).max() <= 1e-12 * np.abs(ref).max()
-
-
 def test_rectangle_observability_holds_no_dense_matrix():
     # n = 3149 modes: one dense n x n array is 75.7 MiB; the records hold 4.2 MiB
     build_rectangle(1.0, 2.0, 8.0)  # first calls import what they need outside the trace
@@ -379,11 +367,12 @@ def test_a_trailing_zero_control_column_changes_no_bit():
         collocated = simulate_collocated(sys_, x0, 3.0)
         feedback = simulate_riccati_feedback(sys_, are, x0, 3.0)
         tracking = solve_tracking(sys_, z, x0, 3.0, are=are)
-        runs.append([are.E, tracking.deviation_states, tracking.deviation_controls[:, :2]]
+        controls = -(tracking.deviation_adjoints[:, 1::2] @ sys_.B_mod)
+        runs.append([are.E, tracking.deviation_states, controls[:, :2]]
                     + [getattr(traj, name) for traj in (collocated, feedback, tracking.trajectory)
                        for name in ("energies", "values", "control_power", "obs_power")
                        if getattr(traj, name) is not None]
                     + [collocated.dissipation, feedback.dissipation])
     for a, b in zip(*runs, strict=True):
         assert np.array_equal(a, b)
-    assert not tracking.deviation_controls[:, 2].any()
+    assert not controls[:, 2].any()

@@ -6,13 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import simpson
 
-from tracking_oracle import solve_tracking_collocation, solve_tracking_sweep
+from tracking_oracle import solve_stationary_dense, solve_tracking_collocation, solve_tracking_sweep
 from wavelq.closed_loop import smooth_initial_state
 from wavelq.models import (SpectralSystem, build_interval_wave, build_rectangle,
-                           build_star_network, build_synthetic, energy_index, stacked_blocks)
+                           build_star_network, build_synthetic, energy_index, psd_sqrt,
+                           stacked_blocks)
 from wavelq.riccati import first_order_matrices, solve_are, stack_matrices, step_map
-from wavelq.spectral import DomainError
+from wavelq.spectral import DimensionError, DomainError
 from wavelq.turnpike import (
+    _SERIAL_PRODUCT,
     _STACK_ELEMENTS,
     _powers,
     averaged_metrics,
@@ -26,7 +28,7 @@ from wavelq.turnpike import (
 def stationary_cost(system: SpectralSystem, z, u) -> float:
     """Stationary objective ||u||^2 + ||C A^-1 B u - z||^2 (for convexity probes)."""
     w = (system.B_mod @ u) / system.lambdas**2
-    return float(u @ u + np.sum((system.observation_factor() @ w - z) ** 2))
+    return float(u @ u + np.sum((psd_sqrt(system.Q_obs) @ w - z) ** 2))
 
 
 def single_mode_system():
@@ -75,6 +77,31 @@ class TestStationary:
             z = rng.standard_normal(sys_.n_modes)
             st = solve_stationary(sys_, z)
             assert st.optimality_residual <= 1e-10
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_rectangle(1.0, 2.0, 8.0),  # blocks of four sizes
+        lambda: build_star_network([1.0, 1.3, 0.7], 0, 1, 12.0),  # one block
+        lambda: build_interval_wave(10, control=("subinterval", 0.4, 1.9),
+                                    observation=("subinterval", 1.0, 2.5)),
+    ], ids=["rectangle", "star", "interval"])
+    def test_matches_the_dense_oracle(self, build):
+        sys_ = build()
+        _assert_matches_stationary_oracle(sys_, np.random.default_rng(15).standard_normal(sys_.n_modes))
+
+    def test_rectangle_stationary_holds_no_dense_matrix(self):
+        # n = 3149 modes: one dense n x n array is 75.7 MiB
+        sys_ = build_rectangle(1.0, 2.0, 64.0)
+        z = np.random.default_rng(16).standard_normal(sys_.n_modes)
+        small = build_rectangle(1.0, 2.0, 8.0)
+        solve_stationary(small, np.ones(small.n_modes))  # imports outside the trace
+        tracemalloc.start()
+        try:
+            st_ = solve_stationary(sys_, z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert st_.optimality_residual <= 1e-12
+        assert peak < 8 * 2**20
 
     def test_convexity_probe(self):
         sys_ = build_synthetic(2.0, 2.0, 4)
@@ -132,30 +159,66 @@ class TestTracking:
         sol = solve_tracking(sys_, z, x0, 8.0)
         assert tracking_os_residual(sol) <= 1e-6
 
-    @pytest.mark.parametrize("field", ["deviation_states", "deviation_adjoints",
-                                       "deviation_controls"])
-    def test_os_residual_detects_mid_grid_perturbation(self, field):
-        sys_ = build_synthetic(2.0, 2.0, 4)
+    @pytest.mark.parametrize("field", ["deviation_states", "deviation_adjoints"])
+    @pytest.mark.parametrize("build", [lambda: build_synthetic(2.0, 2.0, 4),
+                                       lambda: build_rectangle(1.0, 2.0, 8.0)],  # four block sizes
+                             ids=["synthetic", "rectangle"])
+    def test_os_residual_detects_mid_grid_perturbation(self, build, field):
+        sys_ = build()
         rng = np.random.default_rng(10)
-        sol = solve_tracking(sys_, rng.standard_normal(4), rng.standard_normal(8), 4.0,
-                             dt_record=0.05)
+        sol = solve_tracking(sys_, rng.standard_normal(sys_.n_modes),
+                             rng.standard_normal(2 * sys_.n_modes), 4.0, dt_record=0.05)
         assert tracking_os_residual(sol) <= 1e-6
+        # a column of the last stack: the rectangle's fourth, the synthetic system's only one
+        column = 2 * stacked_blocks(sys_.records)[-1][0].modes[0]
         values = getattr(sol, field).copy()
         mid = values.shape[0] // 2
-        values[mid, 0] += 1e-4 * np.abs(values).max()
+        values[mid, column] += 1e-4 * np.abs(values).max()
         assert tracking_os_residual(dataclasses.replace(sol, **{field: values})) > 1e-6
 
-    @pytest.mark.parametrize("row", [1, 112, 113, 114, 300, 499, 500])
+    @pytest.mark.parametrize("row", [1, 110, 111, 112, 300, 499, 500])
     def test_os_residual_checks_every_row_band(self, row):
-        # 12 modes: a 48 x 48 step map, stepped in bands of 113 rows of the 501-point grid
-        sys_ = build_synthetic(2.0, 2.0, 12)
+        # the stack of three 7-mode blocks has a 3 x 28 x 28 step map, stepped in bands of
+        # 111 rows of the 501-point grid
+        sys_ = build_rectangle(1.0, 2.0, 8.0)
+        stack = next(s for s in stacked_blocks(sys_.records) if s[0].modes.size == 7)
+        assert len(stack) == 3 and _SERIAL_PRODUCT // (3 * 28 * 28) == 111
         rng = np.random.default_rng(11)
-        sol = solve_tracking(sys_, rng.standard_normal(12), rng.standard_normal(24), 10.0,
-                             dt_record=0.02)
+        sol = solve_tracking(sys_, rng.standard_normal(sys_.n_modes),
+                             rng.standard_normal(2 * sys_.n_modes), 10.0, dt_record=0.02)
+        assert sol.times.size == 501
         assert tracking_os_residual(sol) <= 1e-6
         X = sol.deviation_states.copy()
-        X[row, 3] += 1e-4 * np.abs(X).max()
+        column = 2 * stack[-1].modes[-1]
+        X[row, column] += 1e-4 * np.abs(X).max()
         assert tracking_os_residual(dataclasses.replace(sol, deviation_states=X)) > 1e-6
+
+    @pytest.mark.parametrize("size", [3, 5])
+    def test_a_target_of_the_wrong_size_raises(self, size):
+        sys_ = build_synthetic(2.0, 2.0, 4)
+        st_ = solve_stationary(sys_, np.ones(4))
+        with pytest.raises(DimensionError):
+            solve_tracking(sys_, np.ones(size), np.zeros(8), 2.0, stationary=st_)
+        with pytest.raises(DimensionError):
+            solve_tracking(sys_, np.ones(size), np.zeros(8), 2.0)
+
+    def test_os_residual_holds_no_whole_system_step_map(self):
+        # 183 modes: the whole system's Hamiltonian step map is 732 x 732, 4.1 MiB, and its
+        # exponential's workspace several times that
+        sys_ = build_rectangle(1.0, 2.0, 16.0)
+        rng = np.random.default_rng(17)
+        x0 = smooth_initial_state(sys_.lambdas, 2.5, rng=rng).to_vector()
+        z = sys_.lambdas**-2.0 * rng.choice([-1.0, 1.0], size=sys_.n_modes)
+        sol = solve_tracking(sys_, z, x0, 10.0)
+        tracking_os_residual(solve_tracking(sys_, z, x0, 0.1))  # imports outside the trace
+        tracemalloc.start()
+        try:
+            res = tracking_os_residual(sol)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res <= 1e-6
+        assert peak <= 12 * 2**20
 
     def test_terminal_adjoint_matches_stationary_lift(self):
         sys_ = build_synthetic(2.0, 2.0, 4)
@@ -164,7 +227,7 @@ class TestTracking:
         x0 = rng.standard_normal(8)
         sol = solve_tracking(sys_, z, x0, 6.0)
         # v(T) = -B^T q(T) with q(T) = (0, -p_bar) lifted
-        vT = sol.deviation_controls[-1]
+        vT = -(sol.deviation_adjoints[-1, 1::2] @ sys_.B_mod)
         expected = sys_.B_mod.T @ sol.stationary.p_bar.a
         assert np.abs(vT - expected).max() <= 1e-7 * (1.0 + np.abs(expected).max())
 
@@ -173,8 +236,8 @@ def _grid_quadrature(sys_, sol):
     """Simpson quadrature on the recorded grid of the deviation running cost
     int (||v||^2 + ||C (w - w_bar)||^2) dt and of the deviation position int (a - a_bar) dt."""
     a_dev = sol.deviation_states[:, 0::2] / sys_.lambdas
-    obs = a_dev @ sys_.observation_factor().T
-    v = sol.deviation_controls
+    obs = a_dev @ psd_sqrt(sys_.Q_obs).T
+    v = -(sol.deviation_adjoints[:, 1::2] @ sys_.B_mod)
     integrand = np.einsum("ij,ij->i", v, v) + np.einsum("ij,ij->i", obs, obs)
     return simpson(integrand, x=sol.times), simpson(a_dev, x=sol.times, axis=0)
 
@@ -257,10 +320,12 @@ def _assert_matches_sweep(sys_, z, x0, horizon, dt_record=None, tol=1e-10):
     sol = solve_tracking(sys_, z, x0, horizon, dt_record=dt_record)
     ref = solve_tracking_sweep(sys_, z, x0, horizon, dt_record=dt_record)
     assert np.array_equal(sol.times, ref.times)
-    for name in ("deviation_states", "deviation_adjoints", "deviation_controls",
-                 "mean_deviation_a"):
+    got = {name: getattr(sol, name) for name in ("deviation_states", "deviation_adjoints",
+                                                  "mean_deviation_a")}
+    got["deviation_controls"] = -(sol.deviation_adjoints[:, 1::2] @ sys_.B_mod)
+    for name, value in got.items():
         want = getattr(ref, name)
-        assert np.abs(getattr(sol, name) - want).max() <= tol * np.abs(want).max(), name
+        assert np.abs(value - want).max() <= tol * np.abs(want).max(), name
     assert np.abs(sol.trajectory.values - ref.values).max() <= tol * np.abs(ref.values).max()
     for name in ("deviation_cost_exact", "value_formula_cost"):
         assert getattr(sol, name) == pytest.approx(getattr(ref, name), rel=tol), name
@@ -341,7 +406,13 @@ def test_powers_match_step_map_at_every_multiple(build):
 
 @st.composite
 def small_systems(draw):
-    """A 1-4 mode system, coupled or split into blocks of the drawn sizes on permuted modes."""
+    """A 1-4 mode system, coupled or split into blocks of the drawn sizes on permuted modes.
+
+    Every mode has its own control; every second block of each size has one more,
+    acting on all its modes, so equal-sized blocks can have unequal control counts
+    and their stack pads B.  One more control column is zero, and ``from_dense``
+    drops it.
+    """
     sizes = draw(st.sampled_from([(1,), (2,), (3,), (4,), (1, 1), (1, 2), (1, 3), (2, 2),
                                   (1, 1, 1), (1, 1, 2), (1, 1, 1, 1)]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -350,16 +421,29 @@ def small_systems(draw):
     same = labels[:, None] == labels[None, :]
     B = np.diag(rng.uniform(0.3, 2.0, n))  # mode k's own control, so every mode is controllable
     B += np.where(same & ~np.eye(n, dtype=bool), 0.5 * rng.standard_normal((n, n)), 0.0)
+    extra = [b for b, k in enumerate(sizes) if sizes[:b].count(k) % 2]
+    B = np.column_stack([B] + [np.where(labels == b, rng.standard_normal(n), 0.0) for b in extra])
+    B = np.insert(B, rng.integers(0, B.shape[1] + 1), 0.0, axis=1)
     C = np.where(same, rng.standard_normal((n, n)), 0.0)
     lam = np.sort(rng.uniform(0.5, 4.0, n))
     return (SpectralSystem.from_dense(lam, B, C.T @ C), rng.standard_normal(n),
             rng.standard_normal(2 * n), draw(st.floats(0.5, 100.0)), draw(st.floats(0.05, 2.0)))
 
 
+def _assert_matches_stationary_oracle(sys_, z):
+    st_ = solve_stationary(sys_, z)
+    u, a, p, gap_sq = solve_stationary_dense(sys_, z)
+    for got, want in ((st_.u_bar, u), (st_.w_bar.a, a), (st_.p_bar.a, p)):
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+    assert st_.obs_gap_sq == pytest.approx(gap_sq, rel=1e-12, abs=1e-14)
+    assert st_.optimality_residual <= 1e-12
+
+
 @settings(max_examples=50, derandomize=True, deadline=None)
 @given(case=small_systems())
 def test_dichotomy_matches_sweep_on_random_block_systems(case):
     sys_, z, x0, horizon, dt_record = case
+    _assert_matches_stationary_oracle(sys_, z)
     _assert_matches_sweep(sys_, z, x0, horizon, dt_record)
 
 

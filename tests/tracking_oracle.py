@@ -1,11 +1,12 @@
-"""Test oracles for ``wavelq.turnpike.solve_tracking``.
+"""Test oracles for ``wavelq.turnpike.solve_tracking`` and ``solve_stationary``.
 
 ``solve_tracking_collocation`` is a dense collocation solve; it shares no
 stepping code with the library: only the system matrices, the stationary
 problem and the boundary data of the deviation system come from ``wavelq``.
 ``solve_tracking_sweep`` is the monolithic Riccati feedback + feedforward
 sweep (Davison-Maki 1973) over the whole state space, with no ARE and no
-block split.
+block split.  ``solve_stationary_dense`` is the stationary problem solved on
+the dense ``B_mod`` and observation factor ``psd_sqrt(Q_obs)``.
 """
 
 from types import SimpleNamespace
@@ -16,10 +17,26 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from wavelq.models import SpectralSystem
+from wavelq.models import SpectralSystem, psd_sqrt
 from wavelq.riccati import first_order_matrices, hamiltonian_matrix, step_map
 from wavelq.spectral import as_energy_vector
 from wavelq.turnpike import _lift_position, _terminal_feedforward, solve_stationary
+
+
+def solve_stationary_dense(system: SpectralSystem, z):
+    """The stationary optimum on the whole system: (u_bar, a_bar, p_bar, ||C a_bar - z||^2).
+
+    With G = C A^-1 B the optimal control solves (I + G^T G) u = G^T z; the
+    adjoint satisfies A p = C*(C w - z).
+    """
+    z = np.asarray(z, dtype=float)
+    lam2 = system.lambdas**2
+    Cm = psd_sqrt(system.Q_obs)
+    G = Cm @ (system.B_mod / lam2[:, None])
+    u = np.linalg.solve(np.eye(G.shape[1]) + G.T @ G, G.T @ z)
+    a_bar = (system.B_mod @ u) / lam2
+    obs_gap = Cm @ a_bar - z
+    return u, a_bar, (Cm.T @ obs_gap) / lam2, float(obs_gap @ obs_gap)
 
 
 def solve_tracking_collocation(system: SpectralSystem, z, x0, horizon: float,
@@ -70,7 +87,7 @@ def solve_tracking_collocation(system: SpectralSystem, z, x0, horizon: float,
     q = Y[:, dim:]
     v = -(q @ B)
     lam = system.lambdas
-    Cm = system.observation_factor()
+    Cm = psd_sqrt(system.Q_obs)
     obs = (x_dev[:, 0::2] / lam) @ Cm.T
     integrand = np.einsum("ij,ij->i", v, v) + np.einsum("ij,ij->i", obs, obs)
     cost = float(scipy.integrate.simpson(integrand, x=times))
@@ -132,7 +149,7 @@ def solve_tracking_sweep(system: SpectralSystem, z, x0, horizon: float, stationa
         Y[j + 1, :dim] = Phi[:dim] @ Y[j]
     Y[-1, dim:] = h_T
 
-    Cm = system.observation_factor()
+    Cm = psd_sqrt(system.Q_obs)
     obs_gap = Cm @ stationary.w_bar.a - z
     u_bar = stationary.u_bar
     j_dev = float(np.einsum("ij,ij->", Y[:-1] @ W, Y[:-1]))
