@@ -67,11 +67,13 @@ from .closed_loop import (  # noqa: F401
 )
 from .turnpike import (  # noqa: F401
     StationarySolution,
+    TrackingIntegrals,
     TrackingSolution,
     TurnpikeReport,
     averaged_metrics,
     g_weight,
     solve_stationary,
     solve_tracking,
+    tracking_integrals,
     tracking_os_residual,
 )

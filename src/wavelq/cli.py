@@ -373,12 +373,14 @@ def _run_turnpike(system, exp, outdir, rng):
     z = system.lambdas ** (-exp["z_tail"]) * signs
     stationary = tp.solve_stationary(system, z)
     are = rc.solve_are(system)
-    runs = [tp.solve_tracking(system, z, x0, T, stationary=stationary,
-                              dt_record=dt_record, are=are) for T in horizons]
+    integrals = tp.tracking_integrals(system, z, x0, horizons, stationary=stationary,
+                                      dt_record=dt_record, are=are)
+    last = tp.solve_tracking(system, z, x0, horizons[-1], stationary=stationary,
+                             dt_record=dt_record, are=are)
 
-    report = tp.averaged_metrics(runs, stationary, k=k, ktilde=ktilde)
+    report = tp.averaged_metrics(integrals, stationary, k=k, ktilde=ktilde)
     io.turnpike_to_csv(report, os.path.join(outdir, "turnpike.csv"))
-    io.trajectory_to_csv(runs[-1].trajectory, os.path.join(outdir, "trajectory.csv"))
+    io.trajectory_to_csv(last.trajectory, os.path.join(outdir, "trajectory.csv"))
 
     def rate(values):  # the slope of log(values) against log(T); None unless all are positive
         return float(md.fit_line(np.log(report.horizons), np.log(values))[0]) if np.all(values > 0.0) else None
@@ -391,10 +393,9 @@ def _run_turnpike(system, exp, outdir, rng):
         "avg_tracking_rate": rate(report.avg_tracking),
         "avg_state_gap_rate": rate(report.avg_state_gap),
         "stationary_residual": stationary.optimality_residual,
-        "os_residual_last_run": tp.tracking_os_residual(runs[-1]),
-        "cost_identity_rel_defect_last_run": abs(runs[-1].cost_quadrature
-                                                 - runs[-1].value_formula_cost)
-        / max(runs[-1].cost_quadrature, 1e-300),
+        "os_residual_last_run": tp.tracking_os_residual(last),
+        "cost_identity_rel_defect_last_run": abs(last.cost_quadrature - last.value_formula_cost)
+        / max(last.cost_quadrature, 1e-300),
         "k": k,
         "ktilde": ktilde,
     }, ["turnpike.csv", "trajectory.csv"]

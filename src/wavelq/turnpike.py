@@ -18,9 +18,13 @@ and walks the horizon in chunks of steps, so it has no per-step Python loop
 and stores nothing of size steps x d^2.  Its stacks of steps are held
 blocks-first, (blocks, steps, s, s): a product whose factor all of a chunk's
 steps share is one GEMM or GEMV per block over the steps' stacked rows, not
-one BLAS call per step.  Costs and mean positions are sums of
-the Hamiltonian step's Van Loan integrals, and the averaged turnpike metrics
-read them instead of integrating the recorded grid.
+one BLAS call per step.  Its costs and mean positions are sums of
+the Hamiltonian step's Van Loan integrals.
+The averaged turnpike metrics need only a horizon's integrals, and
+``tracking_integrals`` takes them in closed form from the boundary values of
+the same dichotomy, with no sweep: the deviation cost from x^T q at both ends,
+the mean position from one solve with the Hamiltonian matrix.  The sweep's
+Van Loan sums are the independent check of that closed form.
 The tests hold two independent oracles: a dense collocation solve of the
 same two-point boundary value problem, and the monolithic Riccati feedback +
 feedforward sweep.
@@ -57,8 +61,9 @@ def g_weight(T: float, k: float, exponent: float) -> float:
 
 @dataclass
 class StationarySolution:
-    """Optimal stationary triple (w_bar, u_bar, p_bar) for a target z, and ||C w_bar - z||^2."""
+    """Optimal stationary triple (w_bar, u_bar, p_bar) for the target z, and ||C w_bar - z||^2."""
 
+    z: np.ndarray
     w_bar: ModalVector
     u_bar: np.ndarray
     p_bar: ModalVector
@@ -96,7 +101,7 @@ def solve_stationary(system: SpectralSystem, z) -> StationarySolution:
 
     nu = np.linalg.norm(u)
     r1, r2, r3 = np.sqrt(sq[:3]) / (1.0 + np.array([nu, np.linalg.norm(z), nu]))
-    return StationarySolution(w_bar=ModalVector.position_only(a_bar), u_bar=u,
+    return StationarySolution(z=z.copy(), w_bar=ModalVector.position_only(a_bar), u_bar=u,
                               p_bar=ModalVector.position_only(p_bar),
                               optimality_residual=float(max(r1, r2, r3)), obs_gap_sq=float(sq[3]))
 
@@ -119,32 +124,114 @@ def _terminal_feedforward(system: SpectralSystem, stationary: StationarySolution
 
 
 @dataclass
-class TrackingSolution:
+class TrackingIntegrals:
+    """The averaged turnpike metrics' inputs: a tracking optimum's exact integrals over one horizon.
+
+    ``x0`` is the initial state as given; the target is ``stationary.z``.
+    """
+
+    system: SpectralSystem
+    stationary: StationarySolution
+    x0: np.ndarray
+    horizon: float
+    deviation_cost_exact: float   # int (||v||^2 + ||C (w - w_bar)||^2) dt, exact
+    mean_deviation_a: np.ndarray  # (1/T) int (a(t) - a_bar) dt, exact
+    value_formula_cost: float     # Riccati + boundary-term expression of the cost
+
+
+@dataclass
+class TrackingSolution(TrackingIntegrals):
     """Finite-horizon tracking optimum, recorded on a uniform grid.
 
     ``deviation_states`` are x(t) = lift(w^T - w_bar, w_t^T) and
     ``deviation_adjoints`` the deviation adjoints q(t), from which the
     deviation control is v = u^T - u_bar = -B^T q; the OS residual reads the
     two.  ``trajectory`` holds the recorded series of the full state/control
-    pair for export (neither the full states nor the controls are kept) and
-    ``x0`` the initial state as given.  The exact integrals of the deviation
-    running cost and of the deviation position are the averaged turnpike
-    metrics' inputs.
+    pair for export (neither the full states nor the controls are kept).
+    ``cost_quadrature`` sums the Hamiltonian step's Van Loan integrals, a
+    check independent of the boundary-term ``value_formula_cost``.
     """
 
     times: np.ndarray
     deviation_states: np.ndarray
     deviation_adjoints: np.ndarray
     trajectory: Trajectory
-    stationary: StationarySolution
-    z: np.ndarray
-    x0: np.ndarray
-    horizon: float
     cost_quadrature: float        # int (||u||^2 + ||C w - z||^2) dt, exact
-    deviation_cost_exact: float   # int (||v||^2 + ||C (w - w_bar)||^2) dt, exact
-    mean_deviation_a: np.ndarray  # (1/T) int (a(t) - a_bar) dt, exact
-    value_formula_cost: float     # Riccati + boundary-term expression of the cost
-    system: SpectralSystem = None
+
+
+def _prepare(system: SpectralSystem, z, x0, stationary, are):
+    """The checked x0, the stationary and ARE solutions, the deviation x0 and the terminal adjoint h_T.
+
+    A ``z`` or ``x0`` of the wrong size raises DimensionError, a ``stationary``
+    solved for another target DomainError.
+    """
+    z = np.asarray(z, dtype=float)
+    if z.size != system.n_modes:
+        raise DimensionError("target z must have one entry per mode")
+    if stationary is None:
+        stationary = solve_stationary(system, z)
+    elif not np.array_equal(stationary.z, z):
+        raise DomainError("the stationary solution was solved for another target")
+    x0 = as_energy_vector(x0)
+    if x0.size != 2 * system.n_modes:
+        raise DimensionError("initial state dimension mismatch")
+    are = solve_are(system) if are is None else are
+    x0_dev = x0 - _lift_position(system, stationary.w_bar.a)
+    return x0, stationary, are, x0_dev, _terminal_feedforward(system, stationary)
+
+
+def _grid(lam: np.ndarray, horizon: float, dt_record: float | None):
+    """Record steps over the horizon, and fine steps of at most pi/(4 lambda_max) per record step."""
+    require_positive(horizon=horizon, dt_record=dt_record)
+    if dt_record is None:
+        dt_record = min(0.02, np.pi / (8.0 * lam.max()))
+    steps = max(2, int(np.ceil(horizon / dt_record)))
+    return steps, int(np.ceil(horizon / steps / (np.pi / (4.0 * lam.max()))))
+
+
+def _boundary_cost(stationary: StationarySolution, x0_dev, q_0, x_N, horizon) -> float:
+    """The full cost from the deviation boundary values: Riccati + boundary-term expression."""
+    p_bar = stationary.p_bar.a
+    return (float(x0_dev @ q_0) - float(p_bar @ x_N[1::2]) + 2.0 * float(p_bar @ x0_dev[1::2])
+            + horizon * _stationary_rate(stationary))
+
+
+def _stationary_rate(stationary: StationarySolution) -> float:
+    return float(stationary.u_bar @ stationary.u_bar) + stationary.obs_gap_sq
+
+
+def tracking_integrals(system: SpectralSystem, z, x0, horizons,
+                       stationary: StationarySolution | None = None,
+                       dt_record: float | None = None,
+                       are: RiccatiSolution | None = None) -> list[TrackingIntegrals]:
+    """The averaged-metric integrals of the tracking optimum at each horizon, from its boundary values.
+
+    Per stack, ``solve_tracking``'s dichotomy over the same fine steps gives
+    (F_N, G_N) and y_N, hence x_N = F_N x_0 - G_N y_N and
+    q_0 = F_N^T y_N + P x_0.  Along the optimality system
+    d/dt (x^T q) = -(||B^T q||^2 + x^T Q x), so the deviation cost is
+    x_0^T q_0 - x_N^T h_T; and M int_0^T (x, q) dt = (x_N - x_0, h_T - q_0),
+    with M the Hamiltonian matrix, invertible since A is, gives the mean
+    position from one batched solve.  Nothing is swept or recorded.
+    """
+    lam = system.lambdas
+    grids = [_grid(lam, T, dt_record) for T in horizons]
+    x0, stationary, are, x0_dev, h_T = _prepare(system, z, x0, stationary, are)
+    q_0, x_N, int_x = (np.zeros((len(grids), 2 * lam.size)) for _ in range(3))
+    for stack in stacked_blocks(system.records):
+        modes, e, matrices = stack_matrices(lam, stack)
+        P, M, x = are.on(modes), hamiltonian_matrix(*matrices), x0_dev[e]
+        for i, (T, (steps, sub)) in enumerate(zip(horizons, grids)):
+            F_N, G_N, y_N = _dichotomy(matrices, P, x, h_T[e], T / (steps * sub), steps * sub)[1:]
+            x_N[i, e] = _mv(F_N, x) - _mv(G_N, y_N)
+            q_0[i, e] = _mv(_mT(F_N), y_N) + _mv(P, x)
+            ends = np.concatenate([x_N[i, e] - x, h_T[e] - q_0[i, e]], axis=-1)
+            int_x[i, e] = np.linalg.solve(M, ends[..., None])[:, :e.shape[1], 0]
+    return [TrackingIntegrals(system=system, stationary=stationary, x0=x0, horizon=float(T),
+                              deviation_cost_exact=float(x0_dev @ q) - float(x @ h_T),
+                              mean_deviation_a=ix[0::2] / lam / T,
+                              value_formula_cost=_boundary_cost(stationary, x0_dev, q, x, T))
+            for T, q, x, ix in zip(horizons, q_0, x_N, int_x)]
 
 
 def solve_tracking(system: SpectralSystem, z, x0, horizon: float,
@@ -172,31 +259,16 @@ def solve_tracking(system: SpectralSystem, z, x0, horizon: float,
     x^T E(T - t) x with E(tau) = P - F_tau^T (I - P G_tau)^{-1} P F_tau,
     read through F_tau x_r = x_N + G_tau y_N, so F_tau is never formed and
     only the (I - G_tau P) solve is per record.  An ``are`` off the system's
-    blocks, or a ``z`` without one entry per mode, raises DimensionError.
+    blocks, or a ``z`` without one entry per mode, raises DimensionError; a
+    ``stationary`` solved for another target, DomainError.
     """
-    require_positive(horizon=horizon, dt_record=dt_record)
-    z = np.asarray(z, dtype=float)
-    if stationary is None:
-        stationary = solve_stationary(system, z)
-    if z.size != system.n_modes:
-        raise DimensionError("target z must have one entry per mode")
-    if are is None:
-        are = solve_are(system)
     lam = system.lambdas
+    steps, sub = _grid(lam, horizon, dt_record)
+    x0, stationary, are, x0_dev, h_T = _prepare(system, z, x0, stationary, are)
     dim = 2 * lam.size
-    x0 = as_energy_vector(x0)
-    if x0.size != dim:
-        raise DimensionError("initial state dimension mismatch")
     x_bar_lift = _lift_position(system, stationary.w_bar.a)
     p_lift = _lift_position(system, stationary.p_bar.a)
-    x0_dev = x0 - x_bar_lift
-    h_T = _terminal_feedforward(system, stationary)
-
-    if dt_record is None:
-        dt_record = min(0.02, np.pi / (8.0 * lam.max()))
-    steps = max(2, int(np.ceil(horizon / dt_record)))
     times = np.linspace(0.0, horizon, steps + 1)
-    sub = int(np.ceil(horizon / steps / (np.pi / (4.0 * lam.max()))))
 
     X = np.empty((steps + 1, dim))
     q = np.empty((steps + 1, dim))
@@ -217,13 +289,9 @@ def solve_tracking(system: SpectralSystem, z, x0, horizon: float,
         obs_power += np.einsum("bti,bti->t", xs @ Q + 2.0 * p_lift[e][:, None], xs)
         cross -= 2.0 * float(np.sum(_mv(_mT(B), h_T[e]) * _mv(_mT(B), int_y[e + dim])))
 
-    stationary_rate = float(stationary.u_bar @ stationary.u_bar) + stationary.obs_gap_sq
-    j_full_exact = j_dev_exact + cross + 2.0 * float(p_lift @ int_y[:dim]) + horizon * stationary_rate
+    j_full_exact = (j_dev_exact + cross + 2.0 * float(p_lift @ int_y[:dim])
+                    + horizon * _stationary_rate(stationary))
     mean_a = int_y[:dim][0::2] / lam / horizon
-
-    p_bar = stationary.p_bar.a
-    value_cost = (float(x0_dev @ q[0]) - float(p_bar @ X[-1][1::2])
-                  + 2.0 * float(p_bar @ x0_dev[1::2]) + horizon * stationary_rate)
 
     full = X + x_bar_lift
     traj = Trajectory(times=times, energies=np.einsum("ij,ij->i", full, full), lambdas=lam,
@@ -231,10 +299,12 @@ def solve_tracking(system: SpectralSystem, z, x0, horizon: float,
                       obs_power=obs_power)
 
     return TrackingSolution(times=times, deviation_states=X, deviation_adjoints=q,
-                            trajectory=traj, stationary=stationary,
-                            z=z, x0=x0, horizon=float(horizon), cost_quadrature=j_full_exact,
+                            trajectory=traj, stationary=stationary, x0=x0,
+                            horizon=float(horizon), cost_quadrature=j_full_exact,
                             deviation_cost_exact=j_dev_exact, mean_deviation_a=mean_a,
-                            value_formula_cost=value_cost, system=system)
+                            value_formula_cost=_boundary_cost(stationary, x0_dev, q[0], X[-1],
+                                                              horizon),
+                            system=system)
 
 
 # numbers in one (blocks, steps, s, s) stack of a chunk of the tracking sweep
@@ -299,6 +369,20 @@ def _powers(pair, m: int):
     return F, G
 
 
+def _dichotomy(matrices, P, x, h_e, h, n_fine):
+    """A stack's fine step (F_1, G_1) of length h, its (F_N, G_N) over n_fine steps, and y_N.
+
+    y_N solves (I - P G_N) y_N = h_T - P F_N x_0 for the stack's x_0 ``x`` and h_T ``h_e``.
+    """
+    A, B, _ = matrices
+    BBT = B @ _mT(B)
+    FT, G1 = step_map(_mT(A - BBT @ P), h, cost=BBT)
+    one = (_mT(FT), G1)
+    F_N, G_N = binary_power(one, n_fine, _compose)
+    rhs = (h_e - _mv(P, _mv(F_N, x)))[..., None]
+    return one, F_N, G_N, np.linalg.solve(np.eye(P.shape[-1]) - P @ G_N, rhs)[..., 0]
+
+
 def _track_stack(matrices, P, e, x0_dev, h_T, horizon, sub, X, q, values, int_y) -> float:
     """Solve the tracking dichotomy on one stack of equal-sized blocks.
 
@@ -315,26 +399,20 @@ def _track_stack(matrices, P, e, x0_dev, h_T, horizon, sub, X, q, values, int_y)
     steps = X.shape[0] - 1
     n_fine = steps * sub
     h = horizon / n_fine
-    BBT = B @ _mT(B)
-    A_cl = A - BBT @ P
-    FT, G1 = step_map(_mT(A_cl), h, cost=BBT)
-    one = (_mT(FT), G1)
+    x = x0_dev[e]
+    one, _, _, y_end = _dichotomy(matrices, P, x, h_T[e], h, n_fine)
     m = min(n_fine, sub * max(1, _STACK_ELEMENTS // (sub * nb * s * s)))
     F, G = _powers(one, m)
     FT = np.ascontiguousarray(_mT(F))
 
     M = hamiltonian_matrix(A, B, Q)
     cost = np.zeros((nb, 2 * s, 2 * s))
-    cost[:, :s, :s], cost[:, s:, s:] = Q, BBT
+    cost[:, :s, :s], cost[:, s:, s:] = Q, B @ _mT(B)
     W = step_map(M, h, cost=cost)[1]
     gen = np.zeros((nb, 4 * s, 4 * s))
     gen[:, :2 * s, :2 * s], gen[:, :2 * s, 2 * s:] = M, np.eye(2 * s)
     L = step_map(gen, h)[0][:, :2 * s, 2 * s:]
-
-    F_N, G_N = binary_power(one, n_fine, _compose)
-    x = x0_dev[e]
     eye = np.eye(s)
-    y_end = np.linalg.solve(eye - P @ G_N, (h_T[e] - _mv(P, _mv(F_N, x)))[..., None])[..., 0]
 
     starts = range(0, n_fine, m)
     y_at = [y_end]  # y at the chunk ends, last chunk first
@@ -432,6 +510,8 @@ def averaged_metrics(runs, stationary: StationarySolution, k: float = 1.0,
                      ktilde: float = 1.0) -> TurnpikeReport:
     """Averaged turnpike quantities per horizon, from each run's exact integrals.
 
+    ``runs`` are ``TrackingIntegrals`` (from ``tracking_integrals``, or the
+    ``TrackingSolution`` of a sweep) on increasing horizons.
     avg_tracking(T) = (1/T) int (||C (w - w_bar)||^2 + ||u - u_bar||^2) dt and
     avg_state_gap(T) = || (1/T) int (w - w_bar) dt ||^2 in the X_{1/2} norm,
     read from ``deviation_cost_exact`` and ``mean_deviation_a``.
@@ -446,9 +526,9 @@ def averaged_metrics(runs, stationary: StationarySolution, k: float = 1.0,
     horizons = np.array([r.horizon for r in runs])
     if np.any(np.diff(horizons) <= 0.0):
         raise DomainError("horizons must be strictly increasing")
-    for r in runs[1:]:
-        if r.system is not system or not np.array_equal(r.z, runs[0].z):
-            raise DomainError("all runs must share the system and target")
+    for r in runs:
+        if r.system is not system or not np.array_equal(r.stationary.z, stationary.z):
+            raise DomainError("all runs must share the system and the stationary target")
 
     avg_track = np.empty(horizons.size)
     avg_gap = np.empty(horizons.size)
@@ -457,7 +537,7 @@ def averaged_metrics(runs, stationary: StationarySolution, k: float = 1.0,
     rho = system.rho if system.rho is not None else np.inf
     eta = system.eta if system.eta is not None else np.inf
 
-    x0_dev0 = runs[0].deviation_states[0]
+    x0_dev0 = runs[0].x0 - _lift_position(system, stationary.w_bar.a)
     w_class = float(np.sum(lam ** (2.0 * k) * (x0_dev0[0::2] ** 2 + x0_dev0[1::2] ** 2)))
     p_bar = stationary.p_bar.a
     p_class = float(np.sum(lam ** (2.0 * (ktilde + 1.0)) * p_bar**2))

@@ -218,6 +218,37 @@ class TestRun:
         assert lines[0] == "horizon,avg_tracking,avg_state_gap,bound_proxy"
         assert len(lines) == 3
 
+    def test_turnpike_averages_equal_those_of_one_sweep_per_horizon(self, tmp_path, monkeypatch):
+        from wavelq import serialize, turnpike
+        seen, sweeps = {}, []
+        closed_form, sweep = turnpike.tracking_integrals, turnpike.solve_tracking
+
+        def spy(system, z, x0, horizons, **kw):
+            seen.update(system=system, z=z, x0=x0, kw=kw)
+            return closed_form(system, z, x0, horizons, **kw)
+
+        def counted(system, z, x0, horizon, **kw):
+            sweeps.append(horizon)
+            return sweep(system, z, x0, horizon, **kw)
+
+        monkeypatch.setattr(turnpike, "tracking_integrals", spy)
+        monkeypatch.setattr(turnpike, "solve_tracking", counted)
+        out = tmp_path / "tp"
+        horizons = [3.0, 5.5, 8.0]
+        cfg = {"model": {"kind": "synthetic", "rho": 2.0, "eta": 2.0, "n_modes": 6},
+               "experiment": {"kind": "turnpike", "horizons": horizons, "dt_record": 0.05},
+               "seed": 11, "output_dir": str(out)}
+        assert main(["turnpike", "--config", _write(tmp_path, cfg), "--quiet"]) == 0
+        assert sweeps == [8.0]  # one sweep, for the last horizon's trajectory
+        summary = json.loads((out / "summary.json").read_text())
+        runs = [sweep(seen["system"], seen["z"], seen["x0"], T, **seen["kw"]) for T in horizons]
+        report = turnpike.averaged_metrics(runs, seen["kw"]["stationary"])
+        for name in ("avg_tracking", "avg_state_gap"):
+            np.testing.assert_allclose(summary[name], getattr(report, name), rtol=1e-12, atol=0.0)
+        assert summary["os_residual_last_run"] == turnpike.tracking_os_residual(runs[-1])
+        serialize.trajectory_to_csv(runs[-1].trajectory, tmp_path / "swept.csv")
+        assert (out / "trajectory.csv").read_bytes() == (tmp_path / "swept.csv").read_bytes()
+
     def test_observability_run(self, tmp_path):
         out = tmp_path / "obs"
         cfg = {

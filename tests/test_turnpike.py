@@ -9,8 +9,8 @@ from scipy.integrate import simpson
 from tracking_oracle import solve_stationary_dense, solve_tracking_collocation, solve_tracking_sweep
 from wavelq.closed_loop import smooth_initial_state
 from wavelq.models import (SpectralSystem, build_interval_wave, build_rectangle,
-                           build_star_network, build_synthetic, energy_index, psd_sqrt,
-                           stacked_blocks)
+                           build_star_network, build_synthetic, build_synthetic_exponential,
+                           energy_index, psd_sqrt, stacked_blocks)
 from wavelq.riccati import first_order_matrices, solve_are, stack_matrices, step_map
 from wavelq.spectral import DimensionError, DomainError
 from wavelq.turnpike import (
@@ -21,6 +21,7 @@ from wavelq.turnpike import (
     g_weight,
     solve_stationary,
     solve_tracking,
+    tracking_integrals,
     tracking_os_residual,
 )
 
@@ -298,6 +299,49 @@ class TestAveragedMetrics:
         assert rep.k_used == 1.0 and rep.ktilde_used == 1.0
 
 
+@pytest.mark.parametrize("build, horizons, dt_record", [
+    (lambda: build_synthetic(2.0, 2.0, 12), [10.0, 20.0, 40.0], 0.02),
+    (lambda: build_synthetic_exponential(0.3, 0.2, 10), [5.0, 15.0], None),
+    (lambda: build_rectangle(1.0, 2.0, 12.0), [4.0, 10.0], None),  # stacks of several sizes
+    (lambda: build_star_network([1.0, np.pi / 2, np.sqrt(2.0)], 0, 0, 8.0), [6.0, 12.0], None),
+    # free modes vanishing on the controlled edge: neutral in the closed loop
+    (lambda: build_star_network([1.0, 1.0, 1.0], 0, 0, 8.0), [6.0, 12.0], None),
+    (lambda: build_synthetic(2.0, 2.0, 12), [3.7, 9.1], 0.3),  # sub > 1, T / dt_record not whole
+], ids=["synthetic", "exponential", "rectangle", "star_generic", "star_111", "sub-off-grid"])
+def test_closed_form_integrals_match_the_sweep(build, horizons, dt_record):
+    sys_ = build()
+    rng = np.random.default_rng(28)
+    x0 = smooth_initial_state(sys_.lambdas, 2.5, rng=rng).to_vector()
+    z = sys_.lambdas**-2.0 * rng.choice([-1.0, 1.0], size=sys_.n_modes)
+    st_, are = solve_stationary(sys_, z), solve_are(sys_)
+    if dt_record == 0.3:  # the case's premise: no whole number of record steps, and sub > 1
+        assert all(T / dt_record % 1 and _chunk_counts(sys_, T, dt_record)[0] > 1 for T in horizons)
+    closed = tracking_integrals(sys_, z, x0, horizons, stationary=st_, dt_record=dt_record, are=are)
+    assert [r.horizon for r in closed] == horizons
+    for got, T in zip(closed, horizons):
+        sweep = solve_tracking(sys_, z, x0, T, stationary=st_, dt_record=dt_record, are=are)
+        assert got.deviation_cost_exact == pytest.approx(sweep.deviation_cost_exact, rel=1e-12)
+        assert got.value_formula_cost == pytest.approx(sweep.cost_quadrature, rel=1e-12)
+        err = np.abs(got.mean_deviation_a - sweep.mean_deviation_a).max()
+        assert err <= 1e-12 * np.abs(sweep.mean_deviation_a).max()
+
+
+def test_a_stationary_solution_for_another_target_is_rejected():
+    sys_ = build_synthetic(2.0, 2.0, 4)
+    rng = np.random.default_rng(29)
+    z1, x0 = rng.standard_normal(4), rng.standard_normal(8)
+    st1, st2 = solve_stationary(sys_, z1), solve_stationary(sys_, -z1)
+    assert np.array_equal(st1.z, z1)
+    with pytest.raises(DomainError):
+        solve_tracking(sys_, -z1, x0, 2.0, stationary=st1)
+    with pytest.raises(DomainError):
+        tracking_integrals(sys_, -z1, x0, [2.0], stationary=st1)
+    with pytest.raises(DomainError):
+        averaged_metrics(tracking_integrals(sys_, -z1, x0, [2.0], stationary=st2), st1)
+    own = solve_tracking(sys_, -z1, x0, 2.0, stationary=st2)
+    assert own.cost_quadrature == solve_tracking(sys_, -z1, x0, 2.0).cost_quadrature
+
+
 class TestValueAgainstTrackingOracle:
     def test_finite_horizon_value_matches_zero_target_tracking_cost(self):
         # value(E(T), x0) is the optimal cost; the tracking solver with z = 0
@@ -329,6 +373,12 @@ def _assert_matches_sweep(sys_, z, x0, horizon, dt_record=None, tol=1e-10):
     assert np.abs(sol.trajectory.values - ref.values).max() <= tol * np.abs(ref.values).max()
     for name in ("deviation_cost_exact", "value_formula_cost"):
         assert getattr(sol, name) == pytest.approx(getattr(ref, name), rel=tol), name
+    # the boundary-value closed form against the monolithic sweep too
+    closed = tracking_integrals(sys_, z, x0, [horizon], dt_record=dt_record)[0]
+    for name in ("deviation_cost_exact", "value_formula_cost"):
+        assert getattr(closed, name) == pytest.approx(getattr(ref, name), rel=tol), name
+    err = np.abs(closed.mean_deviation_a - ref.mean_deviation_a).max()
+    assert err <= tol * np.abs(ref.mean_deviation_a).max()
     return sol
 
 
