@@ -373,12 +373,13 @@ def _run_turnpike(system, exp, outdir, rng):
     z = system.lambdas ** (-exp["z_tail"]) * signs
     stationary = tp.solve_stationary(system, z)
     are = rc.solve_are(system)
-    integrals = tp.tracking_integrals(system, z, x0, horizons, stationary=stationary,
-                                      dt_record=dt_record, are=are)
+    # the last horizon's integrals come with its sweep, the others from their boundary values
     last = tp.solve_tracking(system, z, x0, horizons[-1], stationary=stationary,
                              dt_record=dt_record, are=are)
+    integrals = tp.tracking_integrals(system, z, x0, horizons[:-1], stationary=stationary,
+                                      dt_record=dt_record, are=are)
 
-    report = tp.averaged_metrics(integrals, stationary, k=k, ktilde=ktilde)
+    report = tp.averaged_metrics(integrals + [last], stationary, k=k, ktilde=ktilde)
     io.turnpike_to_csv(report, os.path.join(outdir, "turnpike.csv"))
     io.trajectory_to_csv(last.trajectory, os.path.join(outdir, "trajectory.csv"))
 

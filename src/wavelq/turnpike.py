@@ -18,13 +18,13 @@ and walks the horizon in chunks of steps, so it has no per-step Python loop
 and stores nothing of size steps x d^2.  Its stacks of steps are held
 blocks-first, (blocks, steps, s, s): a product whose factor all of a chunk's
 steps share is one GEMM or GEMV per block over the steps' stacked rows, not
-one BLAS call per step.  Its costs and mean positions are sums of
-the Hamiltonian step's Van Loan integrals.
-The averaged turnpike metrics need only a horizon's integrals, and
-``tracking_integrals`` takes them in closed form from the boundary values of
-the same dichotomy, with no sweep: the deviation cost from x^T q at both ends,
-the mean position from one solve with the Hamiltonian matrix.  The sweep's
-Van Loan sums are the independent check of that closed form.
+one BLAS call per step.
+The averaged turnpike metrics need only a horizon's integrals, taken in
+closed form from the boundary values of the dichotomy (``_dichotomy``): the
+deviation cost from x^T q at both ends, the mean position from one solve with
+the Hamiltonian matrix.  ``tracking_integrals`` gives them with no sweep, and
+a sweep reads the same values, so both give the same bits.  The sweep's Van
+Loan sum of the cost weight is the independent check of that closed form.
 The tests hold two independent oracles: a dense collocation solve of the
 same two-point boundary value problem, and the monolithic Riccati feedback +
 feedforward sweep.
@@ -148,8 +148,9 @@ class TrackingSolution(TrackingIntegrals):
     deviation control is v = u^T - u_bar = -B^T q; the OS residual reads the
     two.  ``trajectory`` holds the recorded series of the full state/control
     pair for export (neither the full states nor the controls are kept).
-    ``cost_quadrature`` sums the Hamiltonian step's Van Loan integrals, a
-    check independent of the boundary-term ``value_formula_cost``.
+    The inherited integrals are those of ``tracking_integrals``;
+    ``cost_quadrature`` is the fine steps' Van Loan sum of the deviation cost
+    plus the boundary terms of ``value_formula_cost``, an independent check.
     """
 
     times: np.ndarray
@@ -189,15 +190,20 @@ def _grid(lam: np.ndarray, horizon: float, dt_record: float | None):
     return steps, int(np.ceil(horizon / steps / (np.pi / (4.0 * lam.max()))))
 
 
-def _boundary_cost(stationary: StationarySolution, x0_dev, q_0, x_N, horizon) -> float:
-    """The full cost from the deviation boundary values: Riccati + boundary-term expression."""
-    p_bar = stationary.p_bar.a
-    return (float(x0_dev @ q_0) - float(p_bar @ x_N[1::2]) + 2.0 * float(p_bar @ x0_dev[1::2])
-            + horizon * _stationary_rate(stationary))
+def _closed_form(system, stationary, x0, x0_dev, h_T, horizon, x_N, q_0, int_x):
+    """One horizon's ``TrackingIntegrals`` from its deviation boundary values and int_0^T x dt.
 
-
-def _stationary_rate(stationary: StationarySolution) -> float:
-    return float(stationary.u_bar @ stationary.u_bar) + stationary.obs_gap_sq
+    The full cost is the Riccati + boundary-term expression: x_0^T q_0, the
+    stationary adjoint's boundary terms, and T times the stationary cost rate.
+    """
+    p_bar, u_bar = stationary.p_bar.a, stationary.u_bar
+    rate = float(u_bar @ u_bar) + stationary.obs_gap_sq
+    return TrackingIntegrals(system=system, stationary=stationary, x0=x0, horizon=float(horizon),
+                             deviation_cost_exact=float(x0_dev @ q_0) - float(x_N @ h_T),
+                             mean_deviation_a=int_x[0::2] / system.lambdas / horizon,
+                             value_formula_cost=(float(x0_dev @ q_0) - float(p_bar @ x_N[1::2])
+                                                 + 2.0 * float(p_bar @ x0_dev[1::2])
+                                                 + horizon * rate))
 
 
 def tracking_integrals(system: SpectralSystem, z, x0, horizons,
@@ -206,32 +212,22 @@ def tracking_integrals(system: SpectralSystem, z, x0, horizons,
                        are: RiccatiSolution | None = None) -> list[TrackingIntegrals]:
     """The averaged-metric integrals of the tracking optimum at each horizon, from its boundary values.
 
-    Per stack, ``solve_tracking``'s dichotomy over the same fine steps gives
-    (F_N, G_N) and y_N, hence x_N = F_N x_0 - G_N y_N and
-    q_0 = F_N^T y_N + P x_0.  Along the optimality system
-    d/dt (x^T q) = -(||B^T q||^2 + x^T Q x), so the deviation cost is
-    x_0^T q_0 - x_N^T h_T; and M int_0^T (x, q) dt = (x_N - x_0, h_T - q_0),
-    with M the Hamiltonian matrix, invertible since A is, gives the mean
-    position from one batched solve.  Nothing is swept or recorded.
+    Per stack and horizon, ``_dichotomy`` over ``solve_tracking``'s fine steps
+    gives x_N, q_0 and int_0^T x dt; nothing is swept or recorded.  These are
+    the bits of a sweep's ``deviation_cost_exact``, ``mean_deviation_a`` and
+    ``value_formula_cost`` at the same horizon.
     """
     lam = system.lambdas
     grids = [_grid(lam, T, dt_record) for T in horizons]
     x0, stationary, are, x0_dev, h_T = _prepare(system, z, x0, stationary, are)
-    q_0, x_N, int_x = (np.zeros((len(grids), 2 * lam.size)) for _ in range(3))
+    ends = np.zeros((len(grids), 3, 2 * lam.size))  # x_N, q_0 and int x dt per horizon
     for stack in stacked_blocks(system.records):
         modes, e, matrices = stack_matrices(lam, stack)
-        P, M, x = are.on(modes), hamiltonian_matrix(*matrices), x0_dev[e]
-        for i, (T, (steps, sub)) in enumerate(zip(horizons, grids)):
-            F_N, G_N, y_N = _dichotomy(matrices, P, x, h_T[e], T / (steps * sub), steps * sub)[1:]
-            x_N[i, e] = _mv(F_N, x) - _mv(G_N, y_N)
-            q_0[i, e] = _mv(_mT(F_N), y_N) + _mv(P, x)
-            ends = np.concatenate([x_N[i, e] - x, h_T[e] - q_0[i, e]], axis=-1)
-            int_x[i, e] = np.linalg.solve(M, ends[..., None])[:, :e.shape[1], 0]
-    return [TrackingIntegrals(system=system, stationary=stationary, x0=x0, horizon=float(T),
-                              deviation_cost_exact=float(x0_dev @ q) - float(x @ h_T),
-                              mean_deviation_a=ix[0::2] / lam / T,
-                              value_formula_cost=_boundary_cost(stationary, x0_dev, q, x, T))
-            for T, q, x, ix in zip(horizons, q_0, x_N, int_x)]
+        P = are.on(modes)
+        for end, T, (steps, sub) in zip(ends, horizons, grids):
+            end[:, e] = _dichotomy(matrices, P, x0_dev[e], h_T[e], T / (steps * sub), steps * sub)[2]
+    return [_closed_form(system, stationary, x0, x0_dev, h_T, T, *end)
+            for T, end in zip(horizons, ends)]
 
 
 def solve_tracking(system: SpectralSystem, z, x0, horizon: float,
@@ -249,17 +245,14 @@ def solve_tracking(system: SpectralSystem, z, x0, horizon: float,
     q_N = h_T gives (I - P G_N) y_N = h_T - P F_N x_0.
 
     The record step is split into equal fine steps of at most
-    pi/(4 lambda_max).  (F_1, G_1) comes from ``step_map``; (F_j, G_j) up to
-    a chunk length follow by doubling rounds of three GEMMs per block,
-    F_{k+j} = F_j F_k and G_{k+j} = G_k + F_k G_j F_k^T over the stacked
-    j = 1..n, and (F_N, G_N) by ``binary_power``.  Each stack of equal-sized
-    blocks is walked in chunks whose stacks hold about ``_STACK_ELEMENTS``
-    numbers.  Costs and the position average are exact sums of the
-    Hamiltonian step's Van Loan integrals; the ``value`` column is
-    x^T E(T - t) x with E(tau) = P - F_tau^T (I - P G_tau)^{-1} P F_tau,
-    read through F_tau x_r = x_N + G_tau y_N, so F_tau is never formed and
-    only the (I - G_tau P) solve is per record.  An ``are`` off the system's
-    blocks, or a ``z`` without one entry per mode, raises DimensionError; a
+    pi/(4 lambda_max).  Per stack, ``_dichotomy`` gives the fine step
+    (F_1, G_1), y_N and the boundary values, from which the run's
+    ``deviation_cost_exact``, ``mean_deviation_a`` and ``value_formula_cost``
+    are those of ``tracking_integrals``, bit for bit; ``_track_stack`` walks
+    the horizon from (F_1, G_1) and y_N to record the states, adjoints and
+    the ``value`` column x^T E(T - t) x, and sums the cost weight's Van Loan
+    integrals into ``cost_quadrature``.  An ``are`` off the system's blocks,
+    or a ``z`` without one entry per mode, raises DimensionError; a
     ``stationary`` solved for another target, DomainError.
     """
     lam = system.lambdas
@@ -273,38 +266,32 @@ def solve_tracking(system: SpectralSystem, z, x0, horizon: float,
     X = np.empty((steps + 1, dim))
     q = np.empty((steps + 1, dim))
     values = np.zeros(steps + 1)
-    int_y = np.empty(2 * dim)
+    ends = np.zeros((3, dim))  # x_N, q_0 and int x dt
     control_power = np.zeros(steps + 1)
     obs_power = np.full(steps + 1, stationary.obs_gap_sq)
-    j_dev_exact = cross = 0.0
+    j_dev = 0.0
+    h = horizon / (steps * sub)
     for stack in stacked_blocks(system.records):
         modes, e, (A, B, Q) = stack_matrices(lam, stack)
-        j_dev_exact += _track_stack((A, B, Q), are.on(modes), e, x0_dev, h_T, horizon, sub,
-                                    X, q, values, int_y)
+        P = are.on(modes)
+        one, y_N, ends[:, e] = _dichotomy((A, B, Q), P, x0_dev[e], h_T[e], h, steps * sub)
+        j_dev += _track_stack((A, B, Q), P, e, x0_dev[e], one, y_N, h, sub, X, q, values)
         # u_bar = -B^T p_bar and C^T (C w_bar - z) = lambda^2 p_bar, so the control is
         # -B^T (q - h_T) and ||C w - z||^2 = x^T Q x + 2 lift(p_bar) x + ||C w_bar - z||^2
         xs = np.swapaxes(X[:, e], 0, 1)
         us = (np.swapaxes(q[:, e], 0, 1) - h_T[e][:, None]) @ B
         control_power += np.einsum("btc,btc->t", us, us)
         obs_power += np.einsum("bti,bti->t", xs @ Q + 2.0 * p_lift[e][:, None], xs)
-        cross -= 2.0 * float(np.sum(_mv(_mT(B), h_T[e]) * _mv(_mT(B), int_y[e + dim])))
-
-    j_full_exact = (j_dev_exact + cross + 2.0 * float(p_lift @ int_y[:dim])
-                    + horizon * _stationary_rate(stationary))
-    mean_a = int_y[:dim][0::2] / lam / horizon
+    closed = _closed_form(system, stationary, x0, x0_dev, h_T, horizon, *ends)
 
     full = X + x_bar_lift
     traj = Trajectory(times=times, energies=np.einsum("ij,ij->i", full, full), lambdas=lam,
                       kind="tracking", values=values, control_power=control_power,
                       obs_power=obs_power)
-
-    return TrackingSolution(times=times, deviation_states=X, deviation_adjoints=q,
-                            trajectory=traj, stationary=stationary, x0=x0,
-                            horizon=float(horizon), cost_quadrature=j_full_exact,
-                            deviation_cost_exact=j_dev_exact, mean_deviation_a=mean_a,
-                            value_formula_cost=_boundary_cost(stationary, x0_dev, q[0], X[-1],
-                                                              horizon),
-                            system=system)
+    return TrackingSolution(**vars(closed), times=times, deviation_states=X,
+                            deviation_adjoints=q, trajectory=traj,
+                            cost_quadrature=j_dev + (closed.value_formula_cost
+                                                     - closed.deviation_cost_exact))
 
 
 # numbers in one (blocks, steps, s, s) stack of a chunk of the tracking sweep
@@ -370,48 +357,53 @@ def _powers(pair, m: int):
 
 
 def _dichotomy(matrices, P, x, h_e, h, n_fine):
-    """A stack's fine step (F_1, G_1) of length h, its (F_N, G_N) over n_fine steps, and y_N.
+    """A stack's fine step (F_1, G_1) of length h, y_N, and (x_N, q_0, int_0^T x dt) stacked.
 
-    y_N solves (I - P G_N) y_N = h_T - P F_N x_0 for the stack's x_0 ``x`` and h_T ``h_e``.
+    Over n_fine steps, y_N solves (I - P G_N) y_N = h_T - P F_N x_0 for the
+    stack's x_0 ``x`` and h_T ``h_e``; then x_N = F_N x_0 - G_N y_N and
+    q_0 = F_N^T y_N + P x_0.  With M the Hamiltonian matrix, invertible since
+    A is, M int_0^T (x, q) dt = (x_N - x_0, h_T - q_0): one batched solve.
+    Along the optimality system d/dt (x^T q) = -(||B^T q||^2 + x^T Q x), so
+    the deviation cost is x_0^T q_0 - x_N^T h_T.
     """
-    A, B, _ = matrices
+    A, B, Q = matrices
     BBT = B @ _mT(B)
     FT, G1 = step_map(_mT(A - BBT @ P), h, cost=BBT)
     one = (_mT(FT), G1)
     F_N, G_N = binary_power(one, n_fine, _compose)
     rhs = (h_e - _mv(P, _mv(F_N, x)))[..., None]
-    return one, F_N, G_N, np.linalg.solve(np.eye(P.shape[-1]) - P @ G_N, rhs)[..., 0]
+    y_N = np.linalg.solve(np.eye(P.shape[-1]) - P @ G_N, rhs)[..., 0]
+    x_N = _mv(F_N, x) - _mv(G_N, y_N)
+    q_0 = _mv(_mT(F_N), y_N) + _mv(P, x)
+    ends = np.concatenate([x_N - x, h_e - q_0], axis=-1)
+    int_x = np.linalg.solve(hamiltonian_matrix(A, B, Q), ends[..., None])[:, :x.shape[-1], 0]
+    return one, y_N, np.stack([x_N, q_0, int_x])
 
 
-def _track_stack(matrices, P, e, x0_dev, h_T, horizon, sub, X, q, values, int_y) -> float:
-    """Solve the tracking dichotomy on one stack of equal-sized blocks.
+def _track_stack(matrices, P, e, x, one, y_end, h, sub, X, q, values) -> float:
+    """Walk the tracking dichotomy on one stack of equal-sized blocks.
 
-    ``matrices``, ``P`` and ``e`` are the stack's (A, B, Q), ARE solutions and energy positions.
-    Fills their columns of the recorded states X and adjoints q and of the
-    integrals int_y of (x, q), adds their share to ``values``, and returns
-    their deviation cost.  Every stack of steps is blocks-first, so each
+    ``matrices``, ``P`` and ``e`` are the stack's (A, B, Q), ARE solutions and
+    energy positions, ``x`` its deviation x_0, and ``one`` and ``y_end`` its
+    fine step (F_1, G_1) of length h and y_N from ``_dichotomy``.  Fills their
+    columns of the recorded states X and adjoints q, adds their share to
+    ``values``, and returns sum_j Y_j^T W Y_j over the fine steps' (x, q) with
+    W the Van Loan integral of the cost weight diag(Q, B B^T): their deviation
+    cost by quadrature.  Every stack of steps is blocks-first, so each
     product with a factor shared by a chunk's steps is one GEMM or GEMV per
     block over the steps' stacked rows.
     """
     A, B, Q = matrices
     PT = _mT(P)
     nb, s = e.shape
-    steps = X.shape[0] - 1
-    n_fine = steps * sub
-    h = horizon / n_fine
-    x = x0_dev[e]
-    one, _, _, y_end = _dichotomy(matrices, P, x, h_T[e], h, n_fine)
+    n_fine = (X.shape[0] - 1) * sub
     m = min(n_fine, sub * max(1, _STACK_ELEMENTS // (sub * nb * s * s)))
     F, G = _powers(one, m)
     FT = np.ascontiguousarray(_mT(F))
 
-    M = hamiltonian_matrix(A, B, Q)
     cost = np.zeros((nb, 2 * s, 2 * s))
     cost[:, :s, :s], cost[:, s:, s:] = Q, B @ _mT(B)
-    W = step_map(M, h, cost=cost)[1]
-    gen = np.zeros((nb, 4 * s, 4 * s))
-    gen[:, :2 * s, :2 * s], gen[:, :2 * s, 2 * s:] = M, np.eye(2 * s)
-    L = step_map(gen, h)[0][:, :2 * s, 2 * s:]
+    W = step_map(hamiltonian_matrix(A, B, Q), h, cost=cost)[1]
     eye = np.eye(s)
 
     starts = range(0, n_fine, m)
@@ -419,7 +411,7 @@ def _track_stack(matrices, P, e, x0_dev, h_T, horizon, sub, X, q, values, int_y)
     for a in reversed(starts[1:]):
         y_at.append(_mv(FT[:, min(m, n_fine - a)], y_at[-1]))
 
-    j_dev, y_sum = 0.0, np.zeros((nb, 2 * s))
+    j_dev = 0.0
     for a, y_b in zip(starts, reversed(y_at)):
         n = min(m, n_fine - a)
         ys = _rows(FT[:, :n + 1], y_b)[:, ::-1]      # y_{a+i} = F_{n-i}^T y_{a+n}
@@ -429,12 +421,10 @@ def _track_stack(matrices, P, e, x0_dev, h_T, horizon, sub, X, q, values, int_y)
         qs = ys + xs @ PT
         Y = np.concatenate([xs[:, :-1], qs[:, :-1]], axis=-1)
         j_dev += float(np.sum(W * (_mT(Y) @ Y)))  # sum_j Y_j^T W Y_j
-        y_sum += Y.sum(axis=1)
         rec = slice(a // sub, (a + n) // sub)
         X[rec, e], q[rec, e] = np.swapaxes(xs[:, :-1:sub], 0, 1), np.swapaxes(qs[:, :-1:sub], 0, 1)
         x = xs[:, -1]
     X[-1, e], q[-1, e] = x, y_end + _mv(P, x)
-    int_y[e], int_y[e + X.shape[1]] = np.split(_mv(L, y_sum), 2, axis=-1)
 
     # values x^T E(tau) x, chunk by chunk backward.  The dichotomy gives
     # w = F_tau x = x_N + G_tau y_N (x and y_end are x_N and y_N now), and
@@ -527,8 +517,10 @@ def averaged_metrics(runs, stationary: StationarySolution, k: float = 1.0,
     if np.any(np.diff(horizons) <= 0.0):
         raise DomainError("horizons must be strictly increasing")
     for r in runs:
-        if r.system is not system or not np.array_equal(r.stationary.z, stationary.z):
-            raise DomainError("all runs must share the system and the stationary target")
+        if (r.system is not system or not np.array_equal(r.stationary.z, stationary.z)
+                or not np.array_equal(r.x0, runs[0].x0)):
+            raise DomainError("all runs must share the system, the stationary target and the "
+                              "initial state")
 
     avg_track = np.empty(horizons.size)
     avg_gap = np.empty(horizons.size)

@@ -220,8 +220,10 @@ class TestRun:
 
     def test_turnpike_averages_equal_those_of_one_sweep_per_horizon(self, tmp_path, monkeypatch):
         from wavelq import serialize, turnpike
-        seen, sweeps = {}, []
-        closed_form, sweep = turnpike.tracking_integrals, turnpike.solve_tracking
+        from wavelq.models import stacked_blocks
+        seen, sweeps, dichotomies = {}, [], []
+        closed_form, sweep, dichotomy = (turnpike.tracking_integrals, turnpike.solve_tracking,
+                                         turnpike._dichotomy)
 
         def spy(system, z, x0, horizons, **kw):
             seen.update(system=system, z=z, x0=x0, kw=kw)
@@ -231,8 +233,13 @@ class TestRun:
             sweeps.append(horizon)
             return sweep(system, z, x0, horizon, **kw)
 
+        def counted_dichotomy(*args):
+            dichotomies.append(args[-1])
+            return dichotomy(*args)
+
         monkeypatch.setattr(turnpike, "tracking_integrals", spy)
         monkeypatch.setattr(turnpike, "solve_tracking", counted)
+        monkeypatch.setattr(turnpike, "_dichotomy", counted_dichotomy)
         out = tmp_path / "tp"
         horizons = [3.0, 5.5, 8.0]
         cfg = {"model": {"kind": "synthetic", "rho": 2.0, "eta": 2.0, "n_modes": 6},
@@ -240,9 +247,17 @@ class TestRun:
                "seed": 11, "output_dir": str(out)}
         assert main(["turnpike", "--config", _write(tmp_path, cfg), "--quiet"]) == 0
         assert sweeps == [8.0]  # one sweep, for the last horizon's trajectory
+        # each stack's dichotomy is solved once per horizon, the last one's inside the sweep
+        assert len(dichotomies) == len(stacked_blocks(seen["system"].records)) * len(horizons)
         summary = json.loads((out / "summary.json").read_text())
+        stationary = seen["kw"]["stationary"]
+        closed = closed_form(seen["system"], seen["z"], seen["x0"], horizons, **seen["kw"])
+        serialize.turnpike_to_csv(turnpike.averaged_metrics(closed, stationary, k=summary["k"],
+                                                            ktilde=summary["ktilde"]),
+                                  tmp_path / "closed.csv")
+        assert (out / "turnpike.csv").read_bytes() == (tmp_path / "closed.csv").read_bytes()
         runs = [sweep(seen["system"], seen["z"], seen["x0"], T, **seen["kw"]) for T in horizons]
-        report = turnpike.averaged_metrics(runs, seen["kw"]["stationary"])
+        report = turnpike.averaged_metrics(runs, stationary)
         for name in ("avg_tracking", "avg_state_gap"):
             np.testing.assert_allclose(summary[name], getattr(report, name), rtol=1e-12, atol=0.0)
         assert summary["os_residual_last_run"] == turnpike.tracking_os_residual(runs[-1])

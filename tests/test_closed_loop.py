@@ -23,7 +23,7 @@ from wavelq.models import (SpectralSystem, build_interval_wave, build_rectangle,
                            stacked_blocks)
 from wavelq.riccati import first_order_matrices, integrate_dre, solve_are, step_map
 from wavelq.spectral import DomainError, NormScale, energy_norm_squared
-from wavelq.turnpike import g_weight, solve_tracking
+from wavelq.turnpike import g_weight, solve_tracking, tracking_integrals
 
 
 def single_mode_system(lam=1.0, gain=1.0, q=1.0):
@@ -560,6 +560,10 @@ STEP_OR_HORIZON = {
                        lambda s, are, x0, v: solve_tracking(s, np.ones(3), x0, v, are=are)),
     "solve_tracking_dt_record": ("dt_record", lambda s, are, x0, v: solve_tracking(
         s, np.ones(3), x0, 1.0, dt_record=v, are=are)),
+    "tracking_integrals": ("horizon", lambda s, are, x0, v: tracking_integrals(
+        s, np.ones(3), x0, [v], are=are)),
+    "tracking_integrals_dt_record": ("dt_record", lambda s, are, x0, v: tracking_integrals(
+        s, np.ones(3), x0, [1.0], dt_record=v, are=are)),
     "integrate_dre": ("horizon", lambda s, are, x0, v: integrate_dre(s, v)),
     "observability_gramian": ("horizon", lambda s, are, x0, v: observability_gramian(s, v)),
     "controllability_gramian": ("horizon", lambda s, are, x0, v: controllability_gramian(s, v)),

@@ -25,7 +25,7 @@ from wavelq.serialize import (
     write_json,
 )
 from wavelq.spectral import DimensionError, DomainError, NormScale
-from wavelq.turnpike import TurnpikeReport, solve_tracking
+from wavelq.turnpike import TurnpikeReport, solve_tracking, tracking_integrals
 
 
 def test_system_round_trip(tmp_path):
@@ -127,6 +127,8 @@ def test_reloaded_solution_serves_bounds_but_not_a_reader_on_other_blocks(tmp_pa
         simulate_riccati_feedback(sys_, back, x0, 1.0)
     with pytest.raises(DimensionError):
         solve_tracking(sys_, np.zeros(sys_.n_modes), x0, 1.0, are=back)
+    with pytest.raises(DimensionError):
+        tracking_integrals(sys_, np.zeros(sys_.n_modes), x0, [1.0], are=back)
     for weak, strong in ((NormScale.energy(), NormScale.energy()),
                          (NormScale.graded(-0.5), NormScale.graded(0.5))):
         got, want = bounds_report(back, sys_, weak, strong), bounds_report(sol, sys_, weak, strong)

@@ -202,6 +202,10 @@ class TestTracking:
             solve_tracking(sys_, np.ones(size), np.zeros(8), 2.0, stationary=st_)
         with pytest.raises(DimensionError):
             solve_tracking(sys_, np.ones(size), np.zeros(8), 2.0)
+        with pytest.raises(DimensionError):
+            tracking_integrals(sys_, np.ones(size), np.zeros(8), [2.0], stationary=st_)
+        with pytest.raises(DimensionError):
+            tracking_integrals(sys_, np.ones(size), np.zeros(8), [2.0])
 
     def test_os_residual_holds_no_whole_system_step_map(self):
         # 183 modes: the whole system's Hamiltonian step map is 732 x 732, 4.1 MiB, and its
@@ -281,6 +285,16 @@ class TestAveragedMetrics:
         assert m_fine.avg_state_gap[0] == pytest.approx(
             float(np.sum(sys_.lambdas**2 * mean_a_quad**2)), rel=1e-6)
 
+    def test_runs_must_share_the_initial_state(self):
+        # the bound proxy reads one initial state's class norm for every horizon
+        sys_ = build_synthetic(2.0, 2.0, 3)
+        z = np.ones(3)
+        st = solve_stationary(sys_, z)
+        runs = [solve_tracking(sys_, z, np.full(6, x0), T, stationary=st)
+                for x0, T in ((1.0, 2.0), (5.0, 4.0))]
+        with pytest.raises(DomainError, match="initial state"):
+            averaged_metrics(runs, st)
+
     def test_horizons_must_increase(self):
         sys_ = build_synthetic(2.0, 2.0, 3)
         runs, st = self._runs(sys_, np.zeros(3), np.zeros(6), [4.0, 2.0])
@@ -320,10 +334,12 @@ def test_closed_form_integrals_match_the_sweep(build, horizons, dt_record):
     assert [r.horizon for r in closed] == horizons
     for got, T in zip(closed, horizons):
         sweep = solve_tracking(sys_, z, x0, T, stationary=st_, dt_record=dt_record, are=are)
-        assert got.deviation_cost_exact == pytest.approx(sweep.deviation_cost_exact, rel=1e-12)
+        # the sweep reads the same boundary values: the same bits
+        assert got.deviation_cost_exact == sweep.deviation_cost_exact
+        assert got.value_formula_cost == sweep.value_formula_cost
+        assert np.array_equal(got.mean_deviation_a, sweep.mean_deviation_a)
+        # the sweep's Van Loan quadrature of the cost is the independent check
         assert got.value_formula_cost == pytest.approx(sweep.cost_quadrature, rel=1e-12)
-        err = np.abs(got.mean_deviation_a - sweep.mean_deviation_a).max()
-        assert err <= 1e-12 * np.abs(sweep.mean_deviation_a).max()
 
 
 def test_a_stationary_solution_for_another_target_is_rejected():
