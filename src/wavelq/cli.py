@@ -486,10 +486,10 @@ def _unlink_stale_outputs(outdir: str, files: list):
     except (OSError, ValueError, KeyError, TypeError, AttributeError):
         return
     for name in listed:
-        if name in files or name in ("", ".", "..") or "/" in name or "\0" in name:
+        if name in files or "/" in name or "\0" in name:
             continue
-        with contextlib.suppress(FileNotFoundError, IsADirectoryError):
-            os.unlink(os.path.join(outdir, name))
+        with contextlib.suppress(FileExistsError):  # not a file or a symlink: left in place
+            io.unlink_file(os.path.join(outdir, name))
 
 
 def _sha256_file(path: str) -> str:

@@ -16,20 +16,23 @@ re-runs are byte-identical.  Trajectory CSV columns: time, energy, value,
 control_norm_sq, obs_norm_sq (nan where a column does not apply).  Turnpike
 CSV columns: horizon, avg_tracking, avg_state_gap, bound_proxy.
 
-Every output is written as a new file through ``open_output``: the entry at
-the path is unlinked first, never truncated and rewritten.  So a symlink or
-hard link at an output path is replaced, not written through, a read-only
-file in a writable directory is replaced, and a file in a directory without
-write permission cannot be rewritten.  On ext4 with its default
-``auto_da_alloc``, truncating an existing file (or renaming over it) forces a
-flush at close that costs tens of milliseconds, unlink-then-create well under
-one; on tmpfs both are cheap.
+Every output is written as a new file through ``open_output``: a regular file
+or symlink at the path is unlinked first, never truncated and rewritten; any
+other entry (a directory, FIFO or device node) stays and raises
+FileExistsError.  So a symlink or hard link at an output path is replaced, not
+written through, a read-only file in a writable directory is replaced, and a
+file in a directory without write permission cannot be rewritten.  On ext4
+with its default ``auto_da_alloc``, truncating an existing file (or renaming
+over it) forces a flush at close that costs tens of milliseconds,
+unlink-then-create well under one; on tmpfs both are cheap.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import stat
 
 import numpy as np
 
@@ -40,12 +43,17 @@ from .spectral import DimensionError
 from .turnpike import TurnpikeReport
 
 
-def open_output(path):
-    """A new text file at ``path`` with ``\\n`` line ends; any old entry is unlinked first."""
-    try:
+def unlink_file(path) -> None:
+    """Unlink the regular file or symlink at ``path``, if any; any other entry raises FileExistsError."""
+    with contextlib.suppress(FileNotFoundError):
+        if stat.S_IFMT(os.lstat(path).st_mode) not in (stat.S_IFREG, stat.S_IFLNK):
+            raise FileExistsError(f"{path}: not a regular file or a symlink, left in place")
         os.unlink(path)
-    except FileNotFoundError:
-        pass
+
+
+def open_output(path):
+    """A new text file at ``path`` with ``\\n`` line ends, after ``unlink_file(path)``."""
+    unlink_file(path)
     return open(path, "x", encoding="utf-8", newline="\n")
 
 
@@ -88,13 +96,9 @@ def system_from_dict(payload: dict) -> SpectralSystem:
     if payload.get("schema") != "wavelq-system-v1":
         raise ValueError("not a wavelq-system-v1 payload")
     return SpectralSystem.from_dense(
-        lambdas=np.asarray(payload["lambdas"], dtype=float),
-        B_mod=_matrix_from_payload(payload["B_mod"]),
-        Q_obs=_matrix_from_payload(payload["Q_obs"]),
-        label=payload.get("label", ""),
-        rho=payload.get("rho"),
-        eta=payload.get("eta"),
-    )
+        np.asarray(payload["lambdas"], dtype=float), _matrix_from_payload(payload["B_mod"]),
+        _matrix_from_payload(payload["Q_obs"]), label=payload.get("label", ""),
+        rho=payload.get("rho"), eta=payload.get("eta"))
 
 
 def save_system(system: SpectralSystem, path) -> None:

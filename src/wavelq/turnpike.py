@@ -11,14 +11,15 @@ The finite-horizon optimality system is solved in deviation variables
 2013; Trelat-Zuazua 2015): with the ARE solution P, the adjoint split
 y = q - P x runs backward and the state forward along two decoupled flows,
 stable but for modes that neither control nor observation sees, each in
-closed form from the closed-loop step and Gramian of ``riccati.step_map``.
-The solve reads the system's block records, stacks blocks of equal size
+closed form from the closed-loop step and Gramian of ``riccati.step_map``,
+exact at any step length, so the record grid is the only grid.  The solve
+reads the system's block records, stacks blocks of equal size
 (``riccati.stack_matrices``, ``RiccatiSolution.on``: no dense A, Q or P),
-and walks the horizon in chunks of steps, so it has no per-step Python loop
-and stores nothing of size steps x d^2.  Its stacks of steps are held
-blocks-first, (blocks, steps, s, s): a product whose factor all of a chunk's
-steps share is one GEMM or GEMV per block over the steps' stacked rows, not
-one BLAS call per step.
+and walks the horizon in chunks of record steps, so it has no per-step
+Python loop and stores nothing of size steps x d^2.  Its stacks of steps are
+held blocks-first, (blocks, steps, s, s): a product whose factor all of a
+chunk's steps share is one GEMM or GEMV per block over the steps' stacked
+rows, not one BLAS call per step.
 The averaged turnpike metrics need only a horizon's integrals, taken in
 closed form from the boundary values of the dichotomy (``_dichotomy``): the
 deviation cost from x^T q at both ends, the mean position from one solve with
@@ -149,7 +150,7 @@ class TrackingSolution(TrackingIntegrals):
     two.  ``trajectory`` holds the recorded series of the full state/control
     pair for export (neither the full states nor the controls are kept).
     The inherited integrals are those of ``tracking_integrals``;
-    ``cost_quadrature`` is the fine steps' Van Loan sum of the deviation cost
+    ``cost_quadrature`` is the record steps' Van Loan sum of the deviation cost
     plus the boundary terms of ``value_formula_cost``, an independent check.
     """
 
@@ -181,13 +182,12 @@ def _prepare(system: SpectralSystem, z, x0, stationary, are):
     return x0, stationary, are, x0_dev, _terminal_feedforward(system, stationary)
 
 
-def _grid(lam: np.ndarray, horizon: float, dt_record: float | None):
-    """Record steps over the horizon, and fine steps of at most pi/(4 lambda_max) per record step."""
+def _grid(lam: np.ndarray, horizon: float, dt_record: float | None) -> int:
+    """Equal record steps over the horizon, of at most ``dt_record``: the only steps tracking takes."""
     require_positive(horizon=horizon, dt_record=dt_record)
     if dt_record is None:
         dt_record = min(0.02, np.pi / (8.0 * lam.max()))
-    steps = max(2, int(np.ceil(horizon / dt_record)))
-    return steps, int(np.ceil(horizon / steps / (np.pi / (4.0 * lam.max()))))
+    return max(2, int(np.ceil(horizon / dt_record)))
 
 
 def _closed_form(system, stationary, x0, x0_dev, h_T, horizon, x_N, q_0, int_x):
@@ -212,9 +212,9 @@ def tracking_integrals(system: SpectralSystem, z, x0, horizons,
                        are: RiccatiSolution | None = None) -> list[TrackingIntegrals]:
     """The averaged-metric integrals of the tracking optimum at each horizon, from its boundary values.
 
-    Per stack and horizon, ``_dichotomy`` over ``solve_tracking``'s fine steps
-    gives x_N, q_0 and int_0^T x dt; nothing is swept or recorded.  These are
-    the bits of a sweep's ``deviation_cost_exact``, ``mean_deviation_a`` and
+    Per stack and horizon, ``_dichotomy`` over ``solve_tracking``'s record
+    steps gives x_N, q_0 and int_0^T x dt; nothing is swept or recorded.
+    These are the bits of a sweep's ``deviation_cost_exact``, ``mean_deviation_a`` and
     ``value_formula_cost`` at the same horizon.
     """
     lam = system.lambdas
@@ -224,8 +224,8 @@ def tracking_integrals(system: SpectralSystem, z, x0, horizons,
     for stack in stacked_blocks(system.records):
         modes, e, matrices = stack_matrices(lam, stack)
         P = are.on(modes)
-        for end, T, (steps, sub) in zip(ends, horizons, grids):
-            end[:, e] = _dichotomy(matrices, P, x0_dev[e], h_T[e], T / (steps * sub), steps * sub)[2]
+        for end, T, steps in zip(ends, horizons, grids):
+            end[:, e] = _dichotomy(matrices, P, x0_dev[e], h_T[e], T / steps, steps)[2]
     return [_closed_form(system, stationary, x0, x0_dev, h_T, T, *end)
             for T, end in zip(horizons, ends)]
 
@@ -238,14 +238,14 @@ def solve_tracking(system: SpectralSystem, z, x0, horizon: float,
 
     With the ARE solution P (``are``, else ``solve_are``; stabilizing when
     such a solution exists) and A_cl = A - B B^T P, the split y = q - P x gives
-    y' = -A_cl^T y and x' = A_cl x - B B^T y.  Over j fine steps of length h:
+    y' = -A_cl^T y and x' = A_cl x - B B^T y.  Over j record steps of length h:
     y_{k-j} = F_j^T y_k and x_{k+j} = F_j x_k - G_j y_{k+j}, with
     F_j = e^{A_cl j h} and the closed-loop Gramian
     G_j = int_0^{jh} e^{A_cl s} B B^T e^{A_cl^T s} ds; the end condition
     q_N = h_T gives (I - P G_N) y_N = h_T - P F_N x_0.
 
-    The record step is split into equal fine steps of at most
-    pi/(4 lambda_max).  Per stack, ``_dichotomy`` gives the fine step
+    These steps are exact at any length, so the record step h = T/N is the
+    only one taken.  Per stack, ``_dichotomy`` gives the step
     (F_1, G_1), y_N and the boundary values, from which the run's
     ``deviation_cost_exact``, ``mean_deviation_a`` and ``value_formula_cost``
     are those of ``tracking_integrals``, bit for bit; ``_track_stack`` walks
@@ -256,26 +256,25 @@ def solve_tracking(system: SpectralSystem, z, x0, horizon: float,
     ``stationary`` solved for another target, DomainError.
     """
     lam = system.lambdas
-    steps, sub = _grid(lam, horizon, dt_record)
+    steps = _grid(lam, horizon, dt_record)
     x0, stationary, are, x0_dev, h_T = _prepare(system, z, x0, stationary, are)
     dim = 2 * lam.size
     x_bar_lift = _lift_position(system, stationary.w_bar.a)
     p_lift = _lift_position(system, stationary.p_bar.a)
     times = np.linspace(0.0, horizon, steps + 1)
 
-    X = np.empty((steps + 1, dim))
-    q = np.empty((steps + 1, dim))
+    X, q = np.empty((2, steps + 1, dim))  # deviation states and adjoints
     values = np.zeros(steps + 1)
     ends = np.zeros((3, dim))  # x_N, q_0 and int x dt
     control_power = np.zeros(steps + 1)
     obs_power = np.full(steps + 1, stationary.obs_gap_sq)
     j_dev = 0.0
-    h = horizon / (steps * sub)
+    h = horizon / steps
     for stack in stacked_blocks(system.records):
         modes, e, (A, B, Q) = stack_matrices(lam, stack)
         P = are.on(modes)
-        one, y_N, ends[:, e] = _dichotomy((A, B, Q), P, x0_dev[e], h_T[e], h, steps * sub)
-        j_dev += _track_stack((A, B, Q), P, e, x0_dev[e], one, y_N, h, sub, X, q, values)
+        one, y_N, ends[:, e] = _dichotomy((A, B, Q), P, x0_dev[e], h_T[e], h, steps)
+        j_dev += _track_stack((A, B, Q), P, e, x0_dev[e], one, y_N, h, X, q, values)
         # u_bar = -B^T p_bar and C^T (C w_bar - z) = lambda^2 p_bar, so the control is
         # -B^T (q - h_T) and ||C w - z||^2 = x^T Q x + 2 lift(p_bar) x + ||C w_bar - z||^2
         xs = np.swapaxes(X[:, e], 0, 1)
@@ -356,11 +355,11 @@ def _powers(pair, m: int):
     return F, G
 
 
-def _dichotomy(matrices, P, x, h_e, h, n_fine):
-    """A stack's fine step (F_1, G_1) of length h, y_N, and (x_N, q_0, int_0^T x dt) stacked.
+def _dichotomy(matrices, P, x, h_e, h, steps):
+    """A stack's step (F_1, G_1) of length h, y_N, and (x_N, q_0, int_0^T x dt) stacked.
 
-    Over n_fine steps, y_N solves (I - P G_N) y_N = h_T - P F_N x_0 for the
-    stack's x_0 ``x`` and h_T ``h_e``; then x_N = F_N x_0 - G_N y_N and
+    Over N = ``steps`` steps, y_N solves (I - P G_N) y_N = h_T - P F_N x_0 for
+    the stack's x_0 ``x`` and h_T ``h_e``; then x_N = F_N x_0 - G_N y_N and
     q_0 = F_N^T y_N + P x_0.  With M the Hamiltonian matrix, invertible since
     A is, M int_0^T (x, q) dt = (x_N - x_0, h_T - q_0): one batched solve.
     Along the optimality system d/dt (x^T q) = -(||B^T q||^2 + x^T Q x), so
@@ -370,7 +369,7 @@ def _dichotomy(matrices, P, x, h_e, h, n_fine):
     BBT = B @ _mT(B)
     FT, G1 = step_map(_mT(A - BBT @ P), h, cost=BBT)
     one = (_mT(FT), G1)
-    F_N, G_N = binary_power(one, n_fine, _compose)
+    F_N, G_N = binary_power(one, steps, _compose)
     rhs = (h_e - _mv(P, _mv(F_N, x)))[..., None]
     y_N = np.linalg.solve(np.eye(P.shape[-1]) - P @ G_N, rhs)[..., 0]
     x_N = _mv(F_N, x) - _mv(G_N, y_N)
@@ -380,15 +379,15 @@ def _dichotomy(matrices, P, x, h_e, h, n_fine):
     return one, y_N, np.stack([x_N, q_0, int_x])
 
 
-def _track_stack(matrices, P, e, x, one, y_end, h, sub, X, q, values) -> float:
+def _track_stack(matrices, P, e, x, one, y_end, h, X, q, values) -> float:
     """Walk the tracking dichotomy on one stack of equal-sized blocks.
 
     ``matrices``, ``P`` and ``e`` are the stack's (A, B, Q), ARE solutions and
     energy positions, ``x`` its deviation x_0, and ``one`` and ``y_end`` its
-    fine step (F_1, G_1) of length h and y_N from ``_dichotomy``.  Fills their
-    columns of the recorded states X and adjoints q, adds their share to
-    ``values``, and returns sum_j Y_j^T W Y_j over the fine steps' (x, q) with
-    W the Van Loan integral of the cost weight diag(Q, B B^T): their deviation
+    record step (F_1, G_1) of length h and y_N from ``_dichotomy``.  Fills
+    their columns of the recorded states X and adjoints q, adds their share to
+    ``values``, and returns sum_j Y_j^T W Y_j over the steps' (x, q) with W
+    the Van Loan integral of the cost weight diag(Q, B B^T): their deviation
     cost by quadrature.  Every stack of steps is blocks-first, so each
     product with a factor shared by a chunk's steps is one GEMM or GEMV per
     block over the steps' stacked rows.
@@ -396,8 +395,8 @@ def _track_stack(matrices, P, e, x, one, y_end, h, sub, X, q, values) -> float:
     A, B, Q = matrices
     PT = _mT(P)
     nb, s = e.shape
-    n_fine = (X.shape[0] - 1) * sub
-    m = min(n_fine, sub * max(1, _STACK_ELEMENTS // (sub * nb * s * s)))
+    steps = X.shape[0] - 1
+    m = min(steps, max(1, _STACK_ELEMENTS // (nb * s * s)))
     F, G = _powers(one, m)
     FT = np.ascontiguousarray(_mT(F))
 
@@ -406,14 +405,14 @@ def _track_stack(matrices, P, e, x, one, y_end, h, sub, X, q, values) -> float:
     W = step_map(hamiltonian_matrix(A, B, Q), h, cost=cost)[1]
     eye = np.eye(s)
 
-    starts = range(0, n_fine, m)
+    starts = range(0, steps, m)
     y_at = [y_end]  # y at the chunk ends, last chunk first
     for a in reversed(starts[1:]):
-        y_at.append(_mv(FT[:, min(m, n_fine - a)], y_at[-1]))
+        y_at.append(_mv(FT[:, min(m, steps - a)], y_at[-1]))
 
     j_dev = 0.0
     for a, y_b in zip(starts, reversed(y_at)):
-        n = min(m, n_fine - a)
+        n = min(m, steps - a)
         ys = _rows(FT[:, :n + 1], y_b)[:, ::-1]      # y_{a+i} = F_{n-i}^T y_{a+n}
         xs = np.empty_like(ys)
         xs[:, 0] = x
@@ -421,8 +420,7 @@ def _track_stack(matrices, P, e, x, one, y_end, h, sub, X, q, values) -> float:
         qs = ys + xs @ PT
         Y = np.concatenate([xs[:, :-1], qs[:, :-1]], axis=-1)
         j_dev += float(np.sum(W * (_mT(Y) @ Y)))  # sum_j Y_j^T W Y_j
-        rec = slice(a // sub, (a + n) // sub)
-        X[rec, e], q[rec, e] = np.swapaxes(xs[:, :-1:sub], 0, 1), np.swapaxes(qs[:, :-1:sub], 0, 1)
+        X[a:a + n, e], q[a:a + n, e] = np.swapaxes(xs[:, :-1], 0, 1), np.swapaxes(qs[:, :-1], 0, 1)
         x = xs[:, -1]
     X[-1, e], q[-1, e] = x, y_end + _mv(P, x)
 
@@ -433,15 +431,14 @@ def _track_stack(matrices, P, e, x, one, y_end, h, sub, X, q, values) -> float:
     # G_tau = G_p + F_p G_j F_p^T.
     F_p, G_p = eye, np.zeros((nb, s, s))
     for a in reversed(starts):
-        n = min(m, n_fine - a)
-        G_tau = G[:, n:0:-sub]
-        if a + n < n_fine:
+        n = min(m, steps - a)
+        G_tau = G[:, n:0:-1]
+        if a + n < steps:
             G_tau = G_p[:, None] + _congruence(F_p, G_tau)
         w = x[:, None] + _rows(G_tau, y_end)
         xi = np.linalg.solve(eye - _rows(G_tau, P), w[..., None])[..., 0]
-        rec = slice(a // sub, (a + n) // sub)
-        xr = np.swapaxes(X[rec, e], 0, 1)
-        values[rec] += np.sum(xr * (xr @ PT) - (w @ PT) * xi, axis=(0, 2))
+        xr = np.swapaxes(X[a:a + n, e], 0, 1)
+        values[a:a + n] += np.sum(xr * (xr @ PT) - (w @ PT) * xi, axis=(0, 2))
         F_p, G_p = _compose((F_p, G_p), (F[:, n], G[:, n]))
     return j_dev
 
@@ -522,9 +519,7 @@ def averaged_metrics(runs, stationary: StationarySolution, k: float = 1.0,
             raise DomainError("all runs must share the system, the stationary target and the "
                               "initial state")
 
-    avg_track = np.empty(horizons.size)
-    avg_gap = np.empty(horizons.size)
-    bounds = np.empty(horizons.size)
+    avg_track, avg_gap, bounds = np.empty((3, horizons.size))
 
     rho = system.rho if system.rho is not None else np.inf
     eta = system.eta if system.eta is not None else np.inf

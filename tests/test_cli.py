@@ -3,6 +3,8 @@ import hashlib
 import io
 import json
 import os
+import re
+import stat
 import subprocess
 import sys
 import tempfile
@@ -317,6 +319,24 @@ class TestRun:
         assert (tmp_path / "outside.txt").read_text() == "kept"
         assert sorted(os.listdir(out)) == ["fit.json", "manifest.json", "sub", "summary.json",
                                            "trajectory.csv"]
+
+    def test_a_fifo_is_never_unlinked(self, tmp_path):
+        # a stale FIFO the previous manifest lists is left in place; one at an output path
+        # stops the run with FileExistsError naming it, and stays
+        out = tmp_path / "out"
+        out.mkdir()
+        os.mkfifo(out / "old.csv")
+        (out / "manifest.json").write_text('{"files": {"old.csv": ""}}')
+        run_experiment(_tiny_decay_cfg(out), str(out), 5, 1, True)
+        assert stat.S_ISFIFO(os.lstat(out / "old.csv").st_mode)
+        assert "old.csv" not in json.loads((out / "manifest.json").read_text())["files"]
+
+        fresh = tmp_path / "fresh"
+        fresh.mkdir()
+        os.mkfifo(fresh / "trajectory.csv")
+        with pytest.raises(FileExistsError, match=re.escape(str(fresh / "trajectory.csv"))):
+            run_experiment(_tiny_decay_cfg(fresh), str(fresh), 5, 1, True)
+        assert stat.S_ISFIFO(os.lstat(fresh / "trajectory.csv").st_mode)
 
     def test_turnpike_without_a_stabilizing_are_solution_runs(self, tmp_path, capsys):
         # three equal edges with control and observation on one: the modes that

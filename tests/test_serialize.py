@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import stat
 import tracemalloc
 
 import numpy as np
@@ -377,3 +379,19 @@ def test_links_and_read_only_files_are_replaced(tmp_path, name, write):
     read_only.chmod(0o444)
     write(read_only)
     assert read_only.read_bytes() == expected
+
+
+@pytest.mark.parametrize("name, write", WRITERS, ids=[name for name, _ in WRITERS])
+def test_a_fifo_or_directory_at_the_path_stays_and_is_named(tmp_path, name, write):
+    fifo, folder, link = tmp_path / "fifo", tmp_path / "folder", tmp_path / "link"
+    os.mkfifo(fifo)
+    folder.mkdir()
+    for path in (fifo, folder):
+        with pytest.raises(FileExistsError, match=re.escape(str(path))):
+            write(path)
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert folder.is_dir() and not any(folder.iterdir())
+    # a symlink to a FIFO is itself replaced, and the FIFO stays
+    link.symlink_to(fifo)
+    write(link)
+    assert link.is_file() and not link.is_symlink() and stat.S_ISFIFO(os.lstat(fifo).st_mode)

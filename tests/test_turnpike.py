@@ -1,4 +1,5 @@
 import dataclasses
+import operator
 import tracemalloc
 
 import numpy as np
@@ -320,16 +321,17 @@ class TestAveragedMetrics:
     (lambda: build_star_network([1.0, np.pi / 2, np.sqrt(2.0)], 0, 0, 8.0), [6.0, 12.0], None),
     # free modes vanishing on the controlled edge: neutral in the closed loop
     (lambda: build_star_network([1.0, 1.0, 1.0], 0, 0, 8.0), [6.0, 12.0], None),
-    (lambda: build_synthetic(2.0, 2.0, 12), [3.7, 9.1], 0.3),  # sub > 1, T / dt_record not whole
-], ids=["synthetic", "exponential", "rectangle", "star_generic", "star_111", "sub-off-grid"])
+    # a record step above pi/(4 lambda_max), T / dt_record not whole
+    (lambda: build_synthetic(2.0, 2.0, 12), [3.7, 9.1], 0.3),
+], ids=["synthetic", "exponential", "rectangle", "star_generic", "star_111", "coarse-off-grid"])
 def test_closed_form_integrals_match_the_sweep(build, horizons, dt_record):
     sys_ = build()
     rng = np.random.default_rng(28)
     x0 = smooth_initial_state(sys_.lambdas, 2.5, rng=rng).to_vector()
     z = sys_.lambdas**-2.0 * rng.choice([-1.0, 1.0], size=sys_.n_modes)
     st_, are = solve_stationary(sys_, z), solve_are(sys_)
-    if dt_record == 0.3:  # the case's premise: no whole number of record steps, and sub > 1
-        assert all(T / dt_record % 1 and _chunk_counts(sys_, T, dt_record)[0] > 1 for T in horizons)
+    if dt_record == 0.3:  # the case's premise: a coarse record step, not a whole number of them
+        assert all(T / dt_record % 1 and _is_coarse(sys_, T, dt_record) for T in horizons)
     closed = tracking_integrals(sys_, z, x0, horizons, stationary=st_, dt_record=dt_record, are=are)
     assert [r.horizon for r in closed] == horizons
     for got, T in zip(closed, horizons):
@@ -398,19 +400,26 @@ def _assert_matches_sweep(sys_, z, x0, horizon, dt_record=None, tol=1e-10):
     return sol
 
 
-def _chunk_counts(sys_, horizon, dt_record):
-    """Fine steps per record step, and the chunks each stack's walk spans, by the rule of
-    ``solve_tracking``."""
-    lam_max = sys_.lambdas.max()
+def _record_steps(sys_, horizon, dt_record):
+    """The record steps over the horizon, by the rule of ``solve_tracking``."""
     if dt_record is None:
-        dt_record = min(0.02, np.pi / (8.0 * lam_max))
-    steps = max(2, int(np.ceil(horizon / dt_record)))
-    sub = int(np.ceil(horizon / steps / (np.pi / (4.0 * lam_max))))
+        dt_record = min(0.02, np.pi / (8.0 * sys_.lambdas.max()))
+    return max(2, int(np.ceil(horizon / dt_record)))
+
+
+def _is_coarse(sys_, horizon, dt_record):
+    """Whether the record step is above pi/(4 lambda_max), the step the Riccati triple takes."""
+    return horizon / _record_steps(sys_, horizon, dt_record) > np.pi / (4.0 * sys_.lambdas.max())
+
+
+def _chunk_counts(sys_, horizon, dt_record):
+    """The chunks each stack's walk spans, by the rule of ``solve_tracking``."""
+    steps = _record_steps(sys_, horizon, dt_record)
     counts = []
     for stack in stacked_blocks(sys_.records):
         elements = len(stack) * (2 * stack[0].modes.size) ** 2
-        counts.append(-(-steps // max(1, _STACK_ELEMENTS // (sub * elements))))
-    return sub, counts
+        counts.append(-(-steps // max(1, _STACK_ELEMENTS // elements)))
+    return counts
 
 
 @pytest.mark.parametrize("build, horizon, dt_record, chunked_stacks", [
@@ -419,19 +428,22 @@ def _chunk_counts(sys_, horizon, dt_record):
     (lambda: build_synthetic(np.inf, np.inf, 12), 200.0, 0.01, 0),
     (lambda: build_rectangle(1.0, 2.0, 8.0), 10.0, None, 0),  # blocks of four sizes
     (lambda: build_interval_wave(16, control=("subinterval", 0.4, 1.9)), 10.0, None, 0),  # one block
-    (lambda: build_synthetic(2.0, 2.0, 12), 20.0, 0.3, 0),  # sub = 5 fine steps per record step
+    # a record step 4.6 times pi/(4 lambda_max)
+    (lambda: build_synthetic(2.0, 2.0, 12), 20.0, 0.3, 0),
     # free modes vanishing on the controlled edge: no stabilizing ARE solution
     (lambda: build_star_network([1.0, 1.0, 1.0], 0, 0, 8.0), 50.0, None, 0),
-    # sub = 3; the stacks of 14- and 12-coordinate blocks span 6 and 3 chunks, so the
-    # value column composes the time to go outside blocks larger than 2 x 2
-    (lambda: build_rectangle(1.0, 2.0, 8.0), 60.0, 0.3, 2),
+    # a record step twice pi/(4 lambda_max); the stacks of 14- and 12-coordinate blocks
+    # span 5 and 3 chunks, so the value column composes the time to go outside blocks
+    # larger than 2 x 2
+    (lambda: build_rectangle(1.0, 2.0, 8.0), 100.0, 0.2, 2),
 ], ids=["synthetic-T25", "synthetic-T200", "exact-T200", "rectangle",
-        "interval", "sub5", "star_111", "rectangle-chunks"])
+        "interval", "coarse-step", "star_111", "rectangle-chunks"])
 def test_dichotomy_matches_sweep_oracle(build, horizon, dt_record, chunked_stacks):
     sys_ = build()
     if chunked_stacks:
-        sub, counts = _chunk_counts(sys_, horizon, dt_record)
-        assert sub > 1 and sum(c >= 3 for c in counts) >= chunked_stacks
+        counts = _chunk_counts(sys_, horizon, dt_record)
+        assert _is_coarse(sys_, horizon, dt_record)
+        assert sum(c >= 3 for c in counts) >= chunked_stacks
     rng = np.random.default_rng(12)
     x0 = smooth_initial_state(sys_.lambdas, 2.5, rng=rng).to_vector()
     z = sys_.lambdas**-2.0 * rng.choice([-1.0, 1.0], size=sys_.n_modes)
@@ -441,22 +453,51 @@ def test_dichotomy_matches_sweep_oracle(build, horizon, dt_record, chunked_stack
 
 @pytest.mark.parametrize("build", [
     lambda: build_synthetic(2.0, 2.0, 12),
+    lambda: build_rectangle(1.0, 2.0, 8.0),
+    lambda: build_star_network([1.0, 1.0, 1.0], 0, 0, 8.0),
+], ids=["synthetic", "rectangle", "star_111"])
+def test_tracking_is_exact_at_any_record_step(build):
+    # both record steps are exact in binary, and 0.25 is above pi/(4 lambda_max): the run at
+    # 0.25 is every fourth row of the run at 0.0625, to rounding
+    sys_ = build()
+    rng = np.random.default_rng(31)
+    x0 = smooth_initial_state(sys_.lambdas, 2.5, rng=rng).to_vector()
+    z = sys_.lambdas**-2.0 * rng.choice([-1.0, 1.0], size=sys_.n_modes)
+    st_, are = solve_stationary(sys_, z), solve_are(sys_)
+    assert _is_coarse(sys_, 20.0, 0.25)
+    coarse, fine = (solve_tracking(sys_, z, x0, 20.0, stationary=st_, dt_record=dt, are=are)
+                    for dt in (0.25, 0.0625))
+    assert coarse.times.size == 81 and fine.times.size == 321
+    assert np.array_equal(coarse.times, fine.times[::4])
+    for name in ("deviation_states", "deviation_adjoints", "trajectory.values",
+                 "trajectory.energies", "trajectory.control_power", "trajectory.obs_power"):
+        got, want = (operator.attrgetter(name)(run) for run in (coarse, fine))
+        want = want[::4]
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
+    for name in ("deviation_cost_exact", "value_formula_cost", "cost_quadrature"):
+        assert getattr(coarse, name) == pytest.approx(getattr(fine, name), rel=1e-12), name
+    err = np.abs(coarse.mean_deviation_a - fine.mean_deviation_a).max()
+    assert err <= 1e-12 * np.abs(fine.mean_deviation_a).max()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_synthetic(2.0, 2.0, 12),
     lambda: build_rectangle(1.0, 2.0, 8.0),  # blocks of four sizes
     lambda: build_star_network([1.0, 1.0, 1.0], 0, 0, 8.0),  # neutral free modes in A_cl
 ], ids=["synthetic", "rectangle", "star_111"])
 def test_powers_match_step_map_at_every_multiple(build):
-    # every j of the chunk of a horizon-10 walk at h = 0.02 (sub = 1 on all three); over
-    # longer spans the Van Loan reference itself loses digits as e^{-A_cl^T t} grows
+    # every j of the chunk of a horizon-10 walk at the record step h = 0.02; over longer
+    # spans the Van Loan reference itself loses digits as e^{-A_cl^T t} grows
     sys_ = build()
     E = solve_are(sys_).E
-    h, n_fine = 0.02, 500
+    h, steps = 0.02, 500
     for stack in stacked_blocks(sys_.records):
         e = energy_index(np.array([r.modes for r in stack]))
         _, _, (A, B, _) = stack_matrices(sys_.lambdas, stack)
         BBT = B @ np.swapaxes(B, -1, -2)
         A_clT = np.swapaxes(A - BBT @ E[e[:, :, None], e[:, None, :]], -1, -2)
         nb, s = e.shape
-        m = min(n_fine, _STACK_ELEMENTS // (nb * s * s))
+        m = min(steps, _STACK_ELEMENTS // (nb * s * s))
         FT, G1 = step_map(A_clT, h, cost=BBT)
         F, G = _powers((np.swapaxes(FT, -1, -2), G1), m)
         assert F.shape == G.shape == (nb, m + 1, s, s)

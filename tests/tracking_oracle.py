@@ -4,9 +4,10 @@
 stepping code with the library: only the system matrices, the stationary
 problem and the boundary data of the deviation system come from ``wavelq``.
 ``solve_tracking_sweep`` is the monolithic Riccati feedback + feedforward
-sweep (Davison-Maki 1973) over the whole state space, with no ARE and no
-block split.  ``solve_stationary_dense`` is the stationary problem solved on
-the dense ``B_mod`` and observation factor ``psd_sqrt(Q_obs)``.
+sweep (Davison-Maki 1973) over the whole state space, with no ARE, no block
+split and fine steps of its own.  ``solve_stationary_dense`` is the
+stationary problem solved on the dense ``B_mod`` and observation factor
+``psd_sqrt(Q_obs)``.
 """
 
 from types import SimpleNamespace
@@ -108,8 +109,12 @@ def _feedforward_step(E, Phi, h):
 
 def solve_tracking_sweep(system: SpectralSystem, z, x0, horizon: float, stationary=None,
                          dt_record=None):
-    """Monolithic Riccati sweep of the deviation tracking problem, on the solver's grid.
+    """Monolithic Riccati sweep of the deviation tracking problem, recorded on the solver's grid.
 
+    Each record step is split into equal fine steps of at most pi/(4 lambda_max):
+    a back-step solves with Phi22 - E Phi12, as the DRE's step triple does, and
+    needs that bound.  The library's dichotomy steps on the record grid alone,
+    so the two step on different grids when the record step is longer.
     Backward: from E = 0 and the lifted stationary adjoint h_T at t = T, each
     fine step carries (E, h) back through the Hamiltonian step map, storing
     every step.  Forward: x_{k+1} = Phi11 x_k + Phi12 q_k with q_k = E_k x_k + h_k.
