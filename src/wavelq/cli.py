@@ -23,7 +23,9 @@ drives all random draws through a counter-based generator, so re-running a confi
 with the same seed reproduces the CSV and summary bytes exactly.
 
 Exit codes: 0 success, 2 config/validation error (also ``--seed`` below 0),
-3 numeric failure.
+3 numeric failure, 4 output error (an output directory or file that cannot be
+made or written, such as a FIFO at an output path or ``--output`` naming a
+regular file).
 """
 
 from __future__ import annotations
@@ -421,7 +423,8 @@ def run_experiment(cfg: dict, outdir: str, seed: int, threads: int, quiet: bool)
     """
     t_start = time.time()
     resolved = validate_config(cfg)
-    os.makedirs(outdir, exist_ok=True)
+    with io.output_errors(outdir):
+        os.makedirs(outdir, exist_ok=True)
     system = build_model(resolved["model"])
     exp = resolved["experiment"]
     rng = _rng(seed)
@@ -560,6 +563,9 @@ def main(argv=None) -> int:
     except (DomainError, ConfigError) as e:
         print(f"wavelq: config error: {e}", file=sys.stderr)
         return 2
+    except io.OutputError as e:
+        print(f"wavelq: output error: {e.filename}: {e.strerror}", file=sys.stderr)
+        return 4
     except Exception as e:  # numeric failure: partial outputs stay in outdir
         print(f"wavelq: numeric failure: {type(e).__name__}: {e}", file=sys.stderr)
         return 3

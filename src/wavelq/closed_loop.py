@@ -13,13 +13,15 @@ stack's generator, from which ``default_decay_window`` reads the closed-loop
 spectrum one stack at a time.  No (steps, d) array is held: neither states nor
 controls are kept, and each bounded row chunk of a stack's states adds its
 share of every recorded series (energies, quadratic forms from per-block
-weights, control power from the stack's gain) straight into 1-D arrays.
+weights, control power from the stack's gain, each weight applied on the
+coordinates where it is nonzero in some block) straight into 1-D arrays.
 
 The dissipation integral of each loop's energy identity, such as
 ``int ||B^T x||^2 dt``, is accumulated exactly from the step Gramian
-``int_0^h exp(A^T s) G exp(A s) ds`` that ``riccati.step_map`` returns with
-the propagator, so the identities can be verified at integrator precision
-rather than sampling-quadrature precision.
+``W = int_0^h exp(A^T s) G exp(A s) ds`` that ``riccati.step_map`` returns
+with the propagator (Van Loan 1978), summed over a chunk's 8 steps into one
+Gramian per coarse state, so the identities can be verified at integrator
+precision rather than sampling-quadrature precision.
 """
 
 from __future__ import annotations
@@ -66,9 +68,11 @@ class Trajectory:
 
 
 # steps between two states advanced by their own exponential, and the numbers in
-# one row chunk of a stack's states (and in each product formed from it)
+# one row chunk of a stack's states (and in each product formed from it): by
+# measurement, 1 << 14 leaves the 64-mode interval's GEMMs small, and 1 << 16
+# slows the rectangle's many small stacks and raises the peak resident memory
 _CHUNK_STEPS = 8
-_CHUNK_ELEMENTS = 1 << 14
+_CHUNK_ELEMENTS = 1 << 15
 
 
 def _simulate_lti(system: SpectralSystem, generator, x0: np.ndarray, horizon: float,
@@ -102,18 +106,36 @@ def _simulate_lti(system: SpectralSystem, generator, x0: np.ndarray, horizon: fl
                       generators=[A_cl for A_cl, _ in advanced], **series)
 
 
+def _support(weights: np.ndarray, form: bool):
+    """The coordinates on which stacked weights (blocks, rows, d) act in some block, or None for all.
+
+    A form's coordinates are those of its nonzero rows and columns; other
+    weights' those of their nonzero columns.
+    """
+    used = weights.any(axis=0)
+    used = used.any(axis=0) | used.any(axis=1) if form else used.any(axis=0)
+    return None if used.all() else np.flatnonzero(used)
+
+
 def _advance_stack(system, generator, stack, h, x0, series):
     """Add one stack of equal-sized blocks' share of every series, given by their records.
 
     One ``step_map`` gives the blocks' one-step propagators Phi and step
     Gramians W, another their _CHUNK_STEPS-step propagators.  Every
-    _CHUNK_STEPS-th state comes from the one before through the latter and is
-    written into its row of the chunk buffer; the states between follow from
-    it through the powers of Phi, in one batched product per row chunk into
-    the rest of the buffer.  Each chunk adds its share of the energies, of each
-    form and, given a gain, of ``control_power`` to ``series``.  Returns the
-    stack's closed-loop generator and its share of the dissipation sum over
-    the steps, x^T W x at each step's start.
+    _CHUNK_STEPS-th state, a coarse state, comes from the one before through
+    the latter and is written into its row of the chunk buffer; the states
+    between follow from it through the powers of Phi, in one batched product
+    per row chunk into the rest of the buffer.  Each chunk adds its share of
+    the energies, of each form and, given a gain, of ``control_power`` to
+    ``series``.  A form or gain acts only on the coordinates where it is
+    nonzero in some block of the stack (the collocated loop's observation on
+    the positions, its gain on the velocities); one nonzero everywhere is
+    used as it is.  The dissipation sum over the steps, x^T W x at each
+    step's start, is taken once per coarse state x_c as x_c^T W_j x_c, with
+    W_j = sum_{i<j} Phi^(iT) W Phi^i over the j steps that start from it:
+    _CHUNK_STEPS of them for every coarse state but the last, which starts
+    the last (n - 1) mod _CHUNK_STEPS.  Returns the stack's closed-loop
+    generator and its share of the dissipation.
     """
     k = _CHUNK_STEPS
     modes, e, lift = stack_matrices(system.lambdas, stack)
@@ -130,31 +152,47 @@ def _advance_stack(system, generator, stack, h, x0, series):
     for j in range(1, k - 1):
         powers[:, :, j * s:(j + 1) * s] = powers[:, :, (j - 1) * s:j * s] @ Phi.swapaxes(-1, -2)
     del Phi, G  # the loop needs neither, and Phi holds step_map's whole Van Loan exponential
-    rows = max(1, _CHUNK_ELEMENTS // (k * nb * s))  # coarse states per row chunk
-    chunk = np.empty((nb, rows, k * s))  # per row: a coarse state, then the k - 1 after it
-    for name in forms:
+    # the coarse states' Gramians: W_k, and W_r for the last one's r steps
+    r = (n - 1) % k
+    gram, tail = W, None
+    for j in range(1, k):
+        tail = gram if j == r else tail
+        P_T = powers[:, :, (j - 1) * s:j * s]
+        gram = gram + P_T @ (W @ P_T.swapaxes(-1, -2))
+    del W
+    on_support = {}
+    for name, M in forms.items():
         series.setdefault(name, np.zeros(n))
+        S = _support(M, form=True)
+        on_support[name] = S, M if S is None else M[:, S[:, None], S]
     if gain is not None:
         series.setdefault("control_power", np.zeros(n))
-        gain_T = gain.swapaxes(-1, -2)
+        S_u = _support(gain, form=False)
+        gain_T = (gain if S_u is None else gain[..., S_u]).swapaxes(-1, -2)
+    rows = max(1, _CHUNK_ELEMENTS // (k * nb * s))  # coarse states per row chunk
+    chunk = np.empty((nb, rows, k * s))  # per row: a coarse state, then the k - 1 after it
     state = x0[e][:, None, :]
     dissipation = 0.0
     for start in range(0, n, k * rows):
         m = min(rows, -(-(n - start) // k))
         for i in range(m):
-            chunk[:, i, :s] = state[:, 0]
+            chunk[:, i:i + 1, :s] = state
             state = state @ chunk_T
         np.matmul(chunk[:, :m, :s], powers, out=chunk[:, :m, s:])
         Y = chunk[:, :m].reshape(nb, m * k, s)[:, :n - start]
         stop = start + Y.shape[1]
         series["energies"][start:stop] += np.einsum("brs,brs->r", Y, Y)
-        for name, M in forms.items():
-            series[name][start:stop] += np.einsum("brs,brs->r", Y @ M, Y)
+        for name, (S, M) in on_support.items():
+            Y_S = Y if S is None else Y[..., S]
+            series[name][start:stop] += np.einsum("brs,brs->r", Y_S @ M, Y_S)
         if gain is not None:
-            U = Y @ gain_T
+            U = (Y if S_u is None else Y[..., S_u]) @ gain_T
             series["control_power"][start:stop] += np.einsum("brc,brc->r", U, U)
-        Y = Y[:, :n - 1 - start]
-        dissipation += np.einsum("brs,brs->", Y @ W, Y)
+        X = chunk[:, :m - (stop == n), :s]  # the coarse states with k steps ahead
+        dissipation += np.einsum("brs,brs->", X @ gram, X)
+    if tail is not None:
+        last = chunk[:, m - 1, :s]
+        dissipation += np.einsum("bs,bst,bt->", last, tail, last)
     return A_cl, dissipation
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -17,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 import wavelq
 from wavelq.cli import (ConfigError, EXPERIMENT_FIELDS, MODEL_FIELDS, main, run_experiment,
                         validate_config)
+from wavelq.serialize import OutputError
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
@@ -322,7 +324,7 @@ class TestRun:
 
     def test_a_fifo_is_never_unlinked(self, tmp_path):
         # a stale FIFO the previous manifest lists is left in place; one at an output path
-        # stops the run with FileExistsError naming it, and stays
+        # stops the run with an OutputError naming it, and stays
         out = tmp_path / "out"
         out.mkdir()
         os.mkfifo(out / "old.csv")
@@ -334,8 +336,9 @@ class TestRun:
         fresh = tmp_path / "fresh"
         fresh.mkdir()
         os.mkfifo(fresh / "trajectory.csv")
-        with pytest.raises(FileExistsError, match=re.escape(str(fresh / "trajectory.csv"))):
+        with pytest.raises(OutputError, match=re.escape(str(fresh / "trajectory.csv"))) as refused:
             run_experiment(_tiny_decay_cfg(fresh), str(fresh), 5, 1, True)
+        assert refused.value.errno == errno.EEXIST
         assert stat.S_ISFIFO(os.lstat(fresh / "trajectory.csv").st_mode)
 
     def test_turnpike_without_a_stabilizing_are_solution_runs(self, tmp_path, capsys):
@@ -356,12 +359,31 @@ class TestRun:
 
 
 class TestFailurePaths:
-    def test_directory_at_an_output_path_exits_3(self, tmp_path, capsys):
+    def test_directory_at_an_output_path_exits_4(self, tmp_path, capsys):
         cfg = _tiny_decay_cfg(tmp_path / "out")
         (tmp_path / "out" / "summary.json").mkdir(parents=True)
-        assert main(["run", "--config", _write(tmp_path, cfg), "--quiet"]) == 3
-        assert "numeric failure" in capsys.readouterr().err
+        assert main(["run", "--config", _write(tmp_path, cfg), "--quiet"]) == 4
+        assert capsys.readouterr().err.startswith(
+            f"wavelq: output error: {tmp_path / 'out' / 'summary.json'}: ")
         assert (tmp_path / "out" / "summary.json").is_dir()
+
+    def test_fifo_at_an_output_path_exits_4(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        os.mkfifo(out / "trajectory.csv")
+        assert main(["run", "--config", _write(tmp_path, _tiny_decay_cfg(out)), "--quiet"]) == 4
+        assert capsys.readouterr().err == (f"wavelq: output error: {out / 'trajectory.csv'}: "
+                                           "not a regular file or a symlink, left in place\n")
+        assert stat.S_ISFIFO(os.lstat(out / "trajectory.csv").st_mode)
+
+    def test_output_naming_a_regular_file_exits_4(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        cfg = _write(tmp_path, _tiny_decay_cfg(tmp_path / "out"))
+        for output in (taken, taken / "sub"):
+            assert main(["run", "--config", cfg, "--output", str(output), "--quiet"]) == 4
+            assert capsys.readouterr().err.startswith(f"wavelq: output error: {output}: ")
+        assert taken.read_text() == "kept\n"
 
     def test_numeric_failure_exits_3(self, tmp_path, capsys):
         # uncontrolled costly modes (star with rationally related uncontrolled

@@ -6,6 +6,8 @@ import scipy.integrate
 from hypothesis import given, settings, strategies as st
 
 from wavelq.closed_loop import (
+    _CHUNK_ELEMENTS,
+    _CHUNK_STEPS,
     Trajectory,
     default_decay_window,
     energy_identity_defect,
@@ -514,6 +516,15 @@ def dense_loop(sys_, kind, x0, horizon, steps, E):
     return X, A_cl, out
 
 
+def assert_matches_dense_loop(traj, sys_, x0, horizon, E=None):
+    """Every recorded series and the dissipation to 1e-13 of the dense loop's; its generator."""
+    _, A_cl, want_series = dense_loop(sys_, traj.kind, x0, horizon, traj.n_samples - 1, E)
+    for name, want in want_series.items():
+        got = getattr(traj, name)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (traj.kind, name)
+    return A_cl
+
+
 @settings(max_examples=30, derandomize=True, deadline=None)
 @given(case=stacked_systems())
 def test_stacked_loops_match_dense_per_step_oracle(case):
@@ -526,16 +537,64 @@ def test_stacked_loops_match_dense_per_step_oracle(case):
                  simulate_riccati_feedback(sys_, sol, x0, horizon, dt),
                  simulate_backward_observer(sys_, x0, horizon, dt)):
         assert traj.n_samples == steps + 1
-        _, A_cl, want_series = dense_loop(sys_, traj.kind, x0, horizon, steps, sol.E)
-        for name, want in want_series.items():
-            got = getattr(traj, name)
-            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (traj.kind, name)
+        A_cl = assert_matches_dense_loop(traj, sys_, x0, horizon, sol.E)
         # the stacked generators are the dense generator's blocks, and it is zero off them
         assembled = np.zeros_like(A_cl)
         for stack, A_stack in zip(stacked_blocks(sys_.records), traj.generators, strict=True):
             e = energy_index(np.array([r.modes for r in stack]))
             assembled[e[:, :, None], e[:, None, :]] = A_stack
         assert np.abs(assembled - A_cl).max() <= 1e-14 * np.abs(A_cl).max(), traj.kind
+
+
+def test_long_collocated_run_matches_dense_per_step_oracle():
+    # the interval_subdomain benchmark run: 9779 steps over many row chunks, and the last
+    # coarse state starts 9779 mod 8 = 3 steps, which its own tail Gramian covers
+    sys_ = build_interval_wave(64, control=("subinterval", 0.4, 1.9))
+    x0 = smooth_initial_state(sys_.lambdas, 1.6, rng=np.random.default_rng(8)).to_vector()
+    traj = simulate_collocated(sys_, x0, 60.0)
+    steps = traj.n_samples - 1
+    assert steps == 9779 and steps % _CHUNK_STEPS == 3
+    assert steps > 4 * _CHUNK_ELEMENTS // x0.size  # at least four row chunks
+    assert_matches_dense_loop(traj, sys_, x0, 60.0)
+
+
+def test_a_form_that_is_zero_everywhere_records_exact_zeros():
+    # no observation: obs_power is exactly 0 in every loop, and so are the Riccati loop's
+    # values and control power, E being the minimal solution 0
+    rng = np.random.default_rng(3)
+    n = 6
+    B = np.diag(rng.uniform(0.5, 1.5, n)) + np.triu(0.3 * rng.standard_normal((n, n)), 1)
+    sys_ = SpectralSystem.from_dense(np.sort(rng.uniform(0.5, 4.0, n)), B, np.zeros((n, n)))
+    sol = solve_are(sys_)
+    x0 = rng.standard_normal(2 * n)
+    riccati = simulate_riccati_feedback(sys_, sol, x0, 7.55, dt=0.05)
+    for traj in (simulate_collocated(sys_, x0, 7.55, dt=0.05), riccati,
+                 simulate_backward_observer(sys_, x0, 7.55, dt=0.05)):
+        assert np.all(traj.obs_power == 0.0), traj.kind
+        assert_matches_dense_loop(traj, sys_, x0, 7.55, sol.E)
+    assert np.all(riccati.values == 0.0) and np.all(riccati.control_power == 0.0)
+
+
+def test_blocks_with_different_supports_are_recorded_on_their_union():
+    # two 3-mode blocks in one stack: the first's control acts on its modes 0 and 1 and its
+    # observation on 1 and 2, the second's on 1 and 2 and on 0 and 1, so each weight's
+    # coordinates differ between the blocks and only their union records both; a mode
+    # observed but not controlled leaves no stabilizing ARE solution, so no Riccati loop
+    rng = np.random.default_rng(4)
+    B = np.zeros((6, 2))
+    B[[0, 1], 0] = rng.uniform(0.5, 1.5, 2)
+    B[[4, 5], 1] = rng.uniform(0.5, 1.5, 2)
+    Q = np.zeros((6, 6))
+    for modes in ([1, 2], [3, 4]):
+        C = rng.standard_normal((2, 2))
+        Q[np.ix_(modes, modes)] = C.T @ C
+    sys_ = SpectralSystem.from_dense(np.sort(rng.uniform(0.5, 4.0, 6)), B, Q)
+    assert [[list(r.modes) for r in stack] for stack in stacked_blocks(sys_.records)] == [
+        [[0, 1, 2], [3, 4, 5]]]
+    x0 = rng.standard_normal(12)
+    for traj in (simulate_collocated(sys_, x0, 7.55, dt=0.05),
+                 simulate_backward_observer(sys_, x0, 7.55, dt=0.05)):
+        assert_matches_dense_loop(traj, sys_, x0, 7.55)
 
 
 def test_collocated_loop_holds_no_state_sized_temporaries():

@@ -1,3 +1,5 @@
+import errno
+import io
 import json
 import os
 import re
@@ -13,6 +15,9 @@ from wavelq.models import (build_interval_wave, build_rectangle, build_star_netw
                            controllability_gramian, observability_gramian, shell_constant)
 from wavelq.riccati import RiccatiSolution, bounds_report, solve_are
 from wavelq.serialize import (
+    _CSV_CHUNK_VALUES,
+    OutputError,
+    _write_rows,
     controls_to_csv,
     load_riccati,
     load_system,
@@ -321,6 +326,26 @@ def test_csv_rows_match_per_value_formatting(tmp_path):
     assert path.read_bytes() == ("time,u_0,u_1\n" + "".join(r + "\n" for r in rows)).encode()
 
 
+ROW_SPECIALS = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 0.1, 1e-5, 1e16, 1e17,
+                123456789012345678.0]
+
+
+@pytest.mark.parametrize("n_cols", [1, 5, 65])  # 65: the shape of control.csv
+@pytest.mark.parametrize("n_rows", ["none", "one", "chunk-1", "chunk", "chunk+1"])
+def test_chunked_rows_write_the_bytes_of_one_format_per_row(n_rows, n_cols):
+    chunk = max(1, _CSV_CHUNK_VALUES // n_cols)
+    n = {"none": 0, "one": 1, "chunk-1": chunk - 1, "chunk": chunk, "chunk+1": chunk + 1}[n_rows]
+    rng = np.random.default_rng(n * 100 + n_cols)
+    values = rng.standard_normal(n * n_cols) * 10.0 ** rng.integers(-300, 300, n * n_cols)
+    spots = rng.permutation(values.size)[:len(ROW_SPECIALS)]
+    values[spots] = ROW_SPECIALS[:spots.size]
+    columns = values.reshape(n_cols, n)
+    f = io.StringIO()
+    _write_rows(f, columns)
+    row = ",".join(["%.17g"] * n_cols) + "\n"
+    assert f.getvalue() == "".join(row % r for r in zip(*columns))
+
+
 def _writers():
     """One call of every output writer, as (name, write(path))."""
     sys_ = build_synthetic(2.0, 2.0, 3)
@@ -387,8 +412,9 @@ def test_a_fifo_or_directory_at_the_path_stays_and_is_named(tmp_path, name, writ
     os.mkfifo(fifo)
     folder.mkdir()
     for path in (fifo, folder):
-        with pytest.raises(FileExistsError, match=re.escape(str(path))):
+        with pytest.raises(OutputError, match=re.escape(str(path))) as refused:
             write(path)
+        assert refused.value.errno == errno.EEXIST and refused.value.filename == str(path)
     assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
     assert folder.is_dir() and not any(folder.iterdir())
     # a symlink to a FIFO is itself replaced, and the FIFO stays
