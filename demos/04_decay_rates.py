@@ -55,9 +55,9 @@ def riccati_rate():
     fit = fit_decay(traj, (10.0, 32.0))
     print(f"  planted-rate tail: fitted {fit.exponent:.3f} vs predicted {predicted:.1f}")
     lam = sys_.lambdas
-    from wavelq.spectral import ModalVector, to_energy
     signs = np.where(np.arange(128) % 2 == 0, 1.0, -1.0)
-    rough = to_energy(ModalVector(a=lam**-3.1 * signs, b=lam**-3.1 * signs), lam)
+    a = b = lam**-3.1 * signs  # position and velocity coefficients
+    rough = np.stack([lam * a, b], axis=-1).ravel()
     traj2 = simulate_riccati_feedback(sys_, sol, rough, 40.0, dt=0.01)
     fit2 = fit_decay(traj2, default_decay_window(traj2))
     print(f"  class-tail data (upper-bound regime): fitted {fit2.exponent:.3f} "

@@ -31,7 +31,7 @@ def cost_scaling():
     strong = NormScale.graded(0.5)
     r_strong, r_energy = [], []
     for _ in range(50):
-        x0 = smooth_initial_state(sys_.lambdas, 1.6, rng=rng).to_vector()
+        x0 = smooth_initial_state(sys_.lambdas, 1.6, rng=rng)
         h = hum_null_control(sys_, x0, t0)
         r_strong.append(h.cost / energy_norm_squared(x0, sys_.lambdas, strong))
         r_energy.append(h.cost / energy_norm_squared(x0, sys_.lambdas, NormScale.energy()))

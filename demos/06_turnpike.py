@@ -27,7 +27,7 @@ def main():
     n = 12
     sys_ = build_synthetic(2.0, 2.0, n)
     rng = np.random.default_rng(42)
-    x0 = smooth_initial_state(sys_.lambdas, 2.5, rng=rng).to_vector()
+    x0 = smooth_initial_state(sys_.lambdas, 2.5, rng=rng)
     z = sys_.lambdas**-2.0 * rng.choice([-1.0, 1.0], size=n)
 
     st = solve_stationary(sys_, z)
@@ -51,7 +51,6 @@ def main():
     print(f"report written to {out}")
 
     # pointwise-gap diagnostic (no claim attached: open problem), from the sweep
-    w_bar = st.w_bar.a
     print("\npointwise state gap ||w(t) - w_bar||_{X_1/2} along T = 200 (diagnostic):")
     for frac in (0.0, 0.1, 0.5, 0.9, 1.0):
         k = int(frac * (run.times.size - 1))

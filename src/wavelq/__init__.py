@@ -2,7 +2,8 @@
 
 Library layout:
 
-* ``spectral``    -- modal vectors, energy coordinates, the weighted norm scale
+* ``spectral``    -- energy coordinates (the interleaved state vector), the
+                     weighted norm scale
 * ``models``      -- interval / star-network / rectangle / synthetic systems,
                      Gramians, weak-observability exponent fits
 * ``riccati``     -- the exact Hamiltonian step-map kernel, differential and
@@ -20,11 +21,8 @@ __version__ = "0.1.0"
 from .spectral import (  # noqa: F401
     DimensionError,
     DomainError,
-    EnergyState,
-    ModalVector,
     NormScale,
     energy_norm_squared,
-    to_energy,
 )
 from .models import (  # noqa: F401
     ConsistencyError,

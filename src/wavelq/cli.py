@@ -159,7 +159,7 @@ _BUILDERS = {"synthetic": "build_synthetic", "synthetic_exponential": "build_syn
 _DECAY_FIELDS = {"horizon": _POSITIVE, "dt": _MAYBE_POSITIVE,
                  "window": _numbers(2, 2, increasing=True, default=None),
                  "tail_exponent": _MAYBE_POSITIVE, "smoothness_k": _MAYBE_POSITIVE,
-                 "s": _MAYBE_POSITIVE, "signs": _choice("random", "alternating")}
+                 "signs": _choice("random", "alternating")}
 EXPERIMENT_FIELDS = {
     "observability": {"horizon": _POSITIVE, "shells": _numbers(3, increasing=True, positive=True),
                       "side": _choice("control", "observation")},
@@ -185,12 +185,10 @@ def _check_star(m):
 
 
 def _decay_tail(e):
-    # the initial data's tail exponent: given, else the planted-rate tail
-    # (s + 1)/2, else class-critical data smoothness_k + 0.6, else 1.6
+    # the initial data's tail exponent: given, else class-critical data
+    # smoothness_k + 0.6, else 1.6
     if "tail_exponent" not in e:
-        e["tail_exponent"] = ((e["s"] + 1.0) / 2.0 if "s" in e
-                              else e["smoothness_k"] + 0.5 + 0.1 if "smoothness_k" in e
-                              else 1.6)
+        e["tail_exponent"] = e["smoothness_k"] + 0.5 + 0.1 if "smoothness_k" in e else 1.6
 
 
 # kind -> rule over several keys of a resolved section (checks, or fills in a value)
@@ -316,8 +314,7 @@ def _run_bounds(system, exp, outdir, rng):
 
 
 def _run_decay(system, exp, outdir, rng, riccati: bool):
-    x0 = cl.smooth_initial_state(system.lambdas, exp["tail_exponent"], rng=rng,
-                                 signs=exp["signs"]).to_vector()
+    x0 = cl.smooth_initial_state(system.lambdas, exp["tail_exponent"], rng=rng, signs=exp["signs"])
     horizon = exp["horizon"]
     dt = exp.get("dt")  # None: the simulator's own step
     if riccati:
@@ -345,7 +342,7 @@ def _run_null_control(system, exp, outdir, rng):
     t0, n_draws = exp["t0"], exp["n_draws"]
     strong = _default_scales(system)[1]
     x0s = np.array([cl.smooth_initial_state(system.lambdas, exp["tail_exponent"], rng=rng)
-                    .to_vector() for _ in range(n_draws)])
+                    for _ in range(n_draws)])
     hums = cl.hum_null_control(system, x0s, t0)
     first = hums[0]
     costs = np.array([hum.cost for hum in hums])
@@ -358,7 +355,7 @@ def _run_null_control(system, exp, outdir, rng):
         "t0": t0,
         "n_draws": n_draws,
         "gramian_condition": first.gramian_condition,
-        "certified": first.certified,
+        "certified": all(hum.certified for hum in hums),
         "costs": costs.tolist(),
         "terminal_residuals": residuals,
         "cost_over_strong_norm": ratios_strong.tolist(),
@@ -370,7 +367,7 @@ def _run_null_control(system, exp, outdir, rng):
 def _run_turnpike(system, exp, outdir, rng):
     horizons, k, ktilde = exp["horizons"], exp["k"], exp["ktilde"]
     dt_record = exp.get("dt_record")  # None: the tracking solver's own grid
-    x0 = cl.smooth_initial_state(system.lambdas, exp["tail_exponent"], rng=rng).to_vector()
+    x0 = cl.smooth_initial_state(system.lambdas, exp["tail_exponent"], rng=rng)
     signs = rng.choice([-1.0, 1.0], size=system.n_modes)
     z = system.lambdas ** (-exp["z_tail"]) * signs
     stationary = tp.solve_stationary(system, z)

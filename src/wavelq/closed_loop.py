@@ -35,14 +35,14 @@ from .models import SpectralSystem, _gramian, apply_free_flow, energy_index, fit
 # unused here, but perfbench/tracing.py wraps closed_loop.controllability_gramian by name
 from .models import controllability_gramian  # noqa: F401
 from .riccati import RiccatiSolution, stack_matrices, step_map
-from .spectral import DimensionError, DomainError, EnergyState, as_energy_vector, require_positive
+from .spectral import DimensionError, DomainError, require_positive
 # unused here, but perfbench/tracing.py wraps closed_loop.energy_norm_squared by name
 from .spectral import energy_norm_squared  # noqa: F401
 
 
 @dataclass
 class Trajectory:
-    """Recorded closed-loop run in energy coordinates: scalar series, one entry per sample.
+    """Recorded closed-loop run: scalar series of its states, one entry per sample.
 
     ``energies`` are the squared state-space norms, ``values``, ``control_power``
     and ``obs_power`` the recorded quadratic forms; the states and controls
@@ -54,7 +54,6 @@ class Trajectory:
 
     times: np.ndarray
     energies: np.ndarray
-    lambdas: np.ndarray
     kind: str
     values: np.ndarray | None = None  # x^T E x along Riccati-feedback runs
     control_power: np.ndarray | None = None  # ||u||^2 samples
@@ -89,7 +88,7 @@ def _simulate_lti(system: SpectralSystem, generator, x0: np.ndarray, horizon: fl
     ``control_power``, or None.  Only the 1-D series are allocated per sample.
     """
     lam = system.lambdas
-    x0 = as_energy_vector(x0)
+    x0 = np.asarray(x0, dtype=float)
     if x0.size != 2 * lam.size:
         raise DimensionError("initial state dimension mismatch")
     require_positive(horizon=horizon, dt=dt)
@@ -101,7 +100,7 @@ def _simulate_lti(system: SpectralSystem, generator, x0: np.ndarray, horizon: fl
     series = {"energies": np.zeros(steps + 1)}
     advanced = [_advance_stack(system, generator, stack, h, x0, series)
                 for stack in stacked_blocks(system.records)]
-    return Trajectory(times=np.linspace(0.0, horizon, steps + 1), lambdas=lam, kind=kind,
+    return Trajectory(times=np.linspace(0.0, horizon, steps + 1), kind=kind,
                       dissipation=float(sum(d for _, d in advanced)),
                       generators=[A_cl for A_cl, _ in advanced], **series)
 
@@ -267,6 +266,11 @@ def energy_identity_defect(traj: Trajectory) -> float:
 # ---------------------------------------------------------------------------
 # HUM minimum-norm steering
 
+# the certificate's bounds; the residual's, relative to ||x0||, is the tolerance
+# that perfbench/checks.py and the CI hold a certified run to
+_HUM_MAX_CONDITION = 1e12
+_HUM_RESIDUAL_TOL = 1e-8
+
 
 @dataclass
 class HumControl:
@@ -308,14 +312,15 @@ def hum_null_control(system: SpectralSystem, x0, t0: float, n_samples: int = 257
     assembles it), and each stack of equal-sized blocks takes one batched
     ``eigvalsh`` and one LU solve for all the draws, so no d x d array is
     formed.  The condition number is the largest eigenvalue magnitude over
-    all blocks over the smallest; if it exceeds 1e12 every block is
+    all blocks over the smallest; from 1e12 on every block is
     Tikhonov-shifted by 1e-14 of W's mean diagonal entry (the summed traces
-    over d) and the result is flagged as not certified (a zero state is
-    always certified).  ``terminal_residual`` is the state-space norm of the
-    reached terminal state.
+    over d).  ``terminal_residual`` is the state-space norm of the reached
+    terminal state.  A draw is certified when the condition number is under
+    1e12 and its terminal residual is at most 1e-8 of its state-space norm;
+    a zero state is always certified.
     """
     require_positive(t0=t0)
-    x0 = as_energy_vector(x0)
+    x0 = np.asarray(x0, dtype=float)
     lam = system.lambdas
     if x0.shape[-1] != 2 * lam.size or x0.ndim > 2:
         raise DimensionError("state dimension mismatch")
@@ -330,7 +335,7 @@ def hum_null_control(system: SpectralSystem, x0, t0: float, n_samples: int = 257
     states = np.atleast_2d(x0)
     y = apply_free_flow(lam, t0, states)
     trace = sum(np.trace(W, axis1=-2, axis2=-1).sum() for _, W in stacks)
-    shift = 0.0 if cond < 1e12 else 1e-14 * trace / y.shape[1]  # Tikhonov
+    shift = 0.0 if cond < _HUM_MAX_CONDITION else 1e-14 * trace / y.shape[1]  # Tikhonov
     # each block's solve fills its rows of gamma^T, laid out as one solve of y^T would leave them
     gamma_T, Wgamma = np.empty(y.shape[::-1]), np.empty_like(y)
     for e, W in stacks:
@@ -347,7 +352,8 @@ def hum_null_control(system: SpectralSystem, x0, t0: float, n_samples: int = 257
     rotation = (np.cos(phase), np.sin(phase), system)
     out = []
     for x, g, cost, res in zip(states, gamma, costs, residuals, strict=True):
-        certified = cond < 1e12 or not np.any(x)
+        certified = not np.any(x) or bool(cond < _HUM_MAX_CONDITION
+                                          and res <= _HUM_RESIDUAL_TOL * np.linalg.norm(x))
         out.append(HumControl(times=times, gamma=g, cost=float(cost), terminal_residual=float(res),
                               gramian_condition=cond, certified=certified, _rotation=rotation,
                               note="" if certified else "weakly controllable -- residual not certified"))
@@ -412,13 +418,14 @@ def default_decay_window(traj: Trajectory) -> tuple:
 
 
 def smooth_initial_state(lambdas, tail_exponent: float, rng=None,
-                         signs: str = "random") -> EnergyState:
-    """Energy-coordinate data with |xi_n| = |zeta_n| = lambda_n**(-tail_exponent).
+                         signs: str = "random") -> np.ndarray:
+    """Initial data |xi_n| = |zeta_n| = lambda_n**(-tail_exponent) as an interleaved energy vector.
 
     ``tail_exponent = k + 1/2 + margin`` places the data critically in the
     smoothness class D(A^k) (class norm marginally convergent as the
     truncation grows).  Signs are Rademacher by default, or deterministic
-    alternating with ``signs='alternating'``.
+    alternating with ``signs='alternating'``; the xi signs are drawn before
+    the zeta signs.
     """
     lam = np.asarray(lambdas, dtype=float)
     mag = lam ** (-float(tail_exponent))
@@ -432,7 +439,7 @@ def smooth_initial_state(lambdas, tail_exponent: float, rng=None,
         sz = rng.choice([-1.0, 1.0], size=lam.size)
     else:
         raise DomainError(f"unknown signs mode {signs!r}")
-    return EnergyState(xi=mag * sx, zeta=mag * sz)
+    return np.stack([mag * sx, mag * sz], axis=-1).ravel()
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import Block, SpectralSystem, assemble, energy_index, stacked_blocks
-from .spectral import DimensionError, DomainError, as_energy_vector, require_positive
+from .spectral import DimensionError, DomainError, require_positive
 
 
 class StabilizabilityError(RuntimeError):
@@ -538,7 +538,7 @@ def _doubled_limit(F, G, H):
 
 def value(solution: RiccatiSolution, x0) -> float:
     """Quadratic-form value x0^T E x0 (the optimal cost from x0), summed over the stacks."""
-    x = as_energy_vector(x0)
+    x = np.asarray(x0, dtype=float)
     if x.size != solution.dim:
         raise DimensionError("state dimension does not match the Riccati matrix")
     parts = [(x[energy_index(modes)], E) for modes, E in solution.stacks]
@@ -568,8 +568,7 @@ def bounds_report(E_hat: RiccatiSolution, system: SpectralSystem, weak, strong) 
     c2_hat the largest of D_s^-1/2 E D_s^-1/2.  Each stack of E_hat is one
     batch, so a solution on coarser blocks than the system's, such as one
     read from a dense ``wavelq-riccati-v1`` file, gives the same constants to
-    rounding.
-    ``sobolev_state`` has no density weight and raises DomainError.
+    rounding.  ``weak`` and ``strong`` are ``NormScale``s.
     """
     if E_hat.dim != 2 * system.n_modes:
         raise DimensionError("Riccati solution dimension does not match the system")

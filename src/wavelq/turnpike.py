@@ -41,7 +41,7 @@ from .closed_loop import Trajectory
 from .models import SpectralSystem, psd_sqrt, stacked_blocks
 from .riccati import (RiccatiSolution, binary_power, hamiltonian_matrix, solve_are,
                       stack_matrices, step_map)
-from .spectral import DimensionError, DomainError, ModalVector, as_energy_vector, require_positive
+from .spectral import DimensionError, DomainError, require_positive
 
 
 def g_weight(T: float, k: float, exponent: float) -> float:
@@ -62,12 +62,16 @@ def g_weight(T: float, k: float, exponent: float) -> float:
 
 @dataclass
 class StationarySolution:
-    """Optimal stationary triple (w_bar, u_bar, p_bar) for the target z, and ||C w_bar - z||^2."""
+    """Optimal stationary triple (w_bar, u_bar, p_bar) for the target z, and ||C w_bar - z||^2.
+
+    A stationary state is at rest, so ``w_bar`` and the adjoint ``p_bar`` are
+    position coefficients alone, one per mode.
+    """
 
     z: np.ndarray
-    w_bar: ModalVector
+    w_bar: np.ndarray
     u_bar: np.ndarray
-    p_bar: ModalVector
+    p_bar: np.ndarray
     optimality_residual: float
     obs_gap_sq: float
 
@@ -102,8 +106,7 @@ def solve_stationary(system: SpectralSystem, z) -> StationarySolution:
 
     nu = np.linalg.norm(u)
     r1, r2, r3 = np.sqrt(sq[:3]) / (1.0 + np.array([nu, np.linalg.norm(z), nu]))
-    return StationarySolution(z=z.copy(), w_bar=ModalVector.position_only(a_bar), u_bar=u,
-                              p_bar=ModalVector.position_only(p_bar),
+    return StationarySolution(z=z.copy(), w_bar=a_bar, u_bar=u, p_bar=p_bar,
                               optimality_residual=float(max(r1, r2, r3)), obs_gap_sq=float(sq[3]))
 
 
@@ -120,7 +123,7 @@ def _terminal_feedforward(system: SpectralSystem, stationary: StationarySolution
     the deviation adjoint is (0, -p_bar).
     """
     h = np.zeros(2 * system.n_modes)
-    h[1::2] = -stationary.p_bar.a
+    h[1::2] = -stationary.p_bar
     return h
 
 
@@ -174,11 +177,11 @@ def _prepare(system: SpectralSystem, z, x0, stationary, are):
         stationary = solve_stationary(system, z)
     elif not np.array_equal(stationary.z, z):
         raise DomainError("the stationary solution was solved for another target")
-    x0 = as_energy_vector(x0)
+    x0 = np.asarray(x0, dtype=float)
     if x0.size != 2 * system.n_modes:
         raise DimensionError("initial state dimension mismatch")
     are = solve_are(system) if are is None else are
-    x0_dev = x0 - _lift_position(system, stationary.w_bar.a)
+    x0_dev = x0 - _lift_position(system, stationary.w_bar)
     return x0, stationary, are, x0_dev, _terminal_feedforward(system, stationary)
 
 
@@ -196,7 +199,7 @@ def _closed_form(system, stationary, x0, x0_dev, h_T, horizon, x_N, q_0, int_x):
     The full cost is the Riccati + boundary-term expression: x_0^T q_0, the
     stationary adjoint's boundary terms, and T times the stationary cost rate.
     """
-    p_bar, u_bar = stationary.p_bar.a, stationary.u_bar
+    p_bar, u_bar = stationary.p_bar, stationary.u_bar
     rate = float(u_bar @ u_bar) + stationary.obs_gap_sq
     return TrackingIntegrals(system=system, stationary=stationary, x0=x0, horizon=float(horizon),
                              deviation_cost_exact=float(x0_dev @ q_0) - float(x_N @ h_T),
@@ -259,8 +262,8 @@ def solve_tracking(system: SpectralSystem, z, x0, horizon: float,
     steps = _grid(lam, horizon, dt_record)
     x0, stationary, are, x0_dev, h_T = _prepare(system, z, x0, stationary, are)
     dim = 2 * lam.size
-    x_bar_lift = _lift_position(system, stationary.w_bar.a)
-    p_lift = _lift_position(system, stationary.p_bar.a)
+    x_bar_lift = _lift_position(system, stationary.w_bar)
+    p_lift = _lift_position(system, stationary.p_bar)
     times = np.linspace(0.0, horizon, steps + 1)
 
     X, q = np.empty((2, steps + 1, dim))  # deviation states and adjoints
@@ -284,9 +287,8 @@ def solve_tracking(system: SpectralSystem, z, x0, horizon: float,
     closed = _closed_form(system, stationary, x0, x0_dev, h_T, horizon, *ends)
 
     full = X + x_bar_lift
-    traj = Trajectory(times=times, energies=np.einsum("ij,ij->i", full, full), lambdas=lam,
-                      kind="tracking", values=values, control_power=control_power,
-                      obs_power=obs_power)
+    traj = Trajectory(times=times, energies=np.einsum("ij,ij->i", full, full), kind="tracking",
+                      values=values, control_power=control_power, obs_power=obs_power)
     return TrackingSolution(**vars(closed), times=times, deviation_states=X,
                             deviation_adjoints=q, trajectory=traj,
                             cost_quadrature=j_dev + (closed.value_formula_cost
@@ -472,7 +474,7 @@ def tracking_os_residual(sol: TrackingSolution) -> float:
             Y = np.swapaxes(np.concatenate([X[band, e], q[band, e]], axis=-1), 0, 1)
             D = np.abs(Y[:, 1:] - Y[:, :-1] @ PhiT)
             dx, dq = max(dx, D[..., :e.shape[1]].max()), max(dq, D[..., e.shape[1]:].max())
-    x0_dev = sol.x0 - _lift_position(system, sol.stationary.w_bar.a)
+    x0_dev = sol.x0 - _lift_position(system, sol.stationary.w_bar)
     h_T = _terminal_feedforward(system, sol.stationary)
 
     def rel(defect, ref):
@@ -524,10 +526,9 @@ def averaged_metrics(runs, stationary: StationarySolution, k: float = 1.0,
     rho = system.rho if system.rho is not None else np.inf
     eta = system.eta if system.eta is not None else np.inf
 
-    x0_dev0 = runs[0].x0 - _lift_position(system, stationary.w_bar.a)
+    x0_dev0 = runs[0].x0 - _lift_position(system, stationary.w_bar)
     w_class = float(np.sum(lam ** (2.0 * k) * (x0_dev0[0::2] ** 2 + x0_dev0[1::2] ** 2)))
-    p_bar = stationary.p_bar.a
-    p_class = float(np.sum(lam ** (2.0 * (ktilde + 1.0)) * p_bar**2))
+    p_class = float(np.sum(lam ** (2.0 * (ktilde + 1.0)) * stationary.p_bar**2))
 
     for i, run in enumerate(runs):
         T = run.horizon

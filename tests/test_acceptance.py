@@ -102,7 +102,7 @@ def test_criterion_03_energy_identities():
     detail = []
     for sys_ in systems:
         assert sys_.n_modes <= 128
-        x0 = smooth_initial_state(sys_.lambdas, 1.5, rng=rng).to_vector()
+        x0 = smooth_initial_state(sys_.lambdas, 1.5, rng=rng)
         d_col = energy_identity_defect(simulate_collocated(sys_, x0, 300.0))
         d_back = energy_identity_defect(simulate_backward_observer(sys_, x0, 300.0))
         sol = solve_are(sys_)
@@ -174,7 +174,7 @@ def test_criterion_06_hum_control():
     ratios = []
     resid_ok = True
     for _ in range(50):
-        x0 = smooth_initial_state(sys_.lambdas, 1.6, rng=rng).to_vector()
+        x0 = smooth_initial_state(sys_.lambdas, 1.6, rng=rng)
         hum = hum_null_control(sys_, x0, t_steer)
         resid_ok &= hum.certified and \
             hum.terminal_residual <= 1e-8 * np.linalg.norm(x0)
@@ -198,7 +198,7 @@ def test_criterion_07_turnpike():
     n = 12
     sys_ = build_synthetic(2.0, 2.0, n)
     rng = np.random.default_rng(42)
-    x0 = smooth_initial_state(sys_.lambdas, 2.5, rng=rng).to_vector()
+    x0 = smooth_initial_state(sys_.lambdas, 2.5, rng=rng)
     z = sys_.lambdas**-2.0 * rng.choice([-1.0, 1.0], size=n)
     st = solve_stationary(sys_, z)
     horizons = [25.0, 50.0, 100.0, 200.0]

@@ -77,6 +77,11 @@ class TestValidation:
         cfg["model"]["spectrum"] = "linear"
         assert main(["run", "--config", _write(tmp_path, cfg)]) == 2
         assert "model.spectrum: unknown key" in capsys.readouterr().err
+        # a decay run's tail exponent is tail_exponent or smoothness_k: there is no s key
+        cfg["model"].pop("spectrum")
+        cfg["experiment"] = dict(_tiny_decay_cfg(tmp_path)["experiment"], s=1.0)
+        assert main(["run", "--config", _write(tmp_path, cfg)]) == 2
+        assert "experiment.s: unknown key" in capsys.readouterr().err
 
     def test_missing_file_is_validation_error(self, capsys):
         assert main(["run", "--config", "/nonexistent/cfg.json"]) == 2
@@ -134,6 +139,18 @@ class TestValidation:
         assert printed["model"]["rho"] == 2.0 and isinstance(printed["model"]["rho"], float)
         assert printed["experiment"] == {"kind": "bounds", "n_random": 100}
         assert (printed["seed"], printed["output_dir"]) == (0, "out")
+
+    @pytest.mark.parametrize("given, tail", [
+        ({"tail_exponent": 2.0}, 2.0),
+        ({"smoothness_k": 1.0}, 1.0 + 0.5 + 0.1),
+        ({}, 1.6),
+        ({"tail_exponent": 2.0, "smoothness_k": 1.0}, 2.0),
+    ], ids=["tail_exponent", "smoothness_k", "neither", "both"])
+    def test_decay_tail_exponent_resolves(self, given, tail):
+        for kind in ("decay_collocated", "decay_riccati"):
+            cfg = {"model": {"kind": "synthetic", "rho": 2.0, "eta": 2.0, "n_modes": 8},
+                   "experiment": {"kind": kind, "horizon": 10.0, **given}}
+            assert validate_config(cfg)["experiment"]["tail_exponent"] == tail
 
     def test_subcommand_kind_mismatch(self, tmp_path, capsys):
         cfg = _tiny_decay_cfg(tmp_path / "o")
@@ -430,7 +447,7 @@ EXPERIMENTS = {
     "decay_collocated": {"kind": "decay_collocated", "horizon": 6.0, "dt": 0.05,
                          "window": [1.0, 5.0], "tail_exponent": 1.0, "signs": "random"},
     "decay_riccati": {"kind": "decay_riccati", "horizon": 6.0, "dt": 0.05,
-                      "window": [1.0, 5.0], "smoothness_k": 1.0, "s": 1.0},
+                      "window": [1.0, 5.0], "smoothness_k": 1.0},
     "null_control": {"kind": "null_control", "t0": 7.0, "n_draws": 1, "tail_exponent": 1.6},
     "turnpike": {"kind": "turnpike", "horizons": [2.0, 4.0], "tail_exponent": 2.5,
                  "z_tail": 2.0, "k": 1.0, "ktilde": 1.0, "dt_record": 0.1},

@@ -728,7 +728,7 @@ class TestRiccatiSolution:
         # d = 1540: one d x d array is 18.1 MiB, and each call peaks below half of it
         sys_ = build_rectangle(1.0, 2.0, 32.0)
         d = 2 * sys_.n_modes
-        x0 = smooth_initial_state(sys_.lambdas, 1.5, rng=np.random.default_rng(0)).to_vector()
+        x0 = smooth_initial_state(sys_.lambdas, 1.5, rng=np.random.default_rng(0))
         sol, energy = solve_are(sys_), NormScale.energy()
         calls = {"solve_are": lambda: solve_are(sys_),
                  "integrate_dre": lambda: integrate_dre(sys_, 1.0),
@@ -904,12 +904,6 @@ class TestBounds:
             val = value(sol, x)
             assert rep.c1_hat * energy_norm_squared(x, sys_.lambdas, weak) <= val * (1 + 1e-12)
             assert val <= rep.c2_hat * energy_norm_squared(x, sys_.lambdas, strong) * (1 + 1e-12)
-
-    def test_position_only_scale_has_no_bounds(self):
-        sys_ = build_synthetic(2.0, 2.0, 8)
-        with pytest.raises(DomainError):
-            bounds_report(solve_are(sys_), sys_, NormScale.sobolev_state(0.25),
-                          NormScale.graded(0.5))
 
 
 class TestExponentialWeightScales:

@@ -188,7 +188,7 @@ def test_reloaded_solution_drives_the_same_loop_and_tracking(tmp_path):
     sol = solve_are(sys_)
     save_riccati(sol, tmp_path / "riccati.json")
     back = load_riccati(tmp_path / "riccati.json")
-    x0 = smooth_initial_state(sys_.lambdas, 1.5, rng=np.random.default_rng(0)).to_vector()
+    x0 = smooth_initial_state(sys_.lambdas, 1.5, rng=np.random.default_rng(0))
     want, got = simulate_riccati_feedback(sys_, sol, x0, 2.0), simulate_riccati_feedback(sys_, back, x0, 2.0)
     for name in ("energies", "values", "control_power", "obs_power"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
@@ -217,7 +217,7 @@ def test_reloaded_solution_of_a_one_block_system_drives_the_same_loop(tmp_path):
     sol = solve_are(sys_)
     save_riccati(sol, tmp_path / "riccati.json")
     back = load_riccati(tmp_path / "riccati.json")
-    x0 = smooth_initial_state(sys_.lambdas, 1.5, rng=np.random.default_rng(0)).to_vector()
+    x0 = smooth_initial_state(sys_.lambdas, 1.5, rng=np.random.default_rng(0))
     want, got = simulate_riccati_feedback(sys_, sol, x0, 2.0), simulate_riccati_feedback(sys_, back, x0, 2.0)
     for name in ("energies", "values", "control_power", "obs_power"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
@@ -229,7 +229,7 @@ def test_riccati_json_and_hum_form_no_dense_array(tmp_path):
     d = 2 * sys_.n_modes
     sol = solve_are(sys_)
     rng = np.random.default_rng(0)
-    x0s = np.array([smooth_initial_state(sys_.lambdas, 1.6, rng=rng).to_vector() for _ in range(10)])
+    x0s = np.array([smooth_initial_state(sys_.lambdas, 1.6, rng=rng) for _ in range(10)])
     peaks = []
     tracemalloc.start()
     try:
@@ -309,7 +309,7 @@ def test_csv_rows_match_per_value_formatting(tmp_path):
     special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0 / 3.0, -2.5e-310, 1.7976931348623157e308]
     n = len(special)
     traj = Trajectory(times=np.linspace(0.0, 1.0, n), energies=np.array(special),
-                      lambdas=np.ones(1), kind="collocated",
+                      kind="collocated",
                       values=np.array(special[::-1]), control_power=np.roll(special, 3))
     path = tmp_path / "trajectory.csv"
     trajectory_to_csv(traj, path)

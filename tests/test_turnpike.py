@@ -63,15 +63,15 @@ class TestStationary:
         sys_ = build_synthetic(2.0, 2.0, 4)
         st = solve_stationary(sys_, np.zeros(4))
         assert np.abs(st.u_bar).max() == 0.0
-        assert np.abs(st.w_bar.a).max() == 0.0
-        assert np.abs(st.p_bar.a).max() == 0.0
+        assert np.abs(st.w_bar).max() == 0.0
+        assert np.abs(st.p_bar).max() == 0.0
 
     def test_single_mode_hand_solution(self):
         st = solve_stationary(single_mode_system(), np.array([1.0]))
         assert st.u_bar[0] == pytest.approx(0.5, rel=1e-12)
-        assert st.w_bar.a[0] == pytest.approx(0.5, rel=1e-12)
-        assert st.p_bar.a[0] == pytest.approx(-0.5, rel=1e-12)
-        assert st.u_bar[0] == pytest.approx(-st.p_bar.a[0], rel=1e-12)
+        assert st.w_bar[0] == pytest.approx(0.5, rel=1e-12)
+        assert st.p_bar[0] == pytest.approx(-0.5, rel=1e-12)
+        assert st.u_bar[0] == pytest.approx(-st.p_bar[0], rel=1e-12)
 
     def test_residuals_small_on_models(self):
         rng = np.random.default_rng(0)
@@ -149,7 +149,7 @@ class TestTracking:
         sys_ = build_synthetic(2.0, 2.0, 6)
         rng = np.random.default_rng(3)
         z = sys_.lambdas**-2.0 * rng.choice([-1.0, 1.0], size=6)
-        x0 = smooth_initial_state(sys_.lambdas, 2.0, rng=rng).to_vector()
+        x0 = smooth_initial_state(sys_.lambdas, 2.0, rng=rng)
         sol = solve_tracking(sys_, z, x0, 12.0)
         assert sol.cost_quadrature == pytest.approx(sol.value_formula_cost, rel=1e-6)
 
@@ -213,7 +213,7 @@ class TestTracking:
         # exponential's workspace several times that
         sys_ = build_rectangle(1.0, 2.0, 16.0)
         rng = np.random.default_rng(17)
-        x0 = smooth_initial_state(sys_.lambdas, 2.5, rng=rng).to_vector()
+        x0 = smooth_initial_state(sys_.lambdas, 2.5, rng=rng)
         z = sys_.lambdas**-2.0 * rng.choice([-1.0, 1.0], size=sys_.n_modes)
         sol = solve_tracking(sys_, z, x0, 10.0)
         tracking_os_residual(solve_tracking(sys_, z, x0, 0.1))  # imports outside the trace
@@ -234,7 +234,7 @@ class TestTracking:
         sol = solve_tracking(sys_, z, x0, 6.0)
         # v(T) = -B^T q(T) with q(T) = (0, -p_bar) lifted
         vT = -(sol.deviation_adjoints[-1, 1::2] @ sys_.B_mod)
-        expected = sys_.B_mod.T @ sol.stationary.p_bar.a
+        expected = sys_.B_mod.T @ sol.stationary.p_bar
         assert np.abs(vT - expected).max() <= 1e-7 * (1.0 + np.abs(expected).max())
 
 
@@ -265,7 +265,7 @@ class TestAveragedMetrics:
         sys_ = build_synthetic(2.0, 2.0, 6)
         rng = np.random.default_rng(6)
         z = sys_.lambdas**-2.0 * rng.choice([-1.0, 1.0], size=6)
-        x0 = smooth_initial_state(sys_.lambdas, 2.5, rng=rng).to_vector()
+        x0 = smooth_initial_state(sys_.lambdas, 2.5, rng=rng)
         st = solve_stationary(sys_, z)
         coarse = solve_tracking(sys_, z, x0, 10.0, stationary=st, dt_record=0.02)
         fine = solve_tracking(sys_, z, x0, 10.0, stationary=st, dt_record=0.01)
@@ -306,7 +306,7 @@ class TestAveragedMetrics:
         sys_ = build_synthetic(2.0, 2.0, 8)
         rng = np.random.default_rng(7)
         z = sys_.lambdas**-2.0 * rng.choice([-1.0, 1.0], size=8)
-        x0 = smooth_initial_state(sys_.lambdas, 2.5, rng=rng).to_vector()
+        x0 = smooth_initial_state(sys_.lambdas, 2.5, rng=rng)
         runs, st = self._runs(sys_, z, x0, [10.0, 20.0, 40.0])
         rep = averaged_metrics(runs, st)
         assert np.all(np.diff(rep.avg_tracking) < 0.0)
@@ -327,7 +327,7 @@ class TestAveragedMetrics:
 def test_closed_form_integrals_match_the_sweep(build, horizons, dt_record):
     sys_ = build()
     rng = np.random.default_rng(28)
-    x0 = smooth_initial_state(sys_.lambdas, 2.5, rng=rng).to_vector()
+    x0 = smooth_initial_state(sys_.lambdas, 2.5, rng=rng)
     z = sys_.lambdas**-2.0 * rng.choice([-1.0, 1.0], size=sys_.n_modes)
     st_, are = solve_stationary(sys_, z), solve_are(sys_)
     if dt_record == 0.3:  # the case's premise: a coarse record step, not a whole number of them
@@ -445,7 +445,7 @@ def test_dichotomy_matches_sweep_oracle(build, horizon, dt_record, chunked_stack
         assert _is_coarse(sys_, horizon, dt_record)
         assert sum(c >= 3 for c in counts) >= chunked_stacks
     rng = np.random.default_rng(12)
-    x0 = smooth_initial_state(sys_.lambdas, 2.5, rng=rng).to_vector()
+    x0 = smooth_initial_state(sys_.lambdas, 2.5, rng=rng)
     z = sys_.lambdas**-2.0 * rng.choice([-1.0, 1.0], size=sys_.n_modes)
     sol = _assert_matches_sweep(sys_, z, x0, horizon, dt_record)
     assert tracking_os_residual(sol) <= 1e-6
@@ -461,7 +461,7 @@ def test_tracking_is_exact_at_any_record_step(build):
     # 0.25 is every fourth row of the run at 0.0625, to rounding
     sys_ = build()
     rng = np.random.default_rng(31)
-    x0 = smooth_initial_state(sys_.lambdas, 2.5, rng=rng).to_vector()
+    x0 = smooth_initial_state(sys_.lambdas, 2.5, rng=rng)
     z = sys_.lambdas**-2.0 * rng.choice([-1.0, 1.0], size=sys_.n_modes)
     st_, are = solve_stationary(sys_, z), solve_are(sys_)
     assert _is_coarse(sys_, 20.0, 0.25)
@@ -540,7 +540,7 @@ def small_systems(draw):
 def _assert_matches_stationary_oracle(sys_, z):
     st_ = solve_stationary(sys_, z)
     u, a, p, gap_sq = solve_stationary_dense(sys_, z)
-    for got, want in ((st_.u_bar, u), (st_.w_bar.a, a), (st_.p_bar.a, p)):
+    for got, want in ((st_.u_bar, u), (st_.w_bar, a), (st_.p_bar, p)):
         assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
     assert st_.obs_gap_sq == pytest.approx(gap_sq, rel=1e-12, abs=1e-14)
     assert st_.optimality_residual <= 1e-12
@@ -558,7 +558,7 @@ def test_tracking_memory_stays_off_the_step_count():
     # the sweep stored the Riccati flow at every step: 1001 x 196 x 196 doubles, 307 MB here
     sys_ = build_rectangle(1.0, 2.0, 12.0)
     rng = np.random.default_rng(13)
-    x0 = smooth_initial_state(sys_.lambdas, 2.5, rng=rng).to_vector()
+    x0 = smooth_initial_state(sys_.lambdas, 2.5, rng=rng)
     z = sys_.lambdas**-2.0 * rng.choice([-1.0, 1.0], size=sys_.n_modes)
     tracemalloc.start()
     try:

@@ -20,7 +20,6 @@ import scipy.sparse.linalg
 
 from wavelq.models import SpectralSystem, psd_sqrt
 from wavelq.riccati import first_order_matrices, hamiltonian_matrix, step_map
-from wavelq.spectral import as_energy_vector
 from wavelq.turnpike import _lift_position, _terminal_feedforward, solve_stationary
 
 
@@ -54,7 +53,7 @@ def solve_tracking_collocation(system: SpectralSystem, z, x0, horizon: float,
         stationary = solve_stationary(system, z)
     A, B, Q = first_order_matrices(system)
     dim = 2 * system.n_modes
-    x0_dev = as_energy_vector(x0) - _lift_position(system, stationary.w_bar.a)
+    x0_dev = np.asarray(x0, dtype=float) - _lift_position(system, stationary.w_bar)
     h_T = _terminal_feedforward(system, stationary)
     M = hamiltonian_matrix(A, B, Q)
 
@@ -127,7 +126,7 @@ def solve_tracking_sweep(system: SpectralSystem, z, x0, horizon: float, stationa
     lam = system.lambdas
     dim = 2 * lam.size
     A, B, Q = first_order_matrices(system)
-    x0_dev = as_energy_vector(x0) - _lift_position(system, stationary.w_bar.a)
+    x0_dev = np.asarray(x0, dtype=float) - _lift_position(system, stationary.w_bar)
     h_T = _terminal_feedforward(system, stationary)
 
     if dt_record is None:
@@ -155,7 +154,7 @@ def solve_tracking_sweep(system: SpectralSystem, z, x0, horizon: float, stationa
     Y[-1, dim:] = h_T
 
     Cm = psd_sqrt(system.Q_obs)
-    obs_gap = Cm @ stationary.w_bar.a - z
+    obs_gap = Cm @ stationary.w_bar - z
     u_bar = stationary.u_bar
     j_dev = float(np.einsum("ij,ij->", Y[:-1] @ W, Y[:-1]))
     int_y = L @ Y[:-1].sum(axis=0)
@@ -163,7 +162,7 @@ def solve_tracking_sweep(system: SpectralSystem, z, x0, horizon: float, stationa
     stationary_rate = float(u_bar @ u_bar) + float(obs_gap @ obs_gap)
     X = Y[::sub, :dim]
     q = Y[::sub, dim:]
-    p_bar = stationary.p_bar.a
+    p_bar = stationary.p_bar
     return SimpleNamespace(
         times=np.linspace(0.0, horizon, steps + 1), deviation_states=X, deviation_adjoints=q,
         deviation_controls=-(q @ B), values=np.einsum("ij,ijk,ik->i", X, Es[::sub], X),
